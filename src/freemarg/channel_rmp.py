@@ -1,6 +1,8 @@
 """Channel-family compatibility via Choi matrices: marginal channels, the
 dynamical robustness cone program, witness decomposition into state/observable
-pairs, and the ensemble state-discrimination task.
+pairs, and the ensemble state-discrimination task.  Compatibility, robustness,
+linear maximization, the witness duals and the epsilon rule are those of
+`state_rmp`, fed by `ChannelRmpInstance.problem()`.
 
 Conventions.  A channel from X' to X is stored as its Choi *state*
 J = (E (x) id)(|Phi+><Phi+|) on the layout  out (x) in :  J >= 0 iff E is
@@ -10,9 +12,8 @@ Input and output factors must carry distinct labels (e.g. "A" out, "A'" in).
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,23 +31,32 @@ from .herm import (
 )
 from .programs import attach_free_state_cone
 from .solver import (
+    BlockRef,
     ComposeMap,
     ConicProgram,
+    LinMap,
     PartialTraceMap,
     PermuteMap,
-    SolveResult,
     SolverFailure,
     SolverSettings,
-    Status,
     TensorIdentityMap,
     TraceTimesMap,
     hermitian_basis,
-    solve,
 )
-
-
-class NoWitnessError(RuntimeError):
-    """Witness extraction was called on a compatible instance."""
+from .state_rmp import (  # NoWitnessError is re-exported for channel callers
+    CompatibilityResult,
+    CompatibleSetModel,
+    MarginalProblem,
+    NoWitnessError,
+    RobustnessResult,
+    check_rfree_compatible,
+    epsilon_bounds,
+    epsilon_rule,
+    extraction_map,
+    linear_max_over_set,
+    robustness,
+    witness_duals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +234,29 @@ class ChannelRmpInstance:
     def joint_layout(self) -> SubsystemLayout:
         return self.family.global_out.concat(self.family.global_in)
 
+    def problem(self) -> MarginalProblem:
+        """The state problem on out (x) in: Choi validity as normalization,
+        marginal-channel existence (no-signalling) and the free-channel
+        structure as extra rows."""
+        so = self.joint_layout
+        gin, gout = self.family.global_in, self.family.global_out
+        maps = {pair.label(): extraction_map(so, pair.out.members + pair.inp.members)
+                for pair in [pair for pair, _ in self.family.entries] + [self.target]}
+
+        def project(j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
+            j = _project_choi_state(j, gin.total_dim)
+            return j, ChannelSpec(gin, gout, HermitianOperator(so, j))
+
+        return MarginalProblem(
+            so, tuple((pair.label(), maps[pair.label()], spec.choi.entries)
+                      for pair, spec in self.family.entries),
+            maps.__getitem__, partial(_choi_normalization, self),
+            partial(_channel_structure, self), project,
+            finite=self.free.admits_full_rank_replacement(),
+            diagnostics=("no scaled free-compatible Choi dominates the family: the free "
+                         "channel set likely admits no full-rank replacement channel "
+                         "(finiteness assumption violated)"))
+
 
 # ---------------------------------------------------------------------------
 # Marginal channels
@@ -242,30 +275,19 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair,
     """Reduced channel on the pair, when the no-signaling condition holds.
 
     Exists iff  tr_{rest}(J) (x) I/d  ==  tr_{out rest}(J)  on the kept
-    factors; the reduced Choi is then the pair marginal of the global Choi.
+    factors, the existence rows of the channel programs; the reduced Choi is
+    then the pair marginal of the global Choi.
     """
     so = global_channel.out_layout.concat(global_channel.in_layout)
-    j = global_channel.choi
-    keep_pair = list(pair.out.members) + list(pair.inp.members)
-    marg = PartialTraceMap(so, keep_pair).apply(j.entries)
-
-    rhs_labels = list(pair.out.members) + list(global_channel.in_layout.labels)
-    rhs = PartialTraceMap(so, rhs_labels).apply(j.entries)
-
-    rest_in = [l for l in global_channel.in_layout.labels if l not in pair.inp.members]
-    if rest_in:
-        d_rest = global_channel.in_layout.dim_of(rest_in)
-        lifted = np.kron(marg, np.eye(d_rest) / d_rest)
-        cur_layout = SubsystemLayout(
-            [so.factors[a] for a in so.axes_of(keep_pair)]
-            + [global_channel.in_layout.factors[a]
-               for a in global_channel.in_layout.axes_of(rest_in)])
-        lifted = PermuteMap(cur_layout, rhs_labels).apply(lifted)
-    else:
-        lifted = marg
-    dev = float(np.max(np.abs(lifted - rhs)))
-    if dev > tol * max(1.0, float(np.max(np.abs(rhs)))):
-        return MarginalChannelResult(False, None, dev)
+    j = global_channel.choi.entries
+    marg = PartialTraceMap(so, pair.out.members + pair.inp.members).apply(j)
+    dev = 0.0
+    terms = _existence_terms(so, global_channel.in_layout, pair)
+    if terms is not None:
+        rhs = terms[0].apply(j)
+        dev = float(np.max(np.abs(rhs + terms[1].apply(j))))
+        if dev > tol * max(1.0, float(np.max(np.abs(rhs)))):
+            return MarginalChannelResult(False, None, dev)
     in_sub = global_channel.in_layout.sublayout(pair.inp.members)
     out_sub = global_channel.out_layout.sublayout(pair.out.members)
     spec = ChannelSpec(in_sub, out_sub, HermitianOperator(out_sub.concat(in_sub), marg))
@@ -273,13 +295,13 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair,
 
 
 # ---------------------------------------------------------------------------
-# Program builders
+# Program pieces
 # ---------------------------------------------------------------------------
 
 
 def _existence_terms(so: SubsystemLayout, global_in: SubsystemLayout,
-                     pair: ChannelPair) -> list | None:
-    """Terms of  tr_{S\\X}(V) - lift(tr_{SS'\\XX'}(V)) = 0, or None if trivial."""
+                     pair: ChannelPair) -> list[LinMap] | None:
+    """Maps of  tr_{S\\X}(V) - lift(tr_{SS'\\XX'}(V)) = 0, or None if trivial."""
     rest_in = [l for l in global_in.labels if l not in pair.inp.members]
     if not rest_in:
         return None
@@ -293,33 +315,35 @@ def _existence_terms(so: SubsystemLayout, global_in: SubsystemLayout,
         [so.factors[a] for a in so.axes_of(keep_pair)]
         + [global_in.factors[a] for a in global_in.axes_of(rest_in)])
     m3 = PermuteMap(cur_layout, rhs_labels)
-    rhs_map = ComposeMap(m3, ComposeMap(m2, m1)).scaled(-1.0)
-    return [(None, lhs), (None, rhs_map)]  # var filled in by caller
+    return [lhs, ComposeMap(m3, ComposeMap(m2, m1)).scaled(-1.0)]
 
 
-def _build_channel_base(inst: ChannelRmpInstance, prog: ConicProgram, pin_choi_state: bool):
-    """Shared constraints: Choi validity, marginal existence, free target cone."""
+def _choi_normalization(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRef,
+                        pinned: bool):
+    """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
     so = inst.joint_layout
     gin = inst.family.global_in
-    v = prog.add_variable("V", so.total_dim)
-
-    # Choi-validity: tr_S(V) = tr(V) I/d_in (cone form), or exactly I/d_in
     tr_out_map = PartialTraceMap(so, gin.labels)
     d_in = gin.total_dim
-    if pin_choi_state:
+    if pinned:
         prog.add_matrix_equality("choi_state", [(v, tr_out_map)], np.eye(d_in) / d_in)
     else:
         prog.add_matrix_equality(
             "choi_cone", [(v, tr_out_map), (v, TraceTimesMap(so.total_dim, -np.eye(d_in) / d_in))],
             np.zeros((d_in, d_in)))
 
+
+def _channel_structure(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRef):
+    """Marginal-channel existence for every pair and the target, then the
+    free-channel structure on the target pair."""
+    so = inst.joint_layout
+    gin = inst.family.global_in
     pairs = [pair for pair, _ in inst.family.entries]
     for pair in pairs + [inst.target]:
         terms = _existence_terms(so, gin, pair)
         if terms is not None:
-            prog.add_matrix_equality(f"exists[{pair.label()}]",
-                                     [(v, m) for _, m in terms],
-                                     np.zeros((terms[0][1].out_dim,) * 2))
+            prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m) for m in terms],
+                                     np.zeros((terms[0].out_dim,) * 2))
 
     free = inst.free
     t_pair = inst.target
@@ -340,52 +364,6 @@ def _build_channel_base(inst: ChannelRmpInstance, prog: ConicProgram, pin_choi_s
                                  np.zeros((m_tt.out_dim,) * 2))
         attach_free_state_cone(prog, v, m_t, free.state_spec, prefix="free.state")
     # AllChannels: marginal existence + Choi validity already say it all
-    return v
-
-
-def _pair_trace_map(inst: ChannelRmpInstance, pair: ChannelPair) -> PartialTraceMap:
-    return PartialTraceMap(inst.joint_layout,
-                           list(pair.out.members) + list(pair.inp.members))
-
-
-# ---------------------------------------------------------------------------
-# Compatibility check and robustness
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChannelCompatibilityResult:
-    compatible: bool
-    witness_channel: ChannelSpec | None
-    residual: float
-    certificate: dict | None = None
-
-
-def check_channel_compatible(inst: ChannelRmpInstance,
-                             tol: float = DEFAULT_TOLS.compat,
-                             settings: SolverSettings | None = None) -> ChannelCompatibilityResult:
-    """Feasibility of a global channel matching all pair marginals with a
-    free target-pair marginal."""
-    prog = ConicProgram()
-    v = _build_channel_base(inst, prog, pin_choi_state=True)
-    for pair, spec in inst.family.entries:
-        prog.add_matrix_equality(f"marginal[{pair.label()}]",
-                                 [(v, _pair_trace_map(inst, pair))], spec.choi.entries)
-    d = inst.joint_layout.total_dim
-    prog.set_objective([(v, np.eye(d))], "min")  # constant (=1) on the feasible set
-    res = solve(prog, settings)
-    if res.status == Status.OPTIMAL:
-        j = _project_choi_state(res.primal_blocks["V"], inst.family.global_in.total_dim)
-        so = inst.joint_layout
-        spec = ChannelSpec(inst.family.global_in, inst.family.global_out,
-                           HermitianOperator(so, j))
-        dev = max(
-            float(np.max(np.abs(_pair_trace_map(inst, pair).apply(j) - s.choi.entries)))
-            for pair, s in inst.family.entries)
-        return ChannelCompatibilityResult(True, spec, dev)
-    if res.status == Status.INFEASIBLE:
-        return ChannelCompatibilityResult(False, None, np.inf, certificate=res.certificate)
-    raise SolverFailure(f"compatibility check ended with status {res.status}")
 
 
 def _project_choi_state(j: np.ndarray, d_in: int) -> np.ndarray:
@@ -401,91 +379,35 @@ def _project_choi_state(j: np.ndarray, d_in: int) -> np.ndarray:
     return hermitize(sandwich @ j @ sandwich)
 
 
-@dataclass
-class ChannelRobustnessResult:
-    status: Status
-    value_log2: float
-    optimum: float
-    optimizer: HermitianOperator | None
-    solve_result: SolveResult
-    relaxation: str | None = None
-    diagnostics: str | None = None
+# ---------------------------------------------------------------------------
+# Compatibility check, robustness and linear maximization: entries into the
+# marginal-problem core of `state_rmp`
+# ---------------------------------------------------------------------------
 
-    @property
-    def pair_duals(self) -> dict[str, np.ndarray]:
-        return {name.split("dominate[")[1][:-1]: m
-                for name, m in self.solve_result.dual_multipliers.items()
-                if name.startswith("dominate[") and name.endswith("]")}
+
+def check_channel_compatible(inst: ChannelRmpInstance,
+                             tol: float = DEFAULT_TOLS.compat,
+                             settings: SolverSettings | None = None) -> CompatibilityResult:
+    """Feasibility of a global channel matching all pair marginals with a
+    free target-pair marginal."""
+    return check_rfree_compatible(inst, tol, settings)
 
 
 def channel_robustness(inst: ChannelRmpInstance,
-                       settings: SolverSettings | None = None) -> ChannelRobustnessResult:
+                       settings: SolverSettings | None = None) -> RobustnessResult:
     """log2 of  min tr(V)  over scaled free-compatible Chois dominating all
     pair marginals."""
-    if not inst.free.admits_full_rank_replacement():
-        warnings.warn("free channel set admits no full-rank replacement channel; "
-                      "strong duality is not guaranteed", stacklevel=2)
-    prog = ConicProgram()
-    v = _build_channel_base(inst, prog, pin_choi_state=False)
-    for pair, spec in inst.family.entries:
-        prog.add_psd_inequality(f"dominate[{pair.label()}]",
-                                [(v, _pair_trace_map(inst, pair))],
-                                const=-spec.choi.entries)
-    d = inst.joint_layout.total_dim
-    prog.set_objective([(v, np.eye(d))], "min")
-    res = solve(prog, settings)
-    if res.status == Status.OPTIMAL:
-        opt = res.primal_value
-        value = max(0.0, math.log2(max(opt, 1e-300)))
-        optimizer = HermitianOperator(inst.joint_layout, hermitize(res.primal_blocks["V"]))
-        return ChannelRobustnessResult(res.status, value, opt, optimizer, res,
-                                       relaxation=inst.free.relaxation)
-    if res.status == Status.INFEASIBLE:
-        diag = ("no scaled free-compatible Choi dominates the family: the free "
-                "channel set likely admits no full-rank replacement channel "
-                "(finiteness assumption violated)")
-        return ChannelRobustnessResult(res.status, np.inf, np.inf, None, res,
-                                       relaxation=inst.free.relaxation, diagnostics=diag)
-    raise SolverFailure(f"channel robustness solve ended with status {res.status}")
+    return robustness(inst, settings)
 
 
-# ---------------------------------------------------------------------------
-# Linear maximization over the compatible-and-free channel set
-# ---------------------------------------------------------------------------
-
-
-class ChannelCompatibleSetModel:
-    """max over free-compatible channel families of
-    sum_pairs tr( J^L_pair  B_pair ), reusing one compiled program."""
-
-    def __init__(self, inst: ChannelRmpInstance, settings: SolverSettings | None = None):
-        self.inst = inst
-        self.settings = settings
-        self.prog = ConicProgram()
-        self.var = _build_channel_base(inst, self.prog, pin_choi_state=True)
-        self.maps = {pair.label(): _pair_trace_map(inst, pair)
-                     for pair, _ in inst.family.entries}
-        self.maps[inst.target.label()] = _pair_trace_map(inst, inst.target)
-        d = inst.joint_layout.total_dim
-        self.prog.set_objective([(self.var, np.eye(d))], "max")
-        self.prog.compile()  # objective swaps then share the compiled data
-
-    def maximize(self, observables: dict[str, np.ndarray]) -> SolveResult:
-        so = self.inst.joint_layout
-        coeff = np.zeros((so.total_dim, so.total_dim), dtype=complex)
-        for label, obs in observables.items():
-            coeff += self.maps[label].adjoint(np.asarray(obs, dtype=complex))
-        prog = self.prog.with_objective([(self.var, coeff)], "max")
-        res = solve(prog, self.settings)
-        if res.status != Status.OPTIMAL:
-            raise SolverFailure(f"channel set maximization ended with {res.status}")
-        return res
+# the shared model, under the name channel callers know it by
+ChannelCompatibleSetModel = CompatibleSetModel
 
 
 def channel_linear_max_over_set(observables: dict[str, np.ndarray],
                                 inst: ChannelRmpInstance,
                                 settings: SolverSettings | None = None) -> float:
-    return ChannelCompatibleSetModel(inst, settings).maximize(observables).primal_value
+    return linear_max_over_set(observables.items(), inst, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -547,51 +469,37 @@ class ChannelWitness:
 
 
 def channel_witness(inst: ChannelRmpInstance,
-                    robustness: ChannelRobustnessResult | None = None,
+                    robustness: RobustnessResult | None = None,
                     settings: SolverSettings | None = None,
                     tol: float = DEFAULT_TOLS.compat) -> ChannelWitness:
-    res = robustness if robustness is not None else channel_robustness(inst, settings)
-    if res.status != Status.OPTIMAL:
-        raise SolverFailure(f"robustness status {res.status}; witness needs Optimal")
-    if res.value_log2 <= tol:
-        raise NoWitnessError("no witness exists: the channel family is free-compatible")
-
-    duals = res.pair_duals
+    """The robustness dual per pair, decomposed over IC frames into
+    (observable, input state) terms."""
+    duals, value, sup = witness_duals(inst, robustness, settings, tol)
     entries: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    value = 0.0
-    n_max = 0
     for pair, spec in inst.family.entries:
-        e = hermitize(duals[pair.label()])
-        w, _, rhos = frame_decompose(e, spec.d_out, spec.d_in)
-        terms = []
-        for j, rho in enumerate(rhos):
-            wj = hermitize(sum(w[i, j] * xi for i, xi in enumerate(ic_state_frame(spec.d_out))))
-            wj = wj / spec.d_in
-            terms.append((wj, rho))
+        e = duals[pair.label()]
+        w, xis, rhos = frame_decompose(e, spec.d_out, spec.d_in)
+        terms = [(hermitize(sum(w[i, j] * xi for i, xi in enumerate(xis))) / spec.d_in, rho)
+                 for j, rho in enumerate(rhos)]
         # identity check: folded form reproduces tr(J E) exactly
         folded = sum(float(np.trace(wj @ spec.apply(rho)).real) for wj, rho in terms)
         direct = float(np.trace(spec.choi.entries @ e).real)
         if abs(folded - direct) > 1e-8 * (1 + abs(direct)):
             raise SolverFailure("frame decomposition failed to reproduce the Choi pairing")
         entries[pair.label()] = terms
-        value += folded
-        n_max = max(n_max, len(terms))
 
     # zero-pad every pair to a common number of terms
+    n_max = max(len(terms) for terms in entries.values())
     for pair, spec in inst.family.entries:
         terms = entries[pair.label()]
         while len(terms) < n_max:
             terms.append((np.zeros((spec.d_out,) * 2), np.eye(spec.d_in) / spec.d_in))
 
-    sup = channel_linear_max_over_set(duals, inst, settings)
     bound = max(max(p.out.dim, p.inp.dim) for p, _ in inst.family.entries) ** 2 + 3
-    w = ChannelWitness(entries, sup, value, n_max,
-                       metadata={"dual_optimum_unique": False,
-                                 "n_bound": bound,
-                                 "relaxation": inst.free.relaxation})
-    if w.gap <= 0:
-        raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
-    return w
+    return ChannelWitness(entries, sup, value, n_max,
+                          metadata={"dual_optimum_unique": False,
+                                    "n_bound": bound,
+                                    "relaxation": inst.free.relaxation})
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +555,15 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
                                                      / pair_specs[label].d_in]
 
     if epsilon is None:
-        d1, d2 = _epsilon_bound_terms(witness, inst, povms, states, settings)
-        epsilon = 0.5 if d2 <= 0 else min(d1 / d2, 1.0) / 2
+        main = _pair_observables(pair_specs, states, povms,
+                                 [1.0 / (n * n_pairs)] * n + [0.0])
+        gamma = _pair_observables(pair_specs, states, povms,
+                                  [-1.0 / (n * n_pairs)] * n + [1.0 / n_pairs])
+        epsilon = epsilon_rule(*epsilon_bounds(
+            inst, main, gamma,
+            lambda obs: sum(float(np.trace(pair_specs[label].choi.entries @ b).real)
+                            for label, b in obs),
+            settings))
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon = {epsilon} does not give a strictly positive task")
 
@@ -671,33 +586,11 @@ def _effective_pair_observable(task_states, task_povms, weights, d_in) -> np.nda
     return b
 
 
-def _epsilon_bound_terms(witness, inst, povms, states, settings):
-    """Delta_1 (main-outcome advantage) and Delta_2 (completing-outcome drift)."""
-    model = ChannelCompatibleSetModel(inst, settings)
-    pair_specs = {pair.label(): spec for pair, spec in inst.family.entries}
-    n = witness.n_terms
-    n_pairs = len(witness.entries)
-
-    def observables(kind: str) -> dict[str, np.ndarray]:
-        obs = {}
-        for label in witness.entries:
-            spec = pair_specs[label]
-            if kind == "main":
-                w = [1.0 / (n * n_pairs)] * n + [0.0]
-            else:
-                w = [-1.0 / (n * n_pairs)] * n + [1.0 / n_pairs]
-            obs[label] = _effective_pair_observable(states[label], povms[label], w, spec.d_in)
-        return obs
-
-    def value_at_family(obs):
-        return sum(float(np.trace(pair_specs[l].choi.entries @ obs[l]).real)
-                   for l in obs)
-
-    obs_main = observables("main")
-    d1 = value_at_family(obs_main) - model.maximize(obs_main).primal_value
-    obs_gamma = observables("gamma")
-    d2 = model.maximize(obs_gamma).primal_value - value_at_family(obs_gamma)
-    return d1, d2
+def _pair_observables(pair_specs, states, povms, weights) -> list[tuple[str, np.ndarray]]:
+    """(label, B) for every pair, the same outcome weights on each."""
+    return [(label, _effective_pair_observable(states[label], povms[label], weights,
+                                               pair_specs[label].d_in))
+            for label in povms]
 
 
 def channel_success_probability(task: ChannelDiscriminationTask,
@@ -717,12 +610,9 @@ def channel_task_advantage(task: ChannelDiscriminationTask, inst: ChannelRmpInst
                            settings: SolverSettings | None = None) -> float:
     """P at the instance family minus the best P over the free-compatible set."""
     pair_specs = {pair.label(): spec for pair, spec in inst.family.entries}
-    obs = {}
-    for label, p_pair in task.pair_priors.items():
-        spec = pair_specs[label]
-        weights = [p_pair * p for p in task.outcome_priors[label]]
-        obs[label] = _effective_pair_observable(task.states[label], task.povms[label],
-                                                weights, spec.d_in)
+    obs = [(label, _effective_pair_observable(task.states[label], task.povms[label],
+                                              [p_pair * p for p in task.outcome_priors[label]],
+                                              pair_specs[label].d_in))
+           for label, p_pair in task.pair_priors.items()]
     p_at = channel_success_probability(task, inst.family)
-    sup = ChannelCompatibleSetModel(inst, settings).maximize(obs).primal_value
-    return p_at - sup
+    return p_at - linear_max_over_set(obs, inst, settings)

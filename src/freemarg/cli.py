@@ -34,10 +34,7 @@ def cmd_robustness(args) -> int:
     inst = _load(args)
     settings = _settings(args)
     try:
-        if isinstance(inst, state_rmp.RmpInstance):
-            res = state_rmp.robustness(inst, settings)
-        else:
-            res = channel_rmp.channel_robustness(inst, settings)
+        res = state_rmp.robustness(inst, settings)
     except SolverFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
@@ -76,7 +73,7 @@ def cmd_witness(args) -> int:
                 "n_terms": w.n_terms,
                 "metadata": w.metadata,
             }
-    except (state_rmp.NoWitnessError, channel_rmp.NoWitnessError) as exc:
+    except state_rmp.NoWitnessError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return 3
     except SolverFailure as exc:
@@ -91,19 +88,14 @@ def cmd_check_compat(args) -> int:
     inst = _load(args)
     settings = _settings(args)
     try:
-        if isinstance(inst, state_rmp.RmpInstance):
-            res = state_rmp.check_rfree_compatible(inst, settings=settings)
-            witness_state = None if res.witness_state is None else res.witness_state.to_json()
-        else:
-            res = channel_rmp.check_channel_compatible(inst, settings=settings)
-            witness_state = None if res.witness_channel is None else res.witness_channel.to_json()
+        res = state_rmp.check_rfree_compatible(inst, settings=settings)
     except SolverFailure as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     payload = {
         "compatible": res.compatible,
         "residual": res.residual,
-        "witness": witness_state,
+        "witness": None if res.witness_state is None else res.witness_state.to_json(),
         "certificate": res.certificate,
         "provenance": io.provenance_block(settings),
     }
@@ -148,7 +140,7 @@ def cmd_discriminate(args) -> int:
                                   "states": [io.matrix_to_json(s) for s in task.states[label]]}
                           for label in task.pair_priors},
             }
-    except (state_rmp.NoWitnessError, channel_rmp.NoWitnessError) as exc:
+    except state_rmp.NoWitnessError as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return 3
     except SolverFailure as exc:
@@ -180,7 +172,7 @@ def cmd_histogram(args) -> int:
 def cmd_verify_w(args) -> int:
     settings = _settings(args)
     try:
-        fid = state_rmp.verify_w_uniqueness(settings=None)
+        fid = state_rmp.verify_w_uniqueness(settings=settings)
         from .states import qubit_layout, w_marginal
         act = state_rmp.activation_criterion(w_marginal(qubit_layout("AC")),
                                              samples=args.samples, seed=args.seed)

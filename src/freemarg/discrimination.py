@@ -32,7 +32,14 @@ from .herm import (
     hermitize,
 )
 from .solver import SolverFailure, SolverSettings
-from .state_rmp import CompatibleSetModel, MarginalFamily, RmpInstance, Witness
+from .state_rmp import (
+    CompatibleSetModel,
+    MarginalFamily,
+    RmpInstance,
+    Witness,
+    epsilon_bounds,
+    epsilon_rule,
+)
 from .states import qubit_layout, w_marginal
 
 
@@ -133,9 +140,8 @@ def advantage(task: DiscriminationTask, sigma: MarginalFamily,
     """P at sigma minus the best P over the free-compatible set."""
     if require_strict and not task.strictly_positive:
         raise ValueError("advantage is defined for strictly positive tasks")
-    model = feasible if isinstance(feasible, CompatibleSetModel) else \
-        CompatibleSetModel(feasible.layout, feasible.free, settings)
-    sup = model.maximize(effective_observables(task)).primal_value
+    sup = CompatibleSetModel.of(feasible, settings).maximize(
+        effective_observables(task)).primal_value
     return success_probability(task, sigma) - sup
 
 
@@ -211,8 +217,7 @@ def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None 
         if instance is None:
             raise ValueError("epsilon rule needs the instance to bound the task terms")
         draft = _assemble(specs, delta, 0.5)
-        d1, d2 = epsilon_bound_terms(draft, instance.marginals, instance, settings)
-        eps = 0.5 if d2 <= 0 else min(d1 / d2, 1.0) / 2
+        eps = epsilon_rule(*epsilon_bound_terms(draft, instance.marginals, instance, settings))
     task = _assemble(specs, delta, float(eps))
     return task
 
@@ -233,8 +238,6 @@ def epsilon_bound_terms(task: DiscriminationTask, sigma: MarginalFamily,
                         settings: SolverSettings | None = None) -> tuple[float, float]:
     """(Delta_1, Delta_2): the main-outcome advantage and the worst drift of
     the completing outcome, recomputed from the assembled task."""
-    model = feasible if isinstance(feasible, CompatibleSetModel) else \
-        CompatibleSetModel(feasible.layout, feasible.free, settings)
 
     def blockwise(weight_fn):
         obs = []
@@ -253,9 +256,7 @@ def epsilon_bound_terms(task: DiscriminationTask, sigma: MarginalFamily,
 
     main = blockwise(lambda i, d: 1.0 / d if i < d else 0.0)
     gamma = blockwise(lambda i, d: -1.0 / d if i < d else 1.0)
-    d1 = val(main) - model.maximize(main).primal_value
-    d2 = model.maximize(gamma).primal_value - val(gamma)
-    return d1, d2
+    return epsilon_bounds(feasible, main, gamma, val, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,7 @@ def sample_w_advantage(index: int, seed: int, params: WTaskParams | None = None,
     params = params or WTaskParams()
     inst = w_histogram_instance()
     if model is None:
-        model = CompatibleSetModel(inst.layout, inst.free, settings)
+        model = CompatibleSetModel(inst, settings)
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(index)))
     us = [haar_from_generator(4, gen) for _ in range(5)]
     task = _w_example_task(us, params)
@@ -403,10 +404,9 @@ _worker_model: CompatibleSetModel | None = None
 
 def _histogram_worker(args) -> tuple[int, float]:
     global _worker_model
-    index, seed, params = args
+    index, seed, params, settings = args
     if _worker_model is None:
-        inst = w_histogram_instance()
-        _worker_model = CompatibleSetModel(inst.layout, inst.free)
+        _worker_model = CompatibleSetModel(w_histogram_instance(), settings)
     return index, sample_w_advantage(index, seed, params, model=_worker_model)
 
 
@@ -420,14 +420,13 @@ def histogram_experiment(n_samples: int, seed: int, params: WTaskParams | None =
         raise ValueError("need at least one sample")
     out = np.empty(n_samples)
     if jobs <= 1 or n_samples == 1:
-        inst = w_histogram_instance()
-        model = CompatibleSetModel(inst.layout, inst.free, settings)
+        model = CompatibleSetModel(w_histogram_instance(), settings)
         for k in range(n_samples):
             out[k] = sample_w_advantage(k, seed, params, model, settings)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for k, value in pool.map(_histogram_worker,
-                                     [(k, seed, params) for k in range(n_samples)],
+                                     [(k, seed, params, settings) for k in range(n_samples)],
                                      chunksize=max(1, n_samples // (8 * jobs))):
                 out[k] = value
     return HistogramResult(out, seed)

@@ -12,7 +12,6 @@ workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -375,11 +374,3 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(data: Sequence) -> np.ndarray:
     rows = [[complex(float(re), float(im)) for re, im in row] for row in data]
     return np.array(rows, dtype=complex)
-
-
-def dumps_matrix(m: np.ndarray) -> str:
-    return json.dumps(matrix_to_json(m))
-
-
-def loads_matrix(text: str) -> np.ndarray:
-    return matrix_from_json(json.loads(text))

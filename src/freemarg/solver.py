@@ -8,17 +8,16 @@ on a homogeneous self-dual model, so primal infeasibility and unboundedness
 surface as explicit certificates instead of garbage numbers.
 
 The solver is deterministic: no randomized pivoting, identical inputs give
-identical iterates.  Set the ``RMP_SOLVER_TRACE`` environment variable to
-``1``/``stderr`` (or a file path) for a per-iteration diagnostic trace.
+identical iterates.  Enable DEBUG on the ``freemarg.solver`` logger for a
+per-iteration diagnostic trace.
 """
 
 from __future__ import annotations
 
-import os
-import sys
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -70,9 +69,6 @@ class LinMap:
 
     def adjoint(self, h: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def then(self, outer: "LinMap") -> "LinMap":
-        return ComposeMap(outer, self)
 
     def scaled(self, alpha: float) -> "LinMap":
         return ScaleMap(self, alpha)
@@ -276,7 +272,6 @@ class BlockRef:
     cdim: int
     index: int
     is_slack: bool = False
-    layout: SubsystemLayout | None = None
 
 
 @dataclass
@@ -313,9 +308,8 @@ class ConicProgram:
 
     # -- construction ------------------------------------------------------
 
-    def add_variable(self, name: str, cdim: int,
-                     layout: SubsystemLayout | None = None) -> BlockRef:
-        ref = BlockRef(name, int(cdim), len(self.blocks), layout=layout)
+    def add_variable(self, name: str, cdim: int) -> BlockRef:
+        ref = BlockRef(name, int(cdim), len(self.blocks))
         self._append_block(ref)
         return ref
 
@@ -512,14 +506,7 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-def _trace_writer() -> Callable[[str], None] | None:
-    target = os.environ.get("RMP_SOLVER_TRACE")
-    if not target:
-        return None
-    if target in ("1", "stderr"):
-        return lambda line: print(line, file=sys.stderr)
-    fh = open(target, "a")
-    return lambda line: (fh.write(line + "\n"), fh.flush())
+_log = logging.getLogger("freemarg.solver")
 
 
 class _Blocks:
@@ -561,7 +548,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     Infeasible / Unbounded / NumericalFailure status."""
     settings = settings or SolverSettings()
     data = program.compile()
-    trace = _trace_writer()
+    trace = _log.isEnabledFor(logging.DEBUG)
     sense = program.sense
 
     a, b, c = data["A"], data["b"], data["c"]
@@ -620,8 +607,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         pobj, dobj = cx / tau, by / tau
         relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
         if trace:
-            trace(f"iter {it:3d} mu={mu:9.2e} pres={pres:8.1e} dres={dres:8.1e} "
-                  f"gap={relgap:8.1e} tau={tau:8.1e} kappa={kappa:8.1e}")
+            _log.debug("iter %3d mu=%9.2e pres=%8.1e dres=%8.1e gap=%8.1e tau=%8.1e "
+                       "kappa=%8.1e", it, mu, pres, dres, relgap, tau, kappa)
         score = max(pres / settings.feas_tol, dres / settings.feas_tol,
                     relgap / settings.gap_tol)
         if best is None or score < best[0]:
@@ -790,7 +777,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             tau *= inv
             kappa *= inv
             if trace:
-                trace(f"        sigma={sigma:8.1e} step={step:6.3f}")
+                _log.debug("        sigma=%8.1e step=%6.3f", sigma, step)
         except (np.linalg.LinAlgError, ValueError) as exc:
             fail_note = f"linear algebra failure: {exc}"
             break

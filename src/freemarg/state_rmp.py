@@ -12,13 +12,20 @@ which is zero exactly when some global state with a free T-marginal has the
 sigma_X as its marginals.  The program's dual multipliers {Y_X >= 0} witness
 incompatibility: sup over the free-compatible set of sum_X tr(tau_X Y_X)
 stays <= 1 while the value at sigma equals the optimum > 1.
+
+A channel family is the same problem on out (x) in with extra linear rows
+(see `channel_rmp`).  Both instance types describe themselves by a
+`MarginalProblem`, and the compatibility check, the robustness, the compiled
+linear-max model, the witness duals and the epsilon rule's bound solves
+below take either.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +41,9 @@ from .herm import (
 )
 from .programs import attach_free_state_cone
 from .solver import (
+    BlockRef,
     ConicProgram,
+    LinMap,
     PartialTraceMap,
     SolveResult,
     SolverFailure,
@@ -43,6 +52,11 @@ from .solver import (
     solve,
 )
 from .states import qubit_layout, w_marginal
+
+if TYPE_CHECKING:
+    from .channel_rmp import ChannelRmpInstance, ChannelSpec
+
+    Instance = RmpInstance | ChannelRmpInstance
 
 
 class NoWitnessError(RuntimeError):
@@ -96,20 +110,95 @@ class RmpInstance:
     def target(self) -> SubsystemSet:
         return self.free.target
 
+    def problem(self) -> MarginalProblem:
+        layout, free = self.layout, self.free
+        d = layout.total_dim
+
+        def extract(key) -> PartialTraceMap | None:
+            """A subsystem set, its members, or its label "A,B"."""
+            if not isinstance(key, SubsystemSet):
+                key = SubsystemSet(layout, key.split(",") if isinstance(key, str) else key)
+            return extraction_map(layout, key.members)
+
+        def normalize(prog: ConicProgram, v: BlockRef, pinned: bool):
+            if pinned:  # the cone form, tr(V) = tr(V), says nothing
+                prog.add_scalar_equality("unit_trace", [(v, np.eye(d))], 1.0)
+
+        def constrain(prog: ConicProgram, v: BlockRef):
+            attach_free_state_cone(prog, v, extract(free.target), free)
+
+        def project(m: np.ndarray) -> tuple[np.ndarray, DensityMatrix]:
+            vals, vecs = np.linalg.eigh(hermitize(m))
+            m = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
+            state = DensityMatrix.from_array(layout, m / np.trace(m).real)
+            return state.entries, state
+
+        finite = free.contains_full_rank_member()
+        diagnostics = ("the robustness program is infeasible, so the measure is unbounded: "
+                       "no scaled free extension dominates the family")
+        if not finite:
+            diagnostics += (" (the free set has no full-rank member, e.g. a pure singleton, "
+                            "so finiteness of the measure is not guaranteed)")
+        pairs = tuple((label, extract(sub), sigma.entries)
+                      for label, (sub, sigma) in zip(self.marginals.labels(),
+                                                     self.marginals.entries))
+        return MarginalProblem(layout, pairs, extract, normalize, constrain, project,
+                               finite, diagnostics)
+
 
 # ---------------------------------------------------------------------------
 # Shared program pieces
 # ---------------------------------------------------------------------------
 
 
-def _marginal_map(layout: SubsystemLayout, sub: SubsystemSet) -> PartialTraceMap | None:
-    if tuple(sub.members) == layout.labels:
+@dataclass(frozen=True)
+class MarginalProblem:
+    """What the shared programs need to know of an instance.
+
+    The variable V is a PSD matrix on `layout`.  Each pair (label, map,
+    target) asks map(V) = target on the compatible set and map(V) >= target
+    in the robustness program; a map of None is the identity.  `extract`
+    gives the map of any label or subsystem set an objective names.
+    `normalize(prog, V, pinned)` adds V's normalization: pinned on the
+    compatible set (unit trace, Choi state), scaled by tr(V) for the
+    robustness.  `constrain(prog, V)` adds the structural equalities and the
+    free cone.  `project(V)` returns the nearest valid matrix and the object
+    reported for it.  `finite` says the free set has a full-rank member, the
+    condition for a finite robustness; `diagnostics` explains an infinite one.
+    """
+
+    layout: SubsystemLayout
+    pairs: tuple[tuple[str, LinMap | None, np.ndarray], ...]
+    extract: Callable[[object], LinMap | None]
+    normalize: Callable[[ConicProgram, BlockRef, bool], None]
+    constrain: Callable[[ConicProgram, BlockRef], None]
+    project: Callable[[np.ndarray], tuple[np.ndarray, object]]
+    finite: bool
+    diagnostics: str
+
+
+def extraction_map(layout: SubsystemLayout, keep: Sequence[str]) -> PartialTraceMap | None:
+    if tuple(keep) == layout.labels:
         return None  # identity
-    return PartialTraceMap(layout, sub.members)
+    return PartialTraceMap(layout, keep)
 
 
-def _attach_free(prog: ConicProgram, var, inst_layout: SubsystemLayout, free: FreeSetSpec):
-    attach_free_state_cone(prog, var, _marginal_map(inst_layout, free.target), free)
+def _program(problem: MarginalProblem, pinned: bool,
+             pairs: Iterable[tuple[str, LinMap | None, np.ndarray]] = ()
+             ) -> tuple[ConicProgram, BlockRef]:
+    """V, its normalization, the pair rows, then the structure and the free
+    cone; this order fixes the compiled rows and so the iterates.  The
+    caller sets the objective."""
+    prog = ConicProgram()
+    v = prog.add_variable("V", problem.layout.total_dim)
+    problem.normalize(prog, v, pinned)
+    for label, m, target in pairs:
+        if pinned:
+            prog.add_matrix_equality(f"marginal[{label}]", [(v, m)], target)
+        else:
+            prog.add_psd_inequality(f"dominate[{label}]", [(v, m)], const=-target)
+    problem.constrain(prog, v)
+    return prog, v
 
 
 # ---------------------------------------------------------------------------
@@ -119,51 +208,38 @@ def _attach_free(prog: ConicProgram, var, inst_layout: SubsystemLayout, free: Fr
 
 @dataclass(frozen=True)
 class CompatibilityResult:
+    """`witness_state` is the global state found (for a channel instance,
+    the global channel) when the family is compatible."""
+
     compatible: bool
-    witness_state: DensityMatrix | None
+    witness_state: DensityMatrix | ChannelSpec | None
     residual: float
     certificate: dict | None = None
 
 
-def check_rfree_compatible(inst: RmpInstance, tol: float = DEFAULT_TOLS.compat,
+def check_rfree_compatible(inst: Instance, tol: float = DEFAULT_TOLS.compat,
                            settings: SolverSettings | None = None) -> CompatibilityResult:
-    """Is there a global state with these marginals and a free T-marginal?
+    """Is there a global state (or channel) with these marginals and a free
+    target marginal?
 
-    Compatible results carry the found global state and the worst marginal
+    Compatible results carry the found global object and the worst marginal
     deviation; Incompatible ones carry the solver's Farkas certificate.
     """
-    layout = inst.layout
-    d = layout.total_dim
-    prog = ConicProgram()
-    rho = prog.add_variable("rho", d)
-    prog.add_scalar_equality("unit_trace", [(rho, np.eye(d))], 1.0)
-    for sub, sigma in inst.marginals.entries:
-        m = _marginal_map(layout, sub)
-        prog.add_matrix_equality(f"marginal[{','.join(sub.members)}]",
-                                 [(rho, m)] if m else [(rho, None)], sigma.entries)
-    _attach_free(prog, rho, layout, inst.free)
-    prog.set_objective([(rho, np.eye(d))], "min")  # constant on the feasible set
+    problem = inst.problem()
+    prog, v = _program(problem, pinned=True, pairs=problem.pairs)
+    prog.set_objective([(v, np.eye(problem.layout.total_dim))], "min")  # constant when feasible
 
     res = solve(prog, settings)
     if res.status == Status.OPTIMAL:
-        state = _project_state(layout, res.primal_blocks["rho"])
-        dev = 0.0
-        for sub, sigma in inst.marginals.entries:
-            m = _marginal_map(layout, sub)
-            red = m.apply(state.entries) if m else state.entries
-            dev = max(dev, float(np.max(np.abs(red - sigma.entries))))
+        m, found = problem.project(res.primal_blocks["V"])
+        dev = max((float(np.max(np.abs((e.apply(m) if e else m) - target)))
+                   for _, e, target in problem.pairs), default=0.0)
         if dev > tol:
             raise SolverFailure(f"feasible point violates marginals by {dev:.2e} > tol")
-        return CompatibilityResult(True, state, dev)
+        return CompatibilityResult(True, found, dev)
     if res.status == Status.INFEASIBLE:
         return CompatibilityResult(False, None, np.inf, certificate=res.certificate)
     raise SolverFailure(f"compatibility check ended with status {res.status}")
-
-
-def _project_state(layout: SubsystemLayout, m: np.ndarray) -> DensityMatrix:
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    m = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
-    return DensityMatrix.from_array(layout, m / np.trace(m).real)
 
 
 # ---------------------------------------------------------------------------
@@ -183,38 +259,30 @@ class RobustnessResult:
 
     @property
     def marginal_duals(self) -> dict[str, np.ndarray]:
+        """Dual multiplier of each marginal (or channel pair), by label."""
         return {name.split("dominate[")[1][:-1]: m
                 for name, m in self.solve_result.dual_multipliers.items()
                 if name.startswith("dominate[") and name.endswith("]")}
 
 
-def robustness(inst: RmpInstance, settings: SolverSettings | None = None) -> RobustnessResult:
-    layout = inst.layout
-    d = layout.total_dim
-    prog = ConicProgram()
-    v = prog.add_variable("V", d)
-    for sub, sigma in inst.marginals.entries:
-        m = _marginal_map(layout, sub)
-        prog.add_psd_inequality(f"dominate[{','.join(sub.members)}]",
-                                [(v, m)], const=-sigma.entries)
-    _attach_free(prog, v, layout, inst.free)
-    prog.set_objective([(v, np.eye(d))], "min")
+def robustness(inst: Instance, settings: SolverSettings | None = None) -> RobustnessResult:
+    problem = inst.problem()
+    if not problem.finite:
+        warnings.warn("the free set has no full-rank member: the robustness can be "
+                      "infinite and strong duality is not guaranteed", stacklevel=2)
+    prog, v = _program(problem, pinned=False, pairs=problem.pairs)
+    prog.set_objective([(v, np.eye(problem.layout.total_dim))], "min")
 
     res = solve(prog, settings)
+    relaxation = inst.free.relaxation
     if res.status == Status.OPTIMAL:
         opt = res.primal_value
         value = max(0.0, math.log2(max(opt, 1e-300)))
-        optimizer = HermitianOperator(layout, hermitize(res.primal_blocks["V"]))
-        return RobustnessResult(res.status, value, opt, optimizer, res,
-                                relaxation=inst.free.relaxation)
+        optimizer = HermitianOperator(problem.layout, hermitize(res.primal_blocks["V"]))
+        return RobustnessResult(res.status, value, opt, optimizer, res, relaxation=relaxation)
     if res.status == Status.INFEASIBLE:
-        diag = ("the robustness program is infeasible, so the measure is unbounded: "
-                "no scaled free extension dominates the family")
-        if not inst.free.contains_full_rank_member():
-            diag += (" (the free set has no full-rank member, e.g. a pure singleton, "
-                     "so finiteness of the measure is not guaranteed)")
-        return RobustnessResult(res.status, np.inf, np.inf, None, res,
-                                relaxation=inst.free.relaxation, diagnostics=diag)
+        return RobustnessResult(res.status, np.inf, np.inf, None, res, relaxation=relaxation,
+                                diagnostics=problem.diagnostics)
     raise SolverFailure(f"robustness solve ended with status {res.status}")
 
 
@@ -224,35 +292,36 @@ def robustness(inst: RmpInstance, settings: SolverSettings | None = None) -> Rob
 
 
 class CompatibleSetModel:
-    """max over the free-compatible set of  sum_X tr(tau_X O_X).
+    """max over the free-compatible set of  sum_X tr(tau_X O_X)  (for a
+    channel instance, sum over pairs of tr(J_pair O_pair)).
 
-    The feasible set is every family of marginals of a global state whose
-    target reduction is free; the compiled program is reused across
-    objectives, which matters for sampling experiments.
+    The feasible set is every family of marginals of a global state (or
+    channel) whose target reduction is free; the compiled program is reused
+    across objectives, which matters for sampling experiments.
     """
 
-    def __init__(self, layout: SubsystemLayout, free: FreeSetSpec,
-                 settings: SolverSettings | None = None):
-        self.layout = layout
-        self.free = free
+    def __init__(self, inst: Instance, settings: SolverSettings | None = None):
+        self.problem = inst.problem()
         self.settings = settings
-        d = layout.total_dim
-        self.prog = ConicProgram()
-        self.var = self.prog.add_variable("rho", d, layout=layout)
-        self.prog.add_scalar_equality("unit_trace", [(self.var, np.eye(d))], 1.0)
-        _attach_free(self.prog, self.var, layout, free)
-        self.prog.set_objective([(self.var, np.eye(d))], "max")
+        self.prog, self.var = _program(self.problem, pinned=True)
+        self.prog.set_objective([(self.var, np.eye(self.problem.layout.total_dim))], "max")
         self.prog.compile()  # objective swaps then share the compiled data
 
-    def maximize(self, objectives: Sequence[tuple[SubsystemSet | Sequence[str], np.ndarray]]
-                 ) -> SolveResult:
-        d = self.layout.total_dim
+    @staticmethod
+    def of(feasible: Instance | CompatibleSetModel,
+           settings: SolverSettings | None = None) -> CompatibleSetModel:
+        """`feasible` itself if it is a model, else a new model of the instance."""
+        if isinstance(feasible, CompatibleSetModel):
+            return feasible
+        return CompatibleSetModel(feasible, settings)
+
+    def maximize(self, objectives: Iterable[tuple[object, np.ndarray]]) -> SolveResult:
+        """`objectives` holds (key, O) pairs; a key is a label or a subsystem set."""
+        d = self.problem.layout.total_dim
         coeff = np.zeros((d, d), dtype=complex)
-        for sub, obs in objectives:
-            if not isinstance(sub, SubsystemSet):
-                sub = SubsystemSet(self.layout, sub)
+        for key, obs in objectives:
             obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-            m = _marginal_map(self.layout, sub)
+            m = self.problem.extract(key)
             coeff += m.adjoint(obs) if m else obs
         prog = self.prog.with_objective([(self.var, coeff)], "max")
         res = solve(prog, self.settings)
@@ -261,18 +330,56 @@ class CompatibleSetModel:
         return res
 
 
-def linear_max_over_set(objectives: Sequence[tuple[SubsystemSet | Sequence[str], np.ndarray]],
-                        inst: RmpInstance | CompatibleSetModel,
+def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
+                        inst: Instance | CompatibleSetModel,
                         settings: SolverSettings | None = None) -> float:
     """sup of sum_X tr(tau_X O_X) over the free-compatible marginal families."""
-    model = inst if isinstance(inst, CompatibleSetModel) else \
-        CompatibleSetModel(inst.layout, inst.free, settings)
-    return model.maximize(objectives).primal_value
+    return CompatibleSetModel.of(inst, settings).maximize(objectives).primal_value
 
 
 # ---------------------------------------------------------------------------
-# Witness extraction
+# Witness extraction and the epsilon rule
 # ---------------------------------------------------------------------------
+
+
+def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = None,
+                  settings: SolverSettings | None = None, tol: float = DEFAULT_TOLS.compat
+                  ) -> tuple[dict[str, np.ndarray], float, float]:
+    """The robustness program's dual multipliers Y_X by label, their value
+    sum_X tr(Y_X sigma_X) at the family, and the independently re-solved
+    supremum of that value over the free-compatible set."""
+    res = robustness_result if robustness_result is not None else robustness(inst, settings)
+    if res.status != Status.OPTIMAL:
+        raise SolverFailure(f"robustness status {res.status}; witness needs Optimal")
+    if res.value_log2 <= tol:
+        raise NoWitnessError("no witness exists: the family is free-compatible "
+                             "(robustness is zero)")
+    duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
+    value = sum(float(np.trace(duals[label] @ target).real)
+                for label, _, target in inst.problem().pairs)
+    sup = linear_max_over_set(duals.items(), inst, settings)
+    if value <= sup:
+        raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
+    return duals, value, sup
+
+
+def epsilon_bounds(feasible: Instance | CompatibleSetModel, main, gamma,
+                   value_at: Callable[[list], float],
+                   settings: SolverSettings | None = None) -> tuple[float, float]:
+    """(Delta_1, Delta_2) of the epsilon rule: the advantage of the family at
+    the main-outcome objective `main`, and the worst drift of the completing
+    outcome `gamma` over the free-compatible set.  `value_at(objective)` is
+    the objective's value at the family."""
+    model = CompatibleSetModel.of(feasible, settings)
+    d1 = value_at(main) - model.maximize(main).primal_value
+    d2 = model.maximize(gamma).primal_value - value_at(gamma)
+    return d1, d2
+
+
+def epsilon_rule(d1: float, d2: float) -> float:
+    """The safety rule for the completing-outcome prior:
+    eps = 1/2 if Delta_2 <= 0 else min(Delta_1/Delta_2, 1)/2."""
+    return 0.5 if d2 <= 0 else min(d1 / d2, 1.0) / 2
 
 
 @dataclass
@@ -303,26 +410,12 @@ def extract_witness(inst: RmpInstance, robustness_result: RobustnessResult | Non
                     tol: float = DEFAULT_TOLS.compat) -> Witness:
     """Dual optimizer of the robustness program, reported with its
     independently re-solved free-set supremum."""
-    res = robustness_result if robustness_result is not None else robustness(inst, settings)
-    if res.status != Status.OPTIMAL:
-        raise SolverFailure(f"robustness status {res.status}; witness needs Optimal")
-    if res.value_log2 <= tol:
-        raise NoWitnessError("no witness exists: the family is free-compatible "
-                             "(robustness is zero)")
-    duals = res.marginal_duals
-    blocks = []
-    value = 0.0
-    for sub, sigma in inst.marginals.entries:
-        y = hermitize(duals[",".join(sub.members)])
-        blocks.append((sub, HermitianOperator(sub.sublayout(), y)))
-        value += float(np.trace(y @ sigma.entries).real)
-    sup = linear_max_over_set([(sub, w.entries) for sub, w in blocks], inst, settings)
-    w = Witness(tuple(blocks), sup, value,
-                metadata={"dual_optimum_unique": False,
-                          "relaxation": inst.free.relaxation})
-    if w.gap <= 0:
-        raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
-    return w
+    duals, value, sup = witness_duals(inst, robustness_result, settings, tol)
+    blocks = tuple((sub, HermitianOperator(sub.sublayout(), duals[label]))
+                   for label, (sub, _) in zip(inst.marginals.labels(), inst.marginals.entries))
+    return Witness(blocks, sup, value,
+                   metadata={"dual_optimum_unique": False,
+                             "relaxation": inst.free.relaxation})
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +474,9 @@ def product_channels_on_family(family: MarginalFamily, site_channels: dict):
 
 def _fidelity_program(objective_state: np.ndarray, family: MarginalFamily,
                       sense: str, settings: SolverSettings | None) -> float:
-    layout = family.layout
-    d = layout.total_dim
-    prog = ConicProgram()
-    rho = prog.add_variable("rho", d)
-    prog.add_scalar_equality("unit_trace", [(rho, np.eye(d))], 1.0)
-    for sub, sigma in family.entries:
-        m = _marginal_map(layout, sub)
-        prog.add_matrix_equality(f"marginal[{','.join(sub.members)}]",
-                                 [(rho, m)] if m else [(rho, None)], sigma.entries)
+    everything = FreeSetSpec.all_states(SubsystemSet(family.layout, family.layout.labels))
+    problem = RmpInstance(family, everything).problem()
+    prog, rho = _program(problem, pinned=True, pairs=problem.pairs)
     prog.set_objective([(rho, objective_state)], sense)
     if settings is None:
         # pinned-marginal feasible sets can be rank-deficient (down to a

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .herm import DensityMatrix, HermitianOperator, SubsystemLayout, SubsystemSet
+from .herm import DensityMatrix, SubsystemLayout, SubsystemSet
 
 
 def qubit_layout(labels: str | list[str]) -> SubsystemLayout:
@@ -82,12 +82,3 @@ def marginal_of(rho: DensityMatrix, labels: list[str] | tuple[str, ...] | str) -
 
     keep = SubsystemSet(rho.layout, list(labels))
     return DensityMatrix(partial_trace(rho.op, keep))
-
-
-def lift_observable(layout: SubsystemLayout, obs: np.ndarray,
-                    on: SubsystemSet) -> HermitianOperator:
-    """Embed an observable on a subsystem into the full space (identity elsewhere)."""
-    from .solver import PartialTraceMap
-
-    lifted = PartialTraceMap(layout, on.members).adjoint(np.asarray(obs, dtype=complex))
-    return HermitianOperator(layout, lifted)

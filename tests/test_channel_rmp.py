@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from freemarg.channel_rmp import (
     state_discrimination_task,
     tensor_channels,
 )
+from freemarg.discrimination import advantage, task_from_witness, w_example_instance
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import HermitianOperator, SubsystemLayout, SubsystemSet, ValidationError
-from freemarg.solver import Status
+from freemarg.solver import SolverFailure, SolverSettings, Status
+from freemarg.state_rmp import check_rfree_compatible, extract_witness, robustness
 from freemarg.states import maximally_mixed, qubit_layout
 
 from conftest import rand_herm, rand_kraus, rand_unitary
@@ -207,7 +211,7 @@ class TestCompatibilityCheck:
         assert res.residual < 1e-6
         # the witness channel is a valid global channel with those marginals
         for pair, spec in inst.family.entries:
-            got = marginal_channel(res.witness_channel, pair)
+            got = marginal_channel(res.witness_state, pair)
             assert got.exists
             assert np.max(np.abs(got.channel.choi.entries - spec.choi.entries)) < 1e-5
 
@@ -429,3 +433,43 @@ class TestMultiFactorMarginal:
         m = rand_herm(rng, 4)
         direct = ca.apply(np.trace(m.reshape(2, 2, 2, 2), axis1=1, axis2=3))
         assert np.max(np.abs(res.channel.apply(m) - direct)) < 1e-10
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """Per instance kind: the instance, its robustness and witness, and a
+    fixed-epsilon task, all solved with the default settings."""
+    w = w_example_instance()
+    w_res = robustness(w)
+    w_wit = extract_witness(w, w_res)
+    us = {tuple(sub.members): [np.eye(4, dtype=complex)] * 4 for sub, _ in w_wit.blocks}
+    b = broadcasting_instance()
+    b_res = channel_robustness(b)
+    b_wit = channel_witness(b, b_res)
+    return {
+        "state": SimpleNamespace(inst=w, res=w_res, wit=w_wit, us=us,
+                                 task=task_from_witness(w_wit, us, epsilon=0.1)),
+        "channel": SimpleNamespace(inst=b, res=b_res, wit=b_wit,
+                                   task=state_discrimination_task(b_wit, b, epsilon=0.1)),
+    }
+
+
+# every solve of the shared marginal-problem core, per instance kind
+SETTINGS_PATHS = {
+    ("state", "compat"): lambda c, s: check_rfree_compatible(c.inst, settings=s),
+    ("state", "robustness"): lambda c, s: robustness(c.inst, s),
+    ("state", "witness_sup"): lambda c, s: extract_witness(c.inst, c.res, settings=s),
+    ("state", "epsilon"): lambda c, s: task_from_witness(c.wit, c.us, c.inst, settings=s),
+    ("state", "advantage"): lambda c, s: advantage(c.task, c.inst.marginals, c.inst, s),
+    ("channel", "compat"): lambda c, s: check_channel_compatible(c.inst, settings=s),
+    ("channel", "robustness"): lambda c, s: channel_robustness(c.inst, s),
+    ("channel", "witness_sup"): lambda c, s: channel_witness(c.inst, c.res, settings=s),
+    ("channel", "epsilon"): lambda c, s: state_discrimination_task(c.wit, c.inst, settings=s),
+    ("channel", "advantage"): lambda c, s: channel_task_advantage(c.task, c.inst, s),
+}
+
+
+@pytest.mark.parametrize("kind,path", list(SETTINGS_PATHS))
+def test_settings_reach_every_solve(solved, kind, path):
+    with pytest.raises(SolverFailure):
+        SETTINGS_PATHS[kind, path](solved[kind], SolverSettings(max_iters=1))

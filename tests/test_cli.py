@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from freemarg import io
+from freemarg import cli, io, state_rmp
 from freemarg.discrimination import w_example_instance
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import SubsystemSet
+from freemarg.solver import solve
 from freemarg.state_rmp import MarginalFamily, RmpInstance
 from freemarg.states import marginal_of, maximally_mixed, qubit_layout
 
@@ -174,6 +175,24 @@ class TestVerifyWCommand:
         assert abs(data["min_fid"] - 1) < 1e-6
         assert data["activation_value"] == pytest.approx(2 / 3, abs=1e-9)
         assert data["activated"] is True
+
+    def test_tolerance_flags_reach_the_solves(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording_solve(program, settings=None):
+            seen.append(settings)
+            return solve(program, settings)
+
+        monkeypatch.setattr(state_rmp, "solve", recording_solve)
+        out = tmp_path / "v.json"
+        rc = cli.main(["verify-w", "--samples", "5", "--gap-tol", "3e-8", "--feas-tol", "4e-8",
+                       "--output", str(out)])
+        assert rc == 0
+        assert len(seen) == 2
+        assert all(s.gap_tol == 3e-8 and s.feas_tol == 4e-8 for s in seen)
+        data = json.loads(out.read_text())
+        assert data["unique"] is True
+        assert data["provenance"]["solver"]["gap_tol"] == 3e-8
 
 
 class TestInstanceJsonRoundTrip:

@@ -19,6 +19,7 @@ from freemarg.discrimination import (
     w_histogram_instance,
 )
 from freemarg.herm import SubsystemSet
+from freemarg.solver import SolverFailure, SolverSettings
 from freemarg.state_rmp import MarginalFamily, Witness, extract_witness
 from freemarg.states import marginal_of, maximally_mixed, qubit_layout, random_density, w_marginal
 
@@ -281,6 +282,11 @@ class TestHistogram:
         serial = histogram_experiment(6, seed=4, jobs=1)
         parallel = histogram_experiment(6, seed=4, jobs=2)
         assert np.array_equal(serial.samples, parallel.samples)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_settings_reach_every_worker(self, jobs):
+        with pytest.raises(SolverFailure):
+            histogram_experiment(4, seed=0, jobs=jobs, settings=SolverSettings(max_iters=1))
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -216,9 +218,8 @@ class TestObjectiveSwap:
 
 
 class TestTrace:
-    def test_trace_env_var_emits_lines(self, rng, monkeypatch, capsys):
-        monkeypatch.setenv("RMP_SOLVER_TRACE", "stderr")
+    def test_debug_logger_emits_lines(self, rng, caplog):
+        caplog.set_level(logging.DEBUG, logger="freemarg.solver")
         prog = make_random_feasible(rng, [2], 2)
         solve(prog)
-        err = capsys.readouterr().err
-        assert "iter" in err and "mu=" in err
+        assert "iter" in caplog.text and "mu=" in caplog.text
