@@ -46,7 +46,6 @@ from .herm import (
     partial_trace,
     partial_transpose,
     permute_factors,
-    real_embedding,
     tensor,
     trace_norm,
 )

@@ -41,7 +41,7 @@ from .solver import (
     SolverSettings,
     TensorIdentityMap,
     TraceTimesMap,
-    hermitian_basis,
+    svec,
 )
 from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     CompatibilityResult,
@@ -435,19 +435,13 @@ def ic_state_frame(d: int) -> list[np.ndarray]:
     return frame
 
 
-def _herm_coords(m: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    return np.array([float(np.trace(h.conj().T @ m).real) for h in basis])
-
-
 def frame_decompose(e: np.ndarray, d_out: int, d_in: int) -> tuple[np.ndarray, list, list]:
     """Weights w[i, j] with  e = sum_ij w_ij  xi_i (x) rho_j^T  over the
     deterministic IC frames on the output (xi) and input (rho) spaces."""
     xis = ic_state_frame(d_out)
     rhos = ic_state_frame(d_in)
-    basis = hermitian_basis(d_out * d_in)
-    cols = np.column_stack([
-        _herm_coords(np.kron(xi, rho.T), basis) for xi in xis for rho in rhos])
-    w = np.linalg.solve(cols, _herm_coords(e, basis))
+    cols = svec(np.array([np.kron(xi, rho.T) for xi in xis for rho in rhos])).T
+    w = np.linalg.solve(cols, svec(e))
     return w.reshape(len(xis), len(rhos)), xis, rhos
 
 

@@ -332,21 +332,6 @@ def _tie_break_order(vals: np.ndarray, vecs: np.ndarray) -> list[int]:
     return order
 
 
-def real_embedding(a: HermitianOperator | np.ndarray) -> np.ndarray:
-    """Real symmetric image [[Re, -Im], [Im, Re]]; PSD iff the input is."""
-    m = a.entries if isinstance(a, HermitianOperator) else np.asarray(a)
-    re, im = m.real, m.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def embedding_to_hermitian(m: np.ndarray) -> np.ndarray:
-    """Inverse of `real_embedding` on (a symmetrized) 2n x 2n real matrix."""
-    n = m.shape[0] // 2
-    a = (m[:n, :n] + m[n:, n:]) / 2
-    b = (m[n:, :n] - m[:n, n:]) / 2
-    return hermitize(a + 1j * b)
-
-
 def trace_norm(a: HermitianOperator | np.ndarray) -> float:
     m = a.entries if isinstance(a, HermitianOperator) else np.asarray(a)
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))

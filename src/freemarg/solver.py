@@ -1,10 +1,11 @@
 """Dense semidefinite programming over complex Hermitian blocks.
 
 Programs are stated over complex Hermitian PSD matrix variables with affine
-equality constraints and affine PSD inequalities.  Internally every block is
-mapped to its real symmetric embedding [[Re, -Im], [Im, Re]] and the problem
-is solved by a primal-dual interior-point method with Nesterov-Todd scaling
-on a homogeneous self-dual model, so primal infeasibility and unboundedness
+equality constraints and affine PSD inequalities.  The solver iterates on
+the complex Hermitian blocks themselves; a block of order d has d*d real
+coordinates (`svec`) in the orthonormal `hermitian_basis(d)`.  The method is
+a primal-dual interior-point method with Nesterov-Todd scaling on a
+homogeneous self-dual model, so primal infeasibility and unboundedness
 surface as explicit certificates instead of garbage numbers.
 
 The solver is deterministic: no randomized pivoting, identical inputs give
@@ -15,6 +16,7 @@ per-iteration diagnostic trace.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -23,15 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .config import DEFAULT_TOLS
-from .herm import (
-    SubsystemLayout,
-    embedding_to_hermitian,
-    hermitize,
-    permute_array,
-    ptrace_array,
-    ptranspose_array,
-    real_embedding,
-)
+from .herm import SubsystemLayout, hermitize, permute_array, ptrace_array, ptranspose_array
 
 
 class SolverFailure(RuntimeError):
@@ -210,55 +204,44 @@ class TraceTimesMap(ProbeTimesMap):
 
 
 # ---------------------------------------------------------------------------
-# svec helpers for real symmetric matrices
+# Real coordinates of Hermitian matrices
 # ---------------------------------------------------------------------------
 
 _SQRT2 = np.sqrt(2.0)
-_svec_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _svec_idx(n: int):
-    if n not in _svec_cache:
-        iu = np.triu_indices(n)
-        w = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-        _svec_cache[n] = (iu[0], iu[1], w)
-    return _svec_cache[n]
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n not in _triu_cache:
+        _triu_cache[n] = np.triu_indices(n, 1)
+    return _triu_cache[n]
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    r, c, w = _svec_idx(m.shape[0])
-    return m[r, c] * w
+    """Coordinates of Hermitian (..., n, n) matrices in `hermitian_basis(n)`:
+    the diagonal, then sqrt2 * (Re, -Im) of each upper entry, row by row.
+    The map is an isometry: svec(H) @ svec(K) == tr(H K)."""
+    iu, ju = _triu(m.shape[-1])
+    off = m[..., iu, ju] * _SQRT2
+    pairs = np.stack([off.real, -off.imag], axis=-1).reshape(*off.shape[:-1], -1)
+    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real, pairs], axis=-1)
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    r, c, w = _svec_idx(n)
-    out = np.zeros((n, n))
-    out[r, c] = v / w
-    out[c, r] = out[r, c]
+    """Inverse of `svec`: (..., n*n) real coordinates -> Hermitian (..., n, n)."""
+    iu, ju = _triu(n)
+    off = (v[..., n::2] - 1j * v[..., n + 1::2]) / _SQRT2
+    out = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    diag = np.arange(n)
+    out[..., diag, diag] = v[..., :n]
+    out[..., iu, ju] = off
+    out[..., ju, iu] = off.conj()
     return out
-
-
-def svec_len(n: int) -> int:
-    return n * (n + 1) // 2
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
     """Orthonormal (trace inner product) basis of d x d Hermitian matrices."""
-    basis = []
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for k in range(d):
-        for l in range(k + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, l] = e[l, k] = 1.0 / _SQRT2
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[k, l] = -1j / _SQRT2
-            e[l, k] = 1j / _SQRT2
-            basis.append(e)
-    return basis
+    return [smat(e, d) for e in np.eye(d * d)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +261,6 @@ class BlockRef:
 class _EqGroup:
     name: str
     rows: slice
-    probes: list[np.ndarray] | None  # None for scalar rows
     scalar: bool
 
 
@@ -316,7 +298,7 @@ class ConicProgram:
     def _append_block(self, ref: BlockRef):
         if any(b.name == ref.name for b in self.blocks):
             raise ValueError(f"duplicate block name {ref.name!r}")
-        start = self._offsets[-1] + svec_len(2 * self.blocks[-1].cdim) if self.blocks else 0
+        start = self.num_cols
         self.blocks.append(ref)
         self._offsets.append(start)
         self._compiled = None
@@ -326,18 +308,18 @@ class ConicProgram:
         for ref, lmap in terms:
             h = probe if lmap is None else lmap.adjoint(probe)
             sl = self.block_slice(ref)
-            row[sl] += svec(real_embedding(hermitize(h))) / 2.0
+            row[sl] += svec(hermitize(h))
         return row
 
     @property
     def num_cols(self) -> int:
         if not self.blocks:
             return 0
-        return self._offsets[-1] + svec_len(2 * self.blocks[-1].cdim)
+        return self._offsets[-1] + self.blocks[-1].cdim ** 2
 
     def block_slice(self, ref: BlockRef) -> slice:
         start = self._offsets[ref.index]
-        return slice(start, start + svec_len(2 * ref.cdim))
+        return slice(start, start + ref.cdim ** 2)
 
     def add_scalar_equality(self, name: str, terms: Sequence[tuple[BlockRef, np.ndarray]],
                             rhs: float):
@@ -346,10 +328,10 @@ class ConicProgram:
         row = np.zeros(self.num_cols)
         for ref, probe in terms:
             sl = self.block_slice(ref)
-            row[sl] += svec(real_embedding(hermitize(np.asarray(probe, dtype=complex)))) / 2.0
+            row[sl] += svec(hermitize(np.asarray(probe, dtype=complex)))
         self._rows.append(row)
         self._rhs.append(float(rhs))
-        self.eq_groups.append(_EqGroup(name, slice(start, start + 1), None, True))
+        self.eq_groups.append(_EqGroup(name, slice(start, start + 1), True))
         self._compiled = None
 
     def add_matrix_equality(self, name: str, terms: Sequence[Term], rhs: np.ndarray):
@@ -360,12 +342,10 @@ class ConicProgram:
             out = ref.cdim if lmap is None else lmap.out_dim
             if out != d:
                 raise ValueError(f"constraint {name!r}: term output dim {out} != rhs dim {d}")
-        probes = hermitian_basis(d)
         start = len(self._rows)
-        for h in probes:
-            self._rows.append(self._coeff_row(terms, h))
-            self._rhs.append(float(np.trace(h.conj().T @ rhs).real))
-        self.eq_groups.append(_EqGroup(name, slice(start, start + len(probes)), probes, False))
+        self._rows.extend(self._coeff_row(terms, h) for h in hermitian_basis(d))
+        self._rhs.extend(svec(rhs))
+        self.eq_groups.append(_EqGroup(name, slice(start, start + d * d), False))
         self._compiled = None
 
     def add_psd_inequality(self, name: str, terms: Sequence[Term],
@@ -388,7 +368,7 @@ class ConicProgram:
         c = np.zeros(self.num_cols)
         for ref, coeff in terms:
             sl = self.block_slice(ref)
-            c[sl] += svec(real_embedding(hermitize(np.asarray(coeff, dtype=complex)))) / 2.0
+            c[sl] += svec(hermitize(np.asarray(coeff, dtype=complex)))
         self._c = c
         if self._compiled is not None:
             self._compiled["c"] = self.sense * self._pad(c)
@@ -446,21 +426,13 @@ class ConicProgram:
             b_red = np.zeros(0)
             b_perp = np.zeros(0)
 
-        edims = [2 * blk.cdim for blk in self.blocks]
-        blocks = _Blocks(edims)
-        rr = a_red.shape[0]
-        a_mats = [
-            np.stack([smat(a_red[k, sl], ed) for k in range(rr)]) if rr
-            else np.zeros((0, ed, ed))
-            for sl, ed in zip(blocks.slices, edims)
-        ]
         self._compiled = {
             "A": a_red, "b": b_red, "c": c,
             "u_r": u_r, "d_inv": d_inv,
             "b_perp": b_perp,
             "inconsistent_zero_row": inconsistent_zero_row,
-            "edims": edims,
-            "A_mats": a_mats,
+            "dims": [blk.cdim for blk in self.blocks],
+            "A_mats": [smat(a_red[:, self.block_slice(blk)], blk.cdim) for blk in self.blocks],
         }
         return self._compiled
 
@@ -470,8 +442,7 @@ class ConicProgram:
         """svec vector -> complex Hermitian matrix per block."""
         out = {}
         for blk in self.blocks:
-            v = x[self.block_slice(blk)]
-            out[blk.name] = embedding_to_hermitian(smat(v, 2 * blk.cdim))
+            out[blk.name] = smat(x[self.block_slice(blk)], blk.cdim)
         return out
 
     def equality_dual(self, name: str, y: np.ndarray) -> np.ndarray | float:
@@ -480,7 +451,7 @@ class ConicProgram:
                 ys = y[g.rows]
                 if g.scalar:
                     return float(ys[0])
-                return hermitize(sum(yk * h for yk, h in zip(ys, g.probes)))
+                return smat(ys, math.isqrt(ys.size))
         raise KeyError(name)
 
 
@@ -512,35 +483,32 @@ _log = logging.getLogger("freemarg.solver")
 class _Blocks:
     """Pack/unpack between the stacked svec vector and per-block matrices."""
 
-    def __init__(self, edims: Sequence[int]):
-        self.edims = list(edims)
+    def __init__(self, dims: Sequence[int]):
+        self.dims = list(dims)
         self.slices = []
         pos = 0
-        for n in self.edims:
-            self.slices.append(slice(pos, pos + svec_len(n)))
-            pos += svec_len(n)
-        self.total = pos
+        for n in self.dims:
+            self.slices.append(slice(pos, pos + n * n))
+            pos += n * n
 
     def unpack(self, v):
-        return [smat(v[sl], n) for sl, n in zip(self.slices, self.edims)]
+        return [smat(v[sl], n) for sl, n in zip(self.slices, self.dims)]
 
     def pack(self, mats):
         return np.concatenate([svec(m) for m in mats]) if mats else np.zeros(0)
 
     def identity(self):
-        return [np.eye(n) for n in self.edims]
+        return [np.eye(n, dtype=complex) for n in self.dims]
 
 
-def _min_step_to_boundary(m: np.ndarray, dm: np.ndarray) -> float:
-    """sup { a : m + a*dm > 0 } for symmetric PD m."""
-    try:
-        l = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return 0.0
-    w = sla.solve_triangular(l, dm, lower=True)
-    w = sla.solve_triangular(l, w.T, lower=True)
-    lam = float(np.linalg.eigvalsh(hermitize(w))[0].real)
-    return np.inf if lam >= -1e-16 else -1.0 / lam
+def _step_to_boundary(lam: np.ndarray, dm: np.ndarray) -> float:
+    """sup { a : diag(lam) + a*dm > 0 } for positive lam: one over minus the
+    smallest eigenvalue of diag(lam)^-1/2 dm diag(lam)^-1/2."""
+    if np.min(lam) <= 0:
+        raise np.linalg.LinAlgError("scaled block lost definiteness")
+    r = 1.0 / np.sqrt(lam)
+    low = float(np.linalg.eigvalsh(r[:, None] * dm * r)[0])
+    return np.inf if low >= -1e-16 else -1.0 / low
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
@@ -552,8 +520,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     sense = program.sense
 
     a, b, c = data["A"], data["b"], data["c"]
-    edims = data["edims"]
-    blocks = _Blocks(edims)
+    dims = data["dims"]
+    blocks = _Blocks(dims)
     r, n = a.shape
 
     if data["inconsistent_zero_row"]:
@@ -569,7 +537,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
     s_m = blocks.identity()
     y = np.zeros(r)
     tau, kappa = 1.0, 1.0
-    nu = sum(edims) + 1.0
+    nu = sum(dims) + 1.0
 
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
@@ -625,35 +593,24 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
 
         # -- Nesterov-Todd scaling per block
         try:
-            g_list, gh_list, ghi_list, lam_list = [], [], [], []
+            # (Todd-Toh-Tutuncu) X = Lx Lx', S = Ls Ls' and Ls' Lx = U diag(lam) V'
+            # give F = Lx V lam^-1/2 with F^-1 X F^-1' = F' S F = diag(lam): the
+            # scaled point is diagonal, exactly, and W = F F' satisfies W S W = X
+            f_list, fi_list, lam_list, g_list = [], [], [], []
             for xb, sb in zip(x_m, s_m):
-                ws, us = np.linalg.eigh(sb)
-                if ws[0] <= 0:
-                    raise np.linalg.LinAlgError("dual block lost definiteness")
-                s_half = (us * np.sqrt(ws)) @ us.T
-                s_ihalf = (us * (1.0 / np.sqrt(ws))) @ us.T
-                mid = hermitize(s_half @ xb @ s_half)
-                wm, um = np.linalg.eigh(mid)
-                if wm[0] <= 0:
-                    raise np.linalg.LinAlgError("primal block lost definiteness")
-                g = hermitize(s_ihalf @ (um * np.sqrt(wm)) @ um.T @ s_ihalf)
-                wg, ug = np.linalg.eigh(g)
-                gh = (ug * np.sqrt(wg)) @ ug.T
-                ghi = (ug * (1.0 / np.sqrt(wg))) @ ug.T
-                lam = hermitize(gh @ sb @ gh)
-                g_list.append(g)
-                gh_list.append(gh)
-                ghi_list.append(ghi)
+                lx = np.linalg.cholesky(xb)
+                ls = np.linalg.cholesky(sb)
+                u, lam, vh = np.linalg.svd(ls.conj().T @ lx)
+                f = (lx @ vh.conj().T) / np.sqrt(lam)
+                f_list.append(f)
+                fi_list.append((u.conj().T @ ls.conj().T) / np.sqrt(lam)[:, None])
                 lam_list.append(lam)
-            lam_eigs = [np.linalg.eigh(l) for l in lam_list]
+                g_list.append(f @ f.conj().T)
 
             # KKT normal matrix M = A W A'
             if r:
-                aw = np.hstack([
-                    np.stack([svec(g @ a_mats[j][k] @ g) for k in range(r)])
-                    if r else np.zeros((0, svec_len(ed)))
-                    for j, (g, ed) in enumerate(zip(g_list, edims))
-                ]) if n else np.zeros((r, 0))
+                aw = np.hstack([svec(g @ am @ g) for g, am in zip(g_list, a_mats)]) \
+                    if n else np.zeros((r, 0))
                 m_mat = hermitize(aw @ a.T)
                 cho = None
                 reg = 0.0
@@ -679,9 +636,9 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             u2 = kkt_solve(aw_c_b) if r else np.zeros(0)
 
             # stable positive denominator for the dtau pivot:
-            #   den = ||(I - Pi) W^{1/2} c||^2 + b' M^-1 b + kappa/tau
+            #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
             def w_half(vec):
-                return blocks.pack([gh @ mm @ gh for gh, mm in zip(gh_list, blocks.unpack(vec))])
+                return blocks.pack([f.conj().T @ mm @ f for f, mm in zip(f_list, blocks.unpack(vec))])
 
             c_half = w_half(c)
             if r:
@@ -694,12 +651,10 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
 
             def direction(eta, target_mu, corr_mats, corr_tk):
                 rlam = []
-                for (wl, ql), lam, corr in zip(lam_eigs, lam_list, corr_mats):
-                    t = target_mu * np.eye(lam.shape[0]) - lam @ lam - corr
-                    tq = ql.T @ t @ ql
-                    denom = wl[:, None] + wl[None, :]
-                    rlam.append(ql @ (2.0 * tq / denom) @ ql.T)
-                h = blocks.pack([gh @ rl @ gh for gh, rl in zip(gh_list, rlam)])
+                for lam, corr in zip(lam_list, corr_mats):
+                    t = np.diag(target_mu - lam * lam) - corr
+                    rlam.append(2.0 * t / (lam[:, None] + lam[None, :]))
+                h = blocks.pack([f @ rl @ f.conj().T for f, rl in zip(f_list, rlam)])
                 dx_part = h + eta * w_apply(g1, g_list)
                 r_tk = target_mu - tau * kappa - corr_tk
                 if r:
@@ -716,15 +671,20 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                 dkappa = (r_tk - kappa * dtau) / tau
                 return dx, dy, ds, dtau, dkappa
 
-            zeros_corr = [np.zeros((ed, ed)) for ed in edims]
+            def scaled_step(dx, ds):
+                # x + a*dx > 0 and s + a*ds > 0 iff diag(lam) + a*dl > 0 for the
+                # NT-scaled directions dl = F^-1 dx F^-1' and F' ds F
+                dlx = [fi @ dxb @ fi.conj().T for fi, dxb in zip(fi_list, blocks.unpack(dx))]
+                dls = [f.conj().T @ dsb @ f for f, dsb in zip(f_list, blocks.unpack(ds))]
+                steps = [_step_to_boundary(lam, dl)
+                         for dl_list in (dlx, dls) for lam, dl in zip(lam_list, dl_list)]
+                return dlx, dls, min(steps, default=np.inf)
+
+            zeros_corr = [np.zeros((d, d)) for d in dims]
             dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(1.0, 0.0, zeros_corr, 0.0)
 
             # affine step length
-            dx_am, ds_am = blocks.unpack(dx_a), blocks.unpack(ds_a)
-            alpha = 1.0
-            for xb, dxb, sb, dsb in zip(x_m, dx_am, s_m, ds_am):
-                alpha = min(alpha, _min_step_to_boundary(xb, dxb))
-                alpha = min(alpha, _min_step_to_boundary(sb, dsb))
+            dlx_a, dls_a, alpha = scaled_step(dx_a, ds_a)
             if dtau_a < 0:
                 alpha = min(alpha, -tau / dtau_a)
             if dkap_a < 0:
@@ -737,19 +697,11 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
             sigma = min(max(sigma, 1e-8), 1.0 - 1e-8)
 
             # Mehrotra corrector in the scaled space
-            corr = []
-            for ghi, dxb, gh2, dsb in zip(ghi_list, dx_am, gh_list, ds_am):
-                dlx = ghi @ dxb @ ghi
-                dls = gh2 @ dsb @ gh2
-                corr.append(hermitize(dlx @ dls))
+            corr = [hermitize(dlx @ dls) for dlx, dls in zip(dlx_a, dls_a)]
             dx_c, dy_c, ds_c, dtau_c, dkap_c = direction(
                 1.0 - sigma, sigma * mu, corr, dtau_a * dkap_a)
 
-            dx_cm, ds_cm = blocks.unpack(dx_c), blocks.unpack(ds_c)
-            step = np.inf
-            for xb, dxb, sb, dsb in zip(x_m, dx_cm, s_m, ds_cm):
-                step = min(step, _min_step_to_boundary(xb, dxb))
-                step = min(step, _min_step_to_boundary(sb, dsb))
+            _, _, step = scaled_step(dx_c, ds_c)
             if dtau_c < 0:
                 step = min(step, -tau / dtau_c)
             if dkap_c < 0:
@@ -763,8 +715,8 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
                 fail_note = "no further progress (stalled steps)"
                 break
 
-            x_m = [hermitize(xb + step * dxb) for xb, dxb in zip(x_m, dx_cm)]
-            s_m = [hermitize(sb + step * dsb) for sb, dsb in zip(s_m, ds_cm)]
+            x_m = [hermitize(xb + step * dxb) for xb, dxb in zip(x_m, blocks.unpack(dx_c))]
+            s_m = [hermitize(sb + step * dsb) for sb, dsb in zip(s_m, blocks.unpack(ds_c))]
             y = y + step * dy_c
             tau += step * dtau_c
             kappa += step * dkap_c
@@ -811,7 +763,7 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         duals[g.name] = program.equality_dual(g.name, sense * y_orig)
     for g in program.psd_groups:
         sl = program.block_slice(g.slack)
-        duals[g.name] = 2.0 * embedding_to_hermitian(smat(sense * ss[sl], 2 * g.slack.cdim))
+        duals[g.name] = smat(sense * ss[sl], g.slack.cdim)
 
     pobj = sense * float(c @ xs)
     dobj = sense * float(b @ ys) if r else 0.0

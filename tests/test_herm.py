@@ -11,12 +11,10 @@ from freemarg.herm import (
     SubsystemSet,
     ValidationError,
     eig_hermitian,
-    embedding_to_hermitian,
     partial_trace,
     partial_transpose,
     permute_factors,
     psd_split,
-    real_embedding,
     tensor,
     trace_norm,
 )
@@ -205,38 +203,6 @@ class TestEig:
         v1, w1 = eig_hermitian(op)
         v2, w2 = eig_hermitian(op)
         assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
-
-
-class TestRealEmbedding:
-    def test_real_input_is_block_diagonal(self, rng):
-        a = rand_herm(rng, 3).real
-        emb = real_embedding(HermitianOperator(SubsystemLayout([("A", 3)]), a))
-        assert np.allclose(emb, np.block([[a, np.zeros((3, 3))], [np.zeros((3, 3)), a]]))
-
-    def test_pauli_y_spectrum(self):
-        sy = np.array([[0, -1j], [1j, 0]])
-        emb = real_embedding(herm("A", sy))
-        assert np.allclose(emb, emb.T)
-        assert np.allclose(np.linalg.eigvalsh(emb), [-1, -1, 1, 1])
-
-    def test_trace_doubles(self, rng):
-        m = rand_herm(rng, 4)
-        assert np.trace(real_embedding(m)) == pytest.approx(2 * np.trace(m).real, abs=1e-12)
-
-    def test_psd_iff(self, rng):
-        m = rand_herm(rng, 4)
-        assert (np.linalg.eigvalsh(real_embedding(m))[0] >= -1e-12) == \
-               (np.linalg.eigvalsh(m)[0] >= -1e-12)
-
-    def test_eigenvalues_doubled(self, rng):
-        m = rand_herm(rng, 3)
-        inner = np.linalg.eigvalsh(m)
-        outer = np.linalg.eigvalsh(real_embedding(m))
-        assert np.allclose(outer, np.repeat(inner, 2), atol=1e-12)
-
-    def test_round_trip(self, rng):
-        m = rand_herm(rng, 4)
-        assert np.max(np.abs(embedding_to_hermitian(real_embedding(m)) - m)) < 1e-14
 
 
 class TestNorms:

@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-from freemarg.herm import real_embedding
 from freemarg.solver import (
     ComposeMap,
     ConicProgram,
@@ -14,7 +13,11 @@ from freemarg.solver import (
     Status,
     TensorIdentityMap,
     TraceTimesMap,
+    _step_to_boundary,
+    hermitian_basis,
+    smat,
     solve,
+    svec,
 )
 from freemarg.states import qubit_layout
 
@@ -140,6 +143,10 @@ class TestRandomInstances:
         assert solve(prog).status == Status.INFEASIBLE
 
 
+def real_embedding(m):
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
 class TestComplexVsEmbedded:
     def test_embedding_double(self, rng):
         # solve min tr(C X) s.t. tr(P X) = 1 twice: complex form and its
@@ -160,6 +167,64 @@ class TestComplexVsEmbedded:
         res_e = solve(prog_e)
         assert res.status == res_e.status == Status.OPTIMAL
         assert res_e.primal_value == pytest.approx(res.primal_value, abs=1e-7)
+
+
+class TestHermitianCoordinates:
+    def test_round_trip(self, rng):
+        for d in (1, 2, 5):
+            m = rand_herm(rng, d)
+            assert svec(m).shape == (d * d,)
+            assert np.max(np.abs(smat(svec(m), d) - m)) < 1e-14
+
+    def test_isometry(self, rng):
+        h, k = rand_herm(rng, 4), rand_herm(rng, 4)
+        assert svec(h) @ svec(k) == pytest.approx(np.trace(h @ k).real, abs=1e-12)
+
+    def test_basis_is_smat_of_unit_vectors(self):
+        d = 3
+        basis = hermitian_basis(d)
+        assert len(basis) == d * d
+        for k, e in enumerate(np.eye(d * d)):
+            assert np.array_equal(basis[k], smat(e, d))
+            assert np.array_equal(svec(basis[k]), e)
+
+    def test_batched_matches_per_matrix(self, rng):
+        ms = np.stack([rand_herm(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
+        vs = svec(ms)
+        assert vs.shape == (2, 2, 9)
+        for i in range(2):
+            for j in range(2):
+                assert np.array_equal(vs[i, j], svec(ms[i, j]))
+                assert np.array_equal(smat(vs, 3)[i, j], smat(vs[i, j], 3))
+
+
+class TestStepToBoundary:
+    @staticmethod
+    def step(lam, dm):
+        # the solver passes lam diagonal; rotate a general lam into its eigenbasis
+        w, q = np.linalg.eigh(lam)
+        return _step_to_boundary(w, q.conj().T @ dm @ q)
+
+    def test_step_is_the_boundary(self, rng):
+        for d in (1, 2, 4, 6):
+            for _ in range(10):
+                g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                lam = g @ g.conj().T + 0.01 * np.eye(d)
+                dm = rand_herm(rng, d)
+                # give dm a negative eigenvalue, so the boundary is reached
+                dm -= max(0.0, np.linalg.eigvalsh(dm)[0] + 0.1) * np.eye(d)
+                a = self.step(lam, dm)
+                assert np.isfinite(a) and a > 0
+                assert np.linalg.eigvalsh(lam + 0.999 * a * dm)[0] > 0
+                assert np.linalg.eigvalsh(lam + 1.001 * a * dm)[0] <= 0
+
+    def test_psd_direction_is_unbounded(self, rng):
+        g = rand_herm(rng, 3)
+        assert self.step(np.diag([1.0, 2.0, 3.0]), g @ g) == np.inf
+
+    def test_indefinite_scaling_point_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _step_to_boundary(np.array([1.0, 0.0]), -np.eye(2))
 
 
 class TestDeterminism:
