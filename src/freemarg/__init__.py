@@ -49,7 +49,8 @@ from .herm import (
     tensor,
     trace_norm,
 )
-from .solver import ConicProgram, SolveResult, SolverFailure, SolverSettings, Status, solve
+from .solver import (ConicProgram, SolveResult, SolverFailure, SolverSettings, Status, solve,
+                     solve_many)
 from .state_rmp import (
     CompatibleSetModel,
     MarginalFamily,

@@ -342,22 +342,34 @@ def _w_example_task(unitaries: Sequence[np.ndarray], params: WTaskParams) -> Dis
     return DiscriminationTask(blocks, eps)
 
 
+def w_advantages(indices: Sequence[int], seed: int, params: WTaskParams | None = None,
+                 model: CompatibleSetModel | None = None,
+                 settings: SolverSettings | None = None) -> np.ndarray:
+    """Histogram samples `indices`: for each, five shared Haar unitaries
+    keyed by ``seed XOR index``, then the task's advantage over the
+    separable-target compatible set.  The set maximizations are solved in
+    one batch; a sample's value does not depend on the batch."""
+    params = params or WTaskParams()
+    if model is None:
+        model = CompatibleSetModel(w_histogram_instance(), settings)
+    tasks = []
+    for index in indices:
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(index)))
+        tasks.append(_w_example_task([haar_from_generator(4, gen) for _ in range(5)], params))
+    try:
+        sups = model.maximize_many([effective_observables(task) for task in tasks])
+    except SolverFailure as exc:
+        raise SolverFailure(f"histogram samples {indices[0]}..{indices[-1]} failed: {exc}") from exc
+    sigma = model.instance.marginals
+    return np.array([success_probability(task, sigma) - sup.primal_value
+                     for task, sup in zip(tasks, sups)])
+
+
 def sample_w_advantage(index: int, seed: int, params: WTaskParams | None = None,
                        model: CompatibleSetModel | None = None,
                        settings: SolverSettings | None = None) -> float:
-    """One histogram sample: five shared Haar unitaries, then the task's
-    advantage over the separable-target compatible set."""
-    params = params or WTaskParams()
-    inst = w_histogram_instance()
-    if model is None:
-        model = CompatibleSetModel(inst, settings)
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(index)))
-    us = [haar_from_generator(4, gen) for _ in range(5)]
-    task = _w_example_task(us, params)
-    try:
-        return advantage(task, inst.marginals, model, require_strict=False)
-    except SolverFailure as exc:
-        raise SolverFailure(f"histogram sample {index} failed: {exc}") from exc
+    """One histogram sample (see `w_advantages`)."""
+    return float(w_advantages([index], seed, params, model, settings)[0])
 
 
 @dataclass
@@ -399,34 +411,36 @@ class HistogramResult:
         return "\n".join(lines) + "\n"
 
 
-_worker_model: CompatibleSetModel | None = None
+# Samples solved in one batch.  It bounds the solver's stacked arrays (about
+# 90 kB per sample), not the sample count: larger runs take more batches.
+_HISTOGRAM_BATCH = 128
 
 
-def _histogram_worker(args) -> tuple[int, float]:
-    global _worker_model
-    index, seed, params, settings = args
-    if _worker_model is None:
-        _worker_model = CompatibleSetModel(w_histogram_instance(), settings)
-    return index, sample_w_advantage(index, seed, params, model=_worker_model)
+def _histogram_range(args) -> tuple[int, np.ndarray]:
+    """Samples start..stop-1 as one batch, with a model of their own."""
+    start, stop, seed, params, settings = args
+    return start, w_advantages(range(start, stop), seed, params, settings=settings)
 
 
 def histogram_experiment(n_samples: int, seed: int, params: WTaskParams | None = None,
                          jobs: int = 1,
                          settings: SolverSettings | None = None) -> HistogramResult:
     """Distribution of the discrimination advantage of the W marginals over
-    Haar-random unitary ensembles; samples are seeded independently, so the
-    result does not depend on the degree of parallelism."""
+    Haar-random unitary ensembles.  Samples are seeded independently and
+    solved in batches of contiguous indices, and a sample does not depend on
+    its batch, so the result does not depend on the batch size or on the
+    degree of parallelism."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    size = min(_HISTOGRAM_BATCH, -(-n_samples // max(jobs, 1)))
+    ranges = [(k, min(k + size, n_samples), seed, params, settings)
+              for k in range(0, n_samples, size)]
     out = np.empty(n_samples)
-    if jobs <= 1 or n_samples == 1:
-        model = CompatibleSetModel(w_histogram_instance(), settings)
-        for k in range(n_samples):
-            out[k] = sample_w_advantage(k, seed, params, model, settings)
+    if jobs <= 1 or len(ranges) == 1:
+        for start, values in map(_histogram_range, ranges):
+            out[start:start + values.size] = values
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for k, value in pool.map(_histogram_worker,
-                                     [(k, seed, params, settings) for k in range(n_samples)],
-                                     chunksize=max(1, n_samples // (8 * jobs))):
-                out[k] = value
+            for start, values in pool.map(_histogram_range, ranges):
+                out[start:start + values.size] = values
     return HistogramResult(out, seed)

@@ -130,7 +130,8 @@ class SubsystemSet:
 
 
 def hermitize(arr: np.ndarray) -> np.ndarray:
-    return (arr + arr.conj().T) / 2
+    """Hermitian part of a square matrix, or of each matrix of a stack."""
+    return (arr + np.swapaxes(arr.conj(), -1, -2)) / 2
 
 
 def ptrace_array(arr: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int]) -> np.ndarray:

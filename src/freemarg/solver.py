@@ -8,9 +8,12 @@ a primal-dual interior-point method with Nesterov-Todd scaling on a
 homogeneous self-dual model, so primal infeasibility and unboundedness
 surface as explicit certificates instead of garbage numbers.
 
-The solver is deterministic: no randomized pivoting, identical inputs give
-identical iterates.  Enable DEBUG on the ``freemarg.solver`` logger for a
-per-iteration diagnostic trace.
+One loop, `solve_many`, solves a program for a batch of objectives on
+stacked iterates; `solve` is its one-member case.  The solver is
+deterministic: no randomized pivoting, identical inputs give identical
+iterates, and a member's iterates do not depend on the rest of its batch.
+Enable DEBUG on the ``freemarg.solver`` logger for a per-iteration
+diagnostic trace.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import DEFAULT_TOLS
 from .herm import SubsystemLayout, hermitize, permute_array, ptrace_array, ptranspose_array
@@ -208,35 +210,43 @@ class TraceTimesMap(ProbeTimesMap):
 # ---------------------------------------------------------------------------
 
 _SQRT2 = np.sqrt(2.0)
-_triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_coords_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
 
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _triu_cache:
-        _triu_cache[n] = np.triu_indices(n, 1)
-    return _triu_cache[n]
+def _coords(n: int) -> tuple[np.ndarray, ...]:
+    """Index tables of `svec` and `smat` for n x n matrices, over their 2n*n
+    reals (re, im of each entry, row by row): svec reads reals[pos] * factor;
+    smat writes coordinates[src] * scale to reals[dst], which also fills the
+    conjugate mirror of each upper entry."""
+    if n not in _coords_cache:
+        iu, ju = np.triu_indices(n, 1)
+        upper, lower = 2 * (iu * n + ju), 2 * (ju * n + iu)
+        pos = np.concatenate([2 * np.arange(n) * (n + 1), np.stack([upper, upper + 1], -1).ravel()])
+        factor = np.concatenate([np.ones(n), np.tile([_SQRT2, -_SQRT2], iu.size)])
+        src = np.concatenate([np.arange(n * n), np.arange(n, n * n)])
+        dst = np.concatenate([pos, np.stack([lower, lower + 1], -1).ravel()])
+        scale = 1.0 / np.concatenate([factor, np.full(2 * iu.size, _SQRT2)])
+        _coords_cache[n] = pos, factor, src, dst, scale
+    return _coords_cache[n]
 
 
 def svec(m: np.ndarray) -> np.ndarray:
     """Coordinates of Hermitian (..., n, n) matrices in `hermitian_basis(n)`:
     the diagonal, then sqrt2 * (Re, -Im) of each upper entry, row by row.
     The map is an isometry: svec(H) @ svec(K) == tr(H K)."""
-    iu, ju = _triu(m.shape[-1])
-    off = m[..., iu, ju] * _SQRT2
-    pairs = np.stack([off.real, -off.imag], axis=-1).reshape(*off.shape[:-1], -1)
-    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1).real, pairs], axis=-1)
+    pos, factor = _coords(m.shape[-1])[:2]
+    reals = np.ascontiguousarray(m, dtype=complex).view(np.float64)
+    # `take`, unlike indexing with an array, returns rows in C order, which
+    # keeps the row-wise sums of the solver member by member
+    return np.take(reals.reshape(m.shape[:-2] + (-1,)), pos, axis=-1) * factor
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of `svec`: (..., n*n) real coordinates -> Hermitian (..., n, n)."""
-    iu, ju = _triu(n)
-    off = (v[..., n::2] - 1j * v[..., n + 1::2]) / _SQRT2
-    out = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
-    diag = np.arange(n)
-    out[..., diag, diag] = v[..., :n]
-    out[..., iu, ju] = off
-    out[..., ju, iu] = off.conj()
-    return out
+    _, _, src, dst, scale = _coords(n)
+    reals = np.zeros(v.shape[:-1] + (2 * n * n,))
+    reals[..., dst] = v[..., src] * scale
+    return reals.view(complex).reshape(v.shape[:-1] + (n, n))
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -361,38 +371,38 @@ class ConicProgram:
         self.add_matrix_equality(f"{name}.def", list(terms) + [(slack, ScaleMap(IdentityMap(d), -1.0))], rhs)
         self.psd_groups.append(_PsdGroup(name, slack))
 
+    def objective_vector(self, terms: Sequence[tuple[BlockRef, np.ndarray]]) -> np.ndarray:
+        """The cost vector of sum_j tr(C_j X_j) over the program's columns."""
+        c = np.zeros(self.num_cols)
+        for ref, coeff in terms:
+            c[self.block_slice(ref)] += svec(hermitize(np.asarray(coeff, dtype=complex)))
+        return c
+
     def set_objective(self, terms: Sequence[tuple[BlockRef, np.ndarray]], sense: str = "min"):
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         self.sense = +1 if sense == "min" else -1
-        c = np.zeros(self.num_cols)
-        for ref, coeff in terms:
-            sl = self.block_slice(ref)
-            c[sl] += svec(hermitize(np.asarray(coeff, dtype=complex)))
-        self._c = c
-        if self._compiled is not None:
-            self._compiled["c"] = self.sense * self._pad(c)
+        self._c = self.objective_vector(terms)
+
+    @property
+    def objective(self) -> np.ndarray:
+        """The cost vector set by `set_objective` (zero if none was set)."""
+        return self._c if self._c is not None else np.zeros(self.num_cols)
 
     def with_objective(self, terms, sense: str = "min") -> "ConicProgram":
         """Cheap copy sharing constraint data; only the objective differs."""
         import copy
 
         clone = copy.copy(self)
-        clone._compiled = dict(self._compiled) if self._compiled is not None else None
         clone.set_objective(terms, sense)
         return clone
-
-    def _pad(self, vec: np.ndarray) -> np.ndarray:
-        if vec.shape[0] == self.num_cols:
-            return vec
-        out = np.zeros(self.num_cols)
-        out[: vec.shape[0]] = vec
-        return out
 
     # -- compilation -------------------------------------------------------
 
     def compile(self) -> dict:
-        """Assemble (A, b, c), normalize and rank-reduce the equality rows."""
+        """Assemble (A, b), normalize and rank-reduce the equality rows.  The
+        objective is not part of the compiled data, so every objective of the
+        program shares it."""
         if self._compiled is not None:
             return self._compiled
         n = self.num_cols
@@ -401,7 +411,6 @@ class ConicProgram:
         for k, row in enumerate(self._rows):
             a[k, : row.shape[0]] = row
         b = np.array(self._rhs)
-        c = self.sense * self._pad(self._c if self._c is not None else np.zeros(n))
 
         norms = np.linalg.norm(a, axis=1)
         keep = norms > 1e-14
@@ -427,7 +436,7 @@ class ConicProgram:
             b_perp = np.zeros(0)
 
         self._compiled = {
-            "A": a_red, "b": b_red, "c": c,
+            "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
             "b_perp": b_perp,
             "inconsistent_zero_row": inconsistent_zero_row,
@@ -480,8 +489,29 @@ class SolveResult:
 _log = logging.getLogger("freemarg.solver")
 
 
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def _mv(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v for each vector of the stack v (..., n), as one product per
+    member: a 2-D product of the whole stack could sum in another order."""
+    return np.matmul(mat, v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Inner products of stacked real vectors, member by member."""
+    return np.sum(u * v, axis=-1)
+
+
+def _cap(step: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """`step` capped where v + step*dv would leave the positive half-line."""
+    return np.minimum(step, np.divide(v, -dv, out=np.full_like(step, np.inf), where=dv < 0))
+
+
 class _Blocks:
-    """Pack/unpack between the stacked svec vector and per-block matrices."""
+    """Pack/unpack between stacked svec vectors and per-block matrices."""
 
     def __init__(self, dims: Sequence[int]):
         self.dims = list(dims)
@@ -492,267 +522,345 @@ class _Blocks:
             pos += n * n
 
     def unpack(self, v):
-        return [smat(v[sl], n) for sl, n in zip(self.slices, self.dims)]
+        return [smat(v[..., sl], n) for sl, n in zip(self.slices, self.dims)]
 
     def pack(self, mats):
-        return np.concatenate([svec(m) for m in mats]) if mats else np.zeros(0)
-
-    def identity(self):
-        return [np.eye(n, dtype=complex) for n in self.dims]
+        return np.concatenate([svec(m) for m in mats], axis=-1)
 
 
-def _step_to_boundary(lam: np.ndarray, dm: np.ndarray) -> float:
-    """sup { a : diag(lam) + a*dm > 0 } for positive lam: one over minus the
-    smallest eigenvalue of diag(lam)^-1/2 dm diag(lam)^-1/2."""
-    if np.min(lam) <= 0:
+class _Iterate(NamedTuple):
+    """Iterates of the homogeneous model, one row per member: the primal and
+    dual slack blocks, each a (members, d, d) stack, then y, tau, kappa."""
+
+    xm: list
+    sm: list
+    y: np.ndarray
+    tau: np.ndarray
+    kappa: np.ndarray
+
+
+def _map(fn, *trees):
+    """fn applied to the matching arrays of trees of tuples and lists, e.g.
+    to take, join or select members of stacked iterates."""
+    first = trees[0]
+    if isinstance(first, np.ndarray):
+        return fn(*trees)
+    items = [_map(fn, *parts) for parts in zip(*trees)]
+    return type(first)(*items) if isinstance(first, _Iterate) else type(first)(items)
+
+
+def _take(tree, idx):
+    return _map(lambda v: v[idx], tree)
+
+
+def _step_to_boundary(lam: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """sup { a : diag(lam) + a*dm > 0 } for positive lam, per member of the
+    stacks lam (..., d) and dm (..., d, d): one over minus the smallest
+    eigenvalue of diag(lam)^-1/2 dm diag(lam)^-1/2."""
+    if np.any(lam <= 0):
         raise np.linalg.LinAlgError("scaled block lost definiteness")
     r = 1.0 / np.sqrt(lam)
-    low = float(np.linalg.eigvalsh(r[:, None] * dm * r)[0])
-    return np.inf if low >= -1e-16 else -1.0 / low
+    low = np.linalg.eigvalsh(r[..., :, None] * dm * r[..., None, :])[..., 0]
+    return np.where(low >= -1e-16, np.inf, -1.0 / np.minimum(low, -1e-16))
 
 
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
     """Solve the program, returning optimum with certificates or an honest
     Infeasible / Unbounded / NumericalFailure status."""
+    return solve_many(program, [program.objective], settings)[0]
+
+
+def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
+               settings: SolverSettings | None = None) -> list[SolveResult]:
+    """Solve the program once per cost vector in `objectives` (vectors over
+    the program's columns, as `objective_vector` builds them, in the
+    program's sense); the results come in the same order.
+
+    The members share the compiled constraints and iterate together on
+    stacked arrays; a member that ends leaves the stack.  Every operation
+    acts on each member by itself (stacked LAPACK calls and matrix products,
+    row-wise reductions), so a member's result does not depend, bit for
+    bit, on which other members share its stack."""
     settings = settings or SolverSettings()
     data = program.compile()
-    trace = _log.isEnabledFor(logging.DEBUG)
-    sense = program.sense
-
-    a, b, c = data["A"], data["b"], data["c"]
-    dims = data["dims"]
-    blocks = _Blocks(dims)
+    a, b = data["A"], data["b"]
     r, n = a.shape
-
     if data["inconsistent_zero_row"]:
-        return _infeasible_result(program, settings, np.zeros(r), note="zero row with nonzero rhs")
+        return [_infeasible_result(program, np.zeros(r), note="zero row with nonzero rhs")
+                for _ in objectives]
     if r > 0 and np.linalg.norm(data["b_perp"]) > settings.feas_tol * (1 + np.linalg.norm(b)):
         # equality system itself is inconsistent; Farkas direction is immediate
-        return _infeasible_result(program, settings, None, note="inconsistent equalities",
-                                  y_orig=data["d_inv"] * data["b_perp"])
+        return [_infeasible_result(program, None, note="inconsistent equalities",
+                                   y_orig=data["d_inv"] * data["b_perp"]) for _ in objectives]
 
+    at = np.ascontiguousarray(a.T)
     a_mats = data["A_mats"]
-
-    x_m = blocks.identity()
-    s_m = blocks.identity()
-    y = np.zeros(r)
-    tau, kappa = 1.0, 1.0
+    dims = data["dims"]
+    blocks = _Blocks(dims)
+    by_dim = [[j for j, d in enumerate(dims) if d == dim] for dim in sorted(set(dims))]
     nu = sum(dims) + 1.0
-
     norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(c)
+    ft, gt = settings.feas_tol, settings.gap_tol
+    trace = _log.isEnabledFor(logging.DEBUG)
 
-    def w_apply(vec, g_list):
-        return blocks.pack([g @ mm @ g for g, mm in zip(g_list, blocks.unpack(vec))])
-
-    status = Status.NUMERICAL_FAILURE
-    it = 0
-    fail_note = "iteration limit reached"
-    x = blocks.pack(x_m)
-    s = blocks.pack(s_m)
-    best = None          # (score, x_m, s_m, y, tau, kappa)
-    stall_count = 0
-
-    for it in range(settings.max_iters):
-        x = blocks.pack(x_m)
-        s = blocks.pack(s_m)
-        at_y = a.T @ y if r else np.zeros(n)
-        g1 = at_y + s - c * tau                 # dual residual direction
-        g2 = (a @ x if r else np.zeros(0)) - b * tau  # primal residual direction
-        cx = float(c @ x)
-        by = float(b @ y) if r else 0.0
-        g3 = -cx + by - kappa
-        gap_inner = float(x @ s) + tau * kappa
-        mu = gap_inner / nu
-        if not (np.isfinite(mu) and np.isfinite(cx) and np.isfinite(by)
-                and np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
-            fail_note = "iterate diverged (non-finite values)"
-            break
-
-        # -- status tests on the scaled candidate
-        pres = np.linalg.norm(g2 / tau) / norm_b if r else 0.0
-        dres = np.linalg.norm(g1 / tau) / norm_c
-        pobj, dobj = cx / tau, by / tau
-        relgap = abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))
-        if trace:
-            _log.debug("iter %3d mu=%9.2e pres=%8.1e dres=%8.1e gap=%8.1e tau=%8.1e "
-                       "kappa=%8.1e", it, mu, pres, dres, relgap, tau, kappa)
-        score = max(pres / settings.feas_tol, dres / settings.feas_tol,
-                    relgap / settings.gap_tol)
-        if best is None or score < best[0]:
-            best = (score, [m.copy() for m in x_m], [m.copy() for m in s_m],
-                    y.copy(), tau, kappa)
-        if score <= 1.0:
-            status = Status.OPTIMAL
-            break
-        if it >= 1:
-            if by > 0 and np.linalg.norm(at_y + s) / by <= settings.feas_tol:
-                return _infeasible_result(program, settings, y / by, s_vec=s / by, iters=it)
-            if -cx > 0 and (np.linalg.norm(a @ x) if r else 0.0) / (-cx) <= settings.feas_tol:
-                return _unbounded_result(program, settings, x / (-cx), iters=it)
+    def newton(cur: _Iterate, c, x, s, g1, g2, g3, mu, gap_inner):
+        """One predictor-corrector step of every member of the stack: the
+        next iterate, the step lengths and the centering parameters."""
+        tau, kappa = cur.tau, cur.kappa
+        count = len(c)
 
         # -- Nesterov-Todd scaling per block
-        try:
-            # (Todd-Toh-Tutuncu) X = Lx Lx', S = Ls Ls' and Ls' Lx = U diag(lam) V'
-            # give F = Lx V lam^-1/2 with F^-1 X F^-1' = F' S F = diag(lam): the
-            # scaled point is diagonal, exactly, and W = F F' satisfies W S W = X
-            f_list, fi_list, lam_list, g_list = [], [], [], []
-            for xb, sb in zip(x_m, s_m):
-                lx = np.linalg.cholesky(xb)
-                ls = np.linalg.cholesky(sb)
-                u, lam, vh = np.linalg.svd(ls.conj().T @ lx)
-                f = (lx @ vh.conj().T) / np.sqrt(lam)
-                f_list.append(f)
-                fi_list.append((u.conj().T @ ls.conj().T) / np.sqrt(lam)[:, None])
-                lam_list.append(lam)
-                g_list.append(f @ f.conj().T)
+        # (Todd-Toh-Tutuncu) X = Lx Lx', S = Ls Ls' and Ls' Lx = U diag(lam) V'
+        # give F = Lx V lam^-1/2 with F^-1 X F^-1' = F' S F = diag(lam): the
+        # scaled point is diagonal, exactly, and W = F F' satisfies W S W = X
+        f_list, fi_list, lam_list, g_list = [], [], [], []
+        for xb, sb in zip(cur.xm, cur.sm):
+            lx = np.linalg.cholesky(xb)
+            ls = np.linalg.cholesky(sb)
+            u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
+            f = (lx @ _ct(vh)) / np.sqrt(lam)[:, None, :]
+            f_list.append(f)
+            fi_list.append((_ct(u) @ _ct(ls)) / np.sqrt(lam)[:, :, None])
+            lam_list.append(lam)
+            g_list.append(f @ _ct(f))
 
-            # KKT normal matrix M = A W A'
-            if r:
-                aw = np.hstack([svec(g @ am @ g) for g, am in zip(g_list, a_mats)]) \
-                    if n else np.zeros((r, 0))
-                m_mat = hermitize(aw @ a.T)
-                cho = None
-                reg = 0.0
-                for _ in range(4):
-                    try:
-                        cho = sla.cho_factor(m_mat + reg * np.eye(r), lower=True)
-                        break
-                    except np.linalg.LinAlgError:
-                        reg = max(reg * 100, 1e-12 * (1 + np.trace(m_mat) / max(r, 1)))
-                if cho is None:
-                    raise np.linalg.LinAlgError("KKT factorization failed")
+        def w_apply(vec):
+            return blocks.pack([g @ m @ g for g, m in zip(g_list, blocks.unpack(vec))])
 
-                def kkt_solve(rhs):
-                    # one step of iterative refinement buys an extra digit
-                    u = sla.cho_solve(cho, rhs)
-                    u += sla.cho_solve(cho, rhs - m_mat @ u)
-                    return u
-            else:
-                aw, kkt_solve = None, None
+        def w_half(vec):
+            return blocks.pack([_ct(f) @ m @ f for f, m in zip(f_list, blocks.unpack(vec))])
 
-            w_c = w_apply(c, g_list)
-            aw_c_b = (a @ w_c + b) if r else np.zeros(0)
-            u2 = kkt_solve(aw_c_b) if r else np.zeros(0)
-
-            # stable positive denominator for the dtau pivot:
-            #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
-            def w_half(vec):
-                return blocks.pack([f.conj().T @ mm @ f for f, mm in zip(f_list, blocks.unpack(vec))])
-
-            c_half = w_half(c)
-            if r:
-                q_vec = a @ w_c
-                resid = c_half - w_half(a.T @ kkt_solve(q_vec))
-                den = float(resid @ resid) + float(b @ kkt_solve(b)) + kappa / tau
-            else:
-                q_vec = np.zeros(0)
-                den = float(c_half @ c_half) + kappa / tau
-
-            def direction(eta, target_mu, corr_mats, corr_tk):
-                rlam = []
-                for lam, corr in zip(lam_list, corr_mats):
-                    t = np.diag(target_mu - lam * lam) - corr
-                    rlam.append(2.0 * t / (lam[:, None] + lam[None, :]))
-                h = blocks.pack([f @ rl @ f.conj().T for f, rl in zip(f_list, rlam)])
-                dx_part = h + eta * w_apply(g1, g_list)
-                r_tk = target_mu - tau * kappa - corr_tk
-                if r:
-                    u1 = kkt_solve(-(a @ dx_part) - eta * g2)
-                else:
-                    u1 = np.zeros(0)
-                num = (-eta * g3 + float(c @ dx_part)
-                       + (float((q_vec - b) @ u1) if r else 0.0)
-                       + r_tk / tau)
-                dtau = num / den
-                dy = u1 + dtau * u2 if r else np.zeros(0)
-                ds = -eta * g1 - (a.T @ dy if r else 0.0) + c * dtau
-                dx = dx_part + w_apply((a.T @ dy if r else 0.0) - c * dtau, g_list)
-                dkappa = (r_tk - kappa * dtau) / tau
-                return dx, dy, ds, dtau, dkappa
-
-            def scaled_step(dx, ds):
-                # x + a*dx > 0 and s + a*ds > 0 iff diag(lam) + a*dl > 0 for the
-                # NT-scaled directions dl = F^-1 dx F^-1' and F' ds F
-                dlx = [fi @ dxb @ fi.conj().T for fi, dxb in zip(fi_list, blocks.unpack(dx))]
-                dls = [f.conj().T @ dsb @ f for f, dsb in zip(f_list, blocks.unpack(ds))]
-                steps = [_step_to_boundary(lam, dl)
-                         for dl_list in (dlx, dls) for lam, dl in zip(lam_list, dl_list)]
-                return dlx, dls, min(steps, default=np.inf)
-
-            zeros_corr = [np.zeros((d, d)) for d in dims]
-            dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(1.0, 0.0, zeros_corr, 0.0)
-
-            # affine step length
-            dlx_a, dls_a, alpha = scaled_step(dx_a, ds_a)
-            if dtau_a < 0:
-                alpha = min(alpha, -tau / dtau_a)
-            if dkap_a < 0:
-                alpha = min(alpha, -kappa / dkap_a)
-            alpha = min(alpha, 1.0)
-
-            gap_aff = (float((x + alpha * dx_a) @ (s + alpha * ds_a))
-                       + (tau + alpha * dtau_a) * (kappa + alpha * dkap_a))
-            sigma = min(1.0, max(gap_aff / gap_inner, 0.0)) ** 3
-            sigma = min(max(sigma, 1e-8), 1.0 - 1e-8)
-
-            # Mehrotra corrector in the scaled space
-            corr = [hermitize(dlx @ dls) for dlx, dls in zip(dlx_a, dls_a)]
-            dx_c, dy_c, ds_c, dtau_c, dkap_c = direction(
-                1.0 - sigma, sigma * mu, corr, dtau_a * dkap_a)
-
-            _, _, step = scaled_step(dx_c, ds_c)
-            if dtau_c < 0:
-                step = min(step, -tau / dtau_c)
-            if dkap_c < 0:
-                step = min(step, -kappa / dkap_c)
-            step = min(1.0, 0.99 * step)
-            if not np.isfinite(step) or step <= 1e-13:
-                fail_note = "step length collapsed"
+        # KKT normal matrix M = A W A', one (r, r) matrix per member: with the
+        # rows' blocks A_k, M_kl = sum over blocks of tr(A_k G A_l G), the real
+        # part of the inner product of the entries of A_k G and (A_l G)', which
+        # is a real product of their (re, im) pairs with those of conj(A_l G)'
+        m_mat = np.zeros((count, r, r))
+        for g, am in zip(g_list, a_mats):
+            d = g.shape[-1]
+            ag = np.matmul(am.reshape(r * d, d), g).reshape(count, r, d, d)
+            ag_h = np.swapaxes(ag, -1, -2).copy()
+            np.conjugate(ag_h, out=ag_h)
+            m_mat += np.matmul(ag.reshape(count, r, d * d).view(np.float64),
+                               np.swapaxes(ag_h.reshape(count, r, d * d).view(np.float64), -1, -2))
+        m_mat = hermitize(m_mat)
+        reg = 0.0
+        for attempt in range(4):
+            try:
+                chol = np.linalg.cholesky(m_mat + reg * np.eye(r))
                 break
-            stall_count = stall_count + 1 if step <= 1e-7 else 0
-            if stall_count >= 3:
-                fail_note = "no further progress (stalled steps)"
-                break
+            except np.linalg.LinAlgError:
+                # only a lone member is regularized: a stack that fails is
+                # advanced member by member instead
+                if count > 1 or attempt == 3:
+                    raise np.linalg.LinAlgError("KKT factorization failed") from None
+                reg = max(reg * 100, 1e-12 * (1 + np.trace(m_mat[0]) / max(r, 1)))
+        li = np.linalg.inv(chol)
+        lit = np.swapaxes(li, -1, -2)
 
-            x_m = [hermitize(xb + step * dxb) for xb, dxb in zip(x_m, blocks.unpack(dx_c))]
-            s_m = [hermitize(sb + step * dsb) for sb, dsb in zip(s_m, blocks.unpack(ds_c))]
-            y = y + step * dy_c
-            tau += step * dtau_c
-            kappa += step * dkap_c
-            # the model is homogeneous of degree one: rescale the iterate so
-            # tau + kappa stays O(1) instead of drifting along the ray
-            inv = 2.0 / (tau + kappa)
-            x_m = [xb * inv for xb in x_m]
-            s_m = [sb * inv for sb in s_m]
-            y = y * inv
-            tau *= inv
-            kappa *= inv
+        def kkt_solve(rhs):
+            # M^-1 rhs for (count, r, k) right-hand sides; one step of
+            # iterative refinement buys an extra digit
+            u = lit @ (li @ rhs)
+            return u + lit @ (li @ (rhs - m_mat @ u))
+
+        w_c = w_apply(c)
+        q_vec = _mv(a, w_c)
+        sol = kkt_solve(np.stack([q_vec + b, q_vec, np.broadcast_to(b, q_vec.shape)], axis=-1))
+        u2, m_q, m_b = sol[..., 0], sol[..., 1], sol[..., 2]
+        # stable positive denominator for the dtau pivot:
+        #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
+        resid = w_half(c) - w_half(_mv(at, m_q))
+        den = _dot(resid, resid) + _dot(b, m_b) + kappa / tau
+
+        def direction(eta, target_mu, corr_mats, corr_tk):
+            rlam = []
+            for lam, corr in zip(lam_list, corr_mats):
+                t = -corr
+                diag = np.arange(lam.shape[-1])
+                t[:, diag, diag] += target_mu[:, None] - lam * lam
+                rlam.append(2.0 * t / (lam[:, :, None] + lam[:, None, :]))
+            h = blocks.pack([f @ rl @ _ct(f) for f, rl in zip(f_list, rlam)])
+            dx_part = h + eta[:, None] * w_apply(g1)
+            r_tk = target_mu - tau * kappa - corr_tk
+            u1 = kkt_solve((-_mv(a, dx_part) - eta[:, None] * g2)[..., None])[..., 0]
+            num = -eta * g3 + _dot(c, dx_part) + _dot(q_vec - b, u1) + r_tk / tau
+            dtau = num / den
+            dy = u1 + dtau[:, None] * u2
+            at_dy = _mv(at, dy)
+            ds = -eta[:, None] * g1 - at_dy + c * dtau[:, None]
+            dx = dx_part + w_apply(at_dy - c * dtau[:, None])
+            dkappa = (r_tk - kappa * dtau) / tau
+            return dx, dy, ds, dtau, dkappa
+
+        def scaled_step(dx, ds):
+            # x + a*dx > 0 and s + a*ds > 0 iff diag(lam) + a*dl > 0 for the
+            # NT-scaled directions dl = F^-1 dx F^-1' and F' ds F
+            dlx = [fi @ dxb @ _ct(fi) for fi, dxb in zip(fi_list, blocks.unpack(dx))]
+            dls = [_ct(f) @ dsb @ f for f, dsb in zip(f_list, blocks.unpack(ds))]
+            step = np.full(count, np.inf)
+            for group in by_dim:   # one stacked call per block order
+                lam = np.concatenate([lam_list[j] for j in group] * 2)
+                dl = np.concatenate([dlx[j] for j in group] + [dls[j] for j in group])
+                step = np.minimum(step, _step_to_boundary(lam, dl).reshape(-1, count).min(axis=0))
+            return dlx, dls, step
+
+        ones = np.ones(count)
+        zeros_corr = [np.zeros((count, d, d)) for d in dims]
+        dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(ones, 0 * ones, zeros_corr, 0 * ones)
+
+        # affine step length
+        dlx_a, dls_a, alpha = scaled_step(dx_a, ds_a)
+        alpha = np.minimum(_cap(_cap(alpha, tau, dtau_a), kappa, dkap_a), 1.0)
+        gap_aff = (_dot(x + alpha[:, None] * dx_a, s + alpha[:, None] * ds_a)
+                   + (tau + alpha * dtau_a) * (kappa + alpha * dkap_a))
+        sigma = np.clip(np.clip(gap_aff / gap_inner, 0.0, 1.0) ** 3, 1e-8, 1.0 - 1e-8)
+
+        # Mehrotra corrector in the scaled space.  Off the central path (some
+        # lam_i^2 below mu/100) its second-order term points at the boundary
+        # and the steps shrink to nothing, so such members take the
+        # first-order step to the same target instead
+        near = np.min([np.min(lam * lam, axis=-1) for lam in lam_list], axis=0) >= 1e-2 * mu
+        corr = [hermitize(dlx @ dls) * near[:, None, None] for dlx, dls in zip(dlx_a, dls_a)]
+        dx_c, dy_c, ds_c, dtau_c, dkap_c = direction(
+            1.0 - sigma, sigma * mu, corr, dtau_a * dkap_a * near)
+        _, _, step = scaled_step(dx_c, ds_c)
+        step = _cap(_cap(step, tau, dtau_c), kappa, dkap_c)
+        # go 99% of the way to the boundary, and less after a short step
+        # (90% in the limit), which keeps a margin where progress is slow
+        step = np.minimum(1.0, (0.9 + 0.09 * np.minimum(step, 1.0)) * step)
+
+        blk = step[:, None, None]
+        x_m = [hermitize(xb + blk * dxb) for xb, dxb in zip(cur.xm, blocks.unpack(dx_c))]
+        s_m = [hermitize(sb + blk * dsb) for sb, dsb in zip(cur.sm, blocks.unpack(ds_c))]
+        tau = tau + step * dtau_c
+        kappa = kappa + step * dkap_c
+        # the model is homogeneous of degree one: rescale the iterate so
+        # tau + kappa stays O(1) instead of drifting along the ray
+        inv = 2.0 / (tau + kappa)
+        nxt = _Iterate([xb * inv[:, None, None] for xb in x_m],
+                       [sb * inv[:, None, None] for sb in s_m],
+                       (cur.y + step[:, None] * dy_c) * inv[:, None], tau * inv, kappa * inv)
+        return nxt, step, sigma
+
+    count = len(objectives)
+    c = np.zeros((count, n))
+    for k, obj in enumerate(objectives):
+        c[k, :len(obj)] = obj
+    c *= program.sense
+    results: list[SolveResult | None] = [None] * count
+    ids = np.arange(count)                 # each active member's place in `results`
+    norm_c = 1.0 + np.linalg.norm(c, axis=-1)
+    cur = _Iterate([np.broadcast_to(np.eye(d, dtype=complex), (count, d, d)).copy() for d in dims],
+                   [np.broadcast_to(np.eye(d, dtype=complex), (count, d, d)).copy() for d in dims],
+                   np.zeros((count, r)), np.ones(count), np.ones(count))
+    best, best_score = cur, np.full(count, np.inf)
+    stall = np.zeros(count, dtype=int)
+
+    def failed(k, note, iters):
+        # fall back to the member's best iterate, then try certificates once more
+        return _fallback(program, data, settings, _take(best, k), c[k], note, iters, best_score[k])
+
+    it = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(settings.max_iters):
+            if not ids.size:
+                break
+            tau, kappa, y = cur.tau, cur.kappa, cur.y
+            x, s = blocks.pack(cur.xm), blocks.pack(cur.sm)
+            at_y, ax = _mv(at, y), _mv(a, x)
+            g1 = at_y + s - c * tau[:, None]        # dual residual direction
+            g2 = ax - b * tau[:, None]              # primal residual direction
+            cx, by = _dot(c, x), _dot(y, b)
+            g3 = -cx + by - kappa
+            gap_inner = _dot(x, s) + tau * kappa
+            mu = gap_inner / nu
+            finite = (np.isfinite(mu) & np.isfinite(cx) & np.isfinite(by)
+                      & np.isfinite(x).all(axis=-1) & np.isfinite(s).all(axis=-1))
+
+            # -- status tests on the scaled candidate
+            pres = np.linalg.norm(g2 / tau[:, None], axis=-1) / norm_b
+            dres = np.linalg.norm(g1 / tau[:, None], axis=-1) / norm_c
+            pobj, dobj = cx / tau, by / tau
+            relgap = np.abs(pobj - dobj) / (1 + np.abs(pobj) + np.abs(dobj))
             if trace:
-                _log.debug("        sigma=%8.1e step=%6.3f", sigma, step)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            fail_note = f"linear algebra failure: {exc}"
-            break
-    else:
-        it = settings.max_iters
+                for k in range(ids.size):
+                    _log.debug("iter %3d member %d mu=%9.2e pres=%8.1e dres=%8.1e gap=%8.1e "
+                               "tau=%8.1e kappa=%8.1e", it, ids[k], mu[k], pres[k], dres[k],
+                               relgap[k], tau[k], kappa[k])
+            score = np.maximum(np.maximum(pres / ft, dres / ft), relgap / gt)
+            better = finite & (score < best_score)
+            if better.all():   # iterates are never changed in place
+                best = cur
+            elif better.any():
+                best = _map(lambda new, old: np.where(
+                    better.reshape((-1,) + (1,) * (new.ndim - 1)), new, old), cur, best)
+            best_score = np.where(better, score, best_score)
 
-    if status != Status.OPTIMAL:
-        # fall back to the best iterate seen, then try certificates once more
-        if best is not None:
-            _, x_m, s_m, y, tau, kappa = best
-        x = blocks.pack(x_m)
-        s = blocks.pack(s_m)
-        by = float(b @ y) if r else 0.0
-        cx = float(c @ x)
-        if r and by > 0 and np.linalg.norm(a.T @ y + s) / by <= settings.feas_tol * 10:
-            return _infeasible_result(program, settings, y / by, s_vec=s / by, iters=it)
-        if -cx > 0 and (np.linalg.norm(a @ x) if r else 0.0) / (-cx) <= settings.feas_tol * 10:
-            return _unbounded_result(program, settings, x / (-cx), iters=it)
-        return SolveResult(Status.NUMERICAL_FAILURE, np.nan, np.nan, iterations=it,
-                           residuals={"note": fail_note,
-                                      "best_score": best[0] if best else np.inf})
+            ended: dict[int, SolveResult] = {}
+            for k in np.flatnonzero(~finite):
+                ended[k] = failed(k, "iterate diverged (non-finite values)", it)
+            optimal = finite & (score <= 1.0)
+            for k in np.flatnonzero(optimal):
+                ended[k] = _optimal_result(program, data, c[k], x[k], y[k], s[k], tau[k], it)
+            if it >= 1:
+                infeasible = (finite & ~optimal & (by > 0)
+                              & (np.linalg.norm(at_y + s, axis=-1) / by <= ft))
+                unbounded = (finite & ~optimal & ~infeasible & (-cx > 0)
+                             & (np.linalg.norm(ax, axis=-1) / -cx <= ft))
+                for k in np.flatnonzero(infeasible):
+                    ended[k] = _infeasible_result(program, y[k] / by[k], s_vec=s[k] / by[k],
+                                                  iters=it)
+                for k in np.flatnonzero(unbounded):
+                    ended[k] = _unbounded_result(program, x[k] / -cx[k], iters=it)
 
-    # -- optimal extraction
+            go = [k for k in range(ids.size) if k not in ended]
+            state = (cur, c, x, s, g1, g2, g3, mu, gap_inner)
+            steps = []                            # (members, newton's output)
+            if go:
+                try:
+                    steps = [(go, newton(*(state if len(go) == ids.size else _take(state, go))))]
+                except (np.linalg.LinAlgError, ValueError):
+                    # advance the members one by one: a member whose
+                    # factorization fails ends alone, and the others take
+                    # the step they take in any stack
+                    for k in go:
+                        try:
+                            steps.append(([k], newton(*_take(state, [k]))))
+                        except (np.linalg.LinAlgError, ValueError) as exc:
+                            ended[k] = failed(k, f"linear algebra failure: {exc}", it)
+            keep = np.zeros(0, dtype=int)
+            if steps:
+                moved = np.array([k for members, _ in steps for k in members])
+                nxt, step, sigma = _map(lambda *parts: np.concatenate(parts),
+                                        *[out for _, out in steps])
+                if trace:
+                    for j, k in enumerate(moved):
+                        _log.debug("        member %d sigma=%8.1e step=%6.3f",
+                                   ids[k], sigma[j], step[j])
+                collapsed = ~np.isfinite(step) | (step <= 1e-13)
+                run = np.where(step <= 1e-7, stall[moved] + 1, 0)
+                for k in moved[collapsed]:
+                    ended[k] = failed(k, "step length collapsed", it)
+                for k in moved[~collapsed & (run >= 3)]:
+                    ended[k] = failed(k, "no further progress (stalled steps)", it)
+                ok = ~collapsed & (run < 3)
+                keep, cur, stall = moved[ok], nxt if ok.all() else _take(nxt, ok), run[ok]
+            if ended:
+                for k, res in ended.items():
+                    results[ids[k]] = res
+                ids, c, norm_c = ids[keep], c[keep], norm_c[keep]
+                best, best_score = _take(best, keep), best_score[keep]
+        else:
+            it = settings.max_iters
+        for k in range(ids.size):
+            results[ids[k]] = failed(k, "iteration limit reached", it)
+    return results
+
+
+def _optimal_result(program, data, c, x, y, s, tau, iters) -> SolveResult:
+    sense = program.sense
+    a, b = data["A"], data["b"]
+    r = a.shape[0]
     xs = x / tau
     ys = y / tau
     ss = s / tau
@@ -774,10 +882,29 @@ def solve(program: ConicProgram, settings: SolverSettings | None = None) -> Solv
         "relgap": abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj)),
     }
     return SolveResult(Status.OPTIMAL, pobj, dobj, primal_blocks, duals,
-                       gap=abs(pobj - dobj), iterations=it, residuals=res)
+                       gap=abs(pobj - dobj), iterations=iters, residuals=res)
 
 
-def _infeasible_result(program, settings, y_red, s_vec=None, note="", iters=0,
+def _fallback(program, data, settings, best: _Iterate, c, note, iters, best_score) -> SolveResult:
+    """The result of a member that ended without an optimum: a certificate
+    if its best iterate passes the tests at ten times the tolerance, else
+    NumericalFailure."""
+    a, b = data["A"], data["b"]
+    r = a.shape[0]
+    blocks = _Blocks(data["dims"])
+    x = blocks.pack(best.xm)
+    s = blocks.pack(best.sm)
+    by = float(b @ best.y) if r else 0.0
+    cx = float(c @ x)
+    if r and by > 0 and np.linalg.norm(a.T @ best.y + s) / by <= settings.feas_tol * 10:
+        return _infeasible_result(program, best.y / by, s_vec=s / by, iters=iters)
+    if -cx > 0 and (np.linalg.norm(a @ x) if r else 0.0) / (-cx) <= settings.feas_tol * 10:
+        return _unbounded_result(program, x / (-cx), iters=iters)
+    return SolveResult(Status.NUMERICAL_FAILURE, np.nan, np.nan, iterations=iters,
+                       residuals={"note": note, "best_score": float(best_score)})
+
+
+def _infeasible_result(program, y_red, s_vec=None, note="", iters=0,
                        y_orig=None) -> SolveResult:
     data = program.compile()
     if y_orig is None:
@@ -792,7 +919,7 @@ def _infeasible_result(program, settings, y_red, s_vec=None, note="", iters=0,
                        residuals={"note": note} if note else {})
 
 
-def _unbounded_result(program, settings, x_ray, iters=0) -> SolveResult:
+def _unbounded_result(program, x_ray, iters=0) -> SolveResult:
     cert = {"kind": "improving-ray", "ray_blocks": program.unpack_blocks(x_ray)}
     pv = -np.inf if program.sense > 0 else np.inf
     return SolveResult(Status.UNBOUNDED, pv, pv, certificate=cert, iterations=iters)

@@ -50,6 +50,7 @@ from .solver import (
     SolverSettings,
     Status,
     solve,
+    solve_many,
 )
 from .states import qubit_layout, w_marginal
 
@@ -301,11 +302,12 @@ class CompatibleSetModel:
     """
 
     def __init__(self, inst: Instance, settings: SolverSettings | None = None):
+        self.instance = inst
         self.problem = inst.problem()
         self.settings = settings
         self.prog, self.var = _program(self.problem, pinned=True)
-        self.prog.set_objective([(self.var, np.eye(self.problem.layout.total_dim))], "max")
-        self.prog.compile()  # objective swaps then share the compiled data
+        self.prog.set_objective([], "max")
+        self.prog.compile()  # every objective shares the compiled data
 
     @staticmethod
     def of(feasible: Instance | CompatibleSetModel,
@@ -317,17 +319,25 @@ class CompatibleSetModel:
 
     def maximize(self, objectives: Iterable[tuple[object, np.ndarray]]) -> SolveResult:
         """`objectives` holds (key, O) pairs; a key is a label or a subsystem set."""
+        return self.maximize_many([objectives])[0]
+
+    def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]]
+                      ) -> list[SolveResult]:
+        """`maximize` of each entry, solved together in one batch."""
         d = self.problem.layout.total_dim
-        coeff = np.zeros((d, d), dtype=complex)
-        for key, obs in objectives:
-            obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-            m = self.problem.extract(key)
-            coeff += m.adjoint(obs) if m else obs
-        prog = self.prog.with_objective([(self.var, coeff)], "max")
-        res = solve(prog, self.settings)
-        if res.status != Status.OPTIMAL:
-            raise SolverFailure(f"set maximization ended with status {res.status}")
-        return res
+        costs = []
+        for objectives in objective_lists:
+            coeff = np.zeros((d, d), dtype=complex)
+            for key, obs in objectives:
+                obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
+                m = self.problem.extract(key)
+                coeff += m.adjoint(obs) if m else obs
+            costs.append(self.prog.objective_vector([(self.var, coeff)]))
+        results = solve_many(self.prog, costs, self.settings)
+        for k, res in enumerate(results):
+            if res.status != Status.OPTIMAL:
+                raise SolverFailure(f"set maximization {k} ended with status {res.status}")
+        return results
 
 
 def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
@@ -370,9 +380,9 @@ def epsilon_bounds(feasible: Instance | CompatibleSetModel, main, gamma,
     the main-outcome objective `main`, and the worst drift of the completing
     outcome `gamma` over the free-compatible set.  `value_at(objective)` is
     the objective's value at the family."""
-    model = CompatibleSetModel.of(feasible, settings)
-    d1 = value_at(main) - model.maximize(main).primal_value
-    d2 = model.maximize(gamma).primal_value - value_at(gamma)
+    sup_main, sup_gamma = CompatibleSetModel.of(feasible, settings).maximize_many([main, gamma])
+    d1 = value_at(main) - sup_main.primal_value
+    d2 = sup_gamma.primal_value - value_at(gamma)
     return d1, d2
 
 

@@ -20,7 +20,7 @@ from freemarg.discrimination import (
 )
 from freemarg.herm import SubsystemSet
 from freemarg.solver import SolverFailure, SolverSettings
-from freemarg.state_rmp import MarginalFamily, Witness, extract_witness
+from freemarg.state_rmp import MarginalFamily, Witness, extract_witness, robustness
 from freemarg.states import marginal_of, maximally_mixed, qubit_layout, random_density, w_marginal
 
 LAYOUT = qubit_layout("ABC")
@@ -247,6 +247,15 @@ class TestAdvantage:
         assert advantage(task, fam, inst) > 0
 
 
+class TestWInstances:
+    def test_party_swap_leaves_robustness_unchanged(self):
+        # the histogram labeling is the example with parties A and B swapped
+        swapped = robustness(w_histogram_instance()).value_log2
+        example = robustness(w_example_instance()).value_log2
+        assert swapped > 0
+        assert abs(swapped - example) <= 1e-8
+
+
 class TestHistogram:
     def test_single_sample_reproducible(self):
         a = sample_w_advantage(0, seed=11)
@@ -258,6 +267,18 @@ class TestHistogram:
         h4 = histogram_experiment(4, seed=5)
         assert h2.samples[0] == h4.samples[0]
         assert h2.samples[1] == h4.samples[1]
+
+    def test_prefix_split_and_serial_runs_agree(self):
+        # the jobs=2 run solves samples 0-3 and 4-6 as two batches, the
+        # serial run all seven as one, the prefix run three
+        prefix = histogram_experiment(3, seed=21)
+        split = histogram_experiment(7, seed=21, jobs=2)
+        serial = histogram_experiment(7, seed=21, jobs=1)
+        assert np.array_equal(prefix.samples, serial.samples[:3])
+        assert np.array_equal(split.samples, serial.samples)
+        assert split.to_csv() == serial.to_csv()
+        assert serial.to_csv().startswith(prefix.to_csv())
+        assert sample_w_advantage(5, seed=21) == serial.samples[5]
 
     def test_small_run_statistics(self):
         h = histogram_experiment(40, seed=0)

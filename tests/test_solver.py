@@ -17,6 +17,7 @@ from freemarg.solver import (
     hermitian_basis,
     smat,
     solve,
+    solve_many,
     svec,
 )
 from freemarg.states import qubit_layout
@@ -236,6 +237,85 @@ class TestDeterminism:
         assert r1.iterations == r2.iterations
         for k in r1.primal_blocks:
             assert np.array_equal(r1.primal_blocks[k], r2.primal_blocks[k])
+
+
+class TestSolveMany:
+    """A batch of objectives over one program gives, member by member, the
+    solo results bit for bit, whatever the other members do."""
+
+    @staticmethod
+    def same(batch, solo):
+        assert batch.status == solo.status
+        assert batch.iterations == solo.iterations
+        assert np.array_equal(batch.primal_value, solo.primal_value, equal_nan=True)
+
+    def test_random_objectives_match_solo_and_the_smallest_eigenvalue(self, rng):
+        prog = ConicProgram()
+        x = prog.add_variable("X", 5)
+        prog.add_scalar_equality("trace", [(x, np.eye(5))], 1.0)
+        costs = [rand_herm(rng, 5) for _ in range(20)]
+        batch = solve_many(prog, [prog.objective_vector([(x, cm)]) for cm in costs])
+        for cm, res in zip(costs, batch):
+            assert res.status == Status.OPTIMAL
+            assert abs(res.primal_value - np.linalg.eigvalsh(cm)[0]) <= 1e-7
+            self.same(res, solve(prog.with_objective([(x, cm)], "min")))
+
+    def test_mixed_statuses_in_one_batch(self):
+        # X >= 0 is free, so only the +I objective on it is bounded below
+        prog = ConicProgram()
+        x = prog.add_variable("X", 2)
+        y = prog.add_variable("Y", 2)
+        prog.add_scalar_equality("unit", [(y, np.eye(2))], 1.0)
+        terms = [[(x, cx), (y, 2 * np.eye(2))]
+                 for cx in (np.eye(2), -np.eye(2), np.diag([1.0, -1.0]))]
+        batch = solve_many(prog, [prog.objective_vector(t) for t in terms])
+        solo = [solve(prog.with_objective(t, "min")) for t in terms]
+        assert [r.status for r in solo] == [Status.OPTIMAL, Status.UNBOUNDED, Status.UNBOUNDED]
+        assert solo[0].primal_value == pytest.approx(2.0, abs=1e-7)
+        for res, ref in zip(batch, solo):
+            self.same(res, ref)
+
+    def test_failing_member_ends_alone(self, rng, monkeypatch):
+        # a Cholesky factorization that fails on any stack holding a block
+        # with an imaginary part: only the member with a complex objective
+        # grows one, after its first step
+        prog = ConicProgram()
+        x = prog.add_variable("X", 3)
+        prog.add_scalar_equality("trace", [(x, np.eye(3))], 1.0)
+        poison = np.diag([1.0, 2.0, 3.0]) + 0j
+        poison[0, 1], poison[1, 0] = 0.5j, -0.5j
+        costs = [np.diag(rng.permutation([1.0, 2.0, 3.0])) for _ in range(4)]
+        costs.insert(2, poison)
+        real_cholesky = np.linalg.cholesky
+
+        def cholesky(m):
+            if np.any(np.abs(np.imag(m)) > 1e-9):
+                raise np.linalg.LinAlgError("injected failure")
+            return real_cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        batch = solve_many(prog, [prog.objective_vector([(x, cm)]) for cm in costs])
+        solo = [solve(prog.with_objective([(x, cm)], "min")) for cm in costs]
+        assert batch[2].status == Status.NUMERICAL_FAILURE
+        assert "injected failure" in batch[2].residuals["note"]
+        for k, (res, ref) in enumerate(zip(batch, solo)):
+            self.same(res, ref)
+            if k != 2:
+                assert res.status == Status.OPTIMAL
+                assert res.primal_value == pytest.approx(1.0, abs=1e-7)
+
+    def test_program_without_equalities(self):
+        prog = ConicProgram()
+        x = prog.add_variable("X", 2)
+        terms = [[(x, np.eye(2))], [(x, -np.eye(2))]]
+        batch = solve_many(prog, [prog.objective_vector(t) for t in terms])
+        assert [r.status for r in batch] == [Status.OPTIMAL, Status.UNBOUNDED]
+        for res, t in zip(batch, terms):
+            self.same(res, solve(prog.with_objective(t, "min")))
+
+    def test_no_objectives(self):
+        prog = make_random_feasible(np.random.default_rng(1), [2], 2)
+        assert solve_many(prog, []) == []
 
 
 class TestLinMaps:
