@@ -1,8 +1,10 @@
 """Channel-family compatibility via Choi matrices: marginal channels, the
 dynamical robustness cone program, witness decomposition into state/observable
 pairs, and the ensemble state-discrimination task.  Compatibility, robustness,
-linear maximization, the witness duals and the epsilon rule are those of
-`state_rmp`, fed by `ChannelRmpInstance.problem()`.
+linear maximization and the witness duals are those of `state_rmp`, fed by
+`ChannelRmpInstance.problem()`; success probability, advantage and the
+epsilon rule are those of `discrimination`, fed by
+`ChannelDiscriminationTask.outcomes()`.
 
 Conventions.  A channel from X' to X is stored as its Choi *state*
 J = (E (x) id)(|Phi+><Phi+|) on the layout  out (x) in :  J >= 0 iff E is
@@ -18,6 +20,13 @@ from functools import partial
 import numpy as np
 
 from .config import DEFAULT_TOLS
+from .discrimination import (
+    advantage,
+    epsilon_bound_terms,
+    epsilon_rule,
+    is_strictly_positive,
+    success_probability,
+)
 from .freesets import FreeChannelSetSpec
 from .herm import (
     DensityMatrix,
@@ -50,8 +59,6 @@ from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     NoWitnessError,
     RobustnessResult,
     check_rfree_compatible,
-    epsilon_bounds,
-    epsilon_rule,
     extraction_map,
     linear_max_over_set,
     robustness,
@@ -150,11 +157,6 @@ class ChannelSpec:
         m = self.choi.entries @ np.kron(np.asarray(obs), np.eye(self.d_in))
         return self.d_in * ptrace_array(m, (self.d_out, self.d_in), (1,)).T
 
-    def apply_to(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.layout != self.in_layout:
-            raise LayoutError("input state layout does not match the channel input")
-        return DensityMatrix.from_array(self.out_layout, self.apply(rho.entries))
-
     def to_json(self) -> dict:
         return {"in": self.in_layout.to_json(), "out": self.out_layout.to_json(),
                 "choi": self.choi.to_json()}
@@ -216,6 +218,10 @@ class ChannelMarginalFamily:
         object.__setattr__(self, "global_in", global_in)
         object.__setattr__(self, "global_out", global_out)
         object.__setattr__(self, "entries", entries)
+
+    def targets(self) -> dict[str, np.ndarray]:
+        """Each pair's Choi state, by pair label "A'->A"."""
+        return {pair.label(): spec.choi.entries for pair, spec in self.entries}
 
 
 @dataclass(frozen=True)
@@ -512,14 +518,17 @@ class ChannelDiscriminationTask:
     epsilon: float
     metadata: dict = field(default_factory=dict)
 
-    def strictly_positive(self, tol: float = 0.0) -> bool:
-        for label in self.pair_priors:
-            if self.pair_priors[label] <= tol or np.any(self.outcome_priors[label] <= tol):
-                return False
-            for e in self.povms[label]:
-                if np.linalg.eigvalsh(hermitize(e))[0] <= tol:
-                    return False
-        return True
+    def strictly_positive(self) -> bool:
+        return all(is_strictly_positive(prior, self.outcome_priors[label], self.povms[label])
+                   for label, prior in self.pair_priors.items())
+
+    def outcomes(self) -> list[tuple[str, float, np.ndarray, list[np.ndarray]]]:
+        """(label, p_pair, p_i, H_i) per pair, with H_i = d_in E_i (x) sigma_i^T,
+        so that tr(J H_i) = tr[E_i L(sigma_i)] for the channel L of Choi state J."""
+        return [(label, prior, self.outcome_priors[label],
+                 [s.shape[0] * np.kron(e, s.T)
+                  for e, s in zip(self.povms[label], self.states[label])])
+                for label, prior in self.pair_priors.items()]
 
 
 def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
@@ -532,7 +541,6 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
         raise ValueError("degenerate (all-zero) witness cannot define a task")
 
     n = witness.n_terms
-    n_pairs = len(witness.entries)
     povms: dict[str, list[np.ndarray]] = {}
     states: dict[str, list[np.ndarray]] = {}
     pair_specs = {pair.label(): spec for pair, spec in inst.family.entries}
@@ -548,65 +556,29 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
         states[label] = [rho for _, rho in terms] + [np.eye(pair_specs[label].d_in)
                                                      / pair_specs[label].d_in]
 
+    def task_at(eps: float) -> ChannelDiscriminationTask:
+        return ChannelDiscriminationTask(
+            pair_priors={label: 1.0 / len(povms) for label in povms},
+            outcome_priors={label: np.array([(1 - eps) / n] * n + [eps]) for label in povms},
+            states=states, povms=povms, epsilon=float(eps), metadata={"n_terms": n})
+
     if epsilon is None:
-        main = _pair_observables(pair_specs, states, povms,
-                                 [1.0 / (n * n_pairs)] * n + [0.0])
-        gamma = _pair_observables(pair_specs, states, povms,
-                                  [-1.0 / (n * n_pairs)] * n + [1.0 / n_pairs])
-        epsilon = epsilon_rule(*epsilon_bounds(
-            inst, main, gamma,
-            lambda obs: sum(float(np.trace(pair_specs[label].choi.entries @ b).real)
-                            for label, b in obs),
-            settings))
+        epsilon = epsilon_rule(*epsilon_bound_terms(task_at(0.5), inst.family, inst, settings))
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon = {epsilon} does not give a strictly positive task")
-
-    priors = {label: np.array([(1 - epsilon) / n] * n + [epsilon])
-              for label in witness.entries}
-    task = ChannelDiscriminationTask(
-        pair_priors={label: 1.0 / n_pairs for label in witness.entries},
-        outcome_priors=priors, states=states, povms=povms, epsilon=float(epsilon),
-        metadata={"n_terms": n})
+    task = task_at(epsilon)
     if not task.strictly_positive():
         raise ValueError("constructed task is not strictly positive")
     return task
 
 
-def _effective_pair_observable(task_states, task_povms, weights, d_in) -> np.ndarray:
-    """B with tr(J^L B) = sum_i w_i tr[E_i L(sigma_i)] for any channel L."""
-    b = np.zeros((task_povms[0].shape[0] * d_in,) * 2, dtype=complex)
-    for w_i, e_i, s_i in zip(weights, task_povms, task_states):
-        b += w_i * d_in * np.kron(e_i, s_i.T)
-    return b
-
-
-def _pair_observables(pair_specs, states, povms, weights) -> list[tuple[str, np.ndarray]]:
-    """(label, B) for every pair, the same outcome weights on each."""
-    return [(label, _effective_pair_observable(states[label], povms[label], weights,
-                                               pair_specs[label].d_in))
-            for label in povms]
-
-
 def channel_success_probability(task: ChannelDiscriminationTask,
                                 family: ChannelMarginalFamily) -> float:
     """P = sum_pairs sum_i p_pair p_i tr[E_i E_pair(sigma_i)]."""
-    total = 0.0
-    specs = {pair.label(): spec for pair, spec in family.entries}
-    for label, p_pair in task.pair_priors.items():
-        spec = specs[label]
-        for p_i, e_i, s_i in zip(task.outcome_priors[label], task.povms[label],
-                                 task.states[label]):
-            total += p_pair * p_i * float(np.trace(e_i @ spec.apply(s_i)).real)
-    return total
+    return success_probability(task, family)
 
 
 def channel_task_advantage(task: ChannelDiscriminationTask, inst: ChannelRmpInstance,
                            settings: SolverSettings | None = None) -> float:
     """P at the instance family minus the best P over the free-compatible set."""
-    pair_specs = {pair.label(): spec for pair, spec in inst.family.entries}
-    obs = [(label, _effective_pair_observable(task.states[label], task.povms[label],
-                                              [p_pair * p for p in task.outcome_priors[label]],
-                                              pair_specs[label].d_in))
-           for label, p_pair in task.pair_priors.items()]
-    p_at = channel_success_probability(task, inst.family)
-    return p_at - linear_max_over_set(obs, inst, settings)
+    return advantage(task, inst.family, inst, settings)

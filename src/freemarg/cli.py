@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: robustness, witness, discriminate, histogram, channel-robustness,
-check-compat, verify-w.  Exit codes: 0 success, 2 input error, 3 solver error.
+check-compat, verify-w.  Each command maps (args, instance, settings) to the
+JSON payload; `main` loads the instance, writes the payload and decides the
+exit code: 0 success, 2 input error, 3 no witness or solver error.
 """
 
 from __future__ import annotations
@@ -13,32 +15,12 @@ import numpy as np
 
 from . import channel_rmp, discrimination, io, state_rmp
 from .solver import SolverFailure, SolverSettings
+from .states import qubit_layout, w_marginal
 
 
-def _settings(args) -> SolverSettings:
-    return SolverSettings(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
-
-
-def _load(args):
-    try:
-        return io.load_instance(args.input)
-    except io.SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
-def cmd_robustness(args) -> int:
-    inst = _load(args)
-    settings = _settings(args)
-    try:
-        res = state_rmp.robustness(inst, settings)
-    except SolverFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    payload = {
+def cmd_robustness(args, inst, settings: SolverSettings) -> dict:
+    res = state_rmp.robustness(inst, settings)
+    return {
         "status": res.status.value,
         "robustness_log2": res.value_log2,
         "optimum": res.optimum,
@@ -49,137 +31,87 @@ def cmd_robustness(args) -> int:
         "relaxation": res.relaxation,
         "provenance": io.provenance_block(settings, relaxation=res.relaxation),
     }
-    io.dump_result(args.output, payload)
-    return 0
 
 
-def cmd_witness(args) -> int:
-    inst = _load(args)
-    settings = _settings(args)
-    try:
-        if isinstance(inst, state_rmp.RmpInstance):
-            w = state_rmp.extract_witness(inst, settings=settings)
-            payload = io.witness_to_json(w)
-        else:
-            w = channel_rmp.channel_witness(inst, settings=settings)
-            payload = {
-                "pairs": {label: [{"observable": io.matrix_to_json(wj),
-                                   "input_state": io.matrix_to_json(rho)}
-                                  for wj, rho in terms]
-                          for label, terms in w.entries.items()},
-                "free_sup": w.free_sup,
-                "value_at_family": w.value_at_family,
-                "gap": w.gap,
-                "n_terms": w.n_terms,
-                "metadata": w.metadata,
-            }
-    except state_rmp.NoWitnessError as exc:
-        print(f"no witness: {exc}", file=sys.stderr)
-        return 3
-    except SolverFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+def cmd_witness(args, inst, settings: SolverSettings) -> dict:
+    if isinstance(inst, state_rmp.RmpInstance):
+        payload = io.witness_to_json(state_rmp.extract_witness(inst, settings=settings))
+    else:
+        w = channel_rmp.channel_witness(inst, settings=settings)
+        payload = {
+            "pairs": {label: [{"observable": io.matrix_to_json(wj),
+                               "input_state": io.matrix_to_json(rho)}
+                              for wj, rho in terms]
+                      for label, terms in w.entries.items()},
+            "free_sup": w.free_sup,
+            "value_at_family": w.value_at_family,
+            "gap": w.gap,
+            "n_terms": w.n_terms,
+            "metadata": w.metadata,
+        }
     payload["provenance"] = io.provenance_block(settings)
-    io.dump_result(args.output, payload)
-    return 0
+    return payload
 
 
-def cmd_check_compat(args) -> int:
-    inst = _load(args)
-    settings = _settings(args)
-    try:
-        res = state_rmp.check_rfree_compatible(inst, settings=settings)
-    except SolverFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    payload = {
+def cmd_check_compat(args, inst, settings: SolverSettings) -> dict:
+    res = state_rmp.check_rfree_compatible(inst, settings=settings)
+    return {
         "compatible": res.compatible,
         "residual": res.residual,
         "witness": None if res.witness_state is None else res.witness_state.to_json(),
         "certificate": res.certificate,
         "provenance": io.provenance_block(settings),
     }
-    io.dump_result(args.output, payload)
-    return 0
 
 
-def cmd_discriminate(args) -> int:
-    inst = _load(args)
-    settings = _settings(args)
-    try:
-        if isinstance(inst, state_rmp.RmpInstance):
-            w = state_rmp.extract_witness(inst, settings=settings)
-            gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-            unitaries = {}
-            for sub, block in w.blocks:
-                d = block.dim
-                unitaries[tuple(sub.members)] = [
-                    discrimination.haar_from_generator(d, gen) for _ in range(d + 1)]
-            task = discrimination.task_from_witness(w, unitaries, inst, settings=settings)
-            delta_p = discrimination.advantage(task, inst.marginals, inst, settings)
-            payload = {
-                "delta_p": delta_p,
-                "epsilon": task.epsilon,
-                "witness_gap": w.gap,
-                "blocks": [{"subsystems": list(b.sub.members),
-                            "prior": b.prior,
-                            "outcome_priors": list(map(float, b.outcome_priors)),
-                            "povm": [io.matrix_to_json(e) for e in b.povm]}
-                           for b in task.blocks],
-            }
-        else:
-            w = channel_rmp.channel_witness(inst, settings=settings)
-            task = channel_rmp.state_discrimination_task(w, inst, settings=settings)
-            delta_p = channel_rmp.channel_task_advantage(task, inst, settings)
-            payload = {
-                "delta_p": delta_p,
-                "epsilon": task.epsilon,
-                "witness_gap": w.gap,
-                "pairs": {label: {"priors": list(map(float, task.outcome_priors[label])),
-                                  "povm": [io.matrix_to_json(e) for e in task.povms[label]],
-                                  "states": [io.matrix_to_json(s) for s in task.states[label]]}
-                          for label in task.pair_priors},
-            }
-    except state_rmp.NoWitnessError as exc:
-        print(f"no witness: {exc}", file=sys.stderr)
-        return 3
-    except SolverFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    payload["provenance"] = io.provenance_block(settings, seed=args.seed)
-    io.dump_result(args.output, payload)
-    return 0
+def cmd_discriminate(args, inst, settings: SolverSettings) -> dict:
+    """The witness, the task and its fields come from the instance kind; the
+    advantage and the rest of the payload do not."""
+    if isinstance(inst, state_rmp.RmpInstance):
+        w = state_rmp.extract_witness(inst, settings=settings)
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+        unitaries = {tuple(sub.members): [discrimination.haar_from_generator(block.dim, gen)
+                                          for _ in range(block.dim + 1)]
+                     for sub, block in w.blocks}
+        task = discrimination.task_from_witness(w, unitaries, inst, settings=settings)
+        family = inst.marginals
+        fields = {"blocks": [{"subsystems": list(b.sub.members),
+                              "prior": b.prior,
+                              "outcome_priors": list(map(float, b.outcome_priors)),
+                              "povm": [io.matrix_to_json(e) for e in b.povm]}
+                             for b in task.blocks]}
+    else:
+        w = channel_rmp.channel_witness(inst, settings=settings)
+        task = channel_rmp.state_discrimination_task(w, inst, settings=settings)
+        family = inst.family
+        fields = {"pairs": {label: {"priors": list(map(float, task.outcome_priors[label])),
+                                    "povm": [io.matrix_to_json(e) for e in task.povms[label]],
+                                    "states": [io.matrix_to_json(s) for s in task.states[label]]}
+                            for label in task.pair_priors}}
+    return {"delta_p": discrimination.advantage(task, family, inst, settings),
+            "epsilon": task.epsilon,
+            "witness_gap": w.gap,
+            **fields,
+            "provenance": io.provenance_block(settings, seed=args.seed)}
 
 
-def cmd_histogram(args) -> int:
-    settings = _settings(args)
-    try:
-        result = discrimination.histogram_experiment(args.samples, args.seed,
-                                                     jobs=args.jobs, settings=settings)
-    except SolverFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+def cmd_histogram(args, inst, settings: SolverSettings) -> dict:
+    result = discrimination.histogram_experiment(args.samples, args.seed,
+                                                 jobs=args.jobs, settings=settings)
     with open(args.out, "w") as fh:
         fh.write(result.to_csv())
     summary = result.summary()
     summary["provenance"] = io.provenance_block(
         settings, seed=args.seed, relaxation="ppt-exact",
         extra={"jobs": args.jobs, "csv": args.out})
-    io.dump_result(args.output, summary)
-    return 0
+    return summary
 
 
-def cmd_verify_w(args) -> int:
-    settings = _settings(args)
-    try:
-        fid = state_rmp.verify_w_uniqueness(settings=settings)
-        from .states import qubit_layout, w_marginal
-        act = state_rmp.activation_criterion(w_marginal(qubit_layout("AC")),
-                                             samples=args.samples, seed=args.seed)
-    except SolverFailure as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    payload = {
+def cmd_verify_w(args, inst, settings: SolverSettings) -> dict:
+    fid = state_rmp.verify_w_uniqueness(settings=settings)
+    act = state_rmp.activation_criterion(w_marginal(qubit_layout("AC")),
+                                         samples=args.samples, seed=args.seed)
+    return {
         "max_fid": fid["max_fid"],
         "min_fid": fid["min_fid"],
         "unique": abs(fid["max_fid"] - 1) < 1e-6 and abs(fid["min_fid"] - 1) < 1e-6,
@@ -188,8 +120,6 @@ def cmd_verify_w(args) -> int:
         "activated": act > 0.5,
         "provenance": io.provenance_block(settings, seed=args.seed),
     }
-    io.dump_result(args.output, payload)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,6 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  This is the one place that loads the instance,
+    writes the result and turns errors into exit codes: 2 for bad input
+    (stderr "input error: ..."), 3 for a compatible family asked for a
+    witness ("no witness: ...") or a failed solve ("solver error: ...")."""
     args = build_parser().parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         print("input error: sample count must be >= 1", file=sys.stderr)
@@ -249,7 +183,20 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("input error: parallelism must be >= 1", file=sys.stderr)
         return 2
-    return args.func(args)
+    settings = SolverSettings(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
+    try:
+        inst = io.load_instance(args.input) if hasattr(args, "input") else None
+        io.dump_result(args.output, args.func(args, inst, settings))
+    except (io.SchemaError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except state_rmp.NoWitnessError as exc:
+        print(f"no witness: {exc}", file=sys.stderr)
+        return 3
+    except SolverFailure as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

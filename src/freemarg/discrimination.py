@@ -9,6 +9,14 @@ With channel i being conjugation by the same U_i, the main-outcome success
 probability is an affine image of the witness value, so incompatible
 families beat every free-compatible family at the task.
 
+The task layer is written once, in the Heisenberg picture, for state tasks
+and for the channel tasks of `channel_rmp`.  A task's `outcomes()` gives,
+per family entry X, its prior p_X, the outcome priors p_i and observables
+H_i with P = sum_X p_X sum_i p_i tr(tau_X H_i): H_i = U_i^dag E_i U_i for a
+state task, and H_i = d_in E_i (x) rho_i^T, paired with the Choi state
+tau_X, for a channel task.  Success probabilities, advantages and the bound
+terms of the epsilon rule are all computed from these observables.
+
 Randomness is deterministic and portable: all sampling uses the Philox4x32-10
 counter-based generator; the histogram experiment seeds sample k with
 ``seed XOR k``, so results are independent of execution order.
@@ -16,9 +24,10 @@ counter-based generator; the histogram experiment seeds sample k with
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -32,15 +41,11 @@ from .herm import (
     hermitize,
 )
 from .solver import SolverFailure, SolverSettings
-from .state_rmp import (
-    CompatibleSetModel,
-    MarginalFamily,
-    RmpInstance,
-    Witness,
-    epsilon_bounds,
-    epsilon_rule,
-)
+from .state_rmp import CompatibleSetModel, MarginalFamily, RmpInstance, Witness
 from .states import qubit_layout, w_marginal
+
+if TYPE_CHECKING:
+    from .state_rmp import Instance
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +92,6 @@ class DiscriminationTask:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        tols = DEFAULT_TOLS
         if abs(sum(b.prior for b in self.blocks) - 1) > 1e-12:
             raise ValueError("block priors must sum to one")
         for b in self.blocks:
@@ -96,53 +100,79 @@ class DiscriminationTask:
             if len(b.unitaries) != len(b.povm) or len(b.povm) != len(b.outcome_priors):
                 raise ValueError("outcome count mismatch")
             total = sum(b.povm)
-            if np.max(np.abs(total - np.eye(total.shape[0]))) > tols.psd:
+            if np.max(np.abs(total - np.eye(total.shape[0]))) > DEFAULT_TOLS.psd:
                 raise ValueError("POVM does not sum to the identity")
 
     @property
     def strictly_positive(self) -> bool:
-        for b in self.blocks:
-            if b.prior <= 0 or np.any(b.outcome_priors <= 0):
-                return False
-            for e in b.povm:
-                if np.linalg.eigvalsh(hermitize(e))[0] <= 0:
-                    return False
-        return True
+        return all(is_strictly_positive(b.prior, b.outcome_priors, b.povm) for b in self.blocks)
+
+    def outcomes(self) -> list[tuple[str, float, np.ndarray, list[np.ndarray]]]:
+        """(label, p_X, p_i, H_i) per block, with H_i = U_i^dag E_i U_i."""
+        return [(",".join(b.sub.members), b.prior, b.outcome_priors,
+                 [u.conj().T @ e @ u for u, e in zip(b.unitaries, b.povm)])
+                for b in self.blocks]
 
 
-def success_probability(task: DiscriminationTask, inputs: MarginalFamily) -> float:
-    """P = sum_X sum_i p_X p_i tr[E_i U_i sigma_X U_i^dag]."""
-    by_members = {tuple(sub.members): sigma for sub, sigma in inputs.entries}
-    total = 0.0
-    for b in task.blocks:
-        sigma = by_members[tuple(b.sub.members)].entries
-        for p_i, u, e in zip(b.outcome_priors, b.unitaries, b.povm):
-            total += b.prior * float(p_i) * float(np.trace(e @ u @ sigma @ u.conj().T).real)
-    return total
+def is_strictly_positive(prior: float, outcome_priors: np.ndarray, povm) -> bool:
+    """Every prior positive and every POVM element positive definite."""
+    return prior > 0 and bool(np.all(outcome_priors > 0)) and all(
+        np.linalg.eigvalsh(hermitize(e))[0] > 0 for e in povm)
 
 
-def effective_observables(task: DiscriminationTask) -> list[tuple[SubsystemSet, np.ndarray]]:
-    """O_X with P(tau) = sum_X tr(tau_X O_X): Heisenberg-picture POVM sums."""
+def effective_observables(task, weight: Callable[[int, int], float] | None = None
+                          ) -> list[tuple[str, np.ndarray]]:
+    """(label, O_X) with O_X = p_X sum_i w_i H_i, so P(tau) = sum_X tr(tau_X O_X).
+    The weights w_i are the outcome priors, or weight(i, n) for outcome i of
+    an entry with n main outcomes and one completing outcome."""
     out = []
-    for b in task.blocks:
-        d = b.povm[0].shape[0]
-        o = np.zeros((d, d), dtype=complex)
-        for p_i, u, e in zip(b.outcome_priors, b.unitaries, b.povm):
-            o += b.prior * float(p_i) * (u.conj().T @ e @ u)
-        out.append((b.sub, hermitize(o)))
+    for label, prior, priors, hs in task.outcomes():
+        o = np.zeros(hs[0].shape, dtype=complex)
+        for i, h in enumerate(hs):
+            o += prior * float(priors[i] if weight is None else weight(i, len(hs) - 1)) * h
+        out.append((label, hermitize(o)))
     return out
 
 
-def advantage(task: DiscriminationTask, sigma: MarginalFamily,
-              feasible: RmpInstance | CompatibleSetModel,
-              settings: SolverSettings | None = None,
-              require_strict: bool = True) -> float:
-    """P at sigma minus the best P over the free-compatible set."""
-    if require_strict and not task.strictly_positive:
+def value_at(observables: Sequence[tuple[str, np.ndarray]], family) -> float:
+    """sum_X tr(O_X tau_X), where tau_X is `family.targets()[X]`."""
+    targets = family.targets()
+    return sum(float(np.trace(o @ targets[label]).real) for label, o in observables)
+
+
+def success_probability(task, inputs) -> float:
+    """P = sum_X p_X sum_i p_i tr(tau_X H_i) for a state or channel task and
+    a family `inputs` of marginals or pair Choi states tau_X."""
+    return value_at(effective_observables(task), inputs)
+
+
+def advantage(task, sigma, feasible: Instance | CompatibleSetModel,
+              settings: SolverSettings | None = None) -> float:
+    """P at the family `sigma` minus the best P over the free-compatible set."""
+    strict = task.strictly_positive  # a property of state tasks, a method of channel tasks
+    if not (strict() if callable(strict) else strict):
         raise ValueError("advantage is defined for strictly positive tasks")
-    sup = CompatibleSetModel.of(feasible, settings).maximize(
-        effective_observables(task)).primal_value
-    return success_probability(task, sigma) - sup
+    obs = effective_observables(task)
+    sup = CompatibleSetModel.of(feasible, settings).maximize(obs).primal_value
+    return value_at(obs, sigma) - sup
+
+
+def epsilon_bound_terms(task, sigma, feasible: Instance | CompatibleSetModel,
+                        settings: SolverSettings | None = None) -> tuple[float, float]:
+    """(Delta_1, Delta_2) of the epsilon rule: the family's advantage on the
+    main outcomes, weighted uniformly, and the worst drift of the completing
+    outcome against them over the free-compatible set."""
+    main = effective_observables(task, lambda i, n: 1.0 / n if i < n else 0.0)
+    gamma = effective_observables(task, lambda i, n: -1.0 / n if i < n else 1.0)
+    sup_main, sup_gamma = CompatibleSetModel.of(feasible, settings).maximize_many([main, gamma])
+    return (value_at(main, sigma) - sup_main.primal_value,
+            sup_gamma.primal_value - value_at(gamma, sigma))
+
+
+def epsilon_rule(d1: float, d2: float) -> float:
+    """The safety rule for the completing-outcome prior:
+    eps = 1/2 if Delta_2 <= 0 else min(Delta_1/Delta_2, 1)/2."""
+    return 0.5 if d2 <= 0 else min(d1 / d2, 1.0) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +248,7 @@ def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None 
             raise ValueError("epsilon rule needs the instance to bound the task terms")
         draft = _assemble(specs, delta, 0.5)
         eps = epsilon_rule(*epsilon_bound_terms(draft, instance.marginals, instance, settings))
-    task = _assemble(specs, delta, float(eps))
-    return task
+    return _assemble(specs, delta, float(eps))
 
 
 def _assemble(specs, delta: float, eps: float) -> DiscriminationTask:
@@ -233,32 +262,6 @@ def _assemble(specs, delta: float, eps: float) -> DiscriminationTask:
     return DiscriminationTask(tuple(blocks), eps)
 
 
-def epsilon_bound_terms(task: DiscriminationTask, sigma: MarginalFamily,
-                        feasible: RmpInstance | CompatibleSetModel,
-                        settings: SolverSettings | None = None) -> tuple[float, float]:
-    """(Delta_1, Delta_2): the main-outcome advantage and the worst drift of
-    the completing outcome, recomputed from the assembled task."""
-
-    def blockwise(weight_fn):
-        obs = []
-        for b in task.blocks:
-            d = b.povm[0].shape[0]
-            o = np.zeros((d, d), dtype=complex)
-            for i, (u, e) in enumerate(zip(b.unitaries, b.povm)):
-                o += b.prior * weight_fn(i, d) * (u.conj().T @ e @ u)
-            obs.append((b.sub, hermitize(o)))
-        return obs
-
-    def val(obs):
-        by_members = {tuple(sub.members): s for sub, s in sigma.entries}
-        return sum(float(np.trace(o @ by_members[tuple(sub.members)].entries).real)
-                   for sub, o in obs)
-
-    main = blockwise(lambda i, d: 1.0 / d if i < d else 0.0)
-    gamma = blockwise(lambda i, d: -1.0 / d if i < d else 1.0)
-    return epsilon_bounds(feasible, main, gamma, val, settings)
-
-
 # ---------------------------------------------------------------------------
 # The W-marginal example and its histogram experiment
 # ---------------------------------------------------------------------------
@@ -267,6 +270,7 @@ def epsilon_bound_terms(task: DiscriminationTask, sigma: MarginalFamily,
 # weights and vectors of (witness + 0.01*I) for the two-qubit witness block,
 # in the basis |00>, |01>, |10>, |11>.
 W_EXAMPLE_DELTA = 0.01
+W_EXAMPLE_EPSILON = 0.01  # the completing-outcome prior of the histogram tasks
 W_EXAMPLE_WEIGHTS = np.array([
     0.010000027026545,
     0.010000058075968,
@@ -318,58 +322,44 @@ def w_histogram_instance() -> RmpInstance:
     return RmpInstance(fam, free)
 
 
-@dataclass(frozen=True)
-class WTaskParams:
-    """Fixed parameters of the histogram experiment."""
-
-    delta: float = W_EXAMPLE_DELTA
-    epsilon: float = 0.01
-    weights: np.ndarray = field(default_factory=lambda: W_EXAMPLE_WEIGHTS.copy())
-    vectors: np.ndarray = field(default_factory=lambda: W_EXAMPLE_VECTORS.copy())
-
-
-def _w_example_task(unitaries: Sequence[np.ndarray], params: WTaskParams) -> DiscriminationTask:
+def _w_example_task(unitaries: Sequence[np.ndarray]) -> DiscriminationTask:
     """The two-block task of the experiment: one set of five unitaries shared
     by the AB and AC blocks, POVMs normalized the published way."""
     layout = qubit_layout("ABC")
-    eps = params.epsilon
+    eps = W_EXAMPLE_EPSILON
     priors = np.array([(1 - eps) / 4] * 4 + [eps])
     blocks = tuple(
-        _block_from_spectrum(SubsystemSet(layout, members), params.weights,
-                             params.vectors, unitaries, params.delta, priors, 0.5,
+        _block_from_spectrum(SubsystemSet(layout, members), W_EXAMPLE_WEIGHTS,
+                             W_EXAMPLE_VECTORS, unitaries, W_EXAMPLE_DELTA, priors, 0.5,
                              strict=False)
         for members in (("A", "B"), ("A", "C")))
     return DiscriminationTask(blocks, eps)
 
 
-def w_advantages(indices: Sequence[int], seed: int, params: WTaskParams | None = None,
-                 model: CompatibleSetModel | None = None,
+def w_advantages(indices: Sequence[int], seed: int,
                  settings: SolverSettings | None = None) -> np.ndarray:
     """Histogram samples `indices`: for each, five shared Haar unitaries
     keyed by ``seed XOR index``, then the task's advantage over the
     separable-target compatible set.  The set maximizations are solved in
     one batch; a sample's value does not depend on the batch."""
-    params = params or WTaskParams()
-    if model is None:
-        model = CompatibleSetModel(w_histogram_instance(), settings)
-    tasks = []
+    model = CompatibleSetModel(w_histogram_instance(), settings)
+    observables = []
     for index in indices:
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(index)))
-        tasks.append(_w_example_task([haar_from_generator(4, gen) for _ in range(5)], params))
+        task = _w_example_task([haar_from_generator(4, gen) for _ in range(5)])
+        observables.append(effective_observables(task))
     try:
-        sups = model.maximize_many([effective_observables(task) for task in tasks])
+        sups = model.maximize_many(observables)
     except SolverFailure as exc:
         raise SolverFailure(f"histogram samples {indices[0]}..{indices[-1]} failed: {exc}") from exc
     sigma = model.instance.marginals
-    return np.array([success_probability(task, sigma) - sup.primal_value
-                     for task, sup in zip(tasks, sups)])
+    return np.array([value_at(obs, sigma) - sup.primal_value
+                     for obs, sup in zip(observables, sups)])
 
 
-def sample_w_advantage(index: int, seed: int, params: WTaskParams | None = None,
-                       model: CompatibleSetModel | None = None,
-                       settings: SolverSettings | None = None) -> float:
+def sample_w_advantage(index: int, seed: int, settings: SolverSettings | None = None) -> float:
     """One histogram sample (see `w_advantages`)."""
-    return float(w_advantages([index], seed, params, model, settings)[0])
+    return float(w_advantages([index], seed, settings)[0])
 
 
 @dataclass
@@ -418,29 +408,38 @@ _HISTOGRAM_BATCH = 128
 
 def _histogram_range(args) -> tuple[int, np.ndarray]:
     """Samples start..stop-1 as one batch, with a model of their own."""
-    start, stop, seed, params, settings = args
-    return start, w_advantages(range(start, stop), seed, params, settings=settings)
+    start, stop, seed, settings = args
+    return start, w_advantages(range(start, stop), seed, settings)
 
 
-def histogram_experiment(n_samples: int, seed: int, params: WTaskParams | None = None,
-                         jobs: int = 1,
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def histogram_experiment(n_samples: int, seed: int, jobs: int = 1,
                          settings: SolverSettings | None = None) -> HistogramResult:
     """Distribution of the discrimination advantage of the W marginals over
     Haar-random unitary ensembles.  Samples are seeded independently and
     solved in batches of contiguous indices, and a sample does not depend on
     its batch, so the result does not depend on the batch size or on the
-    degree of parallelism."""
+    degree of parallelism.  At most `jobs` worker processes run, and never
+    more than there are usable CPUs or batches."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    size = min(_HISTOGRAM_BATCH, -(-n_samples // max(jobs, 1)))
-    ranges = [(k, min(k + size, n_samples), seed, params, settings)
+    workers = max(1, min(jobs, _usable_cpus()))
+    size = min(_HISTOGRAM_BATCH, -(-n_samples // workers))
+    ranges = [(k, min(k + size, n_samples), seed, settings)
               for k in range(0, n_samples, size)]
+    workers = min(workers, len(ranges))
     out = np.empty(n_samples)
-    if jobs <= 1 or len(ranges) == 1:
+    if workers == 1:
         for start, values in map(_histogram_range, ranges):
             out[start:start + values.size] = values
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for start, values in pool.map(_histogram_range, ranges):
                 out[start:start + values.size] = values
     return HistogramResult(out, seed)

@@ -212,7 +212,9 @@ class FreeSetSpec:
     def from_json(data: dict, layout: SubsystemLayout) -> "FreeSetSpec":
         target = SubsystemSet(layout, data["target"])
         kind = data["kind"]
-        params = data.get("params", {}) or {}
+        params = data.get("params") or {}
+        if not isinstance(params, dict):
+            raise ValueError("free-set params must be a JSON object")
         if kind == "AllStates":
             return FreeSetSpec.all_states(target)
         if kind == "SeparablePPT":

@@ -12,12 +12,13 @@ workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 
 
 class LayoutError(ValueError):
@@ -73,10 +74,6 @@ class SubsystemLayout:
         keep = set(self._check(labels))
         return SubsystemLayout([f for f in self.factors if f[0] in keep])
 
-    def complement(self, labels: Iterable[str]) -> tuple[str, ...]:
-        drop = set(self._check(labels))
-        return tuple(l for l in self.labels if l not in drop)
-
     def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
         clash = set(self.labels) & set(other.labels)
         if clash:
@@ -95,7 +92,8 @@ class SubsystemLayout:
 
     @staticmethod
     def from_json(data: Sequence) -> "SubsystemLayout":
-        return SubsystemLayout([(str(l), int(d)) for l, d in data])
+        """[[label, dim], ...]; a dimension must be an integer, not a string."""
+        return SubsystemLayout([(str(l), operator.index(d)) for l, d in data])
 
 
 @dataclass(frozen=True)
@@ -184,14 +182,13 @@ class HermitianOperator:
     layout: SubsystemLayout
     entries: np.ndarray = field(repr=False)
 
-    def __init__(self, layout: SubsystemLayout, entries: np.ndarray,
-                 tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, layout: SubsystemLayout, entries: np.ndarray):
         entries = np.asarray(entries, dtype=complex)
         d = layout.total_dim
         if entries.shape != (d, d):
             raise ValidationError(f"entries shape {entries.shape} != layout dim {d}")
         dev = float(np.max(np.abs(entries - entries.conj().T))) if d else 0.0
-        if dev > tols.hermiticity:
+        if dev > DEFAULT_TOLS.hermiticity:
             raise ValidationError(f"not Hermitian: max |M - M^dag| = {dev:.3e}")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "entries", _freeze(hermitize(entries)))
@@ -224,10 +221,10 @@ class DensityMatrix:
 
     op: HermitianOperator
 
-    def __init__(self, op: HermitianOperator, tols: Tolerances = DEFAULT_TOLS):
-        if op.min_eig() < -tols.psd:
+    def __init__(self, op: HermitianOperator):
+        if op.min_eig() < -DEFAULT_TOLS.psd:
             raise ValidationError(f"not PSD: min eigenvalue {op.min_eig():.3e}")
-        if abs(op.trace() - 1.0) > tols.trace:
+        if abs(op.trace() - 1.0) > DEFAULT_TOLS.trace:
             raise ValidationError(f"trace {op.trace()} != 1")
         object.__setattr__(self, "op", op)
 
@@ -244,9 +241,8 @@ class DensityMatrix:
         return self.op.dim
 
     @staticmethod
-    def from_array(layout: SubsystemLayout, entries: np.ndarray,
-                   tols: Tolerances = DEFAULT_TOLS) -> "DensityMatrix":
-        return DensityMatrix(HermitianOperator(layout, entries, tols), tols)
+    def from_array(layout: SubsystemLayout, entries: np.ndarray) -> "DensityMatrix":
+        return DensityMatrix(HermitianOperator(layout, entries))
 
     def to_json(self) -> dict:
         return self.op.to_json()

@@ -142,6 +142,8 @@ def load_instance(path: str):
         except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed JSON at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"instance file is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("instance file must hold a JSON object")
     return instance_from_json(data)

@@ -16,8 +16,7 @@ stays <= 1 while the value at sigma equals the optimum > 1.
 A channel family is the same problem on out (x) in with extra linear rows
 (see `channel_rmp`).  Both instance types describe themselves by a
 `MarginalProblem`, and the compatibility check, the robustness, the compiled
-linear-max model, the witness duals and the epsilon rule's bound solves
-below take either.
+linear-max model and the witness duals below take either.
 """
 
 from __future__ import annotations
@@ -92,6 +91,10 @@ class MarginalFamily:
 
     def labels(self) -> list[str]:
         return [",".join(sub.members) for sub, _ in self.entries]
+
+    def targets(self) -> dict[str, np.ndarray]:
+        """Each marginal's matrix, by label "A,B"."""
+        return {label: sigma.entries for label, (_, sigma) in zip(self.labels(), self.entries)}
 
 
 @dataclass(frozen=True)
@@ -348,7 +351,7 @@ def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
 
 
 # ---------------------------------------------------------------------------
-# Witness extraction and the epsilon rule
+# Witness extraction
 # ---------------------------------------------------------------------------
 
 
@@ -371,25 +374,6 @@ def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = N
     if value <= sup:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
     return duals, value, sup
-
-
-def epsilon_bounds(feasible: Instance | CompatibleSetModel, main, gamma,
-                   value_at: Callable[[list], float],
-                   settings: SolverSettings | None = None) -> tuple[float, float]:
-    """(Delta_1, Delta_2) of the epsilon rule: the advantage of the family at
-    the main-outcome objective `main`, and the worst drift of the completing
-    outcome `gamma` over the free-compatible set.  `value_at(objective)` is
-    the objective's value at the family."""
-    sup_main, sup_gamma = CompatibleSetModel.of(feasible, settings).maximize_many([main, gamma])
-    d1 = value_at(main) - sup_main.primal_value
-    d2 = sup_gamma.primal_value - value_at(gamma)
-    return d1, d2
-
-
-def epsilon_rule(d1: float, d2: float) -> float:
-    """The safety rule for the completing-outcome prior:
-    eps = 1/2 if Delta_2 <= 0 else min(Delta_1/Delta_2, 1)/2."""
-    return 0.5 if d2 <= 0 else min(d1 / d2, 1.0) / 2
 
 
 @dataclass

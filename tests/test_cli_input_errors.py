@@ -1,0 +1,49 @@
+"""Malformed and mistyped instance files: every one exits with code 2 and an
+"input error:" line, never a traceback."""
+
+import copy
+import json
+
+import pytest
+
+from freemarg import cli, io
+from freemarg.discrimination import w_example_instance
+
+from test_channel_rmp import broadcasting_instance
+
+STATE = io.state_instance_to_json(w_example_instance())
+CHANNEL = io.channel_instance_to_json(broadcasting_instance())
+
+
+def edited(base, edit) -> bytes:
+    data = copy.deepcopy(base)
+    edit(data)
+    return json.dumps(data).encode()
+
+
+CORPUS = {
+    "truncated_json": json.dumps(STATE).encode()[:300],
+    "not_utf8": b"\xff\xfe" + json.dumps(STATE).encode(),
+    "top_level_list": json.dumps([STATE]).encode(),
+    "string_dims": edited(STATE, lambda d: d["layout"][0].__setitem__(1, "2")),
+    "non_square_matrix": edited(STATE, lambda d: d["marginals"][0]["matrix"].pop()),
+    "unknown_label": edited(STATE, lambda d: d["marginals"][0].__setitem__("subsystems",
+                                                                            ["A", "Z"])),
+    "unknown_free_kind": edited(STATE, lambda d: d["free"].__setitem__("kind", "Bogus")),
+    "list_params": edited(STATE, lambda d: d["free"].__setitem__("params", [1])),
+    "channel_pair_without_choi": edited(CHANNEL, lambda d: d["pairs"][0].pop("choi")),
+}
+
+
+@pytest.mark.parametrize("command", ["robustness", "discriminate"])
+@pytest.mark.parametrize("name", list(CORPUS))
+def test_bad_instance_exits_2(name, command, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_bytes(CORPUS[name])
+    out = tmp_path / "out.json"
+    rc = cli.main([command, "--input", str(path), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+    assert not out.exists()

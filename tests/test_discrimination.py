@@ -91,9 +91,9 @@ class TestSuccessProbability:
         seed = 777
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         us = [haar_from_generator(4, gen) for _ in range(5)]
-        from freemarg.discrimination import WTaskParams, _w_example_task
+        from freemarg.discrimination import _w_example_task
 
-        task = _w_example_task(us, WTaskParams())
+        task = _w_example_task(us)
         inst = w_histogram_instance()
         got = success_probability(task, inst.marginals)
         # independent expansion
