@@ -32,26 +32,20 @@ from .herm import (
     DensityMatrix,
     HermitianOperator,
     LayoutError,
+    LinearMap,
     SubsystemLayout,
     SubsystemSet,
     ValidationError,
     hermitize,
+    partial_trace_map,
+    permute_map,
+    probe_times_map,
     ptrace_array,
+    svec,
+    tensor_identity_map,
 )
 from .programs import attach_free_state_cone
-from .solver import (
-    BlockRef,
-    ComposeMap,
-    ConicProgram,
-    LinMap,
-    PartialTraceMap,
-    PermuteMap,
-    SolverFailure,
-    SolverSettings,
-    TensorIdentityMap,
-    TraceTimesMap,
-    svec,
-)
+from .solver import BlockRef, ConicProgram, SolverFailure, SolverSettings
 from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     CompatibilityResult,
     CompatibleSetModel,
@@ -276,8 +270,7 @@ class MarginalChannelResult:
     deviation: float
 
 
-def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair,
-                     tol: float = DEFAULT_TOLS.psd) -> MarginalChannelResult:
+def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> MarginalChannelResult:
     """Reduced channel on the pair, when the no-signaling condition holds.
 
     Exists iff  tr_{rest}(J) (x) I/d  ==  tr_{out rest}(J)  on the kept
@@ -286,13 +279,13 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair,
     """
     so = global_channel.out_layout.concat(global_channel.in_layout)
     j = global_channel.choi.entries
-    marg = PartialTraceMap(so, pair.out.members + pair.inp.members).apply(j)
+    marg = ptrace_array(j, so.dims, so.axes_of(pair.out.members + pair.inp.members))
     dev = 0.0
     terms = _existence_terms(so, global_channel.in_layout, pair)
     if terms is not None:
         rhs = terms[0].apply(j)
         dev = float(np.max(np.abs(rhs + terms[1].apply(j))))
-        if dev > tol * max(1.0, float(np.max(np.abs(rhs)))):
+        if dev > DEFAULT_TOLS.psd * max(1.0, float(np.max(np.abs(rhs)))):
             return MarginalChannelResult(False, None, dev)
     in_sub = global_channel.in_layout.sublayout(pair.inp.members)
     out_sub = global_channel.out_layout.sublayout(pair.out.members)
@@ -306,22 +299,20 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair,
 
 
 def _existence_terms(so: SubsystemLayout, global_in: SubsystemLayout,
-                     pair: ChannelPair) -> list[LinMap] | None:
+                     pair: ChannelPair) -> list[LinearMap] | None:
     """Maps of  tr_{S\\X}(V) - lift(tr_{SS'\\XX'}(V)) = 0, or None if trivial."""
     rest_in = [l for l in global_in.labels if l not in pair.inp.members]
     if not rest_in:
         return None
     keep_pair = list(pair.out.members) + list(pair.inp.members)
     rhs_labels = list(pair.out.members) + list(global_in.labels)
-    lhs = PartialTraceMap(so, rhs_labels)
-    m1 = PartialTraceMap(so, keep_pair)
-    d_rest = global_in.dim_of(rest_in)
-    m2 = TensorIdentityMap(m1.out_dim, d_rest, denom=d_rest)
+    m1 = partial_trace_map(so, keep_pair)
+    m2 = tensor_identity_map(m1.out_dim, global_in.dim_of(rest_in))
     cur_layout = SubsystemLayout(
         [so.factors[a] for a in so.axes_of(keep_pair)]
         + [global_in.factors[a] for a in global_in.axes_of(rest_in)])
-    m3 = PermuteMap(cur_layout, rhs_labels)
-    return [lhs, ComposeMap(m3, ComposeMap(m2, m1)).scaled(-1.0)]
+    m3 = permute_map(cur_layout, rhs_labels)
+    return [partial_trace_map(so, rhs_labels), -(m3 @ (m2 @ m1))]
 
 
 def _choi_normalization(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRef,
@@ -329,13 +320,14 @@ def _choi_normalization(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRe
     """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
     so = inst.joint_layout
     gin = inst.family.global_in
-    tr_out_map = PartialTraceMap(so, gin.labels)
+    tr_out_map = partial_trace_map(so, gin.labels)
     d_in = gin.total_dim
     if pinned:
         prog.add_matrix_equality("choi_state", [(v, tr_out_map)], np.eye(d_in) / d_in)
     else:
         prog.add_matrix_equality(
-            "choi_cone", [(v, tr_out_map), (v, TraceTimesMap(so.total_dim, -np.eye(d_in) / d_in))],
+            "choi_cone",
+            [(v, tr_out_map), (v, probe_times_map(np.eye(so.total_dim), -np.eye(d_in) / d_in))],
             np.zeros((d_in, d_in)))
 
 
@@ -357,15 +349,14 @@ def _channel_structure(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRef
     if free.kind == "SingletonChannel":
         prog.add_matrix_equality(
             "free.pin",
-            [(v, PartialTraceMap(so, keep_t)),
-             (v, TraceTimesMap(so.total_dim, -free.choi.entries))],
+            [(v, partial_trace_map(so, keep_t)),
+             (v, probe_times_map(np.eye(so.total_dim), -free.choi.entries))],
             np.zeros((free.choi.dim,) * 2))
     elif free.kind == "FreeOutputState":
         # replacement structure: V_TT' = tr_{T'}(V_TT') (x) I/d_T'
-        m_tt = PartialTraceMap(so, keep_t)
-        m_t = PartialTraceMap(so, list(t_pair.out.members))
-        d_tp = t_pair.inp.dim
-        lift = ComposeMap(TensorIdentityMap(m_t.out_dim, d_tp, denom=d_tp), m_t).scaled(-1.0)
+        m_tt = partial_trace_map(so, keep_t)
+        m_t = partial_trace_map(so, list(t_pair.out.members))
+        lift = -(tensor_identity_map(m_t.out_dim, t_pair.inp.dim) @ m_t)
         prog.add_matrix_equality("free.replacement", [(v, m_tt), (v, lift)],
                                  np.zeros((m_tt.out_dim,) * 2))
         attach_free_state_cone(prog, v, m_t, free.state_spec, prefix="free.state")
@@ -392,11 +383,10 @@ def _project_choi_state(j: np.ndarray, d_in: int) -> np.ndarray:
 
 
 def check_channel_compatible(inst: ChannelRmpInstance,
-                             tol: float = DEFAULT_TOLS.compat,
                              settings: SolverSettings | None = None) -> CompatibilityResult:
     """Feasibility of a global channel matching all pair marginals with a
     free target-pair marginal."""
-    return check_rfree_compatible(inst, tol, settings)
+    return check_rfree_compatible(inst, settings)
 
 
 def channel_robustness(inst: ChannelRmpInstance,
@@ -470,11 +460,10 @@ class ChannelWitness:
 
 def channel_witness(inst: ChannelRmpInstance,
                     robustness: RobustnessResult | None = None,
-                    settings: SolverSettings | None = None,
-                    tol: float = DEFAULT_TOLS.compat) -> ChannelWitness:
+                    settings: SolverSettings | None = None) -> ChannelWitness:
     """The robustness dual per pair, decomposed over IC frames into
     (observable, input state) terms."""
-    duals, value, sup = witness_duals(inst, robustness, settings, tol)
+    duals, value, sup = witness_duals(inst, robustness, settings)
     entries: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for pair, spec in inst.family.entries:
         e = duals[pair.label()]

@@ -12,9 +12,10 @@ workers.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -145,23 +146,176 @@ def ptrace_array(arr: np.ndarray, dims: Sequence[int], keep_axes: Sequence[int])
 
 
 def ptranspose_array(arr: np.ndarray, dims: Sequence[int], part_axes: Sequence[int]) -> np.ndarray:
-    """Transpose the designated tensor factors of a square matrix."""
+    """Transpose the designated tensor factors of a square matrix, or of each
+    matrix of a stack."""
     n = len(dims)
-    t = arr.reshape(*dims, *dims)
     perm = list(range(2 * n))
     for ax in part_axes:
         perm[ax], perm[ax + n] = perm[ax + n], perm[ax]
-    d = arr.shape[0]
-    return t.transpose(perm).reshape(d, d)
+    return _transpose_factors(arr, dims, perm)
 
 
 def permute_array(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors: axis k of the result is axis perm[k] of the input."""
+    """Reorder tensor factors of a square matrix, or of each matrix of a
+    stack: axis k of the result is axis perm[k] of the input."""
     n = len(dims)
-    t = arr.reshape(*dims, *dims)
-    full = list(perm) + [p + n for p in perm]
-    d = arr.shape[0]
-    return t.transpose(full).reshape(d, d)
+    return _transpose_factors(arr, dims, list(perm) + [p + n for p in perm])
+
+
+def _transpose_factors(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Permute the 2n row and column factor axes of (..., d, d) matrices."""
+    lead = arr.shape[:-2]
+    t = arr.reshape(*lead, *dims, *dims)
+    b = len(lead)
+    return t.transpose(*range(b), *(b + p for p in perm)).reshape(arr.shape)
+
+
+# ---------------------------------------------------------------------------
+# Real coordinates of Hermitian matrices
+# ---------------------------------------------------------------------------
+
+_SQRT2 = np.sqrt(2.0)
+_coords_cache: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _coords(n: int) -> tuple[np.ndarray, ...]:
+    """Index tables of `svec` and `smat` for n x n matrices, over their 2n*n
+    reals (re, im of each entry, row by row): svec reads reals[pos] * factor;
+    smat writes coordinates[src] * scale to reals[dst], which also fills the
+    conjugate mirror of each upper entry."""
+    if n not in _coords_cache:
+        iu, ju = np.triu_indices(n, 1)
+        upper, lower = 2 * (iu * n + ju), 2 * (ju * n + iu)
+        pos = np.concatenate([2 * np.arange(n) * (n + 1), np.stack([upper, upper + 1], -1).ravel()])
+        factor = np.concatenate([np.ones(n), np.tile([_SQRT2, -_SQRT2], iu.size)])
+        src = np.concatenate([np.arange(n * n), np.arange(n, n * n)])
+        dst = np.concatenate([pos, np.stack([lower, lower + 1], -1).ravel()])
+        scale = 1.0 / np.concatenate([factor, np.full(2 * iu.size, _SQRT2)])
+        _coords_cache[n] = pos, factor, src, dst, scale
+    return _coords_cache[n]
+
+
+def svec(m: np.ndarray) -> np.ndarray:
+    """Coordinates of Hermitian (..., n, n) matrices in `hermitian_basis(n)`:
+    the diagonal, then sqrt2 * (Re, -Im) of each upper entry, row by row.
+    The map is an isometry: svec(H) @ svec(K) == tr(H K)."""
+    pos, factor = _coords(m.shape[-1])[:2]
+    reals = np.ascontiguousarray(m, dtype=complex).view(np.float64)
+    # `take`, unlike indexing with an array, returns rows in C order, which
+    # keeps the row-wise sums of the solver member by member
+    out = np.take(reals.reshape(m.shape[:-2] + (-1,)), pos, axis=-1)
+    out *= factor  # in place: one large temporary fewer when building map matrices
+    return out
+
+
+def smat(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `svec`: (..., n*n) real coordinates -> Hermitian (..., n, n)."""
+    _, _, src, dst, scale = _coords(n)
+    reals = np.zeros(v.shape[:-1] + (2 * n * n,))
+    reals[..., dst] = v[..., src] * scale
+    return reals.view(complex).reshape(v.shape[:-1] + (n, n))
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (trace inner product) basis of d x d Hermitian matrices,
+    stacked: element k is `smat` of the k-th unit vector."""
+    return smat(np.eye(d * d), d)
+
+
+# ---------------------------------------------------------------------------
+# Linear maps between Hermitian matrix spaces
+# ---------------------------------------------------------------------------
+
+
+class LinearMap:
+    """A linear map from d_in x d_in to d_out x d_out Hermitian matrices,
+    held as its real (d_out^2, d_in^2) matrix `k` in `svec` coordinates:
+    svec(apply(M)) == k @ svec(M).  The adjoint under the trace inner product
+    has the matrix k.T.  Maps compose with `outer @ inner` and scale with
+    `alpha * map` and `-map`."""
+
+    def __init__(self, k: np.ndarray):
+        self.k = np.asarray(k, dtype=float)
+        self.k.setflags(write=False)
+
+    @property
+    def in_dim(self) -> int:
+        return math.isqrt(self.k.shape[1])
+
+    @property
+    def out_dim(self) -> int:
+        return math.isqrt(self.k.shape[0])
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        """The map at the Hermitian part of m."""
+        return smat(svec(hermitize(m)) @ self.k.T, self.out_dim)
+
+    def adjoint(self, h: np.ndarray) -> np.ndarray:
+        """The H' with tr(H' M) == tr(H apply(M)) for every Hermitian M."""
+        return smat(svec(hermitize(h)) @ self.k, self.in_dim)
+
+    def __matmul__(self, inner: "LinearMap") -> "LinearMap":
+        if inner.out_dim != self.in_dim:
+            raise ValueError("composed map dimensions do not match")
+        return LinearMap(self.k @ inner.k)
+
+    def __rmul__(self, alpha: float) -> "LinearMap":
+        return LinearMap(float(alpha) * self.k)
+
+    def __neg__(self) -> "LinearMap":
+        return -1.0 * self
+
+
+def _map_from_adjoint(adjoint: Callable[[np.ndarray], np.ndarray], out_dim: int) -> LinearMap:
+    """The map whose adjoint sends a stack of out_dim x out_dim Hermitian
+    matrices to `adjoint` of it: row k of its matrix is svec of the adjoint
+    of `hermitian_basis(out_dim)[k]`.  `adjoint` must return exactly
+    Hermitian matrices, as the factor moves and traces below do."""
+    return LinearMap(svec(adjoint(hermitian_basis(out_dim))))
+
+
+def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap:
+    """M on `layout` -> its partial trace onto `keep`, factors in layout order.
+    The adjoint tensors with the identity on the traced-out factors."""
+    n = len(layout.dims)
+    keep_axes = sorted(layout.axes_of(keep))
+    drop = [a for a in range(n) if a not in keep_axes]
+    order = keep_axes + drop
+    eye = np.eye(int(np.prod([layout.dims[a] for a in drop], dtype=np.int64)))
+    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
+    return _map_from_adjoint(lambda h: permute_array(np.kron(h, eye), dims, back),
+                             layout.dim_of(keep))
+
+
+def partial_transpose_map(layout: SubsystemLayout, part: Sequence[str]) -> LinearMap:
+    """Transpose the factors `part` of M on `layout` (a self-adjoint map)."""
+    axes = layout.axes_of(part)
+    return _map_from_adjoint(lambda h: ptranspose_array(h, layout.dims, axes), layout.total_dim)
+
+
+def permute_map(layout: SubsystemLayout, new_order: Sequence[str]) -> LinearMap:
+    """Reorder the factors of M on `layout` into `new_order`."""
+    perm = layout.axes_of(new_order)
+    dims = [layout.dims[p] for p in perm]
+    back = [list(perm).index(a) for a in range(len(perm))]
+    return _map_from_adjoint(lambda h: permute_array(h, dims, back), layout.total_dim)
+
+
+def tensor_identity_map(in_dim: int, extra_dim: int) -> LinearMap:
+    """M -> M (x) I/extra_dim, the maximally mixed factor appended on the right."""
+    d, e = in_dim, extra_dim
+    return _map_from_adjoint(
+        lambda h: np.trace(h.reshape(-1, d, e, d, e), axis1=2, axis2=4) / e, d * e)
+
+
+def probe_times_map(probe: np.ndarray, c: np.ndarray) -> LinearMap:
+    """M -> tr(P M) C for fixed Hermitian P (on the input) and C (output);
+    with P the identity, M -> tr(M) C."""
+    p = hermitize(np.asarray(probe, dtype=complex))
+    c = np.asarray(c, dtype=complex)
+    return _map_from_adjoint(
+        lambda h: np.trace(h @ c, axis1=-2, axis2=-1).real[:, None, None] * p,
+        c.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +356,6 @@ class HermitianOperator:
 
     def min_eig(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def subsystems(self, labels: Iterable[str]) -> SubsystemSet:
-        return SubsystemSet(self.layout, labels)
 
     def to_json(self) -> dict:
         return {"layout": self.layout.to_json(), "data": matrix_to_json(self.entries)}
@@ -354,5 +505,12 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data: Sequence) -> np.ndarray:
-    rows = [[complex(float(re), float(im)) for re, im in row] for row in data]
+    """Inverse of `matrix_to_json`; every re and im must be a JSON number."""
+    rows = [[complex(_json_real(re), _json_real(im)) for re, im in row] for row in data]
     return np.array(rows, dtype=complex)
+
+
+def _json_real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"matrix entry {x!r} is not a number")
+    return float(x)

@@ -5,19 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .freesets import DiagonalOnly, FreeSetSpec, ProportionalTo, Psd, PsdPartialTranspose
-from .solver import (
-    BlockRef,
-    ComposeMap,
-    ConicProgram,
-    IdentityMap,
-    LinMap,
-    PartialTransposeMap,
-    TraceTimesMap,
-    hermitian_basis,
-)
+from .herm import LinearMap, hermitian_basis, partial_transpose_map, probe_times_map
+from .solver import BlockRef, ConicProgram
 
 
-def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinMap | None,
+def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap | None,
                            free: FreeSetSpec, prefix: str = "free"):
     """Constrain extract(V) (default: V itself) into cone(free set).
 
@@ -27,31 +19,24 @@ def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinMap | 
     map tr(extract(V)) = tr(V), which the `ProportionalTo` rows rely on.
     """
     sub = free.target.sublayout()
-    var_dim = var.cdim
-
-    def compose(outer: LinMap) -> LinMap:
-        return outer if extract is None else ComposeMap(outer, extract)
-
-    for k, con in enumerate(free.emit_constraints()):
+    for con in free.emit_constraints():
         if isinstance(con, Psd):
             continue
         if isinstance(con, PsdPartialTranspose):
-            pt = PartialTransposeMap(sub, con.part)
+            pt = partial_transpose_map(sub, con.part)
             prog.add_psd_inequality(f"{prefix}.ppt[{','.join(con.part)}]",
-                                    [(var, compose(pt))])
+                                    [(var, pt if extract is None else pt @ extract)])
         elif isinstance(con, DiagonalOnly):
             d = sub.total_dim
-            probes = [h for h in hermitian_basis(d)[d:]]  # off-diagonal part only
-            for j, h in enumerate(probes):
+            for j, h in enumerate(hermitian_basis(d)[d:]):  # off-diagonal part only
                 if con.basis is not None:
                     h = con.basis @ h @ con.basis.conj().T
                 lifted = h if extract is None else extract.adjoint(h)
                 prog.add_scalar_equality(f"{prefix}.diag[{j}]", [(var, lifted)], 0.0)
         elif isinstance(con, ProportionalTo):
-            ext = extract if extract is not None else IdentityMap(var_dim)
             prog.add_matrix_equality(
                 f"{prefix}.pin",
-                [(var, ext), (var, TraceTimesMap(var_dim, -con.state))],
+                [(var, extract), (var, probe_times_map(np.eye(var.cdim), -con.state))],
                 np.zeros((sub.total_dim, sub.total_dim)))
         else:
             raise TypeError(f"unknown cone constraint {con!r}")

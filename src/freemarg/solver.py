@@ -8,6 +8,12 @@ a primal-dual interior-point method with Nesterov-Todd scaling on a
 homogeneous self-dual model, so primal infeasibility and unboundedness
 surface as explicit certificates instead of garbage numbers.
 
+A constraint term applies a linear map to a block.  The maps (partial
+traces, partial transposes and the other maps on tensor factors) are built
+once in `herm`, each as a `LinearMap` holding its real matrix in `svec`
+coordinates, and the solver sees only that matrix: it places the matrix in
+the block's columns and knows nothing of tensor factors.
+
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The solver is
 deterministic: no randomized pivoting, identical inputs give identical
@@ -27,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .herm import SubsystemLayout, hermitize, permute_array, ptrace_array, ptranspose_array
+from .herm import LinearMap, hermitize, smat, svec
 
 
 class SolverFailure(RuntimeError):
@@ -49,212 +55,6 @@ class SolverSettings:
 
 
 # ---------------------------------------------------------------------------
-# Linear maps between Hermitian operator spaces (with explicit adjoints)
-# ---------------------------------------------------------------------------
-
-
-class LinMap:
-    """Base class; subclasses provide `apply` and the trace-inner-product
-    adjoint `adjoint` satisfying tr(H @ apply(M)) == tr(adjoint(H) @ M)."""
-
-    in_dim: int
-    out_dim: int
-
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, h: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def scaled(self, alpha: float) -> "LinMap":
-        return ScaleMap(self, alpha)
-
-
-class IdentityMap(LinMap):
-    def __init__(self, dim: int):
-        self.in_dim = self.out_dim = dim
-
-    def apply(self, m):
-        return m
-
-    def adjoint(self, h):
-        return h
-
-
-class ScaleMap(LinMap):
-    def __init__(self, inner: LinMap, alpha: float):
-        self.inner, self.alpha = inner, float(alpha)
-        self.in_dim, self.out_dim = inner.in_dim, inner.out_dim
-
-    def apply(self, m):
-        return self.alpha * self.inner.apply(m)
-
-    def adjoint(self, h):
-        return self.alpha * self.inner.adjoint(h)
-
-
-class ComposeMap(LinMap):
-    def __init__(self, outer: LinMap, inner: LinMap):
-        if inner.out_dim != outer.in_dim:
-            raise ValueError("composed map dimensions do not match")
-        self.outer, self.inner = outer, inner
-        self.in_dim, self.out_dim = inner.in_dim, outer.out_dim
-
-    def apply(self, m):
-        return self.outer.apply(self.inner.apply(m))
-
-    def adjoint(self, h):
-        return self.inner.adjoint(self.outer.adjoint(h))
-
-
-class PartialTraceMap(LinMap):
-    """M on `layout` -> tr over the complement of `keep` (original order)."""
-
-    def __init__(self, layout: SubsystemLayout, keep: Sequence[str]):
-        self.layout = layout
-        self.keep_axes = layout.axes_of(keep)
-        self.dims = layout.dims
-        self.in_dim = layout.total_dim
-        self.out_dim = layout.dim_of(keep)
-
-    def apply(self, m):
-        return ptrace_array(m, self.dims, self.keep_axes)
-
-    def adjoint(self, h):
-        # tensor with identity on the traced-out factors, at their positions
-        n = len(self.dims)
-        drop = [a for a in range(n) if a not in self.keep_axes]
-        full = h
-        order = list(self.keep_axes)
-        for a in drop:
-            full = np.kron(full, np.eye(self.dims[a]))
-            order.append(a)
-        # `full` currently carries factors in `order`; permute back to layout order
-        perm = [order.index(a) for a in range(n)]
-        dims_cur = [self.dims[a] for a in order]
-        return permute_array(full, dims_cur, perm)
-
-
-class PartialTransposeMap(LinMap):
-    def __init__(self, layout: SubsystemLayout, part: Sequence[str]):
-        self.dims = layout.dims
-        self.axes = layout.axes_of(part)
-        self.in_dim = self.out_dim = layout.total_dim
-
-    def apply(self, m):
-        return ptranspose_array(m, self.dims, self.axes)
-
-    adjoint = apply  # partial transpose is self-adjoint
-
-
-class PermuteMap(LinMap):
-    """Reorder tensor factors of `layout` into `new_order`."""
-
-    def __init__(self, layout: SubsystemLayout, new_order: Sequence[str]):
-        self.perm = layout.axes_of(new_order)
-        self.dims = layout.dims
-        self.new_dims = [self.dims[p] for p in self.perm]
-        self.inv = [list(self.perm).index(a) for a in range(len(self.dims))]
-        self.in_dim = self.out_dim = layout.total_dim
-
-    def apply(self, m):
-        return permute_array(m, self.dims, self.perm)
-
-    def adjoint(self, h):
-        return permute_array(h, self.new_dims, self.inv)
-
-
-class TensorIdentityMap(LinMap):
-    """M -> M (x) I_extra / denom, identity factors appended on the right."""
-
-    def __init__(self, in_dim: int, extra_dim: int, denom: float = 1.0):
-        self.in_dim = in_dim
-        self.extra = extra_dim
-        self.denom = float(denom)
-        self.out_dim = in_dim * extra_dim
-
-    def apply(self, m):
-        return np.kron(m, np.eye(self.extra)) / self.denom
-
-    def adjoint(self, h):
-        d = self.in_dim
-        t = h.reshape(d, self.extra, d, self.extra)
-        return np.trace(t, axis1=1, axis2=3) / self.denom
-
-
-class ProbeTimesMap(LinMap):
-    """M -> tr(P M) * C for fixed Hermitian P (on the input) and C (output)."""
-
-    def __init__(self, probe: np.ndarray, c: np.ndarray):
-        self.probe = hermitize(np.asarray(probe, dtype=complex))
-        self.c = np.asarray(c, dtype=complex)
-        self.in_dim = self.probe.shape[0]
-        self.out_dim = self.c.shape[0]
-
-    def apply(self, m):
-        return np.trace(self.probe @ m) * self.c
-
-    def adjoint(self, h):
-        return np.trace(hermitize(h) @ self.c).real * self.probe
-
-
-class TraceTimesMap(ProbeTimesMap):
-    """M -> tr(M) * C for a fixed Hermitian C."""
-
-    def __init__(self, in_dim: int, c: np.ndarray):
-        super().__init__(np.eye(in_dim), c)
-
-
-# ---------------------------------------------------------------------------
-# Real coordinates of Hermitian matrices
-# ---------------------------------------------------------------------------
-
-_SQRT2 = np.sqrt(2.0)
-_coords_cache: dict[int, tuple[np.ndarray, ...]] = {}
-
-
-def _coords(n: int) -> tuple[np.ndarray, ...]:
-    """Index tables of `svec` and `smat` for n x n matrices, over their 2n*n
-    reals (re, im of each entry, row by row): svec reads reals[pos] * factor;
-    smat writes coordinates[src] * scale to reals[dst], which also fills the
-    conjugate mirror of each upper entry."""
-    if n not in _coords_cache:
-        iu, ju = np.triu_indices(n, 1)
-        upper, lower = 2 * (iu * n + ju), 2 * (ju * n + iu)
-        pos = np.concatenate([2 * np.arange(n) * (n + 1), np.stack([upper, upper + 1], -1).ravel()])
-        factor = np.concatenate([np.ones(n), np.tile([_SQRT2, -_SQRT2], iu.size)])
-        src = np.concatenate([np.arange(n * n), np.arange(n, n * n)])
-        dst = np.concatenate([pos, np.stack([lower, lower + 1], -1).ravel()])
-        scale = 1.0 / np.concatenate([factor, np.full(2 * iu.size, _SQRT2)])
-        _coords_cache[n] = pos, factor, src, dst, scale
-    return _coords_cache[n]
-
-
-def svec(m: np.ndarray) -> np.ndarray:
-    """Coordinates of Hermitian (..., n, n) matrices in `hermitian_basis(n)`:
-    the diagonal, then sqrt2 * (Re, -Im) of each upper entry, row by row.
-    The map is an isometry: svec(H) @ svec(K) == tr(H K)."""
-    pos, factor = _coords(m.shape[-1])[:2]
-    reals = np.ascontiguousarray(m, dtype=complex).view(np.float64)
-    # `take`, unlike indexing with an array, returns rows in C order, which
-    # keeps the row-wise sums of the solver member by member
-    return np.take(reals.reshape(m.shape[:-2] + (-1,)), pos, axis=-1) * factor
-
-
-def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `svec`: (..., n*n) real coordinates -> Hermitian (..., n, n)."""
-    _, _, src, dst, scale = _coords(n)
-    reals = np.zeros(v.shape[:-1] + (2 * n * n,))
-    reals[..., dst] = v[..., src] * scale
-    return reals.view(complex).reshape(v.shape[:-1] + (n, n))
-
-
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal (trace inner product) basis of d x d Hermitian matrices."""
-    return [smat(e, d) for e in np.eye(d * d)]
-
-
-# ---------------------------------------------------------------------------
 # Program construction
 # ---------------------------------------------------------------------------
 
@@ -264,7 +64,6 @@ class BlockRef:
     name: str
     cdim: int
     index: int
-    is_slack: bool = False
 
 
 @dataclass
@@ -272,6 +71,9 @@ class _EqGroup:
     name: str
     rows: slice
     scalar: bool
+    # per term, a block and its coefficients in the group's rows: a matrix
+    # over the block's columns, or alpha for alpha times the identity
+    terms: list[tuple[BlockRef, np.ndarray | float]]
 
 
 @dataclass
@@ -280,17 +82,19 @@ class _PsdGroup:
     slack: BlockRef
 
 
-Term = tuple[BlockRef, LinMap | None]
+# a block and the map applied to it; a map of None is the identity
+Term = tuple[BlockRef, LinearMap | None]
 
 
 class ConicProgram:
     """Block-structured SDP: min/max sum_j tr(C_j X_j) over PSD blocks X_j
-    subject to affine equalities and affine-PSD inequality constraints."""
+    subject to affine equalities and affine-PSD inequality constraints.
+    Equality rows are kept as their terms (a map's matrix is shared, not
+    copied) and assembled by `compile`."""
 
     def __init__(self):
         self.blocks: list[BlockRef] = []
         self._offsets: list[int] = []
-        self._rows: list[np.ndarray] = []
         self._rhs: list[float] = []
         self.eq_groups: list[_EqGroup] = []
         self.psd_groups: list[_PsdGroup] = []
@@ -313,13 +117,20 @@ class ConicProgram:
         self._offsets.append(start)
         self._compiled = None
 
-    def _coeff_row(self, terms: Sequence[Term], probe: np.ndarray) -> np.ndarray:
-        row = np.zeros(self.num_cols)
+    def _append_rows(self, name: str, terms: list, rhs: np.ndarray, scalar: bool):
+        start = len(self._rhs)
+        self._rhs.extend(rhs)
+        self.eq_groups.append(_EqGroup(name, slice(start, len(self._rhs)), scalar, terms))
+        self._compiled = None
+
+    @staticmethod
+    def _map_terms(name: str, terms: Sequence[Term], d: int) -> list:
+        """Each map's matrix (1.0 for the identity), checked against the d x d output."""
         for ref, lmap in terms:
-            h = probe if lmap is None else lmap.adjoint(probe)
-            sl = self.block_slice(ref)
-            row[sl] += svec(hermitize(h))
-        return row
+            out = ref.cdim if lmap is None else lmap.out_dim
+            if out != d:
+                raise ValueError(f"constraint {name!r}: term output dim {out} != {d}")
+        return [(ref, 1.0 if lmap is None else lmap.k) for ref, lmap in terms]
 
     @property
     def num_cols(self) -> int:
@@ -334,41 +145,27 @@ class ConicProgram:
     def add_scalar_equality(self, name: str, terms: Sequence[tuple[BlockRef, np.ndarray]],
                             rhs: float):
         """sum_j tr(probe_j X_j) = rhs."""
-        start = len(self._rows)
-        row = np.zeros(self.num_cols)
-        for ref, probe in terms:
-            sl = self.block_slice(ref)
-            row[sl] += svec(hermitize(np.asarray(probe, dtype=complex)))
-        self._rows.append(row)
-        self._rhs.append(float(rhs))
-        self.eq_groups.append(_EqGroup(name, slice(start, start + 1), True))
-        self._compiled = None
+        self._append_rows(name, [(ref, svec(hermitize(np.asarray(probe, dtype=complex)))[None])
+                                 for ref, probe in terms], [float(rhs)], True)
 
     def add_matrix_equality(self, name: str, terms: Sequence[Term], rhs: np.ndarray):
-        """sum_j map_j(X_j) = rhs, expanded over an orthonormal Hermitian basis."""
+        """sum_j map_j(X_j) = rhs, one row per svec coordinate of the output."""
         rhs = hermitize(np.asarray(rhs, dtype=complex))
-        d = rhs.shape[0]
-        for ref, lmap in terms:
-            out = ref.cdim if lmap is None else lmap.out_dim
-            if out != d:
-                raise ValueError(f"constraint {name!r}: term output dim {out} != rhs dim {d}")
-        start = len(self._rows)
-        self._rows.extend(self._coeff_row(terms, h) for h in hermitian_basis(d))
-        self._rhs.extend(svec(rhs))
-        self.eq_groups.append(_EqGroup(name, slice(start, start + d * d), False))
-        self._compiled = None
+        self._append_rows(name, self._map_terms(name, terms, rhs.shape[0]), svec(rhs), False)
 
     def add_psd_inequality(self, name: str, terms: Sequence[Term],
                            const: np.ndarray | None = None):
-        """sum_j map_j(X_j) + const >= 0 (PSD), via a slack block."""
-        dims = [(t[0].cdim if t[1] is None else t[1].out_dim) for t in terms]
-        d = dims[0]
-        if any(x != d for x in dims):
-            raise ValueError(f"constraint {name!r}: mismatched term dimensions {dims}")
-        slack = BlockRef(f"{name}.slack", d, len(self.blocks), is_slack=True)
+        """sum_j map_j(X_j) + const >= 0 (PSD), via a slack block S and the
+        rows sum_j map_j(X_j) - S = -const."""
+        dims = {ref.cdim if lmap is None else lmap.out_dim for ref, lmap in terms}
+        if len(dims) != 1:
+            raise ValueError(f"constraint {name!r}: mismatched term dimensions {sorted(dims)}")
+        (d,) = dims
+        slack = BlockRef(f"{name}.slack", d, len(self.blocks))
         self._append_block(slack)
         rhs = np.zeros((d, d), dtype=complex) if const is None else -np.asarray(const, complex)
-        self.add_matrix_equality(f"{name}.def", list(terms) + [(slack, ScaleMap(IdentityMap(d), -1.0))], rhs)
+        self._append_rows(f"{name}.def", self._map_terms(name, terms, d) + [(slack, -1.0)],
+                          svec(hermitize(rhs)), False)
         self.psd_groups.append(_PsdGroup(name, slack))
 
     def objective_vector(self, terms: Sequence[tuple[BlockRef, np.ndarray]]) -> np.ndarray:
@@ -406,10 +203,16 @@ class ConicProgram:
         if self._compiled is not None:
             return self._compiled
         n = self.num_cols
-        m = len(self._rows)
+        m = len(self._rhs)
         a = np.zeros((m, n))
-        for k, row in enumerate(self._rows):
-            a[k, : row.shape[0]] = row
+        for g in self.eq_groups:
+            for ref, coeff in g.terms:
+                cols = self.block_slice(ref)
+                if isinstance(coeff, float):
+                    diag = np.arange(ref.cdim ** 2)
+                    a[g.rows.start + diag, cols.start + diag] += coeff
+                else:
+                    a[g.rows, cols] += coeff
         b = np.array(self._rhs)
 
         norms = np.linalg.norm(a, axis=1)
@@ -865,7 +668,7 @@ def _optimal_result(program, data, c, x, y, s, tau, iters) -> SolveResult:
     ys = y / tau
     ss = s / tau
     primal_blocks = program.unpack_blocks(xs)
-    y_orig = data["d_inv"] * (data["u_r"] @ ys) if r else np.zeros(len(program._rows))
+    y_orig = data["d_inv"] * (data["u_r"] @ ys) if r else np.zeros(len(program._rhs))
     duals: dict[str, object] = {}
     for g in program.eq_groups:
         duals[g.name] = program.equality_dual(g.name, sense * y_orig)

@@ -34,16 +34,17 @@ from .herm import (
     DensityMatrix,
     HermitianOperator,
     LayoutError,
+    LinearMap,
     SubsystemLayout,
     SubsystemSet,
     hermitize,
+    partial_trace_map,
+    svec,
 )
 from .programs import attach_free_state_cone
 from .solver import (
     BlockRef,
     ConicProgram,
-    LinMap,
-    PartialTraceMap,
     SolveResult,
     SolverFailure,
     SolverSettings,
@@ -117,12 +118,17 @@ class RmpInstance:
     def problem(self) -> MarginalProblem:
         layout, free = self.layout, self.free
         d = layout.total_dim
+        maps = {",".join(sub.members): extraction_map(layout, sub.members)
+                for sub in [sub for sub, _ in self.marginals.entries] + [free.target]}
 
-        def extract(key) -> PartialTraceMap | None:
+        def extract(key) -> LinearMap | None:
             """A subsystem set, its members, or its label "A,B"."""
-            if not isinstance(key, SubsystemSet):
-                key = SubsystemSet(layout, key.split(",") if isinstance(key, str) else key)
-            return extraction_map(layout, key.members)
+            if isinstance(key, SubsystemSet):
+                key = key.members
+            label = key if isinstance(key, str) else ",".join(key)
+            if label in maps:
+                return maps[label]
+            return extraction_map(layout, SubsystemSet(layout, label.split(",")).members)
 
         def normalize(prog: ConicProgram, v: BlockRef, pinned: bool):
             if pinned:  # the cone form, tr(V) = tr(V), says nothing
@@ -143,7 +149,7 @@ class RmpInstance:
         if not finite:
             diagnostics += (" (the free set has no full-rank member, e.g. a pure singleton, "
                             "so finiteness of the measure is not guaranteed)")
-        pairs = tuple((label, extract(sub), sigma.entries)
+        pairs = tuple((label, maps[label], sigma.entries)
                       for label, (sub, sigma) in zip(self.marginals.labels(),
                                                      self.marginals.entries))
         return MarginalProblem(layout, pairs, extract, normalize, constrain, project,
@@ -172,8 +178,8 @@ class MarginalProblem:
     """
 
     layout: SubsystemLayout
-    pairs: tuple[tuple[str, LinMap | None, np.ndarray], ...]
-    extract: Callable[[object], LinMap | None]
+    pairs: tuple[tuple[str, LinearMap | None, np.ndarray], ...]
+    extract: Callable[[object], LinearMap | None]
     normalize: Callable[[ConicProgram, BlockRef, bool], None]
     constrain: Callable[[ConicProgram, BlockRef], None]
     project: Callable[[np.ndarray], tuple[np.ndarray, object]]
@@ -181,14 +187,14 @@ class MarginalProblem:
     diagnostics: str
 
 
-def extraction_map(layout: SubsystemLayout, keep: Sequence[str]) -> PartialTraceMap | None:
+def extraction_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap | None:
     if tuple(keep) == layout.labels:
         return None  # identity
-    return PartialTraceMap(layout, keep)
+    return partial_trace_map(layout, keep)
 
 
 def _program(problem: MarginalProblem, pinned: bool,
-             pairs: Iterable[tuple[str, LinMap | None, np.ndarray]] = ()
+             pairs: Iterable[tuple[str, LinearMap | None, np.ndarray]] = ()
              ) -> tuple[ConicProgram, BlockRef]:
     """V, its normalization, the pair rows, then the structure and the free
     cone; this order fixes the compiled rows and so the iterates.  The
@@ -221,7 +227,7 @@ class CompatibilityResult:
     certificate: dict | None = None
 
 
-def check_rfree_compatible(inst: Instance, tol: float = DEFAULT_TOLS.compat,
+def check_rfree_compatible(inst: Instance,
                            settings: SolverSettings | None = None) -> CompatibilityResult:
     """Is there a global state (or channel) with these marginals and a free
     target marginal?
@@ -238,7 +244,7 @@ def check_rfree_compatible(inst: Instance, tol: float = DEFAULT_TOLS.compat,
         m, found = problem.project(res.primal_blocks["V"])
         dev = max((float(np.max(np.abs((e.apply(m) if e else m) - target)))
                    for _, e, target in problem.pairs), default=0.0)
-        if dev > tol:
+        if dev > DEFAULT_TOLS.compat:
             raise SolverFailure(f"feasible point violates marginals by {dev:.2e} > tol")
         return CompatibilityResult(True, found, dev)
     if res.status == Status.INFEASIBLE:
@@ -327,15 +333,15 @@ class CompatibleSetModel:
     def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]]
                       ) -> list[SolveResult]:
         """`maximize` of each entry, solved together in one batch."""
-        d = self.problem.layout.total_dim
         costs = []
         for objectives in objective_lists:
-            coeff = np.zeros((d, d), dtype=complex)
+            cost = np.zeros(self.prog.num_cols)
+            coeff = cost[self.prog.block_slice(self.var)]
             for key, obs in objectives:
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-                m = self.problem.extract(key)
-                coeff += m.adjoint(obs) if m else obs
-            costs.append(self.prog.objective_vector([(self.var, coeff)]))
+                x, m = svec(hermitize(obs)), self.problem.extract(key)
+                coeff += x if m is None else x @ m.k  # m's adjoint, in svec coordinates
+            costs.append(cost)
         results = solve_many(self.prog, costs, self.settings)
         for k, res in enumerate(results):
             if res.status != Status.OPTIMAL:
@@ -356,7 +362,7 @@ def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
 
 
 def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = None,
-                  settings: SolverSettings | None = None, tol: float = DEFAULT_TOLS.compat
+                  settings: SolverSettings | None = None
                   ) -> tuple[dict[str, np.ndarray], float, float]:
     """The robustness program's dual multipliers Y_X by label, their value
     sum_X tr(Y_X sigma_X) at the family, and the independently re-solved
@@ -364,13 +370,14 @@ def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = N
     res = robustness_result if robustness_result is not None else robustness(inst, settings)
     if res.status != Status.OPTIMAL:
         raise SolverFailure(f"robustness status {res.status}; witness needs Optimal")
-    if res.value_log2 <= tol:
+    if res.value_log2 <= DEFAULT_TOLS.compat:
         raise NoWitnessError("no witness exists: the family is free-compatible "
                              "(robustness is zero)")
     duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
+    model = CompatibleSetModel(inst, settings)
     value = sum(float(np.trace(duals[label] @ target).real)
-                for label, _, target in inst.problem().pairs)
-    sup = linear_max_over_set(duals.items(), inst, settings)
+                for label, _, target in model.problem.pairs)
+    sup = linear_max_over_set(duals.items(), model)
     if value <= sup:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
     return duals, value, sup
@@ -400,11 +407,10 @@ class Witness:
 
 
 def extract_witness(inst: RmpInstance, robustness_result: RobustnessResult | None = None,
-                    settings: SolverSettings | None = None,
-                    tol: float = DEFAULT_TOLS.compat) -> Witness:
+                    settings: SolverSettings | None = None) -> Witness:
     """Dual optimizer of the robustness program, reported with its
     independently re-solved free-set supremum."""
-    duals, value, sup = witness_duals(inst, robustness_result, settings, tol)
+    duals, value, sup = witness_duals(inst, robustness_result, settings)
     blocks = tuple((sub, HermitianOperator(sub.sublayout(), duals[label]))
                    for label, (sub, _) in zip(inst.marginals.labels(), inst.marginals.entries))
     return Witness(blocks, sup, value,

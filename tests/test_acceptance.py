@@ -28,12 +28,14 @@ from freemarg.herm import (
     HermitianOperator,
     SubsystemLayout,
     SubsystemSet,
+    partial_trace_map,
     partial_transpose,
+    probe_times_map,
     psd_split,
     tensor,
     trace_norm,
 )
-from freemarg.solver import ProbeTimesMap, ConicProgram, Status, solve
+from freemarg.solver import ConicProgram, Status, solve
 from freemarg.state_rmp import (
     MarginalFamily,
     NoWitnessError,
@@ -184,7 +186,7 @@ def test_criterion_4_strong_duality_and_degenerate_cone():
 
     dual = ConicProgram()
     y = dual.add_variable("Y", 2)
-    dual.add_psd_inequality("cap", [(y, ProbeTimesMap(np.diag([1.0, 0.0]), -np.ones((1, 1))))],
+    dual.add_psd_inequality("cap", [(y, probe_times_map(np.diag([1.0, 0.0]), -np.ones((1, 1))))],
                             const=np.ones((1, 1)))
     dual.set_objective([(y, np.eye(2) / 2)], "max")
     dual_status = solve(dual).status
@@ -314,33 +316,29 @@ def test_criterion_7_reduction_checks():
 
 
 def _direct_marginal_feasibility(fam: MarginalFamily) -> bool:
-    from freemarg.solver import PartialTraceMap
-
     d = fam.layout.total_dim
     prog = ConicProgram()
     rho = prog.add_variable("rho", d)
     prog.add_scalar_equality("tr", [(rho, np.eye(d))], 1.0)
     for sub, sigma in fam.entries:
         prog.add_matrix_equality(f"m[{sub.members}]",
-                                 [(rho, PartialTraceMap(fam.layout, sub.members))],
+                                 [(rho, partial_trace_map(fam.layout, sub.members))],
                                  sigma.entries)
     prog.set_objective([(rho, np.eye(d))], "min")
     return solve(prog).status == Status.OPTIMAL
 
 
 def _direct_channel_feasibility(inst: ChannelRmpInstance) -> bool:
-    from freemarg.solver import PartialTraceMap
-
     so = inst.joint_layout
     gin = inst.family.global_in
     prog = ConicProgram()
     v = prog.add_variable("V", so.total_dim)
-    prog.add_matrix_equality("choi", [(v, PartialTraceMap(so, gin.labels))],
+    prog.add_matrix_equality("choi", [(v, partial_trace_map(so, gin.labels))],
                              np.eye(gin.total_dim) / gin.total_dim)
     for pair, spec in inst.family.entries:
         keep = list(pair.out.members) + list(pair.inp.members)
         prog.add_matrix_equality(f"m[{pair.label()}]",
-                                 [(v, PartialTraceMap(so, keep))], spec.choi.entries)
+                                 [(v, partial_trace_map(so, keep))], spec.choi.entries)
     prog.set_objective([(v, np.eye(so.total_dim))], "min")
     return solve(prog).status == Status.OPTIMAL
 

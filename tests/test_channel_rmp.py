@@ -222,7 +222,8 @@ class TestCompatibilityCheck:
 
     def test_matches_plain_feasibility_program(self, rng):
         """Independent route: raw feasibility program built from scratch."""
-        from freemarg.solver import ConicProgram, PartialTraceMap, solve
+        from freemarg.herm import partial_trace_map
+        from freemarg.solver import ConicProgram, solve
 
         for make, expected in ((product_instance, True), (None, False)):
             if make is None:
@@ -234,12 +235,12 @@ class TestCompatibilityCheck:
             prog = ConicProgram()
             v = prog.add_variable("V", so.total_dim)
             prog.add_matrix_equality(
-                "choi", [(v, PartialTraceMap(so, gin.labels))],
+                "choi", [(v, partial_trace_map(so, gin.labels))],
                 np.eye(gin.total_dim) / gin.total_dim)
             for pair, spec in inst.family.entries:
                 keep = list(pair.out.members) + list(pair.inp.members)
                 prog.add_matrix_equality(f"m[{pair.label()}]",
-                                         [(v, PartialTraceMap(so, keep))], spec.choi.entries)
+                                         [(v, partial_trace_map(so, keep))], spec.choi.entries)
             prog.set_objective([(v, np.eye(so.total_dim))], "min")
             direct = solve(prog).status == Status.OPTIMAL
             assert direct == expected

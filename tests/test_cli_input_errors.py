@@ -32,6 +32,10 @@ CORPUS = {
     "unknown_free_kind": edited(STATE, lambda d: d["free"].__setitem__("kind", "Bogus")),
     "list_params": edited(STATE, lambda d: d["free"].__setitem__("params", [1])),
     "channel_pair_without_choi": edited(CHANNEL, lambda d: d["pairs"][0].pop("choi")),
+    "string_entry": edited(STATE, lambda d: d["marginals"][0]["matrix"][0][0].__setitem__(
+        0, str(d["marginals"][0]["matrix"][0][0][0]))),
+    "boolean_imaginary_part": edited(STATE, lambda d: d["marginals"][0]["matrix"][0][1].__setitem__(
+        1, False)),
 }
 
 

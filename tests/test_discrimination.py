@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freemarg import discrimination
 from freemarg.discrimination import (
     W_EXAMPLE_VECTORS,
     W_EXAMPLE_WEIGHTS,
@@ -256,6 +257,12 @@ class TestWInstances:
         assert abs(swapped - example) <= 1e-8
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so jobs=2 starts a real two-process pool on any host."""
+    monkeypatch.setattr(discrimination, "_usable_cpus", lambda: 2)
+
+
 class TestHistogram:
     def test_single_sample_reproducible(self):
         a = sample_w_advantage(0, seed=11)
@@ -268,9 +275,9 @@ class TestHistogram:
         assert h2.samples[0] == h4.samples[0]
         assert h2.samples[1] == h4.samples[1]
 
-    def test_prefix_split_and_serial_runs_agree(self):
-        # the jobs=2 run solves samples 0-3 and 4-6 as two batches, the
-        # serial run all seven as one, the prefix run three
+    def test_prefix_split_and_serial_runs_agree(self, two_cpus):
+        # the jobs=2 run solves samples 0-3 and 4-6 as two batches in two
+        # worker processes, the serial run all seven as one, the prefix run three
         prefix = histogram_experiment(3, seed=21)
         split = histogram_experiment(7, seed=21, jobs=2)
         serial = histogram_experiment(7, seed=21, jobs=1)
@@ -299,13 +306,13 @@ class TestHistogram:
         assert summ["bin_width"] == 1e-4
         assert sum(summ["bin_counts"].values()) == 3
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, two_cpus):
         serial = histogram_experiment(6, seed=4, jobs=1)
         parallel = histogram_experiment(6, seed=4, jobs=2)
         assert np.array_equal(serial.samples, parallel.samples)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_settings_reach_every_worker(self, jobs):
+    def test_settings_reach_every_worker(self, jobs, two_cpus):
         with pytest.raises(SolverFailure):
             histogram_experiment(4, seed=0, jobs=jobs, settings=SolverSettings(max_iters=1))
 

@@ -3,23 +3,17 @@ import logging
 import numpy as np
 import pytest
 
-from freemarg.solver import (
-    ComposeMap,
-    ConicProgram,
-    PartialTraceMap,
-    PartialTransposeMap,
-    PermuteMap,
-    ProbeTimesMap,
-    Status,
-    TensorIdentityMap,
-    TraceTimesMap,
-    _step_to_boundary,
+from freemarg.herm import (
     hermitian_basis,
+    partial_trace_map,
+    partial_transpose_map,
+    permute_map,
+    probe_times_map,
     smat,
-    solve,
-    solve_many,
     svec,
+    tensor_identity_map,
 )
+from freemarg.solver import ConicProgram, Status, _step_to_boundary, solve, solve_many
 from freemarg.states import qubit_layout
 
 from conftest import rand_herm
@@ -96,7 +90,7 @@ class TestDegenerateConePair:
         prog = ConicProgram()
         y = prog.add_variable("Y", 2)
         e00 = np.diag([1.0, 0.0])
-        prog.add_psd_inequality("cap", [(y, ProbeTimesMap(e00, -np.ones((1, 1))))],
+        prog.add_psd_inequality("cap", [(y, probe_times_map(e00, -np.ones((1, 1))))],
                                 const=np.ones((1, 1)))
         prog.set_objective([(y, np.eye(2) / 2)], "max")
         res = solve(prog)
@@ -322,14 +316,14 @@ class TestLinMaps:
     def test_adjoint_identities(self, rng):
         lay = qubit_layout("ABC")
         maps = [
-            PartialTraceMap(lay, ("A", "C")),
-            PartialTransposeMap(lay, ("B",)),
-            PermuteMap(lay, ("C", "A", "B")),
-            TensorIdentityMap(8, 3, denom=2.0),
-            TraceTimesMap(8, rand_herm(rng, 5)),
-            ProbeTimesMap(rand_herm(rng, 8), rand_herm(rng, 2)),
-            ComposeMap(PartialTransposeMap(lay.sublayout(("A", "C")), ("C",)),
-                       PartialTraceMap(lay, ("A", "C"))),
+            partial_trace_map(lay, ("A", "C")),
+            partial_transpose_map(lay, ("B",)),
+            permute_map(lay, ("C", "A", "B")),
+            tensor_identity_map(8, 3),
+            probe_times_map(np.eye(8), rand_herm(rng, 5)),
+            probe_times_map(rand_herm(rng, 8), rand_herm(rng, 2)),
+            partial_transpose_map(lay.sublayout(("A", "C")), ("C",))
+            @ partial_trace_map(lay, ("A", "C")),
         ]
         for lm in maps:
             for _ in range(5):
@@ -344,7 +338,7 @@ class TestLinMaps:
 
         lay = qubit_layout("ABC")
         m = rand_herm(rng, 8)
-        lm = PartialTraceMap(lay, ("B", "C"))
+        lm = partial_trace_map(lay, ("B", "C"))
         direct = partial_trace(HermitianOperator(lay, m), SubsystemSet(lay, ("B", "C")))
         assert np.allclose(lm.apply(m), direct.entries)
 

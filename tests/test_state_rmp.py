@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freemarg.freesets import FreeSetSpec
-from freemarg.herm import SubsystemLayout, SubsystemSet
+from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet
 from freemarg.solver import Status
 from freemarg.state_rmp import (
     MarginalFamily,
@@ -106,8 +106,8 @@ class TestRobustness:
     def test_w_instance_bisection_cross_check(self):
         """Independent route: largest p with p*sigma + (1-p)*tau free-compatible,
         found by bisecting feasibility, matches 1/optimum coarsely."""
-        from freemarg.solver import (ComposeMap, ConicProgram, PartialTraceMap,
-                                     PartialTransposeMap, solve)
+        from freemarg.herm import partial_trace_map, partial_transpose_map
+        from freemarg.solver import ConicProgram, solve
 
         inst = w_instance()
 
@@ -117,10 +117,10 @@ class TestRobustness:
             prog.add_scalar_equality("tr", [(rho, np.eye(8))], 1.0)
             for sub, sigma in inst.marginals.entries:
                 prog.add_psd_inequality(f"dom[{sub.members}]",
-                                        [(rho, PartialTraceMap(LAYOUT, sub.members))],
+                                        [(rho, partial_trace_map(LAYOUT, sub.members))],
                                         const=-p * sigma.entries)
-            pt = ComposeMap(PartialTransposeMap(LAYOUT.sublayout(("A", "C")), ("C",)),
-                            PartialTraceMap(LAYOUT, ("A", "C")))
+            pt = (partial_transpose_map(LAYOUT.sublayout(("A", "C")), ("C",))
+                  @ partial_trace_map(LAYOUT, ("A", "C")))
             prog.add_psd_inequality("ppt", [(rho, pt)])
             prog.set_objective([(rho, np.eye(8))], "min")
             return solve(prog).status == Status.OPTIMAL
@@ -289,19 +289,34 @@ class TestFreeOperations:
             direct = u @ sigma.entries @ u.conj().T
             assert np.max(np.abs(direct - evolved.entries)) < 1e-9
 
-    def test_robustness_invariant_under_product_unitaries(self, rng):
+    @pytest.mark.parametrize("kind", ["SeparablePPT", "Incoherent", "Singleton"])
+    def test_robustness_invariant_under_product_unitaries(self, rng, kind):
+        """Rotating the family and the free set on the target AC by the same
+        product unitary leaves the robustness unchanged."""
         from freemarg.channel_rmp import ChannelSpec
 
-        inst = w_instance()
+        target = SubsystemSet(LAYOUT, ("A", "C"))
+        state = random_density(target.sublayout(), np.random.default_rng(7)).entries
+
+        def free_set(u_t):
+            """The free set rotated by U_T."""
+            if kind == "Incoherent":
+                return FreeSetSpec.incoherent(target, u_t @ np.eye(4))  # U_T B with B = I
+            if kind == "Singleton":
+                return FreeSetSpec.singleton(target, DensityMatrix.from_array(
+                    target.sublayout(), u_t @ state @ u_t.conj().T))
+            return FreeSetSpec.separable_ppt(target)  # invariant
+
+        inst = RmpInstance(w_instance().marginals, free_set(np.eye(4)))
         base = robustness(inst).value_log2
         for _ in range(3):
-            site = {l: ChannelSpec.from_unitary(rand_unitary(rng, 2),
-                                                SubsystemLayout([(l + "'", 2)]),
+            us = {l: rand_unitary(rng, 2) for l in "ABC"}
+            site = {l: ChannelSpec.from_unitary(us[l], SubsystemLayout([(l + "'", 2)]),
                                                 SubsystemLayout([(l, 2)]))
                     for l in "ABC"}
             fam2 = apply_free_operation(inst.marginals,
                                         product_channels_on_family(inst.marginals, site))
-            val = robustness(RmpInstance(fam2, inst.free)).value_log2
+            val = robustness(RmpInstance(fam2, free_set(np.kron(us["A"], us["C"])))).value_log2
             assert val == pytest.approx(base, abs=1e-6)
 
     def test_robustness_never_increases_under_product_channels(self, rng):
