@@ -15,7 +15,7 @@ Input and output factors must carry distinct labels (e.g. "A" out, "A'" in).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -234,14 +234,20 @@ class ChannelRmpInstance:
     def joint_layout(self) -> SubsystemLayout:
         return self.family.global_out.concat(self.family.global_in)
 
+    @cached_property
+    def _maps(self) -> dict[str, LinearMap | None]:
+        """The extraction map of each pair and of the target, by label,
+        built once: every program of the instance shares them."""
+        so = self.joint_layout
+        return {pair.label(): extraction_map(so, pair.out.members + pair.inp.members)
+                for pair in [pair for pair, _ in self.family.entries] + [self.target]}
+
     def problem(self) -> MarginalProblem:
         """The state problem on out (x) in: Choi validity as normalization,
         marginal-channel existence (no-signalling) and the free-channel
         structure as extra rows."""
-        so = self.joint_layout
+        so, maps = self.joint_layout, self._maps
         gin, gout = self.family.global_in, self.family.global_out
-        maps = {pair.label(): extraction_map(so, pair.out.members + pair.inp.members)
-                for pair in [pair for pair, _ in self.family.entries] + [self.target]}
 
         def project(j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
             j = _project_choi_state(j, gin.total_dim)

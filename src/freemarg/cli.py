@@ -9,6 +9,7 @@ exit code: 0 success, 2 input error, 3 no witness or solver error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -183,6 +184,10 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("input error: parallelism must be >= 1", file=sys.stderr)
         return 2
+    for flag, tol in (("--gap-tol", args.gap_tol), ("--feas-tol", args.feas_tol)):
+        if not 0 < tol < math.inf:  # also false for nan
+            print(f"input error: {flag} must be positive and finite, not {tol}", file=sys.stderr)
+            return 2
     settings = SolverSettings(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
     try:
         inst = io.load_instance(args.input) if hasattr(args, "input") else None

@@ -14,6 +14,14 @@ once in `herm`, each as a `LinearMap` holding its real matrix in `svec`
 coordinates, and the solver sees only that matrix: it places the matrix in
 the block's columns and knows nothing of tensor factors.
 
+`compile` normalizes the rows to A_n and takes their rank from a QR factor
+of A_n' (only the small triangular factor gets an SVD); rows of full rank
+stay as they are, others are reduced to A = U_r' A_n.  A large block keeps
+its rows of A_n by their nonzeros, and its part of the Schur complement is
+assembled in those rows: G A_l G is one small product over the nonzero
+entries of A_l, and tr(A_k G A_l G) a sum over the nonzeros of A_k.  A small
+block uses the dense product in the rows of A.
+
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The solver is
 deterministic: no randomized pivoting, identical inputs give identical
@@ -33,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .herm import LinearMap, hermitize, smat, svec
+from .herm import LinearMap, _coords, hermitize, smat, svec
 
 
 class SolverFailure(RuntimeError):
@@ -196,15 +204,10 @@ class ConicProgram:
 
     # -- compilation -------------------------------------------------------
 
-    def compile(self) -> dict:
-        """Assemble (A, b), normalize and rank-reduce the equality rows.  The
-        objective is not part of the compiled data, so every objective of the
-        program shares it."""
-        if self._compiled is not None:
-            return self._compiled
-        n = self.num_cols
-        m = len(self._rhs)
-        a = np.zeros((m, n))
+    def equality_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The equality rows as a dense (rows, columns) matrix, and their
+        right-hand sides."""
+        a = np.zeros((len(self._rhs), self.num_cols))
         for g in self.eq_groups:
             for ref, coeff in g.terms:
                 cols = self.block_slice(ref)
@@ -213,23 +216,40 @@ class ConicProgram:
                     a[g.rows.start + diag, cols.start + diag] += coeff
                 else:
                     a[g.rows, cols] += coeff
-        b = np.array(self._rhs)
+        return a, np.array(self._rhs)
+
+    def compile(self) -> dict:
+        """Assemble (A, b), normalize and rank-reduce the equality rows.  The
+        objective is not part of the compiled data, so every objective of the
+        program shares it."""
+        if self._compiled is not None:
+            return self._compiled
+        a, b = self.equality_rows()
+        m, n = a.shape
 
         norms = np.linalg.norm(a, axis=1)
         keep = norms > 1e-14
         bad = (~keep) & (np.abs(b) > 1e-12)
         inconsistent_zero_row = bool(np.any(bad))
         d_inv = np.where(keep, 1.0 / np.where(keep, norms, 1.0), 0.0)
-        a_n = a * d_inv[:, None]
+        a_n = a
+        a_n *= d_inv[:, None]  # in place: the rows as built are not needed again
         b_n = b * d_inv
 
         if m > 0:
-            u, sv, vt = np.linalg.svd(a_n, full_matrices=False)
+            # A_n = R' Q' with Q orthonormal, so A_n and R' share their
+            # singular values and left singular vectors, and R has m columns
+            # and at most m rows
+            rfac = np.linalg.qr(a_n.T, mode="r")
+            u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
             rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
             r = int(np.sum(sv > max(rank_tol, 1e-13)))
-            u_r = u[:, :r]
-            a_red = (sv[:r, None] * vt[:r])
-            b_red = u_r.T @ b_n
+            if r == m:  # full row rank: the rows themselves are a basis
+                u_r, a_red, b_red = np.eye(m), a_n, b_n
+            else:
+                u_r = u[:, :r]
+                a_red = u_r.T @ a_n
+                b_red = u_r.T @ b_n
             b_perp = b_n - u_r @ b_red
         else:
             r = 0
@@ -244,7 +264,9 @@ class ConicProgram:
             "b_perp": b_perp,
             "inconsistent_zero_row": inconsistent_zero_row,
             "dims": [blk.cdim for blk in self.blocks],
-            "A_mats": [smat(a_red[:, self.block_slice(blk)], blk.cdim) for blk in self.blocks],
+            "block_rows": [_BlockRows.of(a_n[:, self.block_slice(blk)],
+                                         a_red[:, self.block_slice(blk)], blk.cdim)
+                           for blk in self.blocks],
         }
         return self._compiled
 
@@ -331,6 +353,134 @@ class _Blocks:
         return np.concatenate([svec(m) for m in mats], axis=-1)
 
 
+# A block's part of the Schur complement comes from its rows' nonzeros when
+# the dense product, n d^3 + n^2 d^2 multiply-adds per member for n rows on a
+# block of order d, is larger than this; below it the nonzero path's many
+# small array operations cost more than they save
+_SPARSE_SCHUR_MACS = 1 << 24
+# the bytes of P_l the nonzero path holds at once, about a core's L2 share
+_SCHUR_CHUNK_BYTES = 1 << 19
+
+
+class _BlockRows(NamedTuple):
+    """One block's rows, laid out for its part of the Schur complement,
+    tr(A_k G A_l G) = a_k . svec(P_l) with P_l = G A_l G.
+
+    A small block keeps `mats`, the matrices A_l of its rows of the reduced
+    A, for the dense product, and adds its part to M.  A large block keeps
+    its rows of A_n by their nonzeros, in `products` and `segments`, and adds
+    its part to M_n.  `rows` are the rows kept, those with a nonzero in the
+    block, ascending; `products` and `segments` each hold (where, ...) for
+    the rows `rows[where]`.  A product entry holds the rows' dense A_l, or,
+    for rows with s < d nonzero entries, A_l = sum_t v_t e_(i_t) e_(j_t)',
+    the index and value arrays (left, right, v), each (rows, 2s), of the real
+    product in `add_schur`.  A segment entry holds, for rows with L nonzero
+    svec coordinates p, the places of those coordinates among P's reals and
+    a_k[p] times svec's factor, each (rows, L)."""
+
+    rows: np.ndarray
+    mats: np.ndarray | None
+    products: list
+    segments: list
+
+    @staticmethod
+    def of(a_blk: np.ndarray, a_red_blk: np.ndarray, d: int) -> "_BlockRows":
+        """The layout for a block of order d, from the (rows, d*d) svec rows
+        `a_blk` of A_n in its columns, or, for the dense product, from the
+        reduced rows `a_red_blk` of A, which are never more."""
+        rows, coords = np.nonzero(a_blk)               # row by row
+        first = np.diff(rows, prepend=-1) != 0
+        active = rows[first]
+        n = active.size
+        if n * d ** 3 + n * n * d * d <= _SPARSE_SCHUR_MACS:
+            active = np.flatnonzero(np.any(a_red_blk, axis=1))
+            return _BlockRows(active, smat(a_red_blk[active], d), [], [])
+        vals = a_blk[rows, coords]
+        local = np.cumsum(first) - 1                   # each nonzero's row in `active`
+        pos, factor, _, dst, scale = _coords(d)
+        nnz = np.bincount(local, minlength=n)
+        segments = [(where, pos[coords[at]], vals[at] * factor[coords[at]])
+                    for where, at in _by_size(nnz)]
+
+        # a coordinate is one matrix entry (diagonal) or two, an upper entry
+        # and its conjugate mirror: `smat` table places p and d*d + p - d
+        upper = coords >= d
+        tab = np.concatenate([coords, d * d - d + coords[upper]])
+        order = np.argsort(np.concatenate([local, local[upper]]), kind="stable")
+        tab = tab[order]
+        val = np.concatenate([vals, vals[upper]])[order] * scale[tab]
+        val = np.where(dst[tab] % 2 == 1, 1j * val, val)
+        i, j = np.divmod(dst[tab] // 2, d)
+        terms = nnz + np.bincount(local[upper], minlength=n)
+        dense = np.flatnonzero(terms >= d)
+        products = [(dense, smat(a_blk[active[dense]], d))] if dense.size else []
+        products += [(where, (np.concatenate([i[at], d + i[at]], axis=-1),
+                              np.concatenate([j[at], d + j[at]], axis=-1),
+                              np.concatenate([val[at], val[at]], axis=-1)))
+                     for where, at in _by_size(terms) if at.shape[1] < d]
+        return _BlockRows(active, None, products, segments)
+
+    def add_schur(self, g: np.ndarray, m_n: np.ndarray):
+        """Add tr(A_k G A_l G) over this block to m_n[:, l, k], for the
+        members' scalings g (count, d, d): m_n is M for a small block and
+        M_n for a large one."""
+        count, d = g.shape[0], g.shape[-1]
+        if self.mats is not None:
+            # the real part of the inner product of the entries of A_k G and
+            # (A_l G)', a real product of their (re, im) pairs with those of
+            # conj(A_l G)'
+            n = self.rows.size
+            ag = np.matmul(self.mats.reshape(n * d, d), g).reshape(count, n, d, d)
+            ag_h = np.swapaxes(ag, -1, -2).copy()
+            np.conjugate(ag_h, out=ag_h)
+            part = np.matmul(ag.reshape(count, n, d * d).view(np.float64),
+                             np.swapaxes(ag_h.reshape(count, n, d * d).view(np.float64), -1, -2))
+            if n == m_n.shape[-1]:
+                m_n += part
+            else:
+                m_n[:, self.rows[:, None], self.rows] += part
+            return
+        # G A_l G = sum_t v_t conj(G[i_t, :])' G[j_t, :] is one real product
+        # X' Y: X stacks Re and Im of the rows conj(G[i_t, :]), and Y the
+        # (re, im) pairs of v_t G[j_t, :] and of i v_t G[j_t, :], so X' Y
+        # holds the (re, im) pairs of G A_l G
+        left = np.concatenate([g.real, -g.imag], axis=-2)
+        right = np.concatenate([g, 1j * g], axis=-2)
+        # a few rows at a time, so that their P stays in cache for the gather
+        step = max(1, _SCHUR_CHUNK_BYTES // (count * 16 * d * d))
+        for where, terms in self.products:
+            for at in range(0, where.size, step):
+                part = slice(at, at + step)
+                if isinstance(terms, np.ndarray):
+                    p = g[:, None] @ terms[part] @ g[:, None]
+                else:
+                    li, ri, v = (t[part] for t in terms)
+                    p = (np.swapaxes(left[:, li], -1, -2)
+                         @ (v[..., None] * right[:, ri]).view(np.float64))
+                self._contract(p.reshape(-1).view(np.float64), where[part], count, d, m_n)
+
+    def _contract(self, reals: np.ndarray, where: np.ndarray, count: int, d: int,
+                  m_n: np.ndarray):
+        """Add a_k . svec(P_l) to m_n[:, l, k] for the rows l = rows[where],
+        whose P_l are the (re, im) pairs `reals`, member by member."""
+        base = np.arange(count * where.size)[:, None] * (2 * d * d)
+        for k_where, gather, weight in self.segments:
+            vals = np.take(reals, base + gather.reshape(-1))
+            part = np.matmul(vals.reshape(count, where.size, k_where.size, 1, -1),
+                             weight[:, :, None])
+            m_n[:, self.rows[where, None], self.rows[k_where]] += part[..., 0, 0]
+
+
+def _by_size(sizes: np.ndarray):
+    """Consecutive runs of items grouped by length: for each distinct length
+    L, the indices of the runs of length L and the places of their items in
+    the concatenation, (runs, L)."""
+    starts = np.cumsum(sizes) - sizes
+    for size in np.unique(sizes):
+        where = np.flatnonzero(sizes == size)
+        yield where, starts[where, None] + np.arange(size)
+
+
 class _Iterate(NamedTuple):
     """Iterates of the homogeneous model, one row per member: the primal and
     dual slack blocks, each a (members, d, d) stack, then y, tau, kappa."""
@@ -397,7 +547,11 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
                                    y_orig=data["d_inv"] * data["b_perp"]) for _ in objectives]
 
     at = np.ascontiguousarray(a.T)
-    a_mats = data["A_mats"]
+    u_r, block_rows = data["u_r"], data["block_rows"]
+    u_rt, n_rows = np.ascontiguousarray(u_r.T), u_r.shape[0]
+    # blocks assembled from their nonzeros use the normalized rows, which
+    # need the reduction when the rows are rank-deficient
+    reduce_sparse = r < n_rows and any(blk.mats is None for blk in block_rows)
     dims = data["dims"]
     blocks = _Blocks(dims)
     by_dim = [[j for j, d in enumerate(dims) if d == dim] for dim in sorted(set(dims))]
@@ -433,18 +587,16 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
         def w_half(vec):
             return blocks.pack([_ct(f) @ m @ f for f, m in zip(f_list, blocks.unpack(vec))])
 
-        # KKT normal matrix M = A W A', one (r, r) matrix per member: with the
-        # rows' blocks A_k, M_kl = sum over blocks of tr(A_k G A_l G), the real
-        # part of the inner product of the entries of A_k G and (A_l G)', which
-        # is a real product of their (re, im) pairs with those of conj(A_l G)'
+        # KKT normal matrix M = A W A', one (r, r) matrix per member: the sum
+        # over blocks of tr(A_k G A_l G), in the rows of A for small blocks
+        # and for large ones in the normalized rows, whose M_n gives U_r' M_n
+        # U_r (A = A_n, U_r = I, for rows of full rank)
         m_mat = np.zeros((count, r, r))
-        for g, am in zip(g_list, a_mats):
-            d = g.shape[-1]
-            ag = np.matmul(am.reshape(r * d, d), g).reshape(count, r, d, d)
-            ag_h = np.swapaxes(ag, -1, -2).copy()
-            np.conjugate(ag_h, out=ag_h)
-            m_mat += np.matmul(ag.reshape(count, r, d * d).view(np.float64),
-                               np.swapaxes(ag_h.reshape(count, r, d * d).view(np.float64), -1, -2))
+        m_n = np.zeros((count, n_rows, n_rows)) if reduce_sparse else m_mat
+        for g, blk in zip(g_list, block_rows):
+            blk.add_schur(g, m_mat if blk.mats is not None else m_n)
+        if reduce_sparse:
+            m_mat += u_rt @ m_n @ u_r
         m_mat = hermitize(m_mat)
         reg = 0.0
         for attempt in range(4):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -115,11 +116,16 @@ class RmpInstance:
     def target(self) -> SubsystemSet:
         return self.free.target
 
+    @cached_property
+    def _maps(self) -> dict[str, LinearMap | None]:
+        """The extraction map of each marginal and of the free-set target, by
+        label, built once: every program of the instance shares them."""
+        return {",".join(sub.members): extraction_map(self.layout, sub.members)
+                for sub in [sub for sub, _ in self.marginals.entries] + [self.free.target]}
+
     def problem(self) -> MarginalProblem:
-        layout, free = self.layout, self.free
+        layout, free, maps = self.layout, self.free, self._maps
         d = layout.total_dim
-        maps = {",".join(sub.members): extraction_map(layout, sub.members)
-                for sub in [sub for sub, _ in self.marginals.entries] + [free.target]}
 
         def extract(key) -> LinearMap | None:
             """A subsystem set, its members, or its label "A,B"."""

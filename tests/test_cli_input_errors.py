@@ -51,3 +51,15 @@ def test_bad_instance_exits_2(name, command, tmp_path, capsys):
     assert err.startswith("input error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gap-tol", "--feas-tol"])
+@pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
+def test_bad_tolerance_exits_2(flag, value, tmp_path, capsys):
+    # inf would switch the gap test off; nan and 0 would reach the solver
+    out = tmp_path / "out.json"
+    rc = cli.main(["verify-w", "--samples", "1", f"{flag}={value}", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:")
+    assert not out.exists()

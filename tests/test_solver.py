@@ -13,10 +13,27 @@ from freemarg.herm import (
     svec,
     tensor_identity_map,
 )
-from freemarg.solver import ConicProgram, Status, _step_to_boundary, solve, solve_many
+from freemarg import solver
+from freemarg.solver import (
+    ConicProgram,
+    Status,
+    _BlockRows,
+    _step_to_boundary,
+    solve,
+    solve_many,
+)
 from freemarg.states import qubit_layout
 
 from conftest import rand_herm
+
+
+@pytest.fixture(params=["dense", "nonzeros"])
+def schur_path(request, monkeypatch):
+    """Assemble the Schur complement of every block densely (the default for
+    small blocks) or from its rows' nonzeros (the default for large ones)."""
+    if request.param == "nonzeros":
+        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+    return request.param
 
 
 def make_random_feasible(rng, dims, nrows):
@@ -135,7 +152,13 @@ class TestRandomInstances:
         prog.add_scalar_equality("a", [(x, np.eye(2))], 1.0)
         prog.add_scalar_equality("b", [(x, np.eye(2))], 2.0)
         prog.set_objective([(x, np.eye(2))], "min")
-        assert solve(prog).status == Status.INFEASIBLE
+        res = solve(prog)
+        assert res.status == Status.INFEASIBLE
+        assert res.residuals["note"] == "inconsistent equalities"
+        # the Farkas ray of the rows: A'y = 0 and b'y > 0
+        ray = res.certificate["equality_ray"]
+        assert abs(ray["a"] + ray["b"]) < 1e-12
+        assert ray["a"] + 2.0 * ray["b"] > 0
 
 
 def real_embedding(m):
@@ -362,3 +385,115 @@ class TestTrace:
         prog = make_random_feasible(rng, [2], 2)
         solve(prog)
         assert "iter" in caplog.text and "mu=" in caplog.text
+
+
+def every_map_kind(rng) -> dict[int, np.ndarray]:
+    """svec rows on a block of order 8 and one of order 4, of each kind the
+    programs build, shuffled among zero rows."""
+    lay = qubit_layout("ABC")
+    ac = lay.sublayout(("A", "C"))
+    rows = {
+        8: [partial_trace_map(lay, ("A", "B")).k,
+            (partial_transpose_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).k,
+            permute_map(lay, ("C", "A", "B")).k,
+            probe_times_map(rand_herm(rng, 8), rand_herm(rng, 2)).k,
+            svec(np.eye(8))[None],
+            -np.eye(64),
+            np.zeros((3, 64))],
+        4: [tensor_identity_map(4, 2).k, -np.eye(16), np.zeros((2, 16))],
+    }
+    return {d: rng.permutation(np.vstack(parts)) for d, parts in rows.items()}
+
+
+class TestSchurAssembly:
+    """M_n[l, k] = tr(A_k G A_l G), assembled densely or from the nonzeros of
+    the rows, and what the solver builds on it."""
+
+    def test_matches_the_trace_formula(self, rng, schur_path):
+        for d, a_blk in every_map_kind(rng).items():
+            blk = _BlockRows.of(a_blk, a_blk, d)
+            assert (blk.mats is None) == (schur_path == "nonzeros")
+            z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+            g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(d)
+            m_n = np.zeros((2, len(a_blk), len(a_blk)))
+            blk.add_schur(g, m_n)
+            ag = smat(a_blk, d) @ g[:, None]
+            ref = np.einsum("ckij,clji->clk", ag, ag).real
+            assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_batch_member_equals_solo_on_four_qubits(self, rng, schur_path):
+        from freemarg.freesets import FreeSetSpec
+        from freemarg.herm import SubsystemSet
+        from freemarg.state_rmp import MarginalFamily, RmpInstance, _program
+        from freemarg.states import marginal_of, random_density
+
+        lay = qubit_layout("ABCD")
+        rho = random_density(lay, rng)
+        fam = MarginalFamily(lay, [(m, marginal_of(rho, m)) for m in ("ABC", "BCD")])
+        problem = RmpInstance(fam, FreeSetSpec.all_states(SubsystemSet(lay, lay.labels))).problem()
+        prog, v = _program(problem, pinned=True, pairs=problem.pairs)
+        costs = [rand_herm(rng, 16) for _ in range(3)]
+        batch = solve_many(prog, [-prog.objective_vector([(v, cm)]) for cm in costs])
+        for cm, res in zip(costs, batch):
+            solo = solve(prog.with_objective([(v, -cm)], "min"))
+            assert res.status == Status.OPTIMAL
+            TestSolveMany.same(res, solo)
+            assert np.array_equal(res.primal_blocks["V"], solo.primal_blocks["V"])
+
+    def test_block_without_rows_and_program_without_equalities(self, monkeypatch):
+        # in the mixed-status program the block X is in no equality row
+        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+        TestSolveMany().test_mixed_statuses_in_one_batch()
+        TestSolveMany().test_program_without_equalities()
+
+
+class TestRankReduction:
+    """compile() finds the rank of the normalized rows from a QR factor; a
+    plain SVD of the rows with the same threshold finds the same."""
+
+    @staticmethod
+    def w_compatibility():
+        from freemarg.discrimination import w_example_instance
+        from freemarg.state_rmp import _program
+
+        problem = w_example_instance().problem()
+        return _program(problem, pinned=True, pairs=problem.pairs)[0]
+
+    @staticmethod
+    def broadcasting_compatibility():
+        from freemarg.state_rmp import _program
+
+        from test_channel_rmp import broadcasting_instance
+
+        problem = broadcasting_instance().problem()
+        return _program(problem, pinned=True, pairs=problem.pairs)[0]
+
+    @staticmethod
+    def four_qubit_robustness():
+        from freemarg.freesets import FreeSetSpec
+        from freemarg.herm import SubsystemSet
+        from freemarg.state_rmp import MarginalFamily, RmpInstance, _program
+        from freemarg.states import marginal_of, random_density
+
+        lay = qubit_layout("ABCD")
+        rho = random_density(lay, np.random.default_rng(4), rank=2)
+        fam = MarginalFamily(lay, [(m, marginal_of(rho, m)) for m in ("ABC", "BCD", "ACD")])
+        inst = RmpInstance(fam, FreeSetSpec.separable_ppt(SubsystemSet(lay, ("A", "C"))))
+        problem = inst.problem()
+        return _program(problem, pinned=False, pairs=problem.pairs)[0]
+
+    @pytest.mark.parametrize("make", ["w_compatibility", "broadcasting_compatibility",
+                                      "four_qubit_robustness"])
+    def test_rank_matches_plain_svd(self, make):
+        prog = getattr(self, make)()
+        a, _ = prog.equality_rows()
+        norms = np.linalg.norm(a, axis=1)
+        a_n = a / np.where(norms > 1e-14, norms, np.inf)[:, None]
+        sv = np.linalg.svd(a_n, compute_uv=False)
+        tol = max(sv[0] * max(a.shape) * 1e-13, 1e-13)
+        rank = int(np.sum(sv > tol))
+        assert prog.compile()["A"].shape[0] == rank
+        # and the rank is unambiguous at that threshold
+        assert sv[rank - 1] > 1e6 * tol and (rank == sv.size or sv[rank] < 1e-3 * tol)
+        if make == "w_compatibility":
+            assert rank < len(a)

@@ -362,6 +362,28 @@ def _product_extension():
     return DensityMatrix(tensor(w_ab.op, mixed_c.op))
 
 
+class TestProblemMaps:
+    @pytest.mark.parametrize("kind", ["state", "channel"])
+    def test_second_problem_builds_no_maps(self, kind, monkeypatch):
+        from freemarg import state_rmp
+        from test_channel_rmp import broadcasting_instance
+
+        make = w_instance if kind == "state" else broadcasting_instance
+        inst = make()
+        first = inst.problem()
+        built = []
+        real = state_rmp.partial_trace_map
+        monkeypatch.setattr(state_rmp, "partial_trace_map",
+                            lambda *args: built.append(args) or real(*args))
+        second = inst.problem()
+        assert built == []
+        monkeypatch.undo()
+        fresh = make().problem()
+        for (_, m1, _), (_, m2, _), (_, m3, _) in zip(first.pairs, second.pairs, fresh.pairs):
+            assert m1 is m2
+            assert np.array_equal(m1.k, m3.k)
+
+
 class TestActivation:
     def test_w_marginal_value(self):
         val = activation_criterion(w_marginal(qubit_layout("AC")), samples=50)
