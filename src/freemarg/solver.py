@@ -14,13 +14,17 @@ once in `herm`, each as a `LinearMap` holding its real matrix in `svec`
 coordinates, and the solver sees only that matrix: it places the matrix in
 the block's columns and knows nothing of tensor factors.
 
-`compile` normalizes the rows to A_n and takes their rank from a QR factor
-of A_n' (only the small triangular factor gets an SVD); rows of full rank
-stay as they are, others are reduced to A = U_r' A_n.  A large block keeps
-its rows of A_n by their nonzeros, and its part of the Schur complement is
-assembled in those rows: G A_l G is one small product over the nonzero
-entries of A_l, and tr(A_k G A_l G) a sum over the nonzeros of A_k.  A small
-block uses the dense product in the rows of A.
+`compile` builds the equality rows by their nonzeros and normalizes them to
+A_n.  The rank comes from a QR factor of the dense A_n' (only the small
+triangular factor gets an SVD); rows of full rank stay as they are, others
+are reduced to A = U_r' A_n.  A large block keeps its rows of A_n by their
+nonzeros, and its part of the Schur complement is assembled in those rows:
+G A_l G is one small product over the nonzero entries of A_l, and
+tr(A_k G A_l G) a sum over the nonzeros of A_k.  A small block uses the
+dense product in the rows of A.  In a program with a large block, a
+Cholesky factor of the Gram matrix A_n A_n' first tries to show full rank;
+if it does, A stays by its nonzeros to the end, and A x and A' y are
+gathers and segment sums.  Other programs multiply by the dense A.
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The solver is
@@ -204,19 +208,32 @@ class ConicProgram:
 
     # -- compilation -------------------------------------------------------
 
-    def equality_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The equality rows as a dense (rows, columns) matrix, and their
+    def equality_rows(self) -> tuple["_Rows", np.ndarray]:
+        """The equality rows by their nonzeros, row by row, and their
         right-hand sides."""
-        a = np.zeros((len(self._rhs), self.num_cols))
+        m, n = len(self._rhs), self.num_cols
+        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
         for g in self.eq_groups:
             for ref, coeff in g.terms:
-                cols = self.block_slice(ref)
+                start = self.block_slice(ref).start
                 if isinstance(coeff, float):
                     diag = np.arange(ref.cdim ** 2)
-                    a[g.rows.start + diag, cols.start + diag] += coeff
+                    parts.append(((g.rows.start + diag) * n + start + diag,
+                                  np.full(diag.size, coeff)))
                 else:
-                    a[g.rows, cols] += coeff
-        return a, np.array(self._rhs)
+                    i, j = np.nonzero(coeff)
+                    parts.append(((g.rows.start + i) * n + start + j, coeff[i, j]))
+        keys = np.concatenate([k for k, _ in parts])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _first_of_runs(keys)
+        # entries shared by terms are summed in the order of the terms, as
+        # adding the terms to a zero matrix one by one sums them
+        vals = np.bincount(np.cumsum(first) - 1,
+                           weights=np.concatenate([v for _, v in parts])[order])
+        nonzero = vals != 0
+        rows, cols = np.divmod(keys[first][nonzero], max(n, 1))
+        return _Rows(rows, cols, vals[nonzero], (m, n)), np.array(self._rhs)
 
     def compile(self) -> dict:
         """Assemble (A, b), normalize and rank-reduce the equality rows.  The
@@ -227,29 +244,38 @@ class ConicProgram:
         a, b = self.equality_rows()
         m, n = a.shape
 
-        norms = np.linalg.norm(a, axis=1)
+        norms = a.row_norms()
         keep = norms > 1e-14
         bad = (~keep) & (np.abs(b) > 1e-12)
         inconsistent_zero_row = bool(np.any(bad))
         d_inv = np.where(keep, 1.0 / np.where(keep, norms, 1.0), 0.0)
-        a_n = a
-        a_n *= d_inv[:, None]  # in place: the rows as built are not needed again
+        a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
+        nonzeros = [a_n.columns(self.block_slice(blk)) for blk in self.blocks]
+        sparse = any(_BlockRows.sparse(rows, blk.cdim)
+                     for (rows, _, _), blk in zip(nonzeros, self.blocks))
 
         if m > 0:
-            # A_n = R' Q' with Q orthonormal, so A_n and R' share their
-            # singular values and left singular vectors, and R has m columns
-            # and at most m rows
-            rfac = np.linalg.qr(a_n.T, mode="r")
-            u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
-            rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
-            r = int(np.sum(sv > max(rank_tol, 1e-13)))
-            if r == m:  # full row rank: the rows themselves are a basis
-                u_r, a_red, b_red = np.eye(m), a_n, b_n
+            # a program without a large block keeps the dense A, and so the
+            # rounding of its products, to which feasible sets without an
+            # interior point are sensitive
+            if sparse and _full_rank(a_n):  # the rows themselves are a basis
+                r, u_r, a_red, b_red = m, np.eye(m), a_n, b_n
             else:
-                u_r = u[:, :r]
-                a_red = u_r.T @ a_n
-                b_red = u_r.T @ b_n
+                # A_n = R' Q' with Q orthonormal, so A_n and R' share their
+                # singular values and left singular vectors, and R has m
+                # columns and at most m rows
+                a_n = a_n.dense()
+                rfac = np.linalg.qr(a_n.T, mode="r")
+                u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
+                rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
+                r = int(np.sum(sv > max(rank_tol, 1e-13)))
+                if r == m:  # full row rank: the rows themselves are a basis
+                    u_r, a_red, b_red = np.eye(m), a_n, b_n
+                else:
+                    u_r = u[:, :r]
+                    a_red = u_r.T @ a_n
+                    b_red = u_r.T @ b_n
             b_perp = b_n - u_r @ b_red
         else:
             r = 0
@@ -264,9 +290,9 @@ class ConicProgram:
             "b_perp": b_perp,
             "inconsistent_zero_row": inconsistent_zero_row,
             "dims": [blk.cdim for blk in self.blocks],
-            "block_rows": [_BlockRows.of(a_n[:, self.block_slice(blk)],
-                                         a_red[:, self.block_slice(blk)], blk.cdim)
-                           for blk in self.blocks],
+            "block_rows": [_BlockRows.of(nz, blk.cdim, None if isinstance(a_red, _Rows)
+                                         else a_red[:, self.block_slice(blk)])
+                           for nz, blk in zip(nonzeros, self.blocks)],
         }
         return self._compiled
 
@@ -319,9 +345,12 @@ def _ct(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def _mv(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat @ v for each vector of the stack v (..., n), as one product per
-    member: a 2-D product of the whole stack could sum in another order."""
+def _mv(mat: "np.ndarray | _Rows", v: np.ndarray) -> np.ndarray:
+    """mat @ v for each vector of the stack v (..., n), member by member: a
+    dense mat makes one product per member, since a 2-D product of the whole
+    stack could sum in another order."""
+    if isinstance(mat, _Rows):
+        return mat @ v
     return np.matmul(mat, v[..., None])[..., 0]
 
 
@@ -351,6 +380,93 @@ class _Blocks:
 
     def pack(self, mats):
         return np.concatenate([svec(m) for m in mats], axis=-1)
+
+
+# the entries of the temporaries of `_Rows.row_norms` and `_Rows.gram`
+_CHUNK = 1 << 20
+
+
+class _Rows(NamedTuple):
+    """A matrix by its nonzeros: entry (rows[t], cols[t]) is vals[t], each
+    entry once.  `ConicProgram.equality_rows` lists them row by row, with
+    ascending columns in each row."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def T(self) -> "_Rows":
+        return _Rows(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """The product with each vector of the stack v (..., n): a gather and
+        a sum per row in the order of the entries, member by member."""
+        m, n = self.shape
+        flat = v.reshape(-1, n)
+        count = flat.shape[0]
+        bins = (np.arange(count)[:, None] * m + self.rows).reshape(-1)
+        out = np.bincount(bins, weights=(flat[:, self.cols] * self.vals).reshape(-1),
+                          minlength=count * m)
+        return out.reshape(v.shape[:-1] + (m,))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def row_norms(self) -> np.ndarray:
+        """The 2-norm of each row (rows in order), computed on a few dense
+        rows at a time so that it rounds exactly as the norm of a dense row."""
+        m, n = self.shape
+        step = max(1, _CHUNK // max(n, 1))
+        norms = np.zeros(m)
+        for start in range(0, m, step):
+            lo, hi = np.searchsorted(self.rows, [start, start + step])
+            chunk = np.zeros((min(step, m - start), n))
+            chunk[self.rows[lo:hi] - start, self.cols[lo:hi]] = self.vals[lo:hi]
+            norms[start:start + step] = np.linalg.norm(chunk, axis=1)
+        return norms
+
+    def columns(self, cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries in the columns `cols`, in order, as (rows,
+        columns counted from cols.start, values)."""
+        at = (self.cols >= cols.start) & (self.cols < cols.stop) & (self.vals != 0)
+        return self.rows[at], self.cols[at] - cols.start, self.vals[at]
+
+    def gram(self) -> np.ndarray:
+        """The Gram matrix of the rows, the sum over the columns of the
+        products of the column's entries."""
+        m, n = self.shape
+        order = np.argsort(self.cols, kind="stable")
+        rows, vals = self.rows[order], self.vals[order]
+        out = np.zeros(m * m)
+        for _, at in _by_size(np.bincount(self.cols, minlength=n)):
+            size = at.shape[1]
+            step = max(1, _CHUNK // max(size * size, 1))
+            for part in range(0, len(at) if size else 0, step):
+                r, v = rows[at[part:part + step]], vals[at[part:part + step]]
+                out += np.bincount((r[:, :, None] * m + r[:, None, :]).reshape(-1),
+                                   weights=(v[:, :, None] * v[:, None, :]).reshape(-1),
+                                   minlength=m * m)
+        return out.reshape(m, m)
+
+
+def _full_rank(a: _Rows) -> bool:
+    """Whether the rows of a are independent, by far: a Cholesky factor of
+    G - t I, with G the Gram matrix and t = 10 m eps tr(G), exists only if
+    lambda_min(G) > t up to its own rounding error, which is about m eps
+    ||G||, and tr(G) >= ||a||^2.  Then sigma_min(a) is far above the rank
+    threshold of `compile`; a False may still be full rank."""
+    gram = a.gram()
+    m = gram.shape[0]
+    shift = 10 * m * np.finfo(float).eps * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram - shift * np.eye(m))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # A block's part of the Schur complement comes from its rows' nonzeros when
@@ -384,19 +500,38 @@ class _BlockRows(NamedTuple):
     segments: list
 
     @staticmethod
-    def of(a_blk: np.ndarray, a_red_blk: np.ndarray, d: int) -> "_BlockRows":
-        """The layout for a block of order d, from the (rows, d*d) svec rows
-        `a_blk` of A_n in its columns, or, for the dense product, from the
-        reduced rows `a_red_blk` of A, which are never more."""
-        rows, coords = np.nonzero(a_blk)               # row by row
-        first = np.diff(rows, prepend=-1) != 0
+    def sparse(rows: np.ndarray, d: int) -> bool:
+        """Whether a block of order d, whose nonzeros lie in `rows`, takes
+        the nonzero path."""
+        n = np.count_nonzero(_first_of_runs(rows))
+        return n * d ** 3 + n * n * d * d > _SPARSE_SCHUR_MACS
+
+    @staticmethod
+    def of(nonzeros: tuple, d: int, reduced: np.ndarray | None) -> "_BlockRows":
+        """The layout for a block of order d, from the nonzeros (rows,
+        coords, vals) of A_n in its columns, row by row, or, for the dense
+        product, from its dense rows of the reduced A, `reduced`, which are
+        never more; None means A = A_n."""
+        rows, coords, vals = nonzeros
+        first = _first_of_runs(rows)
         active = rows[first]
         n = active.size
-        if n * d ** 3 + n * n * d * d <= _SPARSE_SCHUR_MACS:
-            active = np.flatnonzero(np.any(a_red_blk, axis=1))
-            return _BlockRows(active, smat(a_red_blk[active], d), [], [])
-        vals = a_blk[rows, coords]
         local = np.cumsum(first) - 1                   # each nonzero's row in `active`
+
+        def dense_rows(where):
+            """The rows active[where], ascending, as dense svec rows."""
+            out = np.zeros((where.size, d * d))
+            place = np.full(n, -1)
+            place[where] = np.arange(where.size)
+            at = place[local] >= 0
+            out[place[local[at]], coords[at]] = vals[at]
+            return out
+
+        if not _BlockRows.sparse(rows, d):
+            if reduced is None:
+                return _BlockRows(active, smat(dense_rows(np.arange(n)), d), [], [])
+            active = np.flatnonzero(np.any(reduced, axis=1))
+            return _BlockRows(active, smat(reduced[active], d), [], [])
         pos, factor, _, dst, scale = _coords(d)
         nnz = np.bincount(local, minlength=n)
         segments = [(where, pos[coords[at]], vals[at] * factor[coords[at]])
@@ -413,7 +548,7 @@ class _BlockRows(NamedTuple):
         i, j = np.divmod(dst[tab] // 2, d)
         terms = nnz + np.bincount(local[upper], minlength=n)
         dense = np.flatnonzero(terms >= d)
-        products = [(dense, smat(a_blk[active[dense]], d))] if dense.size else []
+        products = [(dense, smat(dense_rows(dense), d))] if dense.size else []
         products += [(where, (np.concatenate([i[at], d + i[at]], axis=-1),
                               np.concatenate([j[at], d + j[at]], axis=-1),
                               np.concatenate([val[at], val[at]], axis=-1)))
@@ -471,12 +606,19 @@ class _BlockRows(NamedTuple):
             m_n[:, self.rows[where, None], self.rows[k_where]] += part[..., 0, 0]
 
 
+def _first_of_runs(items: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive items starts."""
+    first = np.ones(items.size, dtype=bool)
+    np.not_equal(items[1:], items[:-1], out=first[1:])
+    return first
+
+
 def _by_size(sizes: np.ndarray):
     """Consecutive runs of items grouped by length: for each distinct length
     L, the indices of the runs of length L and the places of their items in
     the concatenation, (runs, L)."""
     starts = np.cumsum(sizes) - sizes
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):
         where = np.flatnonzero(sizes == size)
         yield where, starts[where, None] + np.arange(size)
 
@@ -504,6 +646,27 @@ def _map(fn, *trees):
 
 def _take(tree, idx):
     return _map(lambda v: v[idx], tree)
+
+
+# lower-triangular stacks up to this order are inverted by one LAPACK call
+_INV_LEAF = 128
+
+
+def _tril_inv(low: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of nonsingular lower-triangular matrices
+    (..., n, n): [[L11, 0], [L21, L22]]^-1 is [[X11, 0], [-X22 L21 X11, X22]]
+    with X11 = L11^-1 and X22 = L22^-1, recursively, so that all but the
+    small diagonal blocks are matrix products, about n^3/3 multiply-adds."""
+    n = low.shape[-1]
+    if n <= _INV_LEAF:
+        return np.linalg.inv(low)
+    h = n // 2
+    x11, x22 = _tril_inv(low[..., :h, :h]), _tril_inv(low[..., h:, h:])
+    out = np.zeros_like(low)
+    out[..., :h, :h] = x11
+    out[..., h:, h:] = x22
+    out[..., h:, :h] = -(x22 @ (low[..., h:, :h] @ x11))
+    return out
 
 
 def _step_to_boundary(lam: np.ndarray, dm: np.ndarray) -> np.ndarray:
@@ -546,7 +709,7 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
         return [_infeasible_result(program, None, note="inconsistent equalities",
                                    y_orig=data["d_inv"] * data["b_perp"]) for _ in objectives]
 
-    at = np.ascontiguousarray(a.T)
+    at = a.T if isinstance(a, _Rows) else np.ascontiguousarray(a.T)
     u_r, block_rows = data["u_r"], data["block_rows"]
     u_rt, n_rows = np.ascontiguousarray(u_r.T), u_r.shape[0]
     # blocks assembled from their nonzeros use the normalized rows, which
@@ -609,7 +772,7 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
                 if count > 1 or attempt == 3:
                     raise np.linalg.LinAlgError("KKT factorization failed") from None
                 reg = max(reg * 100, 1e-12 * (1 + np.trace(m_mat[0]) / max(r, 1)))
-        li = np.linalg.inv(chol)
+        li = _tril_inv(chol)
         lit = np.swapaxes(li, -1, -2)
 
         def kkt_solve(rhs):

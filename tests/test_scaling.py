@@ -1,0 +1,76 @@
+"""Solves of six- and seven-qubit programs, whose large blocks take the
+solver's nonzero path without any forcing."""
+
+import math
+
+import numpy as np
+import pytest
+
+from freemarg import solver, state_rmp
+from freemarg.freesets import FreeSetSpec
+from freemarg.herm import DensityMatrix, SubsystemSet, partial_trace, permute_factors, tensor
+from freemarg.states import max_entangled, qubit_layout, random_density
+
+# cyclic 3-body marginals of n qubits
+MARGINALS = {6: ("ABC", "BCD", "CDE", "DEF", "AEF", "ABF"),
+             7: ("ABC", "BCD", "CDE", "DEF", "EFG", "AFG", "ABG")}
+
+
+def cyclic_instance(n: int, seed: int = 0) -> state_rmp.RmpInstance:
+    """The marginals MARGINALS[n] of 0.7 (Phi+_AC (x) rho_rest) + 0.3 I/2^n,
+    with rho_rest a seeded rank-2 state, and a PPT target AC.  The optimum
+    depends only on the Phi+ part: 1.55 at six qubits."""
+    labels = "ABCDEFG"[:n]
+    layout = qubit_layout(labels)
+    rest = qubit_layout("".join(lbl for lbl in labels if lbl not in "AC"))
+    rho = random_density(rest, np.random.default_rng(seed), rank=2)
+    glob = permute_factors(tensor(max_entangled(qubit_layout("AC")).op, rho.op),
+                           list(layout.labels)).entries
+    glob = DensityMatrix.from_array(layout, 0.7 * glob + 0.3 * np.eye(2 ** n) / 2 ** n)
+    fam = state_rmp.MarginalFamily(layout, [
+        (tuple(m), DensityMatrix(partial_trace(glob.op, SubsystemSet(layout, tuple(m)))))
+        for m in MARGINALS[n]])
+    return state_rmp.RmpInstance(fam, FreeSetSpec.separable_ppt(SubsystemSet(layout, ("A", "C"))))
+
+
+@pytest.fixture
+def densified(monkeypatch):
+    """The shapes of the rows the solver makes dense, as it makes them."""
+    shapes = []
+    real = solver._Rows.dense
+
+    def dense(self):
+        shapes.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(solver._Rows, "dense", dense)
+    return shapes
+
+
+def robustness_program(inst):
+    problem = inst.problem()
+    return state_rmp._program(problem, pinned=False, pairs=problem.pairs)[0]
+
+
+def test_six_qubit_robustness_then_witness(densified):
+    inst = cyclic_instance(6)
+    rows = robustness_program(inst).compile()["A"]
+    assert isinstance(rows, solver._Rows) and rows.shape == (400, 4496)
+    res = state_rmp.robustness(inst)
+    assert res.status.value == "Optimal"
+    assert abs(res.value_log2 - math.log2(1.55)) <= 1e-8
+    wit = state_rmp.extract_witness(inst, res)
+    assert abs(wit.value_at_sigma - res.optimum) <= 1e-6
+    assert wit.gap > 0
+    # the witness's small program has dense rows, the robustness program not
+    assert rows.shape not in densified
+
+
+def test_seven_qubit_robustness(densified):
+    inst = cyclic_instance(7)
+    rows = robustness_program(inst).compile()["A"]
+    assert isinstance(rows, solver._Rows) and rows.shape[0] == 464
+    res = state_rmp.robustness(inst)
+    assert res.status.value == "Optimal"
+    assert abs(res.value_log2 - 0.6322682) <= 1e-7
+    assert not densified

@@ -411,7 +411,8 @@ class TestSchurAssembly:
 
     def test_matches_the_trace_formula(self, rng, schur_path):
         for d, a_blk in every_map_kind(rng).items():
-            blk = _BlockRows.of(a_blk, a_blk, d)
+            rows, coords = np.nonzero(a_blk)
+            blk = _BlockRows.of((rows, coords, a_blk[rows, coords]), d, a_blk)
             assert (blk.mats is None) == (schur_path == "nonzeros")
             z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
             g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(d)
@@ -440,6 +441,12 @@ class TestSchurAssembly:
             TestSolveMany.same(res, solo)
             assert np.array_equal(res.primal_blocks["V"], solo.primal_blocks["V"])
 
+    def test_batch_member_equals_solo_with_a_small_inverse_leaf(self, rng, schur_path,
+                                                                monkeypatch):
+        # the KKT inverse is then built from many products, not one LAPACK call
+        monkeypatch.setattr(solver, "_INV_LEAF", 5)
+        self.test_batch_member_equals_solo_on_four_qubits(rng, schur_path)
+
     def test_block_without_rows_and_program_without_equalities(self, monkeypatch):
         # in the mixed-status program the block X is in no equality row
         monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
@@ -448,7 +455,8 @@ class TestSchurAssembly:
 
 
 class TestRankReduction:
-    """compile() finds the rank of the normalized rows from a QR factor; a
+    """compile() shows full rank by a Cholesky factor of the Gram matrix of
+    the normalized rows, and otherwise finds the rank from a QR factor; a
     plain SVD of the rows with the same threshold finds the same."""
 
     @staticmethod
@@ -482,18 +490,97 @@ class TestRankReduction:
         problem = inst.problem()
         return _program(problem, pinned=False, pairs=problem.pairs)[0]
 
-    @pytest.mark.parametrize("make", ["w_compatibility", "broadcasting_compatibility",
-                                      "four_qubit_robustness"])
-    def test_rank_matches_plain_svd(self, make):
-        prog = getattr(self, make)()
-        a, _ = prog.equality_rows()
+    @staticmethod
+    def six_qubit_robustness():
+        from test_scaling import cyclic_instance, robustness_program
+
+        return robustness_program(cyclic_instance(6))
+
+    @staticmethod
+    def repeated_row():
+        """Random scalar rows on two blocks, the last one the first times
+        1 + 1e-9: equal rows once normalized."""
+        rng = np.random.default_rng(5)
+        prog = ConicProgram()
+        refs = [prog.add_variable("X", 3), prog.add_variable("Y", 2)]
+        probes = [[rand_herm(rng, ref.cdim) for ref in refs] for _ in range(4)]
+        for k, row in enumerate(probes + [[(1 + 1e-9) * p for p in probes[0]]]):
+            prog.add_scalar_equality(f"eq{k}", list(zip(refs, row)), 1.0 + 1e-9 * (k == 4))
+        return prog
+
+    @staticmethod
+    def plain_svd_rank(prog):
+        """The normalized rows as a dense array, their rank by a plain SVD,
+        and the singular values and threshold it came from."""
+        a = prog.equality_rows()[0].dense()
         norms = np.linalg.norm(a, axis=1)
         a_n = a / np.where(norms > 1e-14, norms, np.inf)[:, None]
         sv = np.linalg.svd(a_n, compute_uv=False)
         tol = max(sv[0] * max(a.shape) * 1e-13, 1e-13)
-        rank = int(np.sum(sv > tol))
+        return a_n, int(np.sum(sv > tol)), sv, tol
+
+    PROGRAMS = ["w_compatibility", "broadcasting_compatibility", "four_qubit_robustness",
+                "six_qubit_robustness", "repeated_row"]
+
+    @pytest.mark.parametrize("make", PROGRAMS)
+    def test_rank_matches_plain_svd(self, make):
+        prog = getattr(self, make)()
+        a_n, rank, sv, tol = self.plain_svd_rank(prog)
         assert prog.compile()["A"].shape[0] == rank
         # and the rank is unambiguous at that threshold
         assert sv[rank - 1] > 1e6 * tol and (rank == sv.size or sv[rank] < 1e-3 * tol)
-        if make == "w_compatibility":
-            assert rank < len(a)
+        if make in ("w_compatibility", "repeated_row"):
+            assert rank < len(a_n)
+        if make == "six_qubit_robustness":
+            assert rank == len(a_n) == 400
+
+    @pytest.mark.parametrize("make", PROGRAMS)
+    def test_gram_test_shows_full_rank_and_leaves_the_rest_to_qr(self, make, monkeypatch):
+        # every block on the nonzero path, where compile() tries the Gram test
+        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+        prog = getattr(self, make)()
+        a_n, rank, _, _ = self.plain_svd_rank(prog)
+        rows, cols = np.nonzero(a_n)
+        assert solver._full_rank(solver._Rows(rows, cols, a_n[rows, cols], a_n.shape)) == (
+            rank == len(a_n))
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr",
+                            lambda *args, **kw: qr_calls.append(1) or qr(*args, **kw))
+        data = prog.compile()
+        assert data["A"].shape[0] == rank
+        assert bool(qr_calls) == (rank < len(a_n))
+        assert isinstance(data["A"], solver._Rows) == (rank == len(a_n))
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("order", [1, solver._INV_LEAF, solver._INV_LEAF + 1,
+                                       2 * solver._INV_LEAF + 3, 400])
+    def test_matches_the_lapack_inverse(self, rng, order):
+        z = rng.normal(size=(3, order, order)) / np.sqrt(order)
+        low = np.linalg.cholesky(z @ np.swapaxes(z, -1, -2) + np.eye(order))
+        out, ref = solver._tril_inv(low), np.linalg.inv(low)
+        if order <= solver._INV_LEAF:
+            assert np.array_equal(out, ref)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for k in range(3):
+            assert np.array_equal(out[k], solver._tril_inv(low[k:k + 1])[0])
+
+
+class TestNonzeroRows:
+    def test_products_match_the_dense_rows_member_by_member(self, rng):
+        from test_scaling import cyclic_instance, robustness_program
+
+        data = robustness_program(cyclic_instance(6)).compile()
+        a = data["A"]
+        assert isinstance(a, solver._Rows)
+        assert a.shape == (400, 4496) and data["u_r"].shape == (400, 400)
+        dense = a.dense()
+        for mat, ref_mat in ((a, dense), (a.T, dense.T)):
+            v = rng.normal(size=(3, mat.shape[1]))
+            out = solver._mv(mat, v)
+            ref = v @ ref_mat.T
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+            for k in range(3):
+                assert np.array_equal(out[k], solver._mv(mat, v[k:k + 1])[0])
+                assert np.array_equal(out[k], mat @ v[k])
