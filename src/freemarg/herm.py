@@ -441,43 +441,43 @@ def permute_factors(a: HermitianOperator, new_order: Sequence[str]) -> Hermitian
 
 
 def eig_hermitian(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with a deterministic ordering convention.
+    """Eigendecomposition with a canonical basis of each eigenspace.
 
-    Eigenvalues ascend; each eigenvector is phase-normalized so its first
-    non-negligible component is real positive; (near-)degenerate groups are
-    ordered lexicographically by the normalized vector entries.
+    Eigenvalues ascend.  Eigenvalues within 1e-12 * max(1, |lambda|max) of
+    the first of their cluster share an eigenspace, whose basis is its
+    spectral projector's images of e_0, e_1, ..., orthonormalized in order
+    (an image is skipped when its part outside the earlier ones has norm
+    below 1e-12).  So the basis depends only on the projector, not on the
+    vectors LAPACK returns; for a cluster of one it is the eigenvector whose
+    first non-negligible component is real positive.
     """
     vals, vecs = np.linalg.eigh(a.entries)
-    vecs = _phase_normalize(vecs)
-    order = _tie_break_order(vals, vecs)
-    return vals[order].copy(), vecs[:, order].copy()
-
-
-def _phase_normalize(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        v = out[:, k]
-        idx = np.flatnonzero(np.abs(v) > 1e-12)
-        if idx.size:
-            ph = v[idx[0]] / abs(v[idx[0]])
-            out[:, k] = v / ph
-    return out
-
-
-def _tie_break_order(vals: np.ndarray, vecs: np.ndarray) -> list[int]:
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
-    order: list[int] = []
+    out = np.empty_like(vecs)
     i = 0
     while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and vals[j + 1] - vals[i] <= 1e-12 * scale:
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[i] <= 1e-12 * scale:
             j += 1
-        group = list(range(i, j + 1))
-        group.sort(key=lambda k: tuple(
-            (round(float(x.real), 12), round(float(x.imag), 12)) for x in vecs[:, k]))
-        order.extend(group)
-        i = j + 1
-    return order
+        out[:, i:j] = _canonical_basis(vecs[:, i:j])
+        i = j
+    return vals, out
+
+
+def _canonical_basis(v: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt, in order, of the images v v' e_m of the standard basis
+    vectors under the projector onto the span of the orthonormal columns of v."""
+    basis = np.zeros((v.shape[0], 0), dtype=v.dtype)
+    for row in v.conj():
+        w = v @ row
+        for _ in range(2):   # orthogonal to rounding error after the second pass
+            w = w - basis @ (basis.conj().T @ w)
+        norm = np.linalg.norm(w)
+        if norm > 1e-12:
+            basis = np.column_stack([basis, w / norm])
+            if basis.shape[1] == v.shape[1]:
+                break
+    return basis
 
 
 def trace_norm(a: HermitianOperator | np.ndarray) -> float:

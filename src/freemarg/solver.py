@@ -12,32 +12,33 @@ A constraint term applies a linear map to a block.  The maps (partial
 traces, partial transposes and the other maps on tensor factors) are built
 once in `herm`, each as a `LinearMap` holding its real matrix in `svec`
 coordinates, and the solver sees only that matrix: it places the matrix in
-the block's columns and knows nothing of tensor factors.
-
-`compile` builds the equality rows by their nonzeros and normalizes them to
-A_n.  The rank comes from a QR factor of the dense A_n' (only the small
-triangular factor gets an SVD); rows of full rank stay as they are, others
-are reduced to A = U_r' A_n.  A large block keeps its rows of A_n by their
-nonzeros, and its part of the Schur complement is assembled in those rows:
-G A_l G is one small product over the nonzero entries of A_l, and
-tr(A_k G A_l G) a sum over the nonzeros of A_k.  A small block uses the
-dense product in the rows of A.  In a program with a large block, a
-Cholesky factor of the Gram matrix A_n A_n' first tries to show full rank;
-if it does, A stays by its nonzeros to the end, and A x and A' y are
-gathers and segment sums.  Other programs multiply by the dense A.
+the block's columns and knows nothing of tensor factors.  `compile`
+normalizes the equality rows to A_n, finds their rank and reduces
+rank-deficient rows to A = U_r' A_n; a large block keeps its rows by their
+nonzeros (see `_BlockRows`).
 
 One loop, `solve_many`, solves a program for a batch of objectives on
-stacked iterates; `solve` is its one-member case.  The solver is
-deterministic: no randomized pivoting, identical inputs give identical
-iterates, and a member's iterates do not depend on the rest of its batch.
-Enable DEBUG on the ``freemarg.solver`` logger for a per-iteration
-diagnostic trace.
+stacked iterates; `solve` is its one-member case.  Its Newton step is a
+sequence of phases, as in the NT-scaling method of Todd-Toh-Tutuncu (SIAM
+J. Optim. 1998) and SDPT3: `_Scaling` (the NT factors and W), `_Normal`
+(the Schur complement M = A W A' and its Cholesky factor), `_direction`
+(predictor and corrector) and `_step_length`.  `_status` is the one place
+a status is decided: the loop calls it at feas_tol, and a member that ends
+without an optimum has its best iterate tested at ten times that.  The
+solver is deterministic: no randomized pivoting, identical inputs give
+identical iterates, and a member's iterates do not depend on the rest of
+its batch.  Enable DEBUG on the ``freemarg.solver`` logger for a
+per-iteration diagnostic trace.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import logging
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -86,6 +87,11 @@ class _EqGroup:
     # per term, a block and its coefficients in the group's rows: a matrix
     # over the block's columns, or alpha for alpha times the identity
     terms: list[tuple[BlockRef, np.ndarray | float]]
+
+    def value(self, y: np.ndarray) -> np.ndarray | float:
+        """The group's entries of y, a number or a Hermitian matrix."""
+        ys = y[self.rows]
+        return float(ys[0]) if self.scalar else smat(ys, math.isqrt(ys.size))
 
 
 @dataclass
@@ -200,8 +206,6 @@ class ConicProgram:
 
     def with_objective(self, terms, sense: str = "min") -> "ConicProgram":
         """Cheap copy sharing constraint data; only the objective differs."""
-        import copy
-
         clone = copy.copy(self)
         clone.set_objective(terms, sense)
         return clone
@@ -246,8 +250,7 @@ class ConicProgram:
 
         norms = a.row_norms()
         keep = norms > 1e-14
-        bad = (~keep) & (np.abs(b) > 1e-12)
-        inconsistent_zero_row = bool(np.any(bad))
+        inconsistent_zero_row = bool(np.any(~keep & (np.abs(b) > 1e-12)))
         d_inv = np.where(keep, 1.0 / np.where(keep, norms, 1.0), 0.0)
         a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
@@ -255,39 +258,31 @@ class ConicProgram:
         sparse = any(_BlockRows.sparse(rows, blk.cdim)
                      for (rows, _, _), blk in zip(nonzeros, self.blocks))
 
-        if m > 0:
-            # a program without a large block keeps the dense A, and so the
-            # rounding of its products, to which feasible sets without an
-            # interior point are sensitive
-            if sparse and _full_rank(a_n):  # the rows themselves are a basis
-                r, u_r, a_red, b_red = m, np.eye(m), a_n, b_n
-            else:
-                # A_n = R' Q' with Q orthonormal, so A_n and R' share their
-                # singular values and left singular vectors, and R has m
-                # columns and at most m rows
-                a_n = a_n.dense()
-                rfac = np.linalg.qr(a_n.T, mode="r")
-                u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
-                rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
-                r = int(np.sum(sv > max(rank_tol, 1e-13)))
-                if r == m:  # full row rank: the rows themselves are a basis
-                    u_r, a_red, b_red = np.eye(m), a_n, b_n
-                else:
-                    u_r = u[:, :r]
-                    a_red = u_r.T @ a_n
-                    b_red = u_r.T @ b_n
-            b_perp = b_n - u_r @ b_red
+        # a program without a large block keeps the dense A, and so the
+        # rounding of its products, to which feasible sets without an
+        # interior point are sensitive
+        if sparse and m > 0 and _full_rank(a_n):  # the rows themselves are a basis
+            u_r, a_red, b_red = np.eye(m), a_n, b_n
         else:
-            r = 0
-            u_r = np.zeros((0, 0))
-            a_red = np.zeros((0, n))
-            b_red = np.zeros(0)
-            b_perp = np.zeros(0)
+            # A_n = R' Q' with Q orthonormal, so A_n and R' share their
+            # singular values and left singular vectors, and R has m
+            # columns and at most m rows
+            a_n = a_n.dense()
+            rfac = np.linalg.qr(a_n.T, mode="r")
+            u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
+            rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
+            r = int(np.sum(sv > max(rank_tol, 1e-13)))
+            if r == m:  # full row rank: the rows themselves are a basis
+                u_r, a_red, b_red = np.eye(m), a_n, b_n
+            else:
+                u_r = u[:, :r]
+                a_red = u_r.T @ a_n
+                b_red = u_r.T @ b_n
 
         self._compiled = {
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
-            "b_perp": b_perp,
+            "b_perp": b_n - u_r @ b_red,
             "inconsistent_zero_row": inconsistent_zero_row,
             "dims": [blk.cdim for blk in self.blocks],
             "block_rows": [_BlockRows.of(nz, blk.cdim, None if isinstance(a_red, _Rows)
@@ -300,19 +295,7 @@ class ConicProgram:
 
     def unpack_blocks(self, x: np.ndarray) -> dict[str, np.ndarray]:
         """svec vector -> complex Hermitian matrix per block."""
-        out = {}
-        for blk in self.blocks:
-            out[blk.name] = smat(x[self.block_slice(blk)], blk.cdim)
-        return out
-
-    def equality_dual(self, name: str, y: np.ndarray) -> np.ndarray | float:
-        for g in self.eq_groups:
-            if g.name == name:
-                ys = y[g.rows]
-                if g.scalar:
-                    return float(ys[0])
-                return smat(ys, math.isqrt(ys.size))
-        raise KeyError(name)
+        return {blk.name: smat(x[self.block_slice(blk)], blk.cdim) for blk in self.blocks}
 
 
 @dataclass
@@ -326,10 +309,6 @@ class SolveResult:
     iterations: int = 0
     residuals: dict = field(default_factory=dict)
     certificate: dict | None = None
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == Status.OPTIMAL
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +348,11 @@ class _Blocks:
 
     def __init__(self, dims: Sequence[int]):
         self.dims = list(dims)
-        self.slices = []
-        pos = 0
-        for n in self.dims:
-            self.slices.append(slice(pos, pos + n * n))
-            pos += n * n
+        ends = np.cumsum([n * n for n in self.dims], dtype=int).tolist()
+        self.slices = [slice(end - n * n, end) for end, n in zip(ends, self.dims)]
+        # the blocks of each order, for one stacked call per order
+        self.by_dim = [[j for j, d in enumerate(self.dims) if d == dim]
+                       for dim in sorted(set(self.dims))]
 
     def unpack(self, v):
         return [smat(v[..., sl], n) for sl, n in zip(self.slices, self.dims)]
@@ -517,19 +496,10 @@ class _BlockRows(NamedTuple):
         active = rows[first]
         n = active.size
         local = np.cumsum(first) - 1                   # each nonzero's row in `active`
-
-        def dense_rows(where):
-            """The rows active[where], ascending, as dense svec rows."""
-            out = np.zeros((where.size, d * d))
-            place = np.full(n, -1)
-            place[where] = np.arange(where.size)
-            at = place[local] >= 0
-            out[place[local[at]], coords[at]] = vals[at]
-            return out
-
         if not _BlockRows.sparse(rows, d):
             if reduced is None:
-                return _BlockRows(active, smat(dense_rows(np.arange(n)), d), [], [])
+                return _BlockRows(active, smat(_dense_rows(np.arange(n), local, coords, vals, d),
+                                               d), [], [])
             active = np.flatnonzero(np.any(reduced, axis=1))
             return _BlockRows(active, smat(reduced[active], d), [], [])
         pos, factor, _, dst, scale = _coords(d)
@@ -548,7 +518,8 @@ class _BlockRows(NamedTuple):
         i, j = np.divmod(dst[tab] // 2, d)
         terms = nnz + np.bincount(local[upper], minlength=n)
         dense = np.flatnonzero(terms >= d)
-        products = [(dense, smat(dense_rows(dense), d))] if dense.size else []
+        products = ([(dense, smat(_dense_rows(dense, local, coords, vals, d), d))]
+                    if dense.size else [])
         products += [(where, (np.concatenate([i[at], d + i[at]], axis=-1),
                               np.concatenate([j[at], d + j[at]], axis=-1),
                               np.concatenate([val[at], val[at]], axis=-1)))
@@ -606,6 +577,16 @@ class _BlockRows(NamedTuple):
             m_n[:, self.rows[where, None], self.rows[k_where]] += part[..., 0, 0]
 
 
+def _dense_rows(where: np.ndarray, local: np.ndarray, coords: np.ndarray, vals: np.ndarray,
+                d: int) -> np.ndarray:
+    """The rows `where` (ascending) of a block of order d as dense svec rows,
+    from its nonzeros: each one's row, coordinate and value."""
+    out = np.zeros((where.size, d * d))
+    at = np.isin(local, where)
+    out[np.searchsorted(where, local[at]), coords[at]] = vals[at]
+    return out
+
+
 def _first_of_runs(items: np.ndarray) -> np.ndarray:
     """Where each run of equal consecutive items starts."""
     first = np.ones(items.size, dtype=bool)
@@ -623,29 +604,30 @@ def _by_size(sizes: np.ndarray):
         yield where, starts[where, None] + np.arange(size)
 
 
-class _Iterate(NamedTuple):
-    """Iterates of the homogeneous model, one row per member: the primal and
-    dual slack blocks, each a (members, d, d) stack, then y, tau, kappa."""
-
-    xm: list
-    sm: list
-    y: np.ndarray
-    tau: np.ndarray
-    kappa: np.ndarray
+# iterates of the homogeneous model, one row per member: the primal and dual
+# slack blocks, each a (members, d, d) stack, then y, tau, kappa
+_Iterate = namedtuple("_Iterate", "xm sm y tau kappa")
 
 
 def _map(fn, *trees):
-    """fn applied to the matching arrays of trees of tuples and lists, e.g.
-    to take, join or select members of stacked iterates."""
+    """fn applied to the matching arrays of trees of tuples and lists."""
     first = trees[0]
     if isinstance(first, np.ndarray):
         return fn(*trees)
     items = [_map(fn, *parts) for parts in zip(*trees)]
-    return type(first)(*items) if isinstance(first, _Iterate) else type(first)(items)
+    return type(first)(*items) if hasattr(first, "_fields") else type(first)(items)
 
 
 def _take(tree, idx):
-    return _map(lambda v: v[idx], tree)
+    return _map(operator.itemgetter(idx), tree)
+
+
+def _where(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    return np.where(mask.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
+
+
+def _concat(*parts: np.ndarray) -> np.ndarray:
+    return np.concatenate(parts)
 
 
 # lower-triangular stacks up to this order are inverted by one LAPACK call
@@ -680,6 +662,219 @@ def _step_to_boundary(lam: np.ndarray, dm: np.ndarray) -> np.ndarray:
     return np.where(low >= -1e-16, np.inf, -1.0 / np.minimum(low, -1e-16))
 
 
+class _Model:
+    """The compiled data as the phases use it, prepared once per solve."""
+
+    def __init__(self, data: dict):
+        self.data = data
+        self.a, self.b, self.u_r = data["A"], data["b"], data["u_r"]
+        self.at = self.a.T if isinstance(self.a, _Rows) else np.ascontiguousarray(self.a.T)
+        self.u_rt = np.ascontiguousarray(self.u_r.T)
+        self.block_rows = data["block_rows"]
+        # blocks assembled from their nonzeros use the normalized rows, which
+        # need the reduction when the rows are rank-deficient
+        self.reduce_sparse = (self.a.shape[0] < self.u_r.shape[0]
+                              and any(blk.mats is None for blk in self.block_rows))
+        self.blocks = _Blocks(data["dims"])
+        self.nu = sum(data["dims"]) + 1.0
+        self.norm_b = 1.0 + np.linalg.norm(self.b)
+
+
+# an iterate's residuals and status tests, per member: x, y and s as vectors,
+# g1, g2 and g3 the dual, primal and gap residual directions, and pres, dres
+# and relgap those of the candidate (x, y, s) / tau
+_Check = namedtuple("_Check", "x y s g1 g2 g3 cx by mu gap_inner pres dres relgap score "
+                              "finite optimal infeasible unbounded")
+
+
+def _status(model: _Model, c: np.ndarray, cur: _Iterate, settings: SolverSettings,
+            cert_tol: float) -> _Check:
+    """The one status test.  A member is Optimal if its candidate meets
+    feas_tol and gap_tol (score <= 1); else y / b'y certifies infeasibility
+    if ||A'y + s|| / b'y <= cert_tol, or x / -c'x unboundedness if
+    ||A x|| / -c'x <= cert_tol."""
+    tau, kappa, y, ft = cur.tau, cur.kappa, cur.y, settings.feas_tol
+    x, s = model.blocks.pack(cur.xm), model.blocks.pack(cur.sm)
+    at_y, ax = _mv(model.at, y), _mv(model.a, x)
+    g1 = at_y + s - c * tau[:, None]
+    g2 = ax - model.b * tau[:, None]
+    cx, by = _dot(c, x), _dot(y, model.b)
+    gap_inner = _dot(x, s) + tau * kappa
+    mu = gap_inner / model.nu
+    finite = (np.isfinite(mu) & np.isfinite(cx) & np.isfinite(by)
+              & np.isfinite(x).all(axis=-1) & np.isfinite(s).all(axis=-1))
+    pres = np.linalg.norm(g2 / tau[:, None], axis=-1) / model.norm_b
+    dres = np.linalg.norm(g1 / tau[:, None], axis=-1) / (1.0 + np.linalg.norm(c, axis=-1))
+    pobj, dobj = cx / tau, by / tau
+    relgap = np.abs(pobj - dobj) / (1 + np.abs(pobj) + np.abs(dobj))
+    score = np.maximum(np.maximum(pres / ft, dres / ft), relgap / settings.gap_tol)
+    optimal = finite & (score <= 1.0)
+    infeasible = (finite & ~optimal & (by > 0)
+                  & (np.linalg.norm(at_y + s, axis=-1) / by <= cert_tol))
+    unbounded = (finite & ~optimal & ~infeasible & (-cx > 0)
+                 & (np.linalg.norm(ax, axis=-1) / -cx <= cert_tol))
+    return _Check(x, y, s, g1, g2, -cx + by - kappa, cx, by, mu, gap_inner,
+                  pres, dres, relgap, score, finite, optimal, infeasible, unbounded)
+
+
+class _Scaling:
+    """Nesterov-Todd scaling of every block (Todd-Toh-Tutuncu): X = Lx Lx',
+    S = Ls Ls' and Ls' Lx = U diag(lam) V' give F = Lx V lam^-1/2 with
+    F^-1 X F^-1' = F' S F = diag(lam).  The scaled point is diagonal,
+    exactly, and W = F F' (G per block) satisfies W S W = X."""
+
+    def __init__(self, blocks: _Blocks, xm: list, sm: list):
+        self.blocks = blocks
+        self.f, self.fi, self.lam, self.g = [], [], [], []
+        for xb, sb in zip(xm, sm):
+            lx = np.linalg.cholesky(xb)
+            ls = np.linalg.cholesky(sb)
+            u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
+            f = (lx @ _ct(vh)) / np.sqrt(lam)[:, None, :]
+            self.f.append(f)
+            self.fi.append((_ct(u) @ _ct(ls)) / np.sqrt(lam)[:, :, None])
+            self.lam.append(lam)
+            self.g.append(f @ _ct(f))
+
+    def w(self, vec: np.ndarray) -> np.ndarray:
+        """W V W of the stacked svec vectors vec, block by block."""
+        return self.blocks.pack([g @ m @ g for g, m in zip(self.g, self.blocks.unpack(vec))])
+
+    def half(self, vec: np.ndarray) -> np.ndarray:
+        """F' V F, block by block."""
+        return self.blocks.pack([_ct(f) @ m @ f for f, m in zip(self.f, self.blocks.unpack(vec))])
+
+    def scaled(self, dx: np.ndarray, ds: np.ndarray) -> tuple[list, list]:
+        """F^-1 dx F^-1' and F' ds F, block by block."""
+        return ([fi @ m @ _ct(fi) for fi, m in zip(self.fi, self.blocks.unpack(dx))],
+                [_ct(f) @ m @ f for f, m in zip(self.f, self.blocks.unpack(ds))])
+
+
+class _Normal:
+    """M = A W A' per member and its Cholesky factor: the sum over blocks of
+    tr(A_k G A_l G), in the rows of A for small blocks and for large ones in
+    the normalized rows, whose M_n gives U_r' M_n U_r."""
+
+    def __init__(self, model: _Model, g_list: list, count: int):
+        r, n_rows = model.a.shape[0], model.u_r.shape[0]
+        m_mat = np.zeros((count, r, r))
+        m_n = np.zeros((count, n_rows, n_rows)) if model.reduce_sparse else m_mat
+        for g, blk in zip(g_list, model.block_rows):
+            blk.add_schur(g, m_mat if blk.mats is not None else m_n)
+        if model.reduce_sparse:
+            m_mat += model.u_rt @ m_n @ model.u_r
+        self.m = hermitize(m_mat)
+        reg = 0.0
+        for attempt in range(4):
+            try:
+                chol = np.linalg.cholesky(self.m + reg * np.eye(r))
+                break
+            except np.linalg.LinAlgError:
+                # only a lone member is regularized: a stack that fails is
+                # advanced member by member instead
+                if count > 1 or attempt == 3:
+                    raise np.linalg.LinAlgError("KKT factorization failed") from None
+                reg = max(reg * 100, 1e-12 * (1 + np.trace(self.m[0]) / max(r, 1)))
+        self.li = _tril_inv(chol)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """M^-1 rhs for (count, r, k) right-hand sides; one step of iterative
+        refinement buys an extra digit."""
+        lit = np.swapaxes(self.li, -1, -2)
+        u = lit @ (self.li @ rhs)
+        return u + lit @ (self.li @ (rhs - self.m @ u))
+
+
+# the constants of one Newton step, per member: q = A W c, u2 = M^-1 (q + b)
+# and the dtau pivot den
+_Step = namedtuple("_Step", "c g1 g2 g3 q u2 den tau kappa")
+
+
+def _direction(model: _Model, sc: _Scaling, normal: _Normal, k: _Step, eta, target_mu,
+               corr: tuple | None) -> tuple:
+    """(dx, dy, ds, dtau, dkappa) toward complementarity target_mu, the
+    residuals cut by the factor 1 - eta (scalars or one per member); corr
+    holds the corrector's second-order terms, per block and for tau kappa."""
+    eta_col, mu_col = np.reshape(eta, (-1, 1)), np.reshape(target_mu, (-1, 1))
+    rlam = []
+    for j, lam in enumerate(sc.lam):
+        t = np.zeros(lam.shape + lam.shape[-1:]) if corr is None else -corr[0][j]
+        diag = np.arange(lam.shape[-1])
+        t[:, diag, diag] += mu_col - lam * lam
+        rlam.append(2.0 * t / (lam[:, :, None] + lam[:, None, :]))
+    dx_part = (model.blocks.pack([f @ rl @ _ct(f) for f, rl in zip(sc.f, rlam)])
+               + eta_col * sc.w(k.g1))
+    r_tk = target_mu - k.tau * k.kappa - (0.0 if corr is None else corr[1])
+    u1 = normal.solve((-_mv(model.a, dx_part) - eta_col * k.g2)[..., None])[..., 0]
+    num = -eta * k.g3 + _dot(k.c, dx_part) + _dot(k.q - model.b, u1) + r_tk / k.tau
+    dtau = num / k.den
+    dy = u1 + dtau[:, None] * k.u2
+    at_dy = _mv(model.at, dy)
+    return (dx_part + sc.w(at_dy - k.c * dtau[:, None]), dy,
+            -eta_col * k.g1 - at_dy + k.c * dtau[:, None], dtau, (r_tk - k.kappa * dtau) / k.tau)
+
+
+def _step_length(sc: _Scaling, dlx: list, dls: list, k: _Step, dtau: np.ndarray,
+                 dkappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step to the boundary along the scaled directions, capped where tau
+    or kappa would turn negative, at most 1; and the step taken, 99% of the
+    way and less after a short step (90% in the limit), a margin where
+    progress is slow."""
+    step = np.full(k.tau.shape, np.inf)
+    for group in sc.blocks.by_dim:   # one stacked call per block order
+        lam = np.concatenate([sc.lam[j] for j in group] * 2)
+        dl = np.concatenate([dlx[j] for j in group] + [dls[j] for j in group])
+        step = np.minimum(step, _step_to_boundary(lam, dl).reshape(-1, step.size).min(axis=0))
+    step = _cap(_cap(step, k.tau, dtau), k.kappa, dkappa)
+    full = np.minimum(step, 1.0)
+    return full, np.minimum(1.0, (0.9 + 0.09 * full) * step)
+
+
+def _newton(model: _Model, cur: _Iterate, c: np.ndarray, st: _Check):
+    """One predictor-corrector step of every member of the stack: the next
+    iterate, the step lengths and the centering parameters."""
+    tau, kappa, b = cur.tau, cur.kappa, model.b
+    sc = _Scaling(model.blocks, cur.xm, cur.sm)
+    normal = _Normal(model, sc.g, tau.size)
+    q = _mv(model.a, sc.w(c))
+    sol = normal.solve(np.stack([q + b, q, np.broadcast_to(b, q.shape)], axis=-1))
+    # stable positive denominator for the dtau pivot:
+    #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
+    resid = sc.half(c) - sc.half(_mv(model.at, sol[..., 1]))
+    den = _dot(resid, resid) + _dot(b, sol[..., 2]) + kappa / tau
+    k = _Step(c, st.g1, st.g2, st.g3, q, sol[..., 0], den, tau, kappa)
+
+    dx_a, _, ds_a, dtau_a, dkap_a = _direction(model, sc, normal, k, 1.0, 0.0, None)
+    dlx_a, dls_a = sc.scaled(dx_a, ds_a)
+    alpha = _step_length(sc, dlx_a, dls_a, k, dtau_a, dkap_a)[0]
+    gap_aff = (_dot(st.x + alpha[:, None] * dx_a, st.s + alpha[:, None] * ds_a)
+               + (tau + alpha * dtau_a) * (kappa + alpha * dkap_a))
+    sigma = np.clip(np.clip(gap_aff / st.gap_inner, 0.0, 1.0) ** 3, 1e-8, 1.0 - 1e-8)
+
+    # Mehrotra corrector in the scaled space.  Off the central path (some
+    # lam_i^2 below mu/100) its second-order term points at the boundary
+    # and the steps shrink to nothing, so such members take the
+    # first-order step to the same target instead
+    near = np.min([np.min(lam * lam, axis=-1) for lam in sc.lam], axis=0) >= 1e-2 * st.mu
+    corr = [hermitize(dlx @ dls) * near[:, None, None] for dlx, dls in zip(dlx_a, dls_a)]
+    dx, dy, ds, dtau, dkap = _direction(model, sc, normal, k, 1.0 - sigma, sigma * st.mu,
+                                        (corr, dtau_a * dkap_a * near))
+    step = _step_length(sc, *sc.scaled(dx, ds), k, dtau, dkap)[1]
+
+    blk = step[:, None, None]
+    x_m = [hermitize(xb + blk * dxb) for xb, dxb in zip(cur.xm, model.blocks.unpack(dx))]
+    s_m = [hermitize(sb + blk * dsb) for sb, dsb in zip(cur.sm, model.blocks.unpack(ds))]
+    tau = tau + step * dtau
+    kappa = kappa + step * dkap
+    # the model is homogeneous of degree one: rescale the iterate so
+    # tau + kappa stays O(1) instead of drifting along the ray
+    inv = 2.0 / (tau + kappa)
+    nxt = _Iterate([xb * inv[:, None, None] for xb in x_m],
+                   [sb * inv[:, None, None] for sb in s_m],
+                   (cur.y + step[:, None] * dy) * inv[:, None], tau * inv, kappa * inv)
+    return nxt, step, sigma
+
+
 def solve(program: ConicProgram, settings: SolverSettings | None = None) -> SolveResult:
     """Solve the program, returning optimum with certificates or an honest
     Infeasible / Unbounded / NumericalFailure status."""
@@ -699,167 +894,17 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     bit, on which other members share its stack."""
     settings = settings or SolverSettings()
     data = program.compile()
-    a, b = data["A"], data["b"]
-    r, n = a.shape
+    r, n = data["A"].shape
     if data["inconsistent_zero_row"]:
-        return [_infeasible_result(program, np.zeros(r), note="zero row with nonzero rhs")
-                for _ in objectives]
-    if r > 0 and np.linalg.norm(data["b_perp"]) > settings.feas_tol * (1 + np.linalg.norm(b)):
+        return [_infeasible_result(program, _original_rows(data, np.zeros(r)), None,
+                                   "zero row with nonzero rhs", 0) for _ in objectives]
+    if r > 0 and (np.linalg.norm(data["b_perp"])
+                  > settings.feas_tol * (1 + np.linalg.norm(data["b"]))):
         # equality system itself is inconsistent; Farkas direction is immediate
-        return [_infeasible_result(program, None, note="inconsistent equalities",
-                                   y_orig=data["d_inv"] * data["b_perp"]) for _ in objectives]
+        return [_infeasible_result(program, data["d_inv"] * data["b_perp"], None,
+                                   "inconsistent equalities", 0) for _ in objectives]
 
-    at = a.T if isinstance(a, _Rows) else np.ascontiguousarray(a.T)
-    u_r, block_rows = data["u_r"], data["block_rows"]
-    u_rt, n_rows = np.ascontiguousarray(u_r.T), u_r.shape[0]
-    # blocks assembled from their nonzeros use the normalized rows, which
-    # need the reduction when the rows are rank-deficient
-    reduce_sparse = r < n_rows and any(blk.mats is None for blk in block_rows)
-    dims = data["dims"]
-    blocks = _Blocks(dims)
-    by_dim = [[j for j, d in enumerate(dims) if d == dim] for dim in sorted(set(dims))]
-    nu = sum(dims) + 1.0
-    norm_b = 1.0 + np.linalg.norm(b)
-    ft, gt = settings.feas_tol, settings.gap_tol
-    trace = _log.isEnabledFor(logging.DEBUG)
-
-    def newton(cur: _Iterate, c, x, s, g1, g2, g3, mu, gap_inner):
-        """One predictor-corrector step of every member of the stack: the
-        next iterate, the step lengths and the centering parameters."""
-        tau, kappa = cur.tau, cur.kappa
-        count = len(c)
-
-        # -- Nesterov-Todd scaling per block
-        # (Todd-Toh-Tutuncu) X = Lx Lx', S = Ls Ls' and Ls' Lx = U diag(lam) V'
-        # give F = Lx V lam^-1/2 with F^-1 X F^-1' = F' S F = diag(lam): the
-        # scaled point is diagonal, exactly, and W = F F' satisfies W S W = X
-        f_list, fi_list, lam_list, g_list = [], [], [], []
-        for xb, sb in zip(cur.xm, cur.sm):
-            lx = np.linalg.cholesky(xb)
-            ls = np.linalg.cholesky(sb)
-            u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
-            f = (lx @ _ct(vh)) / np.sqrt(lam)[:, None, :]
-            f_list.append(f)
-            fi_list.append((_ct(u) @ _ct(ls)) / np.sqrt(lam)[:, :, None])
-            lam_list.append(lam)
-            g_list.append(f @ _ct(f))
-
-        def w_apply(vec):
-            return blocks.pack([g @ m @ g for g, m in zip(g_list, blocks.unpack(vec))])
-
-        def w_half(vec):
-            return blocks.pack([_ct(f) @ m @ f for f, m in zip(f_list, blocks.unpack(vec))])
-
-        # KKT normal matrix M = A W A', one (r, r) matrix per member: the sum
-        # over blocks of tr(A_k G A_l G), in the rows of A for small blocks
-        # and for large ones in the normalized rows, whose M_n gives U_r' M_n
-        # U_r (A = A_n, U_r = I, for rows of full rank)
-        m_mat = np.zeros((count, r, r))
-        m_n = np.zeros((count, n_rows, n_rows)) if reduce_sparse else m_mat
-        for g, blk in zip(g_list, block_rows):
-            blk.add_schur(g, m_mat if blk.mats is not None else m_n)
-        if reduce_sparse:
-            m_mat += u_rt @ m_n @ u_r
-        m_mat = hermitize(m_mat)
-        reg = 0.0
-        for attempt in range(4):
-            try:
-                chol = np.linalg.cholesky(m_mat + reg * np.eye(r))
-                break
-            except np.linalg.LinAlgError:
-                # only a lone member is regularized: a stack that fails is
-                # advanced member by member instead
-                if count > 1 or attempt == 3:
-                    raise np.linalg.LinAlgError("KKT factorization failed") from None
-                reg = max(reg * 100, 1e-12 * (1 + np.trace(m_mat[0]) / max(r, 1)))
-        li = _tril_inv(chol)
-        lit = np.swapaxes(li, -1, -2)
-
-        def kkt_solve(rhs):
-            # M^-1 rhs for (count, r, k) right-hand sides; one step of
-            # iterative refinement buys an extra digit
-            u = lit @ (li @ rhs)
-            return u + lit @ (li @ (rhs - m_mat @ u))
-
-        w_c = w_apply(c)
-        q_vec = _mv(a, w_c)
-        sol = kkt_solve(np.stack([q_vec + b, q_vec, np.broadcast_to(b, q_vec.shape)], axis=-1))
-        u2, m_q, m_b = sol[..., 0], sol[..., 1], sol[..., 2]
-        # stable positive denominator for the dtau pivot:
-        #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
-        resid = w_half(c) - w_half(_mv(at, m_q))
-        den = _dot(resid, resid) + _dot(b, m_b) + kappa / tau
-
-        def direction(eta, target_mu, corr_mats, corr_tk):
-            rlam = []
-            for lam, corr in zip(lam_list, corr_mats):
-                t = -corr
-                diag = np.arange(lam.shape[-1])
-                t[:, diag, diag] += target_mu[:, None] - lam * lam
-                rlam.append(2.0 * t / (lam[:, :, None] + lam[:, None, :]))
-            h = blocks.pack([f @ rl @ _ct(f) for f, rl in zip(f_list, rlam)])
-            dx_part = h + eta[:, None] * w_apply(g1)
-            r_tk = target_mu - tau * kappa - corr_tk
-            u1 = kkt_solve((-_mv(a, dx_part) - eta[:, None] * g2)[..., None])[..., 0]
-            num = -eta * g3 + _dot(c, dx_part) + _dot(q_vec - b, u1) + r_tk / tau
-            dtau = num / den
-            dy = u1 + dtau[:, None] * u2
-            at_dy = _mv(at, dy)
-            ds = -eta[:, None] * g1 - at_dy + c * dtau[:, None]
-            dx = dx_part + w_apply(at_dy - c * dtau[:, None])
-            dkappa = (r_tk - kappa * dtau) / tau
-            return dx, dy, ds, dtau, dkappa
-
-        def scaled_step(dx, ds):
-            # x + a*dx > 0 and s + a*ds > 0 iff diag(lam) + a*dl > 0 for the
-            # NT-scaled directions dl = F^-1 dx F^-1' and F' ds F
-            dlx = [fi @ dxb @ _ct(fi) for fi, dxb in zip(fi_list, blocks.unpack(dx))]
-            dls = [_ct(f) @ dsb @ f for f, dsb in zip(f_list, blocks.unpack(ds))]
-            step = np.full(count, np.inf)
-            for group in by_dim:   # one stacked call per block order
-                lam = np.concatenate([lam_list[j] for j in group] * 2)
-                dl = np.concatenate([dlx[j] for j in group] + [dls[j] for j in group])
-                step = np.minimum(step, _step_to_boundary(lam, dl).reshape(-1, count).min(axis=0))
-            return dlx, dls, step
-
-        ones = np.ones(count)
-        zeros_corr = [np.zeros((count, d, d)) for d in dims]
-        dx_a, dy_a, ds_a, dtau_a, dkap_a = direction(ones, 0 * ones, zeros_corr, 0 * ones)
-
-        # affine step length
-        dlx_a, dls_a, alpha = scaled_step(dx_a, ds_a)
-        alpha = np.minimum(_cap(_cap(alpha, tau, dtau_a), kappa, dkap_a), 1.0)
-        gap_aff = (_dot(x + alpha[:, None] * dx_a, s + alpha[:, None] * ds_a)
-                   + (tau + alpha * dtau_a) * (kappa + alpha * dkap_a))
-        sigma = np.clip(np.clip(gap_aff / gap_inner, 0.0, 1.0) ** 3, 1e-8, 1.0 - 1e-8)
-
-        # Mehrotra corrector in the scaled space.  Off the central path (some
-        # lam_i^2 below mu/100) its second-order term points at the boundary
-        # and the steps shrink to nothing, so such members take the
-        # first-order step to the same target instead
-        near = np.min([np.min(lam * lam, axis=-1) for lam in lam_list], axis=0) >= 1e-2 * mu
-        corr = [hermitize(dlx @ dls) * near[:, None, None] for dlx, dls in zip(dlx_a, dls_a)]
-        dx_c, dy_c, ds_c, dtau_c, dkap_c = direction(
-            1.0 - sigma, sigma * mu, corr, dtau_a * dkap_a * near)
-        _, _, step = scaled_step(dx_c, ds_c)
-        step = _cap(_cap(step, tau, dtau_c), kappa, dkap_c)
-        # go 99% of the way to the boundary, and less after a short step
-        # (90% in the limit), which keeps a margin where progress is slow
-        step = np.minimum(1.0, (0.9 + 0.09 * np.minimum(step, 1.0)) * step)
-
-        blk = step[:, None, None]
-        x_m = [hermitize(xb + blk * dxb) for xb, dxb in zip(cur.xm, blocks.unpack(dx_c))]
-        s_m = [hermitize(sb + blk * dsb) for sb, dsb in zip(cur.sm, blocks.unpack(ds_c))]
-        tau = tau + step * dtau_c
-        kappa = kappa + step * dkap_c
-        # the model is homogeneous of degree one: rescale the iterate so
-        # tau + kappa stays O(1) instead of drifting along the ray
-        inv = 2.0 / (tau + kappa)
-        nxt = _Iterate([xb * inv[:, None, None] for xb in x_m],
-                       [sb * inv[:, None, None] for sb in s_m],
-                       (cur.y + step[:, None] * dy_c) * inv[:, None], tau * inv, kappa * inv)
-        return nxt, step, sigma
-
+    model = _Model(data)
     count = len(objectives)
     c = np.zeros((count, n))
     for k, obj in enumerate(objectives):
@@ -867,112 +912,78 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     c *= program.sense
     results: list[SolveResult | None] = [None] * count
     ids = np.arange(count)                 # each active member's place in `results`
-    norm_c = 1.0 + np.linalg.norm(c, axis=-1)
-    cur = _Iterate([np.broadcast_to(np.eye(d, dtype=complex), (count, d, d)).copy() for d in dims],
-                   [np.broadcast_to(np.eye(d, dtype=complex), (count, d, d)).copy() for d in dims],
+    cur = _Iterate(*[[np.broadcast_to(np.eye(d, dtype=complex), (count, d, d)).copy()
+                      for d in data["dims"]] for _ in range(2)],
                    np.zeros((count, r)), np.ones(count), np.ones(count))
     best, best_score = cur, np.full(count, np.inf)
     stall = np.zeros(count, dtype=int)
-
-    def failed(k, note, iters):
-        # fall back to the member's best iterate, then try certificates once more
-        return _fallback(program, data, settings, _take(best, k), c[k], note, iters, best_score[k])
-
-    it = 0
+    trace = _log.isEnabledFor(logging.DEBUG)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(settings.max_iters):
             if not ids.size:
                 break
-            tau, kappa, y = cur.tau, cur.kappa, cur.y
-            x, s = blocks.pack(cur.xm), blocks.pack(cur.sm)
-            at_y, ax = _mv(at, y), _mv(a, x)
-            g1 = at_y + s - c * tau[:, None]        # dual residual direction
-            g2 = ax - b * tau[:, None]              # primal residual direction
-            cx, by = _dot(c, x), _dot(y, b)
-            g3 = -cx + by - kappa
-            gap_inner = _dot(x, s) + tau * kappa
-            mu = gap_inner / nu
-            finite = (np.isfinite(mu) & np.isfinite(cx) & np.isfinite(by)
-                      & np.isfinite(x).all(axis=-1) & np.isfinite(s).all(axis=-1))
-
-            # -- status tests on the scaled candidate
-            pres = np.linalg.norm(g2 / tau[:, None], axis=-1) / norm_b
-            dres = np.linalg.norm(g1 / tau[:, None], axis=-1) / norm_c
-            pobj, dobj = cx / tau, by / tau
-            relgap = np.abs(pobj - dobj) / (1 + np.abs(pobj) + np.abs(dobj))
-            if trace:
-                for k in range(ids.size):
-                    _log.debug("iter %3d member %d mu=%9.2e pres=%8.1e dres=%8.1e gap=%8.1e "
-                               "tau=%8.1e kappa=%8.1e", it, ids[k], mu[k], pres[k], dres[k],
-                               relgap[k], tau[k], kappa[k])
-            score = np.maximum(np.maximum(pres / ft, dres / ft), relgap / gt)
-            better = finite & (score < best_score)
+            st = _status(model, c, cur, settings, settings.feas_tol)
+            for k in range(ids.size) if trace else ():
+                _log.debug("iter %3d member %d mu=%9.2e pres=%8.1e dres=%8.1e gap=%8.1e "
+                           "tau=%8.1e kappa=%8.1e", it, ids[k], st.mu[k], st.pres[k],
+                           st.dres[k], st.relgap[k], cur.tau[k], cur.kappa[k])
+            better = st.finite & (st.score < best_score)
             if better.all():   # iterates are never changed in place
                 best = cur
             elif better.any():
-                best = _map(lambda new, old: np.where(
-                    better.reshape((-1,) + (1,) * (new.ndim - 1)), new, old), cur, best)
-            best_score = np.where(better, score, best_score)
+                best = _map(functools.partial(_where, better), cur, best)
+            best_score = np.where(better, st.score, best_score)
 
-            ended: dict[int, SolveResult] = {}
-            for k in np.flatnonzero(~finite):
-                ended[k] = failed(k, "iterate diverged (non-finite values)", it)
-            optimal = finite & (score <= 1.0)
-            for k in np.flatnonzero(optimal):
-                ended[k] = _optimal_result(program, data, c[k], x[k], y[k], s[k], tau[k], it)
+            ended = {k: _optimal_result(program, data, c[k], st.x[k], st.y[k], st.s[k],
+                                        cur.tau[k], it) for k in np.flatnonzero(st.optimal)}
             if it >= 1:
-                infeasible = (finite & ~optimal & (by > 0)
-                              & (np.linalg.norm(at_y + s, axis=-1) / by <= ft))
-                unbounded = (finite & ~optimal & ~infeasible & (-cx > 0)
-                             & (np.linalg.norm(ax, axis=-1) / -cx <= ft))
-                for k in np.flatnonzero(infeasible):
-                    ended[k] = _infeasible_result(program, y[k] / by[k], s_vec=s[k] / by[k],
-                                                  iters=it)
-                for k in np.flatnonzero(unbounded):
-                    ended[k] = _unbounded_result(program, x[k] / -cx[k], iters=it)
-
-            go = [k for k in range(ids.size) if k not in ended]
-            state = (cur, c, x, s, g1, g2, g3, mu, gap_inner)
-            steps = []                            # (members, newton's output)
+                ended.update((k, _certificate(program, data, st, k, it))
+                             for k in np.flatnonzero(st.infeasible | st.unbounded))
+            notes = {k: "iterate diverged (non-finite values)" for k in np.flatnonzero(~st.finite)}
+            go = [k for k in range(ids.size) if k not in ended and k not in notes]
+            steps = []                            # (members, _newton's output)
             if go:
+                parts = (cur, c, st) if len(go) == ids.size else _take((cur, c, st), go)
                 try:
-                    steps = [(go, newton(*(state if len(go) == ids.size else _take(state, go))))]
+                    steps = [(go, _newton(model, *parts))]
                 except (np.linalg.LinAlgError, ValueError):
-                    # advance the members one by one: a member whose
-                    # factorization fails ends alone, and the others take
-                    # the step they take in any stack
+                    # advance the members one by one: a member whose factorization
+                    # fails ends alone, the others take the step of any stack
                     for k in go:
                         try:
-                            steps.append(([k], newton(*_take(state, [k]))))
+                            steps.append(([k], _newton(model, *_take((cur, c, st), [k]))))
                         except (np.linalg.LinAlgError, ValueError) as exc:
-                            ended[k] = failed(k, f"linear algebra failure: {exc}", it)
+                            notes[k] = f"linear algebra failure: {exc}"
             keep = np.zeros(0, dtype=int)
             if steps:
                 moved = np.array([k for members, _ in steps for k in members])
-                nxt, step, sigma = _map(lambda *parts: np.concatenate(parts),
-                                        *[out for _, out in steps])
-                if trace:
-                    for j, k in enumerate(moved):
-                        _log.debug("        member %d sigma=%8.1e step=%6.3f",
-                                   ids[k], sigma[j], step[j])
+                nxt, step, sigma = _map(_concat, *[out for _, out in steps])
+                for j in range(moved.size) if trace else ():
+                    _log.debug("        member %d sigma=%8.1e step=%6.3f",
+                               ids[moved[j]], sigma[j], step[j])
                 collapsed = ~np.isfinite(step) | (step <= 1e-13)
                 run = np.where(step <= 1e-7, stall[moved] + 1, 0)
-                for k in moved[collapsed]:
-                    ended[k] = failed(k, "step length collapsed", it)
-                for k in moved[~collapsed & (run >= 3)]:
-                    ended[k] = failed(k, "no further progress (stalled steps)", it)
+                notes.update((k, "step length collapsed") for k in moved[collapsed])
+                notes.update((k, "no further progress (stalled steps)")
+                             for k in moved[~collapsed & (run >= 3)])
                 ok = ~collapsed & (run < 3)
                 keep, cur, stall = moved[ok], nxt if ok.all() else _take(nxt, ok), run[ok]
+            ended.update((k, _fallback(program, model, settings, best, best_score, c, k, note, it))
+                         for k, note in notes.items())
             if ended:
                 for k, res in ended.items():
                     results[ids[k]] = res
-                ids, c, norm_c = ids[keep], c[keep], norm_c[keep]
+                ids, c = ids[keep], c[keep]
                 best, best_score = _take(best, keep), best_score[keep]
-        else:
-            it = settings.max_iters
-        for k in range(ids.size):
-            results[ids[k]] = failed(k, "iteration limit reached", it)
+        for k in range(ids.size):   # members left after the last iteration
+            results[ids[k]] = _fallback(program, model, settings, best, best_score, c, k,
+                                        "iteration limit reached", settings.max_iters)
     return results
+
+
+def _original_rows(data: dict, y: np.ndarray) -> np.ndarray:
+    """Multipliers y of the reduced rows as multipliers of the original rows."""
+    return data["d_inv"] * (data["u_r"] @ y)
 
 
 def _optimal_result(program, data, c, x, y, s, tau, iters) -> SolveResult:
@@ -982,14 +993,10 @@ def _optimal_result(program, data, c, x, y, s, tau, iters) -> SolveResult:
     xs = x / tau
     ys = y / tau
     ss = s / tau
-    primal_blocks = program.unpack_blocks(xs)
-    y_orig = data["d_inv"] * (data["u_r"] @ ys) if r else np.zeros(len(program._rhs))
-    duals: dict[str, object] = {}
-    for g in program.eq_groups:
-        duals[g.name] = program.equality_dual(g.name, sense * y_orig)
-    for g in program.psd_groups:
-        sl = program.block_slice(g.slack)
-        duals[g.name] = smat(sense * ss[sl], g.slack.cdim)
+    y_orig = _original_rows(data, ys)
+    duals = {g.name: g.value(sense * y_orig) for g in program.eq_groups}
+    duals.update((g.name, smat(sense * ss[program.block_slice(g.slack)], g.slack.cdim))
+                 for g in program.psd_groups)
 
     pobj = sense * float(c @ xs)
     dobj = sense * float(b @ ys) if r else 0.0
@@ -999,45 +1006,36 @@ def _optimal_result(program, data, c, x, y, s, tau, iters) -> SolveResult:
         "compl": float(xs @ ss),
         "relgap": abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj)),
     }
-    return SolveResult(Status.OPTIMAL, pobj, dobj, primal_blocks, duals,
+    return SolveResult(Status.OPTIMAL, pobj, dobj, program.unpack_blocks(xs), duals,
                        gap=abs(pobj - dobj), iterations=iters, residuals=res)
 
 
-def _fallback(program, data, settings, best: _Iterate, c, note, iters, best_score) -> SolveResult:
-    """The result of a member that ended without an optimum: a certificate
-    if its best iterate passes the tests at ten times the tolerance, else
-    NumericalFailure."""
-    a, b = data["A"], data["b"]
-    r = a.shape[0]
-    blocks = _Blocks(data["dims"])
-    x = blocks.pack(best.xm)
-    s = blocks.pack(best.sm)
-    by = float(b @ best.y) if r else 0.0
-    cx = float(c @ x)
-    if r and by > 0 and np.linalg.norm(a.T @ best.y + s) / by <= settings.feas_tol * 10:
-        return _infeasible_result(program, best.y / by, s_vec=s / by, iters=iters)
-    if -cx > 0 and (np.linalg.norm(a @ x) if r else 0.0) / (-cx) <= settings.feas_tol * 10:
-        return _unbounded_result(program, x / (-cx), iters=iters)
+def _certificate(program, data, st: _Check, k: int, iters: int) -> SolveResult:
+    """Member k's Infeasible or Unbounded result, as its status test says."""
+    if st.infeasible[k]:
+        return _infeasible_result(program, _original_rows(data, st.y[k] / st.by[k]),
+                                  st.s[k] / st.by[k], "", iters)
+    pv = -np.inf if program.sense > 0 else np.inf
+    return SolveResult(Status.UNBOUNDED, pv, pv, iterations=iters, certificate={
+        "kind": "improving-ray", "ray_blocks": program.unpack_blocks(st.x[k] / -st.cx[k])})
+
+
+def _fallback(program, model: _Model, settings, best: _Iterate, best_score, c, k, note,
+              iters) -> SolveResult:
+    """Member k's result when it ends without an optimum: a certificate if its
+    best iterate passes `_status` at ten times feas_tol, else NumericalFailure."""
+    st = _status(model, c[[k]], _take(best, [k]), settings, settings.feas_tol * 10)
+    if st.infeasible[0] or st.unbounded[0]:
+        return _certificate(program, model.data, st, 0, iters)
     return SolveResult(Status.NUMERICAL_FAILURE, np.nan, np.nan, iterations=iters,
-                       residuals={"note": note, "best_score": float(best_score)})
+                       residuals={"note": note, "best_score": float(best_score[k])})
 
 
-def _infeasible_result(program, y_red, s_vec=None, note="", iters=0,
-                       y_orig=None) -> SolveResult:
-    data = program.compile()
-    if y_orig is None:
-        y_orig = (data["d_inv"] * (data["u_r"] @ y_red)) if data["A"].shape[0] else np.zeros(0)
-    cert = {"kind": "primal-infeasibility", "equality_ray": {}, "note": note}
-    for g in program.eq_groups:
-        cert["equality_ray"][g.name] = program.equality_dual(g.name, y_orig)
+def _infeasible_result(program, y_orig, s_vec, note, iters) -> SolveResult:
+    rays = {g.name: g.value(y_orig) for g in program.eq_groups}
+    cert = {"kind": "primal-infeasibility", "equality_ray": rays, "note": note}
     if s_vec is not None:
         cert["dual_slack"] = program.unpack_blocks(s_vec)
     pv = np.inf if program.sense > 0 else -np.inf
     return SolveResult(Status.INFEASIBLE, pv, pv, certificate=cert, iterations=iters,
                        residuals={"note": note} if note else {})
-
-
-def _unbounded_result(program, x_ray, iters=0) -> SolveResult:
-    cert = {"kind": "improving-ray", "ray_blocks": program.unpack_blocks(x_ray)}
-    pv = -np.inf if program.sense > 0 else np.inf
-    return SolveResult(Status.UNBOUNDED, pv, pv, certificate=cert, iterations=iters)

@@ -1,3 +1,15 @@
+import os
+import sys
+import warnings
+
+# One BLAS thread, as the benchmark pins it: with two threads on a two-core
+# host busy with other work, one seven-qubit solve took 43 s instead of 2 s.
+# BLAS reads these when numpy is first imported, so that must come later.
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before tests/conftest.py; BLAS threads are not pinned")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -24,6 +24,8 @@ from freemarg.solver import SolverFailure, SolverSettings
 from freemarg.state_rmp import MarginalFamily, Witness, extract_witness, robustness
 from freemarg.states import marginal_of, maximally_mixed, qubit_layout, random_density, w_marginal
 
+from conftest import rand_unitary
+
 LAYOUT = qubit_layout("ABC")
 
 
@@ -166,6 +168,33 @@ class TestTaskFromWitness:
             task = task_from_witness(w, us, epsilon=0.2)
             assert np.max(np.abs(sum(task.blocks[0].povm) - np.eye(4))) < 1e-9
             assert task.strictly_positive
+
+    @pytest.mark.parametrize("spectrum", [(0.0, 0.0, 0.0, 2 / 3), (0.1, 0.5, 0.1, 0.5)])
+    def test_task_does_not_depend_on_the_eigenbasis(self, rng, spectrum):
+        # the same witness block built from two eigenbases that differ by a
+        # rotation inside each eigenspace: LAPACK returns different
+        # eigenvectors for the two, the task must not see it
+        from freemarg.herm import HermitianOperator, hermitize
+
+        lay = qubit_layout("AB")
+        vals = np.array(spectrum)
+        rot = np.zeros((4, 4), dtype=complex)
+        for value in np.unique(vals):
+            at = np.flatnonzero(vals == value)
+            rot[np.ix_(at, at)] = rand_unitary(rng, at.size)
+        base = rand_unitary(rng, 4)
+        us = {("A", "B"): [rand_unitary(rng, 4) for _ in range(5)]}
+        blocks, tasks = [], []
+        for v in (base, base @ rot):
+            block = hermitize((v * vals) @ v.conj().T)
+            blocks.append(block)
+            w = Witness(((SubsystemSet(lay, ("A", "B")), HermitianOperator(lay, block)),), 0.9, 1.1)
+            tasks.append(task_from_witness(w, us, epsilon=0.2).blocks[0])
+        lapack = [np.linalg.eigh(b)[1] for b in blocks]
+        assert np.max(np.abs(lapack[0] - lapack[1])) > 1e-3
+        assert np.max(np.abs(tasks[0].spectral_vectors - tasks[1].spectral_vectors)) <= 1e-12
+        for e0, e1 in zip(tasks[0].povm, tasks[1].povm):
+            assert np.max(np.abs(e0 - e1)) <= 1e-12
 
     def test_epsilon_zero_allowed_but_not_strict(self):
         w = published_witness()

@@ -160,6 +160,19 @@ class TestRandomInstances:
         assert abs(ray["a"] + ray["b"]) < 1e-12
         assert ray["a"] + 2.0 * ray["b"] > 0
 
+    @pytest.mark.parametrize("with_trace_row", [True, False])
+    def test_zero_row_with_nonzero_rhs(self, with_trace_row):
+        # without the trace row every row is zero and the rows have rank 0
+        prog = ConicProgram()
+        x = prog.add_variable("X", 2)
+        if with_trace_row:
+            prog.add_scalar_equality("trace", [(x, np.eye(2))], 1.0)
+        prog.add_scalar_equality("zero", [(x, np.zeros((2, 2)))], 1.0)
+        prog.set_objective([(x, np.eye(2))], "min")
+        res = solve(prog)
+        assert res.status == Status.INFEASIBLE
+        assert res.residuals["note"] == "zero row with nonzero rhs"
+
 
 def real_embedding(m):
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
@@ -243,6 +256,49 @@ class TestStepToBoundary:
     def test_indefinite_scaling_point_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             _step_to_boundary(np.array([1.0, 0.0]), -np.eye(2))
+
+
+class TestScaling:
+    """The Nesterov-Todd scaling phase on its own, on stacks of three complex
+    positive definite X and S per block."""
+
+    DIMS = (1, 3, 8)
+
+    @pytest.fixture
+    def points(self, rng):
+        def pd(d):
+            z = rng.normal(size=(3, d, 2 * d)) + 1j * rng.normal(size=(3, d, 2 * d))
+            return z @ np.swapaxes(z.conj(), -1, -2) / (2 * d) + 0.1 * np.eye(d)
+
+        return [pd(d) for d in self.DIMS], [pd(d) for d in self.DIMS]
+
+    def test_scaled_point_is_diagonal(self, points):
+        xm, sm = points
+        sc = solver._Scaling(solver._Blocks(self.DIMS), xm, sm)
+        for x, s, f, fi, lam in zip(xm, sm, sc.f, sc.fi, sc.lam):
+            diag = lam[:, :, None] * np.eye(lam.shape[-1])
+            for scaled in (fi @ x @ solver._ct(fi), solver._ct(f) @ s @ f):
+                assert np.max(np.abs(scaled - diag)) <= 1e-12 * np.max(lam)
+
+    def test_w_maps_s_to_x(self, points):
+        xm, sm = points
+        blocks = solver._Blocks(self.DIMS)
+        sc = solver._Scaling(blocks, xm, sm)
+        for x, s, f, g in zip(xm, sm, sc.f, sc.g):
+            assert np.array_equal(g, f @ solver._ct(f))
+            assert np.max(np.abs(g @ s @ g - x)) <= 1e-12 * np.max(np.abs(x))
+        x, s = blocks.pack(xm), blocks.pack(sm)
+        assert np.max(np.abs(sc.w(s) - x)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_members_equal_their_solo_scaling(self, points):
+        xm, sm = points
+        blocks = solver._Blocks(self.DIMS)
+        sc = solver._Scaling(blocks, xm, sm)
+        for k in range(3):
+            solo = solver._Scaling(blocks, [x[k:k + 1] for x in xm], [s[k:k + 1] for s in sm])
+            for name in ("f", "fi", "lam", "g"):
+                for stacked, one in zip(getattr(sc, name), getattr(solo, name)):
+                    assert np.array_equal(stacked[k], one[0])
 
 
 class TestDeterminism:
