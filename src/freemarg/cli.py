@@ -9,6 +9,7 @@ exit code: 0 success, 2 input error, 3 no witness or solver error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -172,12 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# parse_args leaves the parser unchanged, so a process builds it once
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     """Run one subcommand.  This is the one place that loads the instance,
     writes the result and turns errors into exit codes: 2 for bad input
     (stderr "input error: ..."), 3 for a compatible family asked for a
     witness ("no witness: ...") or a failed solve ("solver error: ...")."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "samples", 1) < 1:
         print("input error: sample count must be >= 1", file=sys.stderr)
         return 2

@@ -250,7 +250,9 @@ class ConicProgram:
 
         norms = a.row_norms()
         keep = norms > 1e-14
-        inconsistent_zero_row = bool(np.any(~keep & (np.abs(b) > 1e-12)))
+        # a zero row with a nonzero right-hand side is its own Farkas ray:
+        # weight sign(b_i) on it gives A'y = 0 and b'y > 0
+        zero_row_ray = np.where(~keep & (np.abs(b) > 1e-12), np.sign(b), 0.0)
         d_inv = np.where(keep, 1.0 / np.where(keep, norms, 1.0), 0.0)
         a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
@@ -283,7 +285,7 @@ class ConicProgram:
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
             "b_perp": b_n - u_r @ b_red,
-            "inconsistent_zero_row": inconsistent_zero_row,
+            "zero_row_ray": zero_row_ray,
             "dims": [blk.cdim for blk in self.blocks],
             "block_rows": [_BlockRows.of(nz, blk.cdim, None if isinstance(a_red, _Rows)
                                          else a_red[:, self.block_slice(blk)])
@@ -895,8 +897,8 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     settings = settings or SolverSettings()
     data = program.compile()
     r, n = data["A"].shape
-    if data["inconsistent_zero_row"]:
-        return [_infeasible_result(program, _original_rows(data, np.zeros(r)), None,
+    if np.any(data["zero_row_ray"]):
+        return [_infeasible_result(program, data["zero_row_ray"], None,
                                    "zero row with nonzero rhs", 0) for _ in objectives]
     if r > 0 and (np.linalg.norm(data["b_perp"])
                   > settings.feas_tol * (1 + np.linalg.norm(data["b"]))):

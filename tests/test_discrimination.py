@@ -316,6 +316,31 @@ class TestHistogram:
         assert serial.to_csv().startswith(prefix.to_csv())
         assert sample_w_advantage(5, seed=21) == serial.samples[5]
 
+    def test_batch_observables_equal_the_task_reference(self, rng):
+        from freemarg.discrimination import _w_example_task, _w_observables
+
+        us = np.array([[rand_unitary(rng, 4) for _ in range(5)] for _ in range(6)])
+        obs = _w_observables(us)
+        for n in range(len(us)):
+            ref = discrimination.effective_observables(_w_example_task(list(us[n])))
+            assert [label for label, _ in ref] == ["A,B", "A,C"]
+            assert all(np.array_equal(obs[n], o) for _, o in ref)
+        assert np.array_equal(_w_observables(us[2:3])[0], obs[2])
+
+    def test_batch_unitaries_follow_the_sample_keys(self):
+        from freemarg.discrimination import _w_unitaries
+
+        us = _w_unitaries([0, 3, 7], seed=21)
+        for n, index in enumerate([0, 3, 7]):
+            gen = np.random.Generator(np.random.Philox(key=np.uint64(21 ^ index)))
+            assert all(np.array_equal(us[n, i], haar_from_generator(4, gen)) for i in range(5))
+
+    def test_samples_pinned(self):
+        # the values of the per-sample task loop the batch path replaced
+        got = [repr(float(v)) for v in histogram_experiment(5, seed=0).samples]
+        assert got == ["0.008045210742014253", "0.006505203041742319", "0.005778727323888233",
+                       "0.0073097345792041135", "0.005110385575627485"]
+
     def test_small_run_statistics(self):
         h = histogram_experiment(40, seed=0)
         assert np.all(h.samples > 0)

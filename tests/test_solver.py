@@ -172,6 +172,12 @@ class TestRandomInstances:
         res = solve(prog)
         assert res.status == Status.INFEASIBLE
         assert res.residuals["note"] == "zero row with nonzero rhs"
+        # the Farkas ray of the original rows: A'y = 0 and b'y > 0
+        rows, rhs = prog.equality_rows()
+        ray = res.certificate["equality_ray"]
+        y = np.array([ray[g.name] for g in prog.eq_groups])
+        assert np.max(np.abs(rows.dense().T @ y)) < 1e-12
+        assert rhs @ y > 0
 
 
 def real_embedding(m):
