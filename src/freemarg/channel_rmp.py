@@ -1,10 +1,11 @@
 """Channel-family compatibility via Choi matrices: marginal channels, the
 dynamical robustness cone program, witness decomposition into state/observable
 pairs, and the ensemble state-discrimination task.  Compatibility, robustness,
-linear maximization and the witness duals are those of `state_rmp`, fed by
-`ChannelRmpInstance.problem()`; success probability, advantage and the
-epsilon rule are those of `discrimination`, fed by
-`ChannelDiscriminationTask.outcomes()`.
+linear maximization and the witness duals are those of `state_rmp`, which
+read the members a `ChannelRmpInstance` shares with a state instance
+(`layout`, `pairs`, `extract`, `normalize`, `constrain`, `project`, `finite`,
+`diagnostics`); success probability, advantage and the epsilon rule are those
+of `discrimination`, fed by `ChannelDiscriminationTask.outcomes()`.
 
 Conventions.  A channel from X' to X is stored as its Choi *state*
 J = (E (x) id)(|Phi+><Phi+|) on the layout  out (x) in :  J >= 0 iff E is
@@ -15,7 +16,7 @@ Input and output factors must carry distinct labels (e.g. "A" out, "A'" in).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .solver import BlockRef, ConicProgram, SolverFailure, SolverSettings
 from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     CompatibilityResult,
     CompatibleSetModel,
-    MarginalProblem,
     NoWitnessError,
     RobustnessResult,
     check_rfree_compatible,
@@ -155,12 +155,6 @@ class ChannelSpec:
         return {"in": self.in_layout.to_json(), "out": self.out_layout.to_json(),
                 "choi": self.choi.to_json()}
 
-    @staticmethod
-    def from_json(data: dict) -> "ChannelSpec":
-        return ChannelSpec(SubsystemLayout.from_json(data["in"]),
-                           SubsystemLayout.from_json(data["out"]),
-                           HermitianOperator.from_json(data["choi"]))
-
 
 def _primed_twin(layout: SubsystemLayout) -> SubsystemLayout:
     return SubsystemLayout([(l.rstrip("'") if l.endswith("'") else l + "'", d)
@@ -202,6 +196,9 @@ class ChannelMarginalFamily:
 
     def __init__(self, global_in, global_out, entries):
         entries = tuple(entries)
+        labels = [pair.label() for pair, _ in entries]
+        if len(set(labels)) < len(labels):  # a label keys the targets, the maps and the duals
+            raise LayoutError(f"a channel pair is given twice: {labels}")
         for pair, spec in entries:
             if pair.inp.layout != global_in or pair.out.layout != global_out:
                 raise LayoutError("pair subsystem sets must refer to the global layouts")
@@ -220,6 +217,10 @@ class ChannelMarginalFamily:
 
 @dataclass(frozen=True)
 class ChannelRmpInstance:
+    """The state problem on out (x) in, with the members of `RmpInstance`:
+    Choi validity as normalization, and marginal-channel existence
+    (no-signalling) and the free-channel structure as extra rows."""
+
     family: ChannelMarginalFamily
     target: ChannelPair
     free: FreeChannelSetSpec
@@ -231,37 +232,82 @@ class ChannelRmpInstance:
             raise LayoutError("target output must live on the global output layout")
 
     @property
-    def joint_layout(self) -> SubsystemLayout:
+    def layout(self) -> SubsystemLayout:
         return self.family.global_out.concat(self.family.global_in)
 
     @cached_property
     def _maps(self) -> dict[str, LinearMap | None]:
         """The extraction map of each pair and of the target, by label,
         built once: every program of the instance shares them."""
-        so = self.joint_layout
+        so = self.layout
         return {pair.label(): extraction_map(so, pair.out.members + pair.inp.members)
                 for pair in [pair for pair, _ in self.family.entries] + [self.target]}
 
-    def problem(self) -> MarginalProblem:
-        """The state problem on out (x) in: Choi validity as normalization,
-        marginal-channel existence (no-signalling) and the free-channel
-        structure as extra rows."""
-        so, maps = self.joint_layout, self._maps
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, LinearMap | None, np.ndarray], ...]:
+        return tuple((pair.label(), self._maps[pair.label()], spec.choi.entries)
+                     for pair, spec in self.family.entries)
+
+    def extract(self, key: str) -> LinearMap | None:
+        return self._maps[key]
+
+    def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
+        """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
+        so = self.layout
+        gin = self.family.global_in
+        tr_out_map = partial_trace_map(so, gin.labels)
+        d_in = gin.total_dim
+        if pinned:
+            prog.add_matrix_equality("choi_state", [(v, tr_out_map)], np.eye(d_in) / d_in)
+        else:
+            prog.add_matrix_equality(
+                "choi_cone", [(v, tr_out_map),
+                              (v, probe_times_map(np.eye(so.total_dim), -np.eye(d_in) / d_in))],
+                np.zeros((d_in, d_in)))
+
+    def constrain(self, prog: ConicProgram, v: BlockRef):
+        """Marginal-channel existence for every pair and the target, then the
+        free-channel structure on the target pair."""
+        so = self.layout
+        gin = self.family.global_in
+        pairs = [pair for pair, _ in self.family.entries]
+        for pair in pairs + [self.target]:
+            terms = _existence_terms(so, gin, pair)
+            if terms is not None:
+                prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m) for m in terms],
+                                         np.zeros((terms[0].out_dim,) * 2))
+
+        free = self.free
+        t_pair = self.target
+        keep_t = list(t_pair.out.members) + list(t_pair.inp.members)
+        if free.kind == "SingletonChannel":
+            prog.add_matrix_equality(
+                "free.pin",
+                [(v, partial_trace_map(so, keep_t)),
+                 (v, probe_times_map(np.eye(so.total_dim), -free.choi.entries))],
+                np.zeros((free.choi.dim,) * 2))
+        elif free.kind == "FreeOutputState":
+            # replacement structure: V_TT' = tr_{T'}(V_TT') (x) I/d_T'
+            m_tt = partial_trace_map(so, keep_t)
+            m_t = partial_trace_map(so, list(t_pair.out.members))
+            lift = -(tensor_identity_map(m_t.out_dim, t_pair.inp.dim) @ m_t)
+            prog.add_matrix_equality("free.replacement", [(v, m_tt), (v, lift)],
+                                     np.zeros((m_tt.out_dim,) * 2))
+            attach_free_state_cone(prog, v, m_t, free.state_spec, prefix="free.state")
+        # AllChannels: marginal existence + Choi validity already say it all
+
+    def project(self, j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
         gin, gout = self.family.global_in, self.family.global_out
+        j = _project_choi_state(j, gin.total_dim)
+        return j, ChannelSpec(gin, gout, HermitianOperator(self.layout, j))
 
-        def project(j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
-            j = _project_choi_state(j, gin.total_dim)
-            return j, ChannelSpec(gin, gout, HermitianOperator(so, j))
+    @property
+    def finite(self) -> bool:
+        return self.free.admits_full_rank_replacement()
 
-        return MarginalProblem(
-            so, tuple((pair.label(), maps[pair.label()], spec.choi.entries)
-                      for pair, spec in self.family.entries),
-            maps.__getitem__, partial(_choi_normalization, self),
-            partial(_channel_structure, self), project,
-            finite=self.free.admits_full_rank_replacement(),
-            diagnostics=("no scaled free-compatible Choi dominates the family: the free "
-                         "channel set likely admits no full-rank replacement channel "
-                         "(finiteness assumption violated)"))
+    diagnostics = ("no scaled free-compatible Choi dominates the family: the free "
+                   "channel set likely admits no full-rank replacement channel "
+                   "(finiteness assumption violated)")
 
 
 # ---------------------------------------------------------------------------
@@ -319,54 +365,6 @@ def _existence_terms(so: SubsystemLayout, global_in: SubsystemLayout,
         + [global_in.factors[a] for a in global_in.axes_of(rest_in)])
     m3 = permute_map(cur_layout, rhs_labels)
     return [partial_trace_map(so, rhs_labels), -(m3 @ (m2 @ m1))]
-
-
-def _choi_normalization(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRef,
-                        pinned: bool):
-    """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
-    so = inst.joint_layout
-    gin = inst.family.global_in
-    tr_out_map = partial_trace_map(so, gin.labels)
-    d_in = gin.total_dim
-    if pinned:
-        prog.add_matrix_equality("choi_state", [(v, tr_out_map)], np.eye(d_in) / d_in)
-    else:
-        prog.add_matrix_equality(
-            "choi_cone",
-            [(v, tr_out_map), (v, probe_times_map(np.eye(so.total_dim), -np.eye(d_in) / d_in))],
-            np.zeros((d_in, d_in)))
-
-
-def _channel_structure(inst: ChannelRmpInstance, prog: ConicProgram, v: BlockRef):
-    """Marginal-channel existence for every pair and the target, then the
-    free-channel structure on the target pair."""
-    so = inst.joint_layout
-    gin = inst.family.global_in
-    pairs = [pair for pair, _ in inst.family.entries]
-    for pair in pairs + [inst.target]:
-        terms = _existence_terms(so, gin, pair)
-        if terms is not None:
-            prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m) for m in terms],
-                                     np.zeros((terms[0].out_dim,) * 2))
-
-    free = inst.free
-    t_pair = inst.target
-    keep_t = list(t_pair.out.members) + list(t_pair.inp.members)
-    if free.kind == "SingletonChannel":
-        prog.add_matrix_equality(
-            "free.pin",
-            [(v, partial_trace_map(so, keep_t)),
-             (v, probe_times_map(np.eye(so.total_dim), -free.choi.entries))],
-            np.zeros((free.choi.dim,) * 2))
-    elif free.kind == "FreeOutputState":
-        # replacement structure: V_TT' = tr_{T'}(V_TT') (x) I/d_T'
-        m_tt = partial_trace_map(so, keep_t)
-        m_t = partial_trace_map(so, list(t_pair.out.members))
-        lift = -(tensor_identity_map(m_t.out_dim, t_pair.inp.dim) @ m_t)
-        prog.add_matrix_equality("free.replacement", [(v, m_tt), (v, lift)],
-                                 np.zeros((m_tt.out_dim,) * 2))
-        attach_free_state_cone(prog, v, m_t, free.state_spec, prefix="free.state")
-    # AllChannels: marginal existence + Choi validity already say it all
 
 
 def _project_choi_state(j: np.ndarray, d_in: int) -> np.ndarray:
@@ -513,6 +511,7 @@ class ChannelDiscriminationTask:
     epsilon: float
     metadata: dict = field(default_factory=dict)
 
+    @property
     def strictly_positive(self) -> bool:
         return all(is_strictly_positive(prior, self.outcome_priors[label], self.povms[label])
                    for label, prior in self.pair_priors.items())
@@ -562,7 +561,7 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon = {epsilon} does not give a strictly positive task")
     task = task_at(epsilon)
-    if not task.strictly_positive():
+    if not task.strictly_positive:
         raise ValueError("constructed task is not strictly positive")
     return task
 

@@ -189,6 +189,9 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         print("input error: parallelism must be >= 1", file=sys.stderr)
         return 2
+    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:  # a Philox key is one uint64
+        print("input error: --seed must be in [0, 2**64)", file=sys.stderr)
+        return 2
     for flag, tol in (("--gap-tol", args.gap_tol), ("--feas-tol", args.feas_tol)):
         if not 0 < tol < math.inf:  # also false for nan
             print(f"input error: {flag} must be positive and finite, not {tol}", file=sys.stderr)

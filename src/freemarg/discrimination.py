@@ -167,8 +167,7 @@ def success_probability(task, inputs) -> float:
 def advantage(task, sigma, feasible: Instance | CompatibleSetModel,
               settings: SolverSettings | None = None) -> float:
     """P at the family `sigma` minus the best P over the free-compatible set."""
-    strict = task.strictly_positive  # a property of state tasks, a method of channel tasks
-    if not (strict() if callable(strict) else strict):
+    if not task.strictly_positive:
         raise ValueError("advantage is defined for strictly positive tasks")
     obs = effective_observables(task)
     sup = CompatibleSetModel.of(feasible, settings).maximize(obs).primal_value

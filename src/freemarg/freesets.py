@@ -1,7 +1,9 @@
 """Declarative free-set descriptions consumable by the conic solver.
 
 A `FreeSetSpec` describes which states of the target subsystem count as
-resource-free, as affine + PSD + partial-transpose constraints.  Separability
+resource-free, as affine + PSD + partial-transpose constraints; its `kind`
+is read where the constraints are used, by
+`programs.attach_free_state_cone` and `check_cone_membership`.  Separability
 is modeled by positivity of the partial transpose across the listed
 bipartitions: exact for 2x2 and 2x3 targets, an outer approximation above
 (so computed robustness values are certified lower bounds and witnesses stay
@@ -26,39 +28,6 @@ from .herm import (
     hermitize,
     ptranspose_array,
 )
-
-
-# --- constraint descriptors -------------------------------------------------
-#
-# emit_constraints returns a list of these; program builders translate them
-# into solver constraints on the (cone-scaled) target marginal X:
-#   Psd()                  X >= 0
-#   PsdPartialTranspose    X^{T_part} >= 0
-#   DiagonalOnly           off-diagonal entries of B' X B vanish
-#   ProportionalTo         X = tr(X) * state
-
-
-@dataclass(frozen=True)
-class Psd:
-    pass
-
-
-@dataclass(frozen=True)
-class PsdPartialTranspose:
-    part: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DiagonalOnly:
-    basis: np.ndarray | None = None  # unitary whose columns define the basis
-
-
-@dataclass(frozen=True)
-class ProportionalTo:
-    state: np.ndarray
-
-
-ConeConstraint = Psd | PsdPartialTranspose | DiagonalOnly | ProportionalTo
 
 
 # --- free state sets ---------------------------------------------------------
@@ -149,43 +118,28 @@ class FreeSetSpec:
         exact = len(dims) == 2 and dims in ([2, 2], [2, 3])
         return "ppt-exact" if exact else "ppt-outer"
 
-    def emit_constraints(self) -> list[ConeConstraint]:
-        """Conic constraints satisfied exactly by cone(free set) members."""
-        if self.kind == "AllStates":
-            return [Psd()]
-        if self.kind == "SeparablePPT":
-            return [Psd()] + [PsdPartialTranspose(p) for p in self.bipartitions]
-        if self.kind == "Incoherent":
-            return [Psd(), DiagonalOnly(self.basis)]
-        return [Psd(), ProportionalTo(self.state.entries)]
-
     def check_membership(self, state: DensityMatrix, tol: float = DEFAULT_TOLS.membership) -> bool:
-        """True iff all emitted constraints hold within tol."""
+        """True iff the state lies in the free set, within tol."""
         if state.layout != self.target.sublayout():
             raise LayoutError("state layout does not match the free set's target")
         m = state.entries
         return self.check_cone_membership(m, tol)
 
     def check_cone_membership(self, m: np.ndarray, tol: float) -> bool:
-        """Membership of a (possibly scaled) PSD matrix in the emitted cone."""
+        """Membership of a (possibly scaled) PSD matrix in cone(free set):
+        m >= 0, and by kind its partial transposes >= 0, its off-diagonal
+        entries in the basis zero, or m = tr(m) * state."""
         sub = self.target.sublayout()
-        for con in self.emit_constraints():
-            if isinstance(con, Psd):
-                if np.linalg.eigvalsh(hermitize(m))[0] < -tol:
-                    return False
-            elif isinstance(con, PsdPartialTranspose):
-                pt = ptranspose_array(m, sub.dims, sub.axes_of(con.part))
-                if np.linalg.eigvalsh(hermitize(pt))[0] < -tol:
-                    return False
-            elif isinstance(con, DiagonalOnly):
-                rot = m if con.basis is None else con.basis.conj().T @ m @ con.basis
-                off = rot - np.diag(np.diag(rot))
-                if np.max(np.abs(off)) > tol:
-                    return False
-            elif isinstance(con, ProportionalTo):
-                scale = float(np.trace(m).real)
-                if np.max(np.abs(m - scale * con.state)) > tol:
-                    return False
+        parts = self.bipartitions if self.kind == "SeparablePPT" else ()
+        for x in [m] + [ptranspose_array(m, sub.dims, sub.axes_of(p)) for p in parts]:
+            if np.linalg.eigvalsh(hermitize(x))[0] < -tol:
+                return False
+        if self.kind == "Incoherent":
+            rot = m if self.basis is None else self.basis.conj().T @ m @ self.basis
+            return bool(np.max(np.abs(rot - np.diag(np.diag(rot)))) <= tol)
+        if self.kind == "Singleton":
+            scale = float(np.trace(m).real)
+            return bool(np.max(np.abs(m - scale * self.state.entries)) <= tol)
         return True
 
     def contains_full_rank_member(self) -> bool:

@@ -14,9 +14,9 @@ incompatibility: sup over the free-compatible set of sum_X tr(tau_X Y_X)
 stays <= 1 while the value at sigma equals the optimum > 1.
 
 A channel family is the same problem on out (x) in with extra linear rows
-(see `channel_rmp`).  Both instance types describe themselves by a
-`MarginalProblem`, and the compatibility check, the robustness, the compiled
-linear-max model and the witness duals below take either.
+(see `channel_rmp`).  Both instance types define the members these programs
+read (see `RmpInstance`), so the compatibility check, the robustness, the
+compiled linear-max model and the witness duals below take either.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class NoWitnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class MarginalFamily:
-    """One density matrix per subsystem set; the sets may overlap."""
+    """One density matrix per subsystem set; the sets may overlap, but each
+    appears once, as its label keys the targets, the maps and the duals."""
 
     layout: SubsystemLayout
     entries: tuple[tuple[SubsystemSet, DensityMatrix], ...]
@@ -87,6 +88,8 @@ class MarginalFamily:
                 raise LayoutError("marginal subsystem refers to a different layout")
             if sigma.layout != layout.sublayout(sub.members):
                 raise LayoutError(f"marginal on {sub.members} has the wrong layout")
+            if any(sub == seen for seen, _ in normalized):
+                raise LayoutError(f"marginal on {sub.members} is given twice")
             normalized.append((sub, sigma))
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "entries", tuple(normalized))
@@ -101,6 +104,22 @@ class MarginalFamily:
 
 @dataclass(frozen=True)
 class RmpInstance:
+    """A marginal family and a free set on its target.
+
+    The shared programs below read these members of an instance, state or
+    channel.  The variable V is a PSD matrix on `layout`.  Each of `pairs`
+    (label, map, target) asks map(V) = target on the compatible set and
+    map(V) >= target in the robustness program; a map of None is the
+    identity.  `extract(key)` gives the map of a label or subsystem set an
+    objective names.  `normalize(prog, V, pinned)` adds V's normalization:
+    pinned on the compatible set (unit trace, Choi state), scaled by tr(V)
+    for the robustness.  `constrain(prog, V)` adds the structural equalities
+    and the free cone.  `project(V)` returns the nearest valid matrix and the
+    object reported for it.  `finite` says the free set has a full-rank
+    member, the condition for a finite robustness; `diagnostics` explains an
+    infinite one.
+    """
+
     marginals: MarginalFamily
     free: FreeSetSpec
 
@@ -123,74 +142,50 @@ class RmpInstance:
         return {",".join(sub.members): extraction_map(self.layout, sub.members)
                 for sub in [sub for sub, _ in self.marginals.entries] + [self.free.target]}
 
-    def problem(self) -> MarginalProblem:
-        layout, free, maps = self.layout, self.free, self._maps
-        d = layout.total_dim
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, LinearMap | None, np.ndarray], ...]:
+        return tuple((label, self._maps[label], sigma.entries)
+                     for label, (_, sigma) in zip(self.marginals.labels(), self.marginals.entries))
 
-        def extract(key) -> LinearMap | None:
-            """A subsystem set, its members, or its label "A,B"."""
-            if isinstance(key, SubsystemSet):
-                key = key.members
-            label = key if isinstance(key, str) else ",".join(key)
-            if label in maps:
-                return maps[label]
-            return extraction_map(layout, SubsystemSet(layout, label.split(",")).members)
+    def extract(self, key) -> LinearMap | None:
+        """A subsystem set, its members, or its label "A,B"."""
+        if isinstance(key, SubsystemSet):
+            key = key.members
+        label = key if isinstance(key, str) else ",".join(key)
+        if label in self._maps:
+            return self._maps[label]
+        return extraction_map(self.layout, SubsystemSet(self.layout, label.split(",")).members)
 
-        def normalize(prog: ConicProgram, v: BlockRef, pinned: bool):
-            if pinned:  # the cone form, tr(V) = tr(V), says nothing
-                prog.add_scalar_equality("unit_trace", [(v, np.eye(d))], 1.0)
+    def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
+        if pinned:  # the cone form, tr(V) = tr(V), says nothing
+            prog.add_scalar_equality("unit_trace", [(v, np.eye(self.layout.total_dim))], 1.0)
 
-        def constrain(prog: ConicProgram, v: BlockRef):
-            attach_free_state_cone(prog, v, extract(free.target), free)
+    def constrain(self, prog: ConicProgram, v: BlockRef):
+        attach_free_state_cone(prog, v, self.extract(self.free.target), self.free)
 
-        def project(m: np.ndarray) -> tuple[np.ndarray, DensityMatrix]:
-            vals, vecs = np.linalg.eigh(hermitize(m))
-            m = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
-            state = DensityMatrix.from_array(layout, m / np.trace(m).real)
-            return state.entries, state
+    def project(self, m: np.ndarray) -> tuple[np.ndarray, DensityMatrix]:
+        vals, vecs = np.linalg.eigh(hermitize(m))
+        m = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
+        state = DensityMatrix.from_array(self.layout, m / np.trace(m).real)
+        return state.entries, state
 
-        finite = free.contains_full_rank_member()
-        diagnostics = ("the robustness program is infeasible, so the measure is unbounded: "
-                       "no scaled free extension dominates the family")
-        if not finite:
-            diagnostics += (" (the free set has no full-rank member, e.g. a pure singleton, "
-                            "so finiteness of the measure is not guaranteed)")
-        pairs = tuple((label, maps[label], sigma.entries)
-                      for label, (sub, sigma) in zip(self.marginals.labels(),
-                                                     self.marginals.entries))
-        return MarginalProblem(layout, pairs, extract, normalize, constrain, project,
-                               finite, diagnostics)
+    @property
+    def finite(self) -> bool:
+        return self.free.contains_full_rank_member()
+
+    @property
+    def diagnostics(self) -> str:
+        text = ("the robustness program is infeasible, so the measure is unbounded: "
+                "no scaled free extension dominates the family")
+        if not self.finite:
+            text += (" (the free set has no full-rank member, e.g. a pure singleton, "
+                     "so finiteness of the measure is not guaranteed)")
+        return text
 
 
 # ---------------------------------------------------------------------------
 # Shared program pieces
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarginalProblem:
-    """What the shared programs need to know of an instance.
-
-    The variable V is a PSD matrix on `layout`.  Each pair (label, map,
-    target) asks map(V) = target on the compatible set and map(V) >= target
-    in the robustness program; a map of None is the identity.  `extract`
-    gives the map of any label or subsystem set an objective names.
-    `normalize(prog, V, pinned)` adds V's normalization: pinned on the
-    compatible set (unit trace, Choi state), scaled by tr(V) for the
-    robustness.  `constrain(prog, V)` adds the structural equalities and the
-    free cone.  `project(V)` returns the nearest valid matrix and the object
-    reported for it.  `finite` says the free set has a full-rank member, the
-    condition for a finite robustness; `diagnostics` explains an infinite one.
-    """
-
-    layout: SubsystemLayout
-    pairs: tuple[tuple[str, LinearMap | None, np.ndarray], ...]
-    extract: Callable[[object], LinearMap | None]
-    normalize: Callable[[ConicProgram, BlockRef, bool], None]
-    constrain: Callable[[ConicProgram, BlockRef], None]
-    project: Callable[[np.ndarray], tuple[np.ndarray, object]]
-    finite: bool
-    diagnostics: str
 
 
 def extraction_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap | None:
@@ -199,21 +194,21 @@ def extraction_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap | 
     return partial_trace_map(layout, keep)
 
 
-def _program(problem: MarginalProblem, pinned: bool,
+def _program(inst: Instance, pinned: bool,
              pairs: Iterable[tuple[str, LinearMap | None, np.ndarray]] = ()
              ) -> tuple[ConicProgram, BlockRef]:
     """V, its normalization, the pair rows, then the structure and the free
     cone; this order fixes the compiled rows and so the iterates.  The
     caller sets the objective."""
     prog = ConicProgram()
-    v = prog.add_variable("V", problem.layout.total_dim)
-    problem.normalize(prog, v, pinned)
+    v = prog.add_variable("V", inst.layout.total_dim)
+    inst.normalize(prog, v, pinned)
     for label, m, target in pairs:
         if pinned:
             prog.add_matrix_equality(f"marginal[{label}]", [(v, m)], target)
         else:
             prog.add_psd_inequality(f"dominate[{label}]", [(v, m)], const=-target)
-    problem.constrain(prog, v)
+    inst.constrain(prog, v)
     return prog, v
 
 
@@ -241,15 +236,14 @@ def check_rfree_compatible(inst: Instance,
     Compatible results carry the found global object and the worst marginal
     deviation; Incompatible ones carry the solver's Farkas certificate.
     """
-    problem = inst.problem()
-    prog, v = _program(problem, pinned=True, pairs=problem.pairs)
-    prog.set_objective([(v, np.eye(problem.layout.total_dim))], "min")  # constant when feasible
+    prog, v = _program(inst, pinned=True, pairs=inst.pairs)
+    prog.set_objective([(v, np.eye(inst.layout.total_dim))], "min")  # constant when feasible
 
     res = solve(prog, settings)
     if res.status == Status.OPTIMAL:
-        m, found = problem.project(res.primal_blocks["V"])
+        m, found = inst.project(res.primal_blocks["V"])
         dev = max((float(np.max(np.abs((e.apply(m) if e else m) - target)))
-                   for _, e, target in problem.pairs), default=0.0)
+                   for _, e, target in inst.pairs), default=0.0)
         if dev > DEFAULT_TOLS.compat:
             raise SolverFailure(f"feasible point violates marginals by {dev:.2e} > tol")
         return CompatibilityResult(True, found, dev)
@@ -282,23 +276,22 @@ class RobustnessResult:
 
 
 def robustness(inst: Instance, settings: SolverSettings | None = None) -> RobustnessResult:
-    problem = inst.problem()
-    if not problem.finite:
+    if not inst.finite:
         warnings.warn("the free set has no full-rank member: the robustness can be "
                       "infinite and strong duality is not guaranteed", stacklevel=2)
-    prog, v = _program(problem, pinned=False, pairs=problem.pairs)
-    prog.set_objective([(v, np.eye(problem.layout.total_dim))], "min")
+    prog, v = _program(inst, pinned=False, pairs=inst.pairs)
+    prog.set_objective([(v, np.eye(inst.layout.total_dim))], "min")
 
     res = solve(prog, settings)
     relaxation = inst.free.relaxation
     if res.status == Status.OPTIMAL:
         opt = res.primal_value
         value = max(0.0, math.log2(max(opt, 1e-300)))
-        optimizer = HermitianOperator(problem.layout, hermitize(res.primal_blocks["V"]))
+        optimizer = HermitianOperator(inst.layout, hermitize(res.primal_blocks["V"]))
         return RobustnessResult(res.status, value, opt, optimizer, res, relaxation=relaxation)
     if res.status == Status.INFEASIBLE:
         return RobustnessResult(res.status, np.inf, np.inf, None, res, relaxation=relaxation,
-                                diagnostics=problem.diagnostics)
+                                diagnostics=inst.diagnostics)
     raise SolverFailure(f"robustness solve ended with status {res.status}")
 
 
@@ -318,9 +311,8 @@ class CompatibleSetModel:
 
     def __init__(self, inst: Instance, settings: SolverSettings | None = None):
         self.instance = inst
-        self.problem = inst.problem()
         self.settings = settings
-        self.prog, self.var = _program(self.problem, pinned=True)
+        self.prog, self.var = _program(inst, pinned=True)
         self.prog.set_objective([], "max")
         self.prog.compile()  # every objective shares the compiled data
 
@@ -345,7 +337,7 @@ class CompatibleSetModel:
             coeff = cost[self.prog.block_slice(self.var)]
             for key, obs in objectives:
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-                x, m = svec(hermitize(obs)), self.problem.extract(key)
+                x, m = svec(hermitize(obs)), self.instance.extract(key)
                 coeff += x if m is None else x @ m.k  # m's adjoint, in svec coordinates
             costs.append(cost)
         results = solve_many(self.prog, costs, self.settings)
@@ -380,10 +372,8 @@ def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = N
         raise NoWitnessError("no witness exists: the family is free-compatible "
                              "(robustness is zero)")
     duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
-    model = CompatibleSetModel(inst, settings)
-    value = sum(float(np.trace(duals[label] @ target).real)
-                for label, _, target in model.problem.pairs)
-    sup = linear_max_over_set(duals.items(), model)
+    value = sum(float(np.trace(duals[label] @ target).real) for label, _, target in inst.pairs)
+    sup = linear_max_over_set(duals.items(), inst, settings)
     if value <= sup:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
     return duals, value, sup
@@ -481,8 +471,8 @@ def product_channels_on_family(family: MarginalFamily, site_channels: dict):
 def _fidelity_program(objective_state: np.ndarray, family: MarginalFamily,
                       sense: str, settings: SolverSettings | None) -> float:
     everything = FreeSetSpec.all_states(SubsystemSet(family.layout, family.layout.labels))
-    problem = RmpInstance(family, everything).problem()
-    prog, rho = _program(problem, pinned=True, pairs=problem.pairs)
+    inst = RmpInstance(family, everything)
+    prog, rho = _program(inst, pinned=True, pairs=inst.pairs)
     prog.set_objective([(rho, objective_state)], sense)
     if settings is None:
         # pinned-marginal feasible sets can be rank-deficient (down to a

@@ -329,7 +329,7 @@ def _direct_marginal_feasibility(fam: MarginalFamily) -> bool:
 
 
 def _direct_channel_feasibility(inst: ChannelRmpInstance) -> bool:
-    so = inst.joint_layout
+    so = inst.layout
     gin = inst.family.global_in
     prog = ConicProgram()
     v = prog.add_variable("V", so.total_dim)

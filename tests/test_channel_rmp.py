@@ -230,7 +230,7 @@ class TestCompatibilityCheck:
                 inst = broadcasting_instance()
             else:
                 inst, _ = make(rng)
-            so = inst.joint_layout
+            so = inst.layout
             gin = inst.family.global_in
             prog = ConicProgram()
             v = prog.add_variable("V", so.total_dim)
@@ -289,7 +289,7 @@ class TestStateDiscriminationTask:
         inst = broadcasting_instance()
         w = channel_witness(inst)
         task = state_discrimination_task(w, inst)
-        assert task.strictly_positive()
+        assert task.strictly_positive
         assert channel_task_advantage(task, inst) > 0
 
     def test_epsilon_zero_rejected(self):

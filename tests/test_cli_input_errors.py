@@ -36,6 +36,9 @@ CORPUS = {
         0, str(d["marginals"][0]["matrix"][0][0][0]))),
     "boolean_imaginary_part": edited(STATE, lambda d: d["marginals"][0]["matrix"][0][1].__setitem__(
         1, False)),
+    # a label keys the targets, the maps and the duals, so each appears once
+    "repeated_marginal": edited(STATE, lambda d: d["marginals"].append(d["marginals"][0])),
+    "repeated_channel_pair": edited(CHANNEL, lambda d: d["pairs"].append(d["pairs"][0])),
 }
 
 
@@ -59,6 +62,23 @@ def test_bad_tolerance_exits_2(flag, value, tmp_path, capsys):
     # inf would switch the gap test off; nan and 0 would reach the solver
     out = tmp_path / "out.json"
     rc = cli.main(["verify-w", "--samples", "1", f"{flag}={value}", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["histogram", "verify-w", "discriminate"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_uint64_exits_2(command, seed, tmp_path, capsys):
+    # the seed keys a Philox generator, whose key is one uint64
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(STATE))
+    extra = {"histogram": ["--samples", "1", "--out", str(tmp_path / "h.csv")],
+             "verify-w": ["--samples", "1"],
+             "discriminate": ["--input", str(path)]}[command]
+    out = tmp_path / "out.json"
+    rc = cli.main([command, *extra, "--seed", seed, "--output", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("input error:")

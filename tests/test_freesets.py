@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from freemarg.freesets import (
-    DiagonalOnly,
-    FreeChannelSetSpec,
-    FreeSetSpec,
-    ProportionalTo,
-    Psd,
-    PsdPartialTranspose,
-)
+from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet
+from freemarg.programs import attach_free_state_cone
+from freemarg.solver import ConicProgram
 from freemarg.states import ket, maximally_mixed, pure, qubit_layout, w_marginal
 
 from conftest import rand_unitary
@@ -20,33 +15,35 @@ def two_qubit_sep(layout=None):
     return FreeSetSpec.separable_ppt(SubsystemSet(layout, layout.labels))
 
 
+def attached(spec: FreeSetSpec) -> tuple[list[str], list[str]]:
+    """The named equality rows and PSD groups that `attach_free_state_cone`
+    adds for a variable on the target itself."""
+    prog = ConicProgram()
+    attach_free_state_cone(prog, prog.add_variable("X", spec.target.dim), None, spec)
+    return [g.name for g in prog.eq_groups], [g.name for g in prog.psd_groups]
+
+
 class TestEmit:
     def test_all_states(self):
         spec = FreeSetSpec.all_states(SubsystemSet(qubit_layout("T"), ("T",)))
-        assert spec.emit_constraints() == [Psd()]
+        assert attached(spec) == ([], [])
 
     def test_separable_ppt_two_qubits(self):
-        cons = two_qubit_sep().emit_constraints()
-        assert cons[0] == Psd()
-        assert cons[1:] == [PsdPartialTranspose(("C",))]
+        assert attached(two_qubit_sep()) == (["free.ppt[C].def"], ["free.ppt[C]"])
 
     def test_separable_default_covers_all_bipartitions(self):
         lay = qubit_layout("ABC")
         spec = FreeSetSpec.separable_ppt(SubsystemSet(lay, ("A", "B", "C")))
-        parts = {c.part for c in spec.emit_constraints() if isinstance(c, PsdPartialTranspose)}
-        assert parts == {("B",), ("C",), ("B", "C")}
+        assert attached(spec)[1] == ["free.ppt[B]", "free.ppt[C]", "free.ppt[B,C]"]
 
     def test_singleton(self):
         lay = qubit_layout("T")
-        state = maximally_mixed(lay)
-        spec = FreeSetSpec.singleton(SubsystemSet(lay, ("T",)), state)
-        cons = spec.emit_constraints()
-        assert isinstance(cons[1], ProportionalTo)
-        assert np.allclose(cons[1].state, np.eye(2) / 2)
+        spec = FreeSetSpec.singleton(SubsystemSet(lay, ("T",)), maximally_mixed(lay))
+        assert attached(spec) == (["free.pin"], [])
 
     def test_incoherent(self):
         spec = FreeSetSpec.incoherent(SubsystemSet(qubit_layout("T"), ("T",)))
-        assert any(isinstance(c, DiagonalOnly) for c in spec.emit_constraints())
+        assert attached(spec) == (["free.diag[0]", "free.diag[1]"], [])
 
 
 class TestMembership:

@@ -48,8 +48,7 @@ def densified(monkeypatch):
 
 
 def robustness_program(inst):
-    problem = inst.problem()
-    return state_rmp._program(problem, pinned=False, pairs=problem.pairs)[0]
+    return state_rmp._program(inst, pinned=False, pairs=inst.pairs)[0]
 
 
 def test_six_qubit_robustness_then_witness(densified):

@@ -493,8 +493,8 @@ class TestSchurAssembly:
         lay = qubit_layout("ABCD")
         rho = random_density(lay, rng)
         fam = MarginalFamily(lay, [(m, marginal_of(rho, m)) for m in ("ABC", "BCD")])
-        problem = RmpInstance(fam, FreeSetSpec.all_states(SubsystemSet(lay, lay.labels))).problem()
-        prog, v = _program(problem, pinned=True, pairs=problem.pairs)
+        inst = RmpInstance(fam, FreeSetSpec.all_states(SubsystemSet(lay, lay.labels)))
+        prog, v = _program(inst, pinned=True, pairs=inst.pairs)
         costs = [rand_herm(rng, 16) for _ in range(3)]
         batch = solve_many(prog, [-prog.objective_vector([(v, cm)]) for cm in costs])
         for cm, res in zip(costs, batch):
@@ -526,8 +526,8 @@ class TestRankReduction:
         from freemarg.discrimination import w_example_instance
         from freemarg.state_rmp import _program
 
-        problem = w_example_instance().problem()
-        return _program(problem, pinned=True, pairs=problem.pairs)[0]
+        inst = w_example_instance()
+        return _program(inst, pinned=True, pairs=inst.pairs)[0]
 
     @staticmethod
     def broadcasting_compatibility():
@@ -535,8 +535,8 @@ class TestRankReduction:
 
         from test_channel_rmp import broadcasting_instance
 
-        problem = broadcasting_instance().problem()
-        return _program(problem, pinned=True, pairs=problem.pairs)[0]
+        inst = broadcasting_instance()
+        return _program(inst, pinned=True, pairs=inst.pairs)[0]
 
     @staticmethod
     def four_qubit_robustness():
@@ -549,8 +549,7 @@ class TestRankReduction:
         rho = random_density(lay, np.random.default_rng(4), rank=2)
         fam = MarginalFamily(lay, [(m, marginal_of(rho, m)) for m in ("ABC", "BCD", "ACD")])
         inst = RmpInstance(fam, FreeSetSpec.separable_ppt(SubsystemSet(lay, ("A", "C"))))
-        problem = inst.problem()
-        return _program(problem, pinned=False, pairs=problem.pairs)[0]
+        return _program(inst, pinned=False, pairs=inst.pairs)[0]
 
     @staticmethod
     def six_qubit_robustness():
