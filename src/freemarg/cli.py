@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: robustness, witness, discriminate, histogram, channel-robustness,
-check-compat, verify-w.  Each command maps (args, instance, settings) to the
-JSON payload; `main` loads the instance, writes the payload and decides the
-exit code: 0 success, 2 input error, 3 no witness or solver error.
+One row of `COMMANDS` per subcommand: robustness, witness, check-compat,
+discriminate, channel-robustness (an alias of robustness), histogram and
+verify-w.  Each command maps (args, instance, settings) to a payload of
+numbers, arrays and result objects, and `io.dump_result` alone turns it into
+JSON.  The arguments are checked by their argparse types.  `main` parses,
+loads the instance, writes the payload and decides the exit code: 0 success,
+2 input error (a bad argument or instance file), 3 no witness or solver error.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def cmd_robustness(args, inst, settings: SolverSettings) -> dict:
         "status": res.status.value,
         "robustness_log2": res.value_log2,
         "optimum": res.optimum,
-        "optimizer": None if res.optimizer is None else res.optimizer.to_json(),
+        "optimizer": res.optimizer,
         "gap": res.solve_result.gap,
         "diagnostics": res.diagnostics,
         "certificates": res.solve_result.certificate,
@@ -37,22 +40,21 @@ def cmd_robustness(args, inst, settings: SolverSettings) -> dict:
 
 def cmd_witness(args, inst, settings: SolverSettings) -> dict:
     if isinstance(inst, state_rmp.RmpInstance):
-        payload = io.witness_to_json(state_rmp.extract_witness(inst, settings=settings))
+        w = state_rmp.extract_witness(inst, settings=settings)
+        fields = {"blocks": [{"subsystems": list(sub.members), "matrix": op.entries}
+                             for sub, op in w.blocks],
+                  "free_sup": w.free_sup,
+                  "value_at_sigma": w.value_at_sigma,
+                  "gap": w.gap}
     else:
         w = channel_rmp.channel_witness(inst, settings=settings)
-        payload = {
-            "pairs": {label: [{"observable": io.matrix_to_json(wj),
-                               "input_state": io.matrix_to_json(rho)}
-                              for wj, rho in terms]
-                      for label, terms in w.entries.items()},
-            "free_sup": w.free_sup,
-            "value_at_family": w.value_at_family,
-            "gap": w.gap,
-            "n_terms": w.n_terms,
-            "metadata": w.metadata,
-        }
-    payload["provenance"] = io.provenance_block(settings)
-    return payload
+        fields = {"pairs": {label: [{"observable": wj, "input_state": rho} for wj, rho in terms]
+                            for label, terms in w.entries.items()},
+                  "free_sup": w.free_sup,
+                  "value_at_family": w.value_at_family,
+                  "gap": w.gap,
+                  "n_terms": w.n_terms}
+    return {**fields, "metadata": w.metadata, "provenance": io.provenance_block(settings)}
 
 
 def cmd_check_compat(args, inst, settings: SolverSettings) -> dict:
@@ -60,7 +62,7 @@ def cmd_check_compat(args, inst, settings: SolverSettings) -> dict:
     return {
         "compatible": res.compatible,
         "residual": res.residual,
-        "witness": None if res.witness_state is None else res.witness_state.to_json(),
+        "witness": res.witness_state,
         "certificate": res.certificate,
         "provenance": io.provenance_block(settings),
     }
@@ -77,18 +79,16 @@ def cmd_discriminate(args, inst, settings: SolverSettings) -> dict:
                      for sub, block in w.blocks}
         task = discrimination.task_from_witness(w, unitaries, inst, settings=settings)
         family = inst.marginals
-        fields = {"blocks": [{"subsystems": list(b.sub.members),
-                              "prior": b.prior,
-                              "outcome_priors": list(map(float, b.outcome_priors)),
-                              "povm": [io.matrix_to_json(e) for e in b.povm]}
+        fields = {"blocks": [{"subsystems": list(b.sub.members), "prior": b.prior,
+                              "outcome_priors": b.outcome_priors, "povm": b.povm}
                              for b in task.blocks]}
     else:
         w = channel_rmp.channel_witness(inst, settings=settings)
         task = channel_rmp.state_discrimination_task(w, inst, settings=settings)
         family = inst.family
-        fields = {"pairs": {label: {"priors": list(map(float, task.outcome_priors[label])),
-                                    "povm": [io.matrix_to_json(e) for e in task.povms[label]],
-                                    "states": [io.matrix_to_json(s) for s in task.states[label]]}
+        fields = {"pairs": {label: {"priors": task.outcome_priors[label],
+                                    "povm": task.povms[label],
+                                    "states": task.states[label]}
                             for label in task.pair_priors}}
     return {"delta_p": discrimination.advantage(task, family, inst, settings),
             "epsilon": task.epsilon,
@@ -102,11 +102,8 @@ def cmd_histogram(args, inst, settings: SolverSettings) -> dict:
                                                  jobs=args.jobs, settings=settings)
     with open(args.out, "w") as fh:
         fh.write(result.to_csv())
-    summary = result.summary()
-    summary["provenance"] = io.provenance_block(
-        settings, seed=args.seed, relaxation="ppt-exact",
-        extra={"jobs": args.jobs, "csv": args.out})
-    return summary
+    provenance = io.provenance_block(settings, seed=args.seed, relaxation="ppt-exact")
+    return {**result.summary(), "provenance": {**provenance, "jobs": args.jobs, "csv": args.out}}
 
 
 def cmd_verify_w(args, inst, settings: SolverSettings) -> dict:
@@ -124,52 +121,63 @@ def cmd_verify_w(args, inst, settings: SolverSettings) -> dict:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="freemarg",
-                                description="free-set compatibility of marginal families")
-    sub = p.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """Raises `argparse.ArgumentError` where argparse would print usage and
+    exit; the subcommand parsers are of the same class."""
 
-    def common(sp, needs_input=True):
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _checked(convert, valid, rule: str):
+    """An argparse type: `convert(text)`, which must be `valid`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
+        return value
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _checked(int, lambda s: 0 <= s < 2 ** 64, "an integer in [0, 2**64)")  # one Philox key
+_tolerance = _checked(float, lambda t: 0 < t < math.inf, "positive and finite")  # false for nan
+
+_SEED_ARG = ("--seed", dict(type=_seed, default=0))
+
+# name, command, help, whether it reads --input, extra arguments
+COMMANDS = (
+    ("robustness", cmd_robustness, "incompatibility robustness (log2 scale)", True, ()),
+    ("witness", cmd_witness, "extract an incompatibility witness", True, ()),
+    ("check-compat", cmd_check_compat, "free-compatibility feasibility check", True, ()),
+    ("discriminate", cmd_discriminate, "build a discrimination task and its advantage", True,
+     (_SEED_ARG,)),
+    ("channel-robustness", cmd_robustness, "alias of robustness for channel instances", True, ()),
+    ("histogram", cmd_histogram, "advantage distribution of the W-marginal example", False,
+     (("--samples", dict(type=_count, default=1000)), _SEED_ARG,
+      ("--jobs", dict(type=_count, default=1)),
+      ("--out", dict(default="histogram.csv", help="per-sample CSV path")))),
+    ("verify-w", cmd_verify_w, "W-marginal uniqueness and activation value", False,
+     (_SEED_ARG, ("--samples", dict(type=_count, default=200)))),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = _Parser(prog="freemarg", description="free-set compatibility of marginal families")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, func, text, needs_input, extra in COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(func=func, needs_input=needs_input)
         if needs_input:
             sp.add_argument("--input", required=True, help="instance JSON file")
         sp.add_argument("--output", default=None, help="result JSON file (default stdout)")
-        sp.add_argument("--gap-tol", type=float, default=1e-8)
-        sp.add_argument("--feas-tol", type=float, default=1e-8)
-
-    sp = sub.add_parser("robustness", help="incompatibility robustness (log2 scale)")
-    common(sp)
-    sp.set_defaults(func=cmd_robustness)
-
-    sp = sub.add_parser("witness", help="extract an incompatibility witness")
-    common(sp)
-    sp.set_defaults(func=cmd_witness)
-
-    sp = sub.add_parser("check-compat", help="free-compatibility feasibility check")
-    common(sp)
-    sp.set_defaults(func=cmd_check_compat)
-
-    sp = sub.add_parser("discriminate", help="build a discrimination task and its advantage")
-    common(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_discriminate)
-
-    sp = sub.add_parser("channel-robustness", help="alias of robustness for channel instances")
-    common(sp)
-    sp.set_defaults(func=cmd_robustness)
-
-    sp = sub.add_parser("histogram", help="advantage distribution of the W-marginal example")
-    common(sp, needs_input=False)
-    sp.add_argument("--samples", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--out", default="histogram.csv", help="per-sample CSV path")
-    sp.set_defaults(func=cmd_histogram)
-
-    sp = sub.add_parser("verify-w", help="W-marginal uniqueness and activation value")
-    common(sp, needs_input=False)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.set_defaults(func=cmd_verify_w)
+        sp.add_argument("--gap-tol", type=_tolerance, default=1e-8)
+        sp.add_argument("--feas-tol", type=_tolerance, default=1e-8)
+        for flag, kwargs in extra:
+            sp.add_argument(flag, **kwargs)
     return p
 
 
@@ -178,29 +186,17 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  This is the one place that loads the instance,
-    writes the result and turns errors into exit codes: 2 for bad input
-    (stderr "input error: ..."), 3 for a compatible family asked for a
-    witness ("no witness: ...") or a failed solve ("solver error: ...")."""
-    args = _parser().parse_args(argv)
-    if getattr(args, "samples", 1) < 1:
-        print("input error: sample count must be >= 1", file=sys.stderr)
-        return 2
-    if getattr(args, "jobs", 1) < 1:
-        print("input error: parallelism must be >= 1", file=sys.stderr)
-        return 2
-    if not 0 <= getattr(args, "seed", 0) < 2 ** 64:  # a Philox key is one uint64
-        print("input error: --seed must be in [0, 2**64)", file=sys.stderr)
-        return 2
-    for flag, tol in (("--gap-tol", args.gap_tol), ("--feas-tol", args.feas_tol)):
-        if not 0 < tol < math.inf:  # also false for nan
-            print(f"input error: {flag} must be positive and finite, not {tol}", file=sys.stderr)
-            return 2
-    settings = SolverSettings(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
+    """Run one subcommand.  This is the one place that parses the arguments,
+    loads the instance, writes the result and turns errors into exit codes:
+    2 for a bad argument or instance (stderr "input error: ..."), 3 for a
+    compatible family asked for a witness ("no witness: ...") or a failed
+    solve ("solver error: ...")."""
     try:
-        inst = io.load_instance(args.input) if hasattr(args, "input") else None
+        args = _parser().parse_args(argv)
+        settings = SolverSettings(gap_tol=args.gap_tol, feas_tol=args.feas_tol)
+        inst = io.load_instance(args.input) if args.needs_input else None
         io.dump_result(args.output, args.func(args, inst, settings))
-    except (io.SchemaError, OSError) as exc:
+    except (argparse.ArgumentError, io.SchemaError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except state_rmp.NoWitnessError as exc:

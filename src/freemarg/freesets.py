@@ -26,6 +26,8 @@ from .herm import (
     SubsystemLayout,
     SubsystemSet,
     hermitize,
+    matrix_from_json,
+    matrix_to_json,
     ptranspose_array,
 )
 
@@ -58,7 +60,8 @@ class FreeSetSpec:
             for part in self.bipartitions:
                 sub._check(part)
         if self.kind == "Incoherent" and self.basis is not None:
-            b = np.asarray(self.basis)
+            b = np.asarray(self.basis, complex)
+            object.__setattr__(self, "basis", b)
             d = self.target.dim
             if b.shape != (d, d) or np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-10:
                 raise ValueError("Incoherent basis must be a unitary of the target dimension")
@@ -155,10 +158,8 @@ class FreeSetSpec:
         if self.kind == "SeparablePPT":
             params["bipartitions"] = [list(p) for p in self.bipartitions]
         if self.kind == "Incoherent" and self.basis is not None:
-            from .herm import matrix_to_json
             params["basis"] = matrix_to_json(self.basis)
         if self.kind == "Singleton":
-            from .herm import matrix_to_json
             params["state"] = matrix_to_json(self.state.entries)
         return {"kind": self.kind, "target": list(self.target.members), "params": params}
 
@@ -177,11 +178,9 @@ class FreeSetSpec:
         if kind == "Incoherent":
             basis = params.get("basis")
             if basis is not None:
-                from .herm import matrix_from_json
                 basis = matrix_from_json(basis)
             return FreeSetSpec.incoherent(target, basis)
         if kind == "Singleton":
-            from .herm import matrix_from_json
             state = DensityMatrix.from_array(target.sublayout(), matrix_from_json(params["state"]))
             return FreeSetSpec.singleton(target, state)
         raise ValueError(f"unknown free-set kind {kind!r}")
@@ -251,7 +250,6 @@ class FreeChannelSetSpec:
         return bool(vals[0] > 1e-9)
 
     def to_json(self) -> dict:
-        from .herm import matrix_to_json
         params: dict = {}
         if self.kind == "FreeOutputState":
             params["state_spec"] = self.state_spec.to_json()

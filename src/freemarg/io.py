@@ -17,6 +17,7 @@ from .channel_rmp import (
     ChannelRmpInstance,
     ChannelSpec,
 )
+from .config import DEFAULT_TOLS
 from .freesets import FreeChannelSetSpec, FreeSetSpec
 from .herm import (
     DensityMatrix,
@@ -26,7 +27,7 @@ from .herm import (
     matrix_from_json,
     matrix_to_json,
 )
-from .state_rmp import MarginalFamily, RmpInstance, Witness
+from .state_rmp import MarginalFamily, RmpInstance
 
 
 class SchemaError(ValueError):
@@ -51,26 +52,36 @@ def state_instance_to_json(inst: RmpInstance) -> dict:
     }
 
 
+def _labels(value) -> list:
+    """A label list; a string is refused, since `SubsystemSet` reads "AB" as ["A", "B"]."""
+    if not isinstance(value, list):
+        raise SchemaError(f"a list of subsystem labels must be a JSON list, not {value!r}")
+    return value
+
+
+def _free_state_from_json(data: dict, layout: SubsystemLayout, target) -> FreeSetSpec:
+    """The free state set of `data`, whose target defaults to `target`."""
+    data = {"target": target, **data}
+    _labels(data["target"])
+    if target is not None and data["target"] != _labels(target):
+        raise SchemaError("instance target and free-set target disagree")
+    params = data.get("params")
+    if isinstance(params, dict) and params.get("bipartitions") is not None:
+        for part in _labels(params["bipartitions"]):
+            _labels(part)
+    return FreeSetSpec.from_json(data, layout)
+
+
 def state_instance_from_json(data: dict) -> RmpInstance:
-    try:
-        layout = SubsystemLayout.from_json(data["layout"])
-        entries = []
-        for item in data["marginals"]:
-            sub = SubsystemSet(layout, item["subsystems"])
-            sigma = DensityMatrix.from_array(layout.sublayout(sub.members),
-                                             matrix_from_json(item["matrix"]))
-            entries.append((sub, sigma))
-        family = MarginalFamily(layout, entries)
-        free_data = dict(data["free"])
-        free_data.setdefault("target", data.get("target"))
-        if data.get("target") is not None and list(free_data["target"]) != list(data["target"]):
-            raise SchemaError("instance target and free-set target disagree")
-        free = FreeSetSpec.from_json(free_data, layout)
-        return RmpInstance(family, free)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad state instance: {exc}") from exc
+    layout = SubsystemLayout.from_json(data["layout"])
+    entries = []
+    for item in data["marginals"]:
+        sub = SubsystemSet(layout, _labels(item["subsystems"]))
+        sigma = DensityMatrix.from_array(layout.sublayout(sub.members),
+                                         matrix_from_json(item["matrix"]))
+        entries.append((sub, sigma))
+    family = MarginalFamily(layout, entries)
+    return RmpInstance(family, _free_state_from_json(data["free"], layout, data.get("target")))
 
 
 def channel_instance_to_json(inst: ChannelRmpInstance) -> dict:
@@ -89,36 +100,34 @@ def channel_instance_to_json(inst: ChannelRmpInstance) -> dict:
 
 
 def channel_instance_from_json(data: dict) -> ChannelRmpInstance:
-    try:
-        gin = SubsystemLayout.from_json(data["input_layout"])
-        gout = SubsystemLayout.from_json(data["output_layout"])
-        entries = []
-        for item in data["pairs"]:
-            pair = ChannelPair(SubsystemSet(gin, item["in"]), SubsystemSet(gout, item["out"]))
-            in_sub = gin.sublayout(pair.inp.members)
-            out_sub = gout.sublayout(pair.out.members)
-            choi = HermitianOperator(out_sub.concat(in_sub), matrix_from_json(item["choi"]))
-            entries.append((pair, ChannelSpec(in_sub, out_sub, choi)))
-        family = ChannelMarginalFamily(gin, gout, entries)
-        target = ChannelPair(SubsystemSet(gin, data["target"]["in"]),
-                             SubsystemSet(gout, data["target"]["out"]))
-        free = _free_channel_from_json(data["free"], gin, gout, target)
-        return ChannelRmpInstance(family, target, free)
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad channel instance: {exc}") from exc
+    gin = SubsystemLayout.from_json(data["input_layout"])
+    gout = SubsystemLayout.from_json(data["output_layout"])
+    entries = []
+    for item in data["pairs"]:
+        pair = ChannelPair(SubsystemSet(gin, _labels(item["in"])),
+                           SubsystemSet(gout, _labels(item["out"])))
+        in_sub = gin.sublayout(pair.inp.members)
+        out_sub = gout.sublayout(pair.out.members)
+        choi = HermitianOperator(out_sub.concat(in_sub), matrix_from_json(item["choi"]))
+        entries.append((pair, ChannelSpec(in_sub, out_sub, choi)))
+    family = ChannelMarginalFamily(gin, gout, entries)
+    target = ChannelPair(SubsystemSet(gin, _labels(data["target"]["in"])),
+                         SubsystemSet(gout, _labels(data["target"]["out"])))
+    return ChannelRmpInstance(family, target, _free_channel_from_json(data["free"], gout, target))
 
 
-def _free_channel_from_json(data: dict, gin, gout, target: ChannelPair) -> FreeChannelSetSpec:
+def _free_channel_from_json(data: dict, gout, target: ChannelPair) -> FreeChannelSetSpec:
+    """The free channel set of `data`, on the instance's target pair; an
+    `input` or `output` the set names must be that pair's."""
+    for key, sub in (("input", target.inp), ("output", target.out)):
+        if key in data and _labels(data[key]) != list(sub.members):
+            raise SchemaError(f"instance target and free-set {key} disagree")
     kind = data["kind"]
     params = data.get("params", {}) or {}
     if kind == "AllChannels":
         return FreeChannelSetSpec.all_channels(target.inp, target.out)
     if kind == "FreeOutputState":
-        spec_data = dict(params["state_spec"])
-        spec_data.setdefault("target", list(target.out.members))
-        state_spec = FreeSetSpec.from_json(spec_data, gout)
+        state_spec = _free_state_from_json(params["state_spec"], gout, list(target.out.members))
         return FreeChannelSetSpec.free_output_state(target.inp, target.out, state_spec)
     if kind == "SingletonChannel":
         choi = HermitianOperator.from_json(params["choi"])
@@ -127,11 +136,18 @@ def _free_channel_from_json(data: dict, gin, gout, target: ChannelPair) -> FreeC
 
 
 def instance_from_json(data: dict):
+    """A state or channel instance.  This is where a fault in the data
+    becomes a `SchemaError`; the readers of each kind may raise others."""
     kind = data.get("kind", "state")
-    if kind == "state":
-        return state_instance_from_json(data)
-    if kind == "channel":
-        return channel_instance_from_json(data)
+    try:
+        if kind == "state":
+            return state_instance_from_json(data)
+        if kind == "channel":
+            return channel_instance_from_json(data)
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {kind} instance: {exc}") from exc
     raise SchemaError(f"unknown instance kind {kind!r}")
 
 
@@ -155,10 +171,16 @@ def load_instance(path: str):
 
 
 def _clean(value: Any):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """The one conversion of a result into JSON values: objects with a
+    `to_json()` go through it, 1-D arrays become float lists, 2-D arrays
+    matrices of [re, im] pairs, numpy scalars Python numbers, and a
+    non-finite float its repr."""
+    if hasattr(value, "to_json"):
+        return _clean(value.to_json())
     if isinstance(value, np.ndarray):
-        return matrix_to_json(value)
+        return _clean([float(x) for x in value] if value.ndim == 1 else matrix_to_json(value))
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)
     if isinstance(value, dict):
@@ -168,12 +190,8 @@ def _clean(value: Any):
     return value
 
 
-def provenance_block(settings, seed=None, relaxation=None, extra=None) -> dict:
-    from .config import DEFAULT_TOLS
-    from .solver import SolverSettings
-
-    settings = settings or SolverSettings()
-    block = {
+def provenance_block(settings, seed=None, relaxation=None) -> dict:
+    return {
         "solver": {"gap_tol": settings.gap_tol, "feas_tol": settings.feas_tol,
                    "max_iters": settings.max_iters,
                    "algorithm": "primal-dual interior point, Nesterov-Todd scaling, "
@@ -183,20 +201,6 @@ def provenance_block(settings, seed=None, relaxation=None, extra=None) -> dict:
         "rng": "Philox4x32-10 (counter-based); per-sample key = seed XOR sample index",
         "seed": seed,
         "relaxation": relaxation,
-    }
-    if extra:
-        block.update(extra)
-    return block
-
-
-def witness_to_json(w: Witness) -> dict:
-    return {
-        "blocks": [{"subsystems": list(sub.members), "matrix": matrix_to_json(op.entries)}
-                   for sub, op in w.blocks],
-        "free_sup": w.free_sup,
-        "value_at_sigma": w.value_at_sigma,
-        "gap": w.gap,
-        "metadata": _clean(w.metadata),
     }
 
 

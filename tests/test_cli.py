@@ -225,6 +225,24 @@ class TestInstanceJsonRoundTrip:
             io.state_instance_from_json(data)
 
 
+class TestResultJson:
+    def test_one_conversion_for_every_value(self, tmp_path):
+        # a non-finite number becomes its repr whatever its type, so the file is strict JSON
+        from freemarg.herm import HermitianOperator
+
+        op = HermitianOperator(qubit_layout("T"), np.diag([1.0, 0.5]))
+        out = tmp_path / "r.json"
+        io.dump_result(str(out), {"np": np.float64("inf"), "py": float("nan"), "n": np.int64(3),
+                                  "vector": np.array([1.0, -np.inf]), "matrix": np.eye(1),
+                                  "object": op, "tuple": (np.eye(1),)})
+        data = json.loads(out.read_text(), parse_constant=pytest.fail)
+        assert data == {"np": "inf", "py": "nan", "n": 3, "vector": [1.0, "-inf"],
+                        "matrix": [[[1.0, 0.0]]],
+                        "object": {"layout": [["T", 2]],
+                                   "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+                        "tuple": [[[[1.0, 0.0]]]]}
+
+
 class TestJobsValidation:
     def test_bad_jobs(self):
         proc = run_cli("histogram", "--samples", "2", "--jobs", "0")

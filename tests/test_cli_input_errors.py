@@ -39,6 +39,20 @@ CORPUS = {
     # a label keys the targets, the maps and the duals, so each appears once
     "repeated_marginal": edited(STATE, lambda d: d["marginals"].append(d["marginals"][0])),
     "repeated_channel_pair": edited(CHANNEL, lambda d: d["pairs"].append(d["pairs"][0])),
+    # the free set lives on the instance's target pair, so it cannot name another
+    "channel_free_input_disagrees": edited(CHANNEL, lambda d: d["free"].__setitem__("input", [])),
+    "channel_free_output_disagrees": edited(CHANNEL, lambda d: d["free"].__setitem__("output",
+                                                                                   ["A"])),
+    # a string would be split into one-letter labels
+    "string_subsystems": edited(STATE, lambda d: d["marginals"][0].__setitem__("subsystems",
+                                                                                "AB")),
+    "string_target": edited(STATE, lambda d: d.__setitem__("target", "AC")),
+    "string_free_target": edited(STATE, lambda d: d["free"].__setitem__("target", "AC")),
+    "string_bipartitions": edited(STATE, lambda d: d["free"]["params"].__setitem__(
+        "bipartitions", "C")),
+    "string_bipartition": edited(STATE, lambda d: d["free"]["params"].__setitem__(
+        "bipartitions", ["C"])),
+    "string_channel_labels": edited(CHANNEL, lambda d: d["pairs"][0].__setitem__("out", "A")),
 }
 
 
@@ -56,8 +70,45 @@ def test_bad_instance_exits_2(name, command, tmp_path, capsys):
     assert not out.exists()
 
 
+BAD_ARGUMENTS = {
+    "no_command": [],
+    "unknown_command": ["bogus"],
+    "missing_input": ["robustness"],
+    "samples_not_a_number": ["histogram", "--samples", "x"],
+    "zero_samples": ["histogram", "--samples", "0"],
+    "zero_jobs": ["histogram", "--samples", "1", "--jobs", "0"],
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_ARGUMENTS))
+def test_bad_arguments_exit_2(name, tmp_path, monkeypatch, capsys):
+    # argparse's own errors return 2 from main too, instead of raising SystemExit;
+    # the seed and tolerance checks are the two tests below
+    monkeypatch.chdir(tmp_path)
+    argv = BAD_ARGUMENTS[name]
+    rc = cli.main(argv + ["--output", "out.json"] if argv else argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [row[0] for row in cli.COMMANDS])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: freemarg {command}")
+
+
+def test_largest_seed_accepted():
+    args = cli.build_parser().parse_args(["verify-w", "--seed", str(2 ** 64 - 1)])
+    assert args.seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("flag", ["--gap-tol", "--feas-tol"])
-@pytest.mark.parametrize("value", ["inf", "-1", "nan", "0"])
+@pytest.mark.parametrize("value", ["inf", "-1", "nan", "0", "abc"])
 def test_bad_tolerance_exits_2(flag, value, tmp_path, capsys):
     # inf would switch the gap test off; nan and 0 would reach the solver
     out = tmp_path / "out.json"

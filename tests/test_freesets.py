@@ -202,3 +202,24 @@ class TestIncoherentRotatedBasis:
         off = rotated - np.diag(np.diag(rotated))
         if np.max(np.abs(off)) > 1e-6:
             assert not spec.check_membership(comp_diag)
+
+    def test_basis_as_list(self, rng):
+        # the basis is stored as an array, so a nested list gives the same
+        # memberships and the same robustness
+        from freemarg.discrimination import w_example_instance
+        from freemarg.state_rmp import RmpInstance, robustness
+
+        w = w_example_instance()
+        u = np.kron(rand_unitary(rng, 2), rand_unitary(rng, 2))
+        as_array = FreeSetSpec.incoherent(w.target, basis=u)
+        as_list = FreeSetSpec.incoherent(w.target, basis=u.tolist())
+        states = [maximally_mixed(w.target.sublayout()),
+                  DensityMatrix.from_array(w.target.sublayout(), u @ np.diag([.1, .2, .3, .4])
+                                           @ u.conj().T),
+                  DensityMatrix.from_array(w.target.sublayout(), np.diag([.1, .2, .3, .4]))]
+        assert [as_list.check_membership(s) for s in states] == \
+            [as_array.check_membership(s) for s in states] == [True, True, False]
+        by_list = robustness(RmpInstance(w.marginals, as_list))
+        by_array = robustness(RmpInstance(w.marginals, as_array))
+        assert by_list.status == by_array.status
+        assert by_list.value_log2 == by_array.value_log2
