@@ -39,11 +39,9 @@ from .herm import (
     ValidationError,
     hermitize,
     partial_trace_map,
-    permute_map,
-    probe_times_map,
     ptrace_array,
+    replacement_defect_map,
     svec,
-    tensor_identity_map,
 )
 from .programs import attach_free_state_cone
 from .solver import BlockRef, ConicProgram, SolverFailure, SolverSettings
@@ -253,47 +251,41 @@ class ChannelRmpInstance:
 
     def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
         """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
-        so = self.layout
         gin = self.family.global_in
-        tr_out_map = partial_trace_map(so, gin.labels)
+        tr_out_map = partial_trace_map(self.layout, gin.labels)
         d_in = gin.total_dim
         if pinned:
             prog.add_matrix_equality("choi_state", [(v, tr_out_map)], np.eye(d_in) / d_in)
         else:
-            prog.add_matrix_equality(
-                "choi_cone", [(v, tr_out_map),
-                              (v, probe_times_map(np.eye(so.total_dim), -np.eye(d_in) / d_in))],
-                np.zeros((d_in, d_in)))
+            prog.add_matrix_equality("choi_cone",
+                                     [(v, replacement_defect_map(gin, gin.labels) @ tr_out_map)],
+                                     np.zeros((d_in, d_in)))
 
     def constrain(self, prog: ConicProgram, v: BlockRef):
         """Marginal-channel existence for every pair and the target, then the
         free-channel structure on the target pair."""
         so = self.layout
-        gin = self.family.global_in
-        pairs = [pair for pair, _ in self.family.entries]
-        for pair in pairs + [self.target]:
-            terms = _existence_terms(so, gin, pair)
-            if terms is not None:
-                prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m) for m in terms],
-                                         np.zeros((terms[0].out_dim,) * 2))
+        for pair in [pair for pair, _ in self.family.entries] + [self.target]:
+            m = _existence_map(so, self.family.global_in, pair)
+            if m is not None:
+                prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m)],
+                                         np.zeros((m.out_dim,) * 2))
 
         free = self.free
         t_pair = self.target
         keep_t = list(t_pair.out.members) + list(t_pair.inp.members)
-        if free.kind == "SingletonChannel":
-            prog.add_matrix_equality(
-                "free.pin",
-                [(v, partial_trace_map(so, keep_t)),
-                 (v, probe_times_map(np.eye(so.total_dim), -free.choi.entries))],
-                np.zeros((free.choi.dim,) * 2))
+        if free.kind == "SingletonChannel":  # V_TT' = tr(V_TT') * the free Choi
+            pin = replacement_defect_map(so.sublayout(keep_t), keep_t, free.choi.entries)
+            prog.add_matrix_equality("free.pin", [(v, pin @ partial_trace_map(so, keep_t))],
+                                     np.zeros((free.choi.dim,) * 2))
         elif free.kind == "FreeOutputState":
             # replacement structure: V_TT' = tr_{T'}(V_TT') (x) I/d_T'
-            m_tt = partial_trace_map(so, keep_t)
-            m_t = partial_trace_map(so, list(t_pair.out.members))
-            lift = -(tensor_identity_map(m_t.out_dim, t_pair.inp.dim) @ m_t)
-            prog.add_matrix_equality("free.replacement", [(v, m_tt), (v, lift)],
+            m_tt = (replacement_defect_map(so.sublayout(keep_t), t_pair.inp.members)
+                    @ partial_trace_map(so, keep_t))
+            prog.add_matrix_equality("free.replacement", [(v, m_tt)],
                                      np.zeros((m_tt.out_dim,) * 2))
-            attach_free_state_cone(prog, v, m_t, free.state_spec, prefix="free.state")
+            attach_free_state_cone(prog, v, partial_trace_map(so, list(t_pair.out.members)),
+                                   free.state_spec, prefix="free.state")
         # AllChannels: marginal existence + Choi validity already say it all
 
     def project(self, j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
@@ -325,20 +317,17 @@ class MarginalChannelResult:
 def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> MarginalChannelResult:
     """Reduced channel on the pair, when the no-signaling condition holds.
 
-    Exists iff  tr_{rest}(J) (x) I/d  ==  tr_{out rest}(J)  on the kept
-    factors, the existence rows of the channel programs; the reduced Choi is
-    then the pair marginal of the global Choi.
+    Exists iff the existence map of the channel programs sends J to zero;
+    the reduced Choi is then the pair marginal of the global Choi.  A Choi
+    state has unit trace, so its entries and their deviation are absolute.
     """
     so = global_channel.out_layout.concat(global_channel.in_layout)
     j = global_channel.choi.entries
     marg = ptrace_array(j, so.dims, so.axes_of(pair.out.members + pair.inp.members))
-    dev = 0.0
-    terms = _existence_terms(so, global_channel.in_layout, pair)
-    if terms is not None:
-        rhs = terms[0].apply(j)
-        dev = float(np.max(np.abs(rhs + terms[1].apply(j))))
-        if dev > DEFAULT_TOLS.psd * max(1.0, float(np.max(np.abs(rhs)))):
-            return MarginalChannelResult(False, None, dev)
+    m = _existence_map(so, global_channel.in_layout, pair)
+    dev = 0.0 if m is None else float(np.max(np.abs(m.apply(j))))
+    if dev > DEFAULT_TOLS.psd:
+        return MarginalChannelResult(False, None, dev)
     in_sub = global_channel.in_layout.sublayout(pair.inp.members)
     out_sub = global_channel.out_layout.sublayout(pair.out.members)
     spec = ChannelSpec(in_sub, out_sub, HermitianOperator(out_sub.concat(in_sub), marg))
@@ -350,21 +339,16 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> Marginal
 # ---------------------------------------------------------------------------
 
 
-def _existence_terms(so: SubsystemLayout, global_in: SubsystemLayout,
-                     pair: ChannelPair) -> list[LinearMap] | None:
-    """Maps of  tr_{S\\X}(V) - lift(tr_{SS'\\XX'}(V)) = 0, or None if trivial."""
+def _existence_map(so: SubsystemLayout, global_in: SubsystemLayout,
+                   pair: ChannelPair) -> LinearMap | None:
+    """Marginal-channel existence (no-signalling from the other inputs):
+    V -> tr_{S\\X}(V) - tr_{SS'\\XX'}(V) (x) I/d on the other inputs, which
+    vanishes on the existence rows; None if no other input is left."""
     rest_in = [l for l in global_in.labels if l not in pair.inp.members]
     if not rest_in:
         return None
-    keep_pair = list(pair.out.members) + list(pair.inp.members)
-    rhs_labels = list(pair.out.members) + list(global_in.labels)
-    m1 = partial_trace_map(so, keep_pair)
-    m2 = tensor_identity_map(m1.out_dim, global_in.dim_of(rest_in))
-    cur_layout = SubsystemLayout(
-        [so.factors[a] for a in so.axes_of(keep_pair)]
-        + [global_in.factors[a] for a in global_in.axes_of(rest_in)])
-    m3 = permute_map(cur_layout, rhs_labels)
-    return [partial_trace_map(so, rhs_labels), -(m3 @ (m2 @ m1))]
+    keep = list(pair.out.members) + list(global_in.labels)
+    return replacement_defect_map(so.sublayout(keep), rest_in) @ partial_trace_map(so, keep)
 
 
 def _project_choi_state(j: np.ndarray, d_in: int) -> np.ndarray:

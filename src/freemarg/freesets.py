@@ -40,13 +40,17 @@ class FreeSetSpec:
     """Free-state set on a target subsystem.
 
     kind: 'AllStates' | 'SeparablePPT' | 'Incoherent' | 'Singleton'
+
+    An `Incoherent` basis is stored read-only and compared and hashed by its
+    bytes.
     """
 
     kind: str
     target: SubsystemSet
     bipartitions: tuple[tuple[str, ...], ...] = ()
-    basis: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
     state: DensityMatrix | None = None
+    _basis_bytes: bytes | None = field(default=None, init=False, repr=False)
 
     KINDS = ("AllStates", "SeparablePPT", "Incoherent", "Singleton")
 
@@ -60,8 +64,10 @@ class FreeSetSpec:
             for part in self.bipartitions:
                 sub._check(part)
         if self.kind == "Incoherent" and self.basis is not None:
-            b = np.asarray(self.basis, complex)
+            b = np.array(self.basis, complex)
+            b.setflags(write=False)
             object.__setattr__(self, "basis", b)
+            object.__setattr__(self, "_basis_bytes", b.tobytes())
             d = self.target.dim
             if b.shape != (d, d) or np.max(np.abs(b.conj().T @ b - np.eye(d))) > 1e-10:
                 raise ValueError("Incoherent basis must be a unitary of the target dimension")

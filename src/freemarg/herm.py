@@ -231,8 +231,7 @@ class LinearMap:
     """A linear map from d_in x d_in to d_out x d_out Hermitian matrices,
     held as its real (d_out^2, d_in^2) matrix `k` in `svec` coordinates:
     svec(apply(M)) == k @ svec(M).  The adjoint under the trace inner product
-    has the matrix k.T.  Maps compose with `outer @ inner` and scale with
-    `alpha * map` and `-map`."""
+    has the matrix k.T.  Maps compose with `outer @ inner`."""
 
     def __init__(self, k: np.ndarray):
         self.k = np.asarray(k, dtype=float)
@@ -258,12 +257,6 @@ class LinearMap:
         if inner.out_dim != self.in_dim:
             raise ValueError("composed map dimensions do not match")
         return LinearMap(self.k @ inner.k)
-
-    def __rmul__(self, alpha: float) -> "LinearMap":
-        return LinearMap(float(alpha) * self.k)
-
-    def __neg__(self) -> "LinearMap":
-        return -1.0 * self
 
 
 def _map_from_adjoint(adjoint: Callable[[np.ndarray], np.ndarray], out_dim: int) -> LinearMap:
@@ -293,29 +286,27 @@ def partial_transpose_map(layout: SubsystemLayout, part: Sequence[str]) -> Linea
     return _map_from_adjoint(lambda h: ptranspose_array(h, layout.dims, axes), layout.total_dim)
 
 
-def permute_map(layout: SubsystemLayout, new_order: Sequence[str]) -> LinearMap:
-    """Reorder the factors of M on `layout` into `new_order`."""
-    perm = layout.axes_of(new_order)
-    dims = [layout.dims[p] for p in perm]
-    back = [list(perm).index(a) for a in range(len(perm))]
-    return _map_from_adjoint(lambda h: permute_array(h, dims, back), layout.total_dim)
+def replacement_defect_map(layout: SubsystemLayout, fixed: Sequence[str],
+                           state: np.ndarray | None = None) -> LinearMap:
+    """M on `layout` -> M - tr_F(M) (x) state, the factors F = `fixed`
+    replaced in place by `state` (default I/d_F).  Set to zero, it says that
+    M carries `state` on F: no-signalling, Choi normalization, replacement
+    channels and singleton pins.  The adjoint is
+    H -> H - tr_F((I (x) state) H) (x) I_F."""
+    n = len(layout.dims)
+    fixed_axes = sorted(layout.axes_of(fixed))
+    order = [a for a in range(n) if a not in fixed_axes] + fixed_axes
+    d_f = layout.dim_of(fixed)
+    d_r = layout.total_dim // d_f
+    sigma = np.eye(d_f) / d_f if state is None else np.asarray(state, dtype=complex)
+    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
 
+    def adjoint(h):
+        t = permute_array(h, layout.dims, order).reshape(-1, d_r, d_f, d_r, d_f)
+        reduced = np.einsum("xaibj,ji->xab", t, sigma)
+        return h - permute_array(np.kron(reduced, np.eye(d_f)), dims, back)
 
-def tensor_identity_map(in_dim: int, extra_dim: int) -> LinearMap:
-    """M -> M (x) I/extra_dim, the maximally mixed factor appended on the right."""
-    d, e = in_dim, extra_dim
-    return _map_from_adjoint(
-        lambda h: np.trace(h.reshape(-1, d, e, d, e), axis1=2, axis2=4) / e, d * e)
-
-
-def probe_times_map(probe: np.ndarray, c: np.ndarray) -> LinearMap:
-    """M -> tr(P M) C for fixed Hermitian P (on the input) and C (output);
-    with P the identity, M -> tr(M) C."""
-    p = hermitize(np.asarray(probe, dtype=complex))
-    c = np.asarray(c, dtype=complex)
-    return _map_from_adjoint(
-        lambda h: np.trace(h @ c, axis1=-2, axis2=-1).real[:, None, None] * p,
-        c.shape[0])
+    return _map_from_adjoint(adjoint, layout.total_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +322,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A dense Hermitian matrix over a labeled tensor-product space."""
+    """A dense Hermitian matrix over a labeled tensor-product space, equal to
+    another and hashed by its layout and the bytes of its read-only entries."""
 
     layout: SubsystemLayout
     entries: np.ndarray = field(repr=False)
@@ -346,6 +338,13 @@ class HermitianOperator:
             raise ValidationError(f"not Hermitian: max |M - M^dag| = {dev:.3e}")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "entries", _freeze(hermitize(entries)))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, HermitianOperator) and self.layout == other.layout
+                and self.entries.tobytes() == other.entries.tobytes())
+
+    def __hash__(self) -> int:
+        return hash((self.layout, self.entries.tobytes()))
 
     @property
     def dim(self) -> int:

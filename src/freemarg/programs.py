@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .freesets import FreeSetSpec
-from .herm import LinearMap, hermitian_basis, partial_transpose_map, probe_times_map
+from .herm import LinearMap, hermitian_basis, partial_transpose_map, replacement_defect_map
 from .solver import BlockRef, ConicProgram
 
 
@@ -15,9 +15,9 @@ def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap
     """Constrain extract(V) (default: V itself) into cone(free set).
 
     The variable's PSD cone membership already gives extract(V) >= 0 for
-    trace-like extraction maps, so `AllStates` adds no rows.  The trace
-    scale of the cone is tr(V): for a trace-preserving extraction map
-    tr(extract(V)) = tr(V), which the `Singleton` rows rely on.
+    trace-like extraction maps, so `AllStates` adds no rows.  `Singleton`
+    pins X = extract(V) to tr(X) * state by the replacement defect of all
+    the target's factors.
     """
     sub = free.target.sublayout()
     if free.kind == "SeparablePPT":  # X^{T_part} >= 0 per bipartition
@@ -33,7 +33,6 @@ def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap
             lifted = h if extract is None else extract.adjoint(h)
             prog.add_scalar_equality(f"{prefix}.diag[{j}]", [(var, lifted)], 0.0)
     elif free.kind == "Singleton":  # X = tr(X) * state
-        prog.add_matrix_equality(
-            f"{prefix}.pin",
-            [(var, extract), (var, probe_times_map(np.eye(var.cdim), -free.state.entries))],
-            np.zeros((sub.total_dim, sub.total_dim)))
+        pin = replacement_defect_map(sub, sub.labels, free.state.entries)
+        pin = pin if extract is None else pin @ extract
+        prog.add_matrix_equality(f"{prefix}.pin", [(var, pin)], np.zeros((sub.total_dim,) * 2))

@@ -249,7 +249,7 @@ def check_rfree_compatible(inst: Instance,
         return CompatibilityResult(True, found, dev)
     if res.status == Status.INFEASIBLE:
         return CompatibilityResult(False, None, np.inf, certificate=res.certificate)
-    raise SolverFailure(f"compatibility check ended with status {res.status}")
+    raise SolverFailure(f"compatibility check ended with status {res.status.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def robustness(inst: Instance, settings: SolverSettings | None = None) -> Robust
     if res.status == Status.INFEASIBLE:
         return RobustnessResult(res.status, np.inf, np.inf, None, res, relaxation=relaxation,
                                 diagnostics=inst.diagnostics)
-    raise SolverFailure(f"robustness solve ended with status {res.status}")
+    raise SolverFailure(f"robustness solve ended with status {res.status.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ class CompatibleSetModel:
         results = solve_many(self.prog, costs, self.settings)
         for k, res in enumerate(results):
             if res.status != Status.OPTIMAL:
-                raise SolverFailure(f"set maximization {k} ended with status {res.status}")
+                raise SolverFailure(f"set maximization {k} ended with status {res.status.value}")
         return results
 
 
@@ -367,7 +367,7 @@ def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = N
     supremum of that value over the free-compatible set."""
     res = robustness_result if robustness_result is not None else robustness(inst, settings)
     if res.status != Status.OPTIMAL:
-        raise SolverFailure(f"robustness status {res.status}; witness needs Optimal")
+        raise SolverFailure(f"robustness status {res.status.value}; witness needs Optimal")
     if res.value_log2 <= DEFAULT_TOLS.compat:
         raise NoWitnessError("no witness exists: the family is free-compatible "
                              "(robustness is zero)")
@@ -481,7 +481,7 @@ def _fidelity_program(objective_state: np.ndarray, family: MarginalFamily,
         settings = SolverSettings(gap_tol=1e-7, feas_tol=1e-7)
     res = solve(prog, settings)
     if res.status != Status.OPTIMAL:
-        raise SolverFailure(f"fidelity extremization ended with status {res.status}")
+        raise SolverFailure(f"fidelity extremization ended with status {res.status.value}")
     return res.primal_value
 
 

@@ -26,12 +26,13 @@ from freemarg.discrimination import (
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import (
     HermitianOperator,
+    LinearMap,
     SubsystemLayout,
     SubsystemSet,
     partial_trace_map,
     partial_transpose,
-    probe_times_map,
     psd_split,
+    svec,
     tensor,
     trace_norm,
 )
@@ -186,7 +187,7 @@ def test_criterion_4_strong_duality_and_degenerate_cone():
 
     dual = ConicProgram()
     y = dual.add_variable("Y", 2)
-    dual.add_psd_inequality("cap", [(y, probe_times_map(np.diag([1.0, 0.0]), -np.ones((1, 1))))],
+    dual.add_psd_inequality("cap", [(y, LinearMap(-svec(np.diag([1.0, 0.0]))[None]))],
                             const=np.ones((1, 1)))
     dual.set_objective([(y, np.eye(2) / 2)], "max")
     dual_status = solve(dual).status

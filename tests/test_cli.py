@@ -78,6 +78,21 @@ class TestRobustnessCommand:
         proc = run_cli("robustness", "--input", "/nonexistent/no.json")
         assert proc.returncode == 2
 
+    def test_solver_failure_exit_3(self, w_instance_file, capsys):
+        # residuals of 1e-300 are out of reach, so the solve gives up
+        rc = cli.main(["robustness", "--input", w_instance_file,
+                       "--gap-tol", "1e-300", "--feas-tol", "1e-300"])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "solver error: robustness solve ended with status NumericalFailure\n"
+
+    def test_stdout_without_output(self, w_instance_file, tmp_path, capsys):
+        out = tmp_path / "res.json"
+        assert cli.main(["robustness", "--input", w_instance_file, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(["robustness", "--input", w_instance_file]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_channel_instance_accepted(self, broadcasting_file, tmp_path):
         out = tmp_path / "res.json"
         proc = run_cli("channel-robustness", "--input", broadcasting_file,

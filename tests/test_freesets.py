@@ -155,13 +155,33 @@ class TestValidationAndJson:
         spec = FreeSetSpec.separable_ppt(SubsystemSet(lay, ("A", "B")))
         assert spec.relaxation == "ppt-outer"
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, rng):
+        # every kind comes back equal, with the same hash, and differs from
+        # the other kinds; a basis and a state are compared by value
         lay = qubit_layout("ABC")
-        spec = FreeSetSpec.separable_ppt(SubsystemSet(lay, ("A", "C")))
-        data = spec.to_json()
-        assert data["kind"] == "SeparablePPT"
-        back = FreeSetSpec.from_json(data, lay)
-        assert back == spec
+        target = SubsystemSet(lay, ("A", "C"))
+        specs = [FreeSetSpec.all_states(target),
+                 FreeSetSpec.separable_ppt(target),
+                 FreeSetSpec.incoherent(target),
+                 FreeSetSpec.incoherent(target, basis=np.kron(rand_unitary(rng, 2),
+                                                              rand_unitary(rng, 2))),
+                 FreeSetSpec.singleton(target, maximally_mixed(target.sublayout()))]
+        for spec in specs:
+            data = spec.to_json()
+            back = FreeSetSpec.from_json(data, lay)
+            assert data["kind"] == spec.kind
+            assert back == spec and hash(back) == hash(spec)
+            assert back.basis is None or not back.basis.flags.writeable
+        assert len(set(specs)) == len(specs)
+        assert specs[3] != FreeSetSpec.incoherent(target, basis=np.eye(4))
+
+    def test_operators_compare_by_value(self):
+        lay = qubit_layout("AC")
+        rho = maximally_mixed(lay)
+        same = DensityMatrix.from_array(lay, np.eye(4) / 4)
+        assert rho == same and hash(rho) == hash(same) and rho.op == same.op
+        assert rho != DensityMatrix.from_array(qubit_layout("AB"), np.eye(4) / 4)
+        assert rho != DensityMatrix.from_array(lay, np.diag([0.4, 0.2, 0.2, 0.2]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from freemarg.herm import (
+    LinearMap,
     hermitian_basis,
     partial_trace_map,
     partial_transpose_map,
-    permute_map,
-    probe_times_map,
+    replacement_defect_map,
     smat,
     svec,
-    tensor_identity_map,
 )
 from freemarg import solver
 from freemarg.solver import (
@@ -107,7 +106,7 @@ class TestDegenerateConePair:
         prog = ConicProgram()
         y = prog.add_variable("Y", 2)
         e00 = np.diag([1.0, 0.0])
-        prog.add_psd_inequality("cap", [(y, probe_times_map(e00, -np.ones((1, 1))))],
+        prog.add_psd_inequality("cap", [(y, LinearMap(-svec(e00)[None]))],
                                 const=np.ones((1, 1)))
         prog.set_objective([(y, np.eye(2) / 2)], "max")
         res = solve(prog)
@@ -403,10 +402,11 @@ class TestLinMaps:
         maps = [
             partial_trace_map(lay, ("A", "C")),
             partial_transpose_map(lay, ("B",)),
-            permute_map(lay, ("C", "A", "B")),
-            tensor_identity_map(8, 3),
-            probe_times_map(np.eye(8), rand_herm(rng, 5)),
-            probe_times_map(rand_herm(rng, 8), rand_herm(rng, 2)),
+            replacement_defect_map(lay, ("B",)),
+            replacement_defect_map(lay, ("A", "C"), rand_herm(rng, 4)),
+            replacement_defect_map(lay, lay.labels, rand_herm(rng, 8)),
+            replacement_defect_map(lay.sublayout(("A", "C")), ("C",))
+            @ partial_trace_map(lay, ("A", "C")),
             partial_transpose_map(lay.sublayout(("A", "C")), ("C",))
             @ partial_trace_map(lay, ("A", "C")),
         ]
@@ -457,12 +457,14 @@ def every_map_kind(rng) -> dict[int, np.ndarray]:
     rows = {
         8: [partial_trace_map(lay, ("A", "B")).k,
             (partial_transpose_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).k,
-            permute_map(lay, ("C", "A", "B")).k,
-            probe_times_map(rand_herm(rng, 8), rand_herm(rng, 2)).k,
+            replacement_defect_map(lay, ("B",)).k,
+            (replacement_defect_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).k,
+            replacement_defect_map(lay, lay.labels, rand_herm(rng, 8)).k,
             svec(np.eye(8))[None],
             -np.eye(64),
             np.zeros((3, 64))],
-        4: [tensor_identity_map(4, 2).k, -np.eye(16), np.zeros((2, 16))],
+        4: [replacement_defect_map(qubit_layout("AB"), ("B",)).k, -np.eye(16),
+            np.zeros((2, 16))],
     }
     return {d: rng.permutation(np.vstack(parts)) for d, parts in rows.items()}
 

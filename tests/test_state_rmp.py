@@ -3,7 +3,7 @@ import pytest
 
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet
-from freemarg.solver import Status
+from freemarg.solver import SolverFailure, Status
 from freemarg.state_rmp import (
     MarginalFamily,
     NoWitnessError,
@@ -471,6 +471,44 @@ class TestFullySeparableTarget:
         fam = MarginalFamily(LAYOUT, [(("A", "B"), marginal_of(mm, "AB")),
                                       (("B", "C"), marginal_of(mm, "BC"))])
         assert robustness(RmpInstance(fam, free)).value_log2 == pytest.approx(0.0, abs=1e-6)
+
+
+def dmax_draw(k: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """Draw k of the D_max family: for each k in turn, rho is a random
+    two-qubit state on AB and sigma the AB marginal of a random three-qubit
+    state, both from default_rng(3)."""
+    rng = np.random.default_rng(3)
+    for _ in range(k + 1):
+        rho = random_density(qubit_layout("AB"), rng)
+        sigma = marginal_of(random_density(qubit_layout("ABC"), rng), "AB")
+    return rho, sigma
+
+
+# the draws whose robustness solve ends in NumericalFailure at the default
+# 1e-8 tolerances, by global layout (a FOUND line in CHANGES.md)
+DMAX_FAILURES = {"ABC": (2, 3, 4, 6), "AB": (2, 3, 4)}
+
+
+class TestSingletonReductionToDmax:
+    """One marginal sigma on the target of a full-rank `Singleton` rho: the
+    robustness is D_max(sigma || rho) = log2 lambda_max(rho^-1/2 sigma rho^-1/2)."""
+
+    @pytest.mark.parametrize("labels,k", [
+        pytest.param(labels, k, marks=pytest.mark.xfail(
+            k in DMAX_FAILURES[labels], raises=SolverFailure, strict=True,
+            reason="NumericalFailure at the default tolerances"))
+        for labels in ("ABC", "AB") for k in range(10)])
+    def test_closed_form(self, labels, k):
+        rho, sigma = dmax_draw(k)
+        lay = qubit_layout(labels)
+        inst = RmpInstance(MarginalFamily(lay, [(("A", "B"), sigma)]),
+                           FreeSetSpec.singleton(SubsystemSet(lay, ("A", "B")), rho))
+        vals, vecs = np.linalg.eigh(rho.entries)
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        dmax = np.log2(np.linalg.eigvalsh(inv_sqrt @ sigma.entries @ inv_sqrt)[-1])
+        res = robustness(inst)
+        assert res.status == Status.OPTIMAL
+        assert res.value_log2 == pytest.approx(dmax, rel=1e-7)
 
 
 class TestSingleBlockReduction:
