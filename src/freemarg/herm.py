@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -227,15 +227,33 @@ def hermitian_basis(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class LocalForm(NamedTuple):
+    """A map K on matrices over factors of dimensions `dims` as a partial
+    trace followed by a map on the kept factors: K = inner . K_tr(keep), with
+    K_tr(keep) the partial trace onto the factors at the axes `keep`
+    (ascending) and `inner` the real matrix of the map after it (None: the
+    identity)."""
+
+    dims: tuple[int, ...]
+    keep: tuple[int, ...]
+    inner: np.ndarray | None
+
+
 class LinearMap:
     """A linear map from d_in x d_in to d_out x d_out Hermitian matrices,
     held as its real (d_out^2, d_in^2) matrix `k` in `svec` coordinates:
     svec(apply(M)) == k @ svec(M).  The adjoint under the trace inner product
-    has the matrix k.T.  Maps compose with `outer @ inner`."""
+    has the matrix k.T.  Maps compose with `outer @ inner`.
 
-    def __init__(self, k: np.ndarray):
+    `local` is the map's `LocalForm` (L, X), if it has one:
+    `partial_trace_map` sets it, and composition carries it,
+    outer @ (L, X) = (outer.k @ L, X), so a map applied after a partial
+    trace has one too."""
+
+    def __init__(self, k: np.ndarray, local: LocalForm | None = None):
         self.k = np.asarray(k, dtype=float)
         self.k.setflags(write=False)
+        self.local = local
 
     @property
     def in_dim(self) -> int:
@@ -256,20 +274,25 @@ class LinearMap:
     def __matmul__(self, inner: "LinearMap") -> "LinearMap":
         if inner.out_dim != self.in_dim:
             raise ValueError("composed map dimensions do not match")
-        return LinearMap(self.k @ inner.k)
+        local = inner.local
+        if local is not None:
+            local = local._replace(inner=self.k if local.inner is None else self.k @ local.inner)
+        return LinearMap(self.k @ inner.k, local)
 
 
-def _map_from_adjoint(adjoint: Callable[[np.ndarray], np.ndarray], out_dim: int) -> LinearMap:
+def _map_from_adjoint(adjoint: Callable[[np.ndarray], np.ndarray], out_dim: int,
+                      local: LocalForm | None = None) -> LinearMap:
     """The map whose adjoint sends a stack of out_dim x out_dim Hermitian
     matrices to `adjoint` of it: row k of its matrix is svec of the adjoint
     of `hermitian_basis(out_dim)[k]`.  `adjoint` must return exactly
     Hermitian matrices, as the factor moves and traces below do."""
-    return LinearMap(svec(adjoint(hermitian_basis(out_dim))))
+    return LinearMap(svec(adjoint(hermitian_basis(out_dim))), local)
 
 
 def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap:
     """M on `layout` -> its partial trace onto `keep`, factors in layout order.
-    The adjoint tensors with the identity on the traced-out factors."""
+    The adjoint tensors with the identity on the traced-out factors.  The
+    map carries its `LocalForm`, the identity after the trace onto `keep`."""
     n = len(layout.dims)
     keep_axes = sorted(layout.axes_of(keep))
     drop = [a for a in range(n) if a not in keep_axes]
@@ -277,7 +300,101 @@ def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap
     eye = np.eye(int(np.prod([layout.dims[a] for a in drop], dtype=np.int64)))
     dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
     return _map_from_adjoint(lambda h: permute_array(np.kron(h, eye), dims, back),
-                             layout.dim_of(keep))
+                             layout.dim_of(keep), LocalForm(layout.dims, tuple(keep_axes), None))
+
+
+def _basis_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows, columns and values, each (d*d, 2), of the nonzero entries
+    of each element of `hermitian_basis(d)`, read from the `smat` tables
+    (where coordinate k writes its upper entry, and coordinate k >= d its
+    mirror too): two, or one (a diagonal element) repeated with the value 0."""
+    _, _, _, dst, scale = _coords(d)
+    k = np.arange(d * d)
+    at = np.stack([k, np.where(k < d, k, d * d + k - d)], axis=-1)
+    vals = scale[at] * np.where(dst[at] % 2 == 1, 1j, 1.0)
+    vals[:d, 1] = 0
+    return *np.divmod(dst[at] // 2, d), vals
+
+
+# the bytes of the rearranged G that `LocalSchur` holds at once: with the
+# copies its product makes, about a core's L2 share
+_LOCAL_CHUNK_BYTES = 1 << 18
+
+
+class LocalSchur:
+    """Schur blocks of partial traces by local contraction.  For the partial
+    traces onto the factor sets X and Y (axes, ascending) over factors of
+    dimensions `dims`, and each member G of a stack (count, d, d), the block
+    is S_XY[j, i] = tr(A_j G B_i G), with A_j and B_i the Hermitian matrices
+    of row j of the one map and row i of the other.  Row j of the partial
+    trace onto X is the basis element H_j on X tensored with the identity on
+    the rest, so, with the rows of G ordered (X, rest) and its columns
+    (Y, rest),
+
+        S_XY[j, i] = Re sum_(a,b,c,e) H_j[a,b] H_i[c,e] T[(b,c),(a,e)],
+        T = P P',  P[(b,c),(r,s)] = G[(b,r),(c,s)]:
+
+    one product of a (d_X d_Y, d_Xrest d_Yrest) rearrangement of G by its
+    conjugate transpose, never a d x d product per row.  Each H has at most
+    two nonzero entries, each real or imaginary, and the terms of the sum
+    come in conjugate pairs, so each entry of S_XY is a weighted sum of two
+    reals of T.  A map with the `LocalForm` (L, X) has the rows L K_tr(X),
+    so its block with a map of form (L', Y) is L S_XY L'^T.
+
+    Built once for the kept sets `keeps`; a call gives S for every pair
+    (i, j), i <= j, of them.  The pairs of equal (d_X, d_Y) share their
+    index tables and their stacked products."""
+
+    def __init__(self, dims: Sequence[int], keeps: Sequence[Sequence[int]]):
+        n, d = len(dims), math.prod(dims)
+        grid = np.arange(d).reshape(dims)
+        # the place among G's rows of (b, r), b on the kept factors and r on
+        # the rest, and so of P's entries among G's, d * (b, r) + (c, s)
+        order = [grid.transpose(*keep, *[a for a in range(n) if a not in keep]).reshape(
+            math.prod(dims[a] for a in keep), -1) for keep in keeps]
+        by_shape: dict[tuple[int, int], list] = {}
+        for i in range(len(keeps)):
+            for j in range(i, len(keeps)):
+                by_shape.setdefault((len(order[i]), len(order[j])), []).append((i, j))
+        # per shape, the pairs, the rows and columns of G in their P, and the
+        # places among T's reals and weights of the two terms of S's entries
+        self.shapes = [(pairs, np.stack([order[i] * d for i, _ in pairs])[:, :, None, :, None],
+                        np.stack([order[j] for _, j in pairs])[:, None, :, None, :],
+                        *_schur_terms(dx, dy)) for (dx, dy), pairs in by_shape.items()]
+
+    def __call__(self, g: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+        count, d = g.shape[0], g.shape[-1]
+        flat = g.reshape(count, -1)
+        out = {}
+        for pairs, rows, cols, at, weight in self.shapes:
+            step = max(1, _LOCAL_CHUNK_BYTES // (16 * count * d * d))
+            for start in range(0, len(pairs), step):
+                part = slice(start, start + step)
+                places = rows[part] + cols[part]      # (pairs, d_X, d_Y, rest_X, rest_Y)
+                p = np.take(flat, places.reshape(len(places), rows.shape[1] * cols.shape[2], -1),
+                            axis=1)
+                t = p @ np.swapaxes(p.conj(), -1, -2)
+                reals = t.reshape(t.shape[:2] + (-1,)).view(np.float64)
+                s = (np.take(reals, at[0], axis=-1) * weight[0]
+                     + np.take(reals, at[1], axis=-1) * weight[1])
+                out.update((pair, s[:, k]) for k, pair in enumerate(pairs[part]))
+        return out
+
+
+def _schur_terms(dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
+    """The places among the reals of T and the weights, each (2, dx*dx,
+    dy*dy), of the two terms of each entry of S_XY (see `LocalSchur`).  The
+    terms of (j, i) are those of the first entry (a, b) of H_j with each
+    entry (c, e) of H_i; each stands for itself and its conjugate, the term
+    of (b, a) and (e, c), unless H_j is diagonal.  A product of two entries
+    is real or imaginary, so each term is one real of T."""
+    a, b, vx = _basis_entries(dx)
+    c, e, vy = _basis_entries(dy)
+    coeff = (vx[:, 0] * np.where(a[:, 0] == b[:, 0], 1, 2))[:, None, None] * vy
+    place = ((b[:, :1, None] * dy + c) * dx + a[:, :1, None]) * dy + e
+    imag = coeff.imag != 0
+    at, weight = 2 * place + imag, np.where(imag, -coeff.imag, coeff.real)
+    return np.moveaxis(at, -1, 0).copy(), np.moveaxis(weight, -1, 0).copy()
 
 
 def partial_transpose_map(layout: SubsystemLayout, part: Sequence[str]) -> LinearMap:

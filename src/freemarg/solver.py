@@ -11,11 +11,15 @@ surface as explicit certificates instead of garbage numbers.
 A constraint term applies a linear map to a block.  The maps (partial
 traces, partial transposes and the other maps on tensor factors) are built
 once in `herm`, each as a `LinearMap` holding its real matrix in `svec`
-coordinates, and the solver sees only that matrix: it places the matrix in
-the block's columns and knows nothing of tensor factors.  `compile`
-normalizes the equality rows to A_n, finds their rank and reduces
-rank-deficient rows to A = U_r' A_n; a large block keeps its rows by their
-nonzeros (see `_BlockRows`).
+coordinates, and the solver places that matrix in the block's columns.  It
+knows nothing of tensor factors: a map that is a partial trace followed by
+another map carries its `herm.LocalForm`, and `herm.LocalSchur` contracts
+the scalings of a block whose rows all have one.  `compile` normalizes the
+equality rows to A_n, finds their rank and reduces rank-deficient rows to
+A = U_r' A_n.  A small block takes the dense Schur product in the rows of
+A; a large block assembles its part of M_n = A_n W A_n' by local
+contraction if each of its row groups has one term on it, with a local
+form, and from its rows' nonzeros otherwise (see `_BlockRows`).
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  Its Newton step is a
@@ -46,7 +50,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .herm import LinearMap, _coords, hermitize, smat, svec
+from .herm import LinearMap, LocalForm, LocalSchur, _coords, hermitize, smat, svec
 
 
 class SolverFailure(RuntimeError):
@@ -84,9 +88,10 @@ class _EqGroup:
     name: str
     rows: slice
     scalar: bool
-    # per term, a block and its coefficients in the group's rows: a matrix
-    # over the block's columns, or alpha for alpha times the identity
-    terms: list[tuple[BlockRef, np.ndarray | float]]
+    # per term, a block and its coefficients in the group's rows: a map,
+    # whose matrix is over the block's columns, or alpha for alpha times the
+    # identity
+    terms: list[tuple[BlockRef, LinearMap | float]]
 
     def value(self, y: np.ndarray) -> np.ndarray | float:
         """The group's entries of y, a number or a Hermitian matrix."""
@@ -143,12 +148,12 @@ class ConicProgram:
 
     @staticmethod
     def _map_terms(name: str, terms: Sequence[Term], d: int) -> list:
-        """Each map's matrix (1.0 for the identity), checked against the d x d output."""
+        """Each map (1.0 for the identity), checked against the d x d output."""
         for ref, lmap in terms:
             out = ref.cdim if lmap is None else lmap.out_dim
             if out != d:
                 raise ValueError(f"constraint {name!r}: term output dim {out} != {d}")
-        return [(ref, 1.0 if lmap is None else lmap.k) for ref, lmap in terms]
+        return [(ref, 1.0 if lmap is None else lmap) for ref, lmap in terms]
 
     @property
     def num_cols(self) -> int:
@@ -163,8 +168,9 @@ class ConicProgram:
     def add_scalar_equality(self, name: str, terms: Sequence[tuple[BlockRef, np.ndarray]],
                             rhs: float):
         """sum_j tr(probe_j X_j) = rhs."""
-        self._append_rows(name, [(ref, svec(hermitize(np.asarray(probe, dtype=complex)))[None])
-                                 for ref, probe in terms], [float(rhs)], True)
+        probes = [svec(hermitize(np.asarray(probe, dtype=complex)))[None] for _, probe in terms]
+        self._append_rows(name, [(ref, LinearMap(k)) for (ref, _), k in zip(terms, probes)],
+                          [float(rhs)], True)
 
     def add_matrix_equality(self, name: str, terms: Sequence[Term], rhs: np.ndarray):
         """sum_j map_j(X_j) = rhs, one row per svec coordinate of the output."""
@@ -225,8 +231,8 @@ class ConicProgram:
                     parts.append(((g.rows.start + diag) * n + start + diag,
                                   np.full(diag.size, coeff)))
                 else:
-                    i, j = np.nonzero(coeff)
-                    parts.append(((g.rows.start + i) * n + start + j, coeff[i, j]))
+                    i, j = np.nonzero(coeff.k)
+                    parts.append(((g.rows.start + i) * n + start + j, coeff.k[i, j]))
         keys = np.concatenate([k for k, _ in parts])
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -257,13 +263,13 @@ class ConicProgram:
         a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
         nonzeros = [a_n.columns(self.block_slice(blk)) for blk in self.blocks]
-        sparse = any(_BlockRows.sparse(rows, blk.cdim)
-                     for (rows, _, _), blk in zip(nonzeros, self.blocks))
+        large = [_BlockRows.large(rows, blk.cdim)
+                 for (rows, _, _), blk in zip(nonzeros, self.blocks)]
 
         # a program without a large block keeps the dense A, and so the
         # rounding of its products, to which feasible sets without an
         # interior point are sensitive
-        if sparse and m > 0 and _full_rank(a_n):  # the rows themselves are a basis
+        if any(large) and m > 0 and _full_rank(a_n):  # the rows themselves are a basis
             u_r, a_red, b_red = np.eye(m), a_n, b_n
         else:
             # A_n = R' Q' with Q orthonormal, so A_n and R' share their
@@ -281,17 +287,35 @@ class ConicProgram:
                 a_red = u_r.T @ a_n
                 b_red = u_r.T @ b_n
 
+        block_rows = []
+        for nz, blk, big in zip(nonzeros, self.blocks, large):
+            local = self._local_terms(blk) if big else None
+            reduced = None if isinstance(a_red, _Rows) else a_red[:, self.block_slice(blk)]
+            block_rows.append(_BlockRows.of_local(local, d_inv) if local
+                              else _BlockRows.of(nz, blk.cdim, reduced))
         self._compiled = {
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
             "b_perp": b_n - u_r @ b_red,
             "zero_row_ray": zero_row_ray,
             "dims": [blk.cdim for blk in self.blocks],
-            "block_rows": [_BlockRows.of(nz, blk.cdim, None if isinstance(a_red, _Rows)
-                                         else a_red[:, self.block_slice(blk)])
-                           for nz, blk in zip(nonzeros, self.blocks)],
+            "block_rows": block_rows,
         }
         return self._compiled
+
+    def _local_terms(self, blk: BlockRef) -> list[tuple[slice, LocalForm]] | None:
+        """The rows and the term's `LocalForm` of each group with a term on
+        the block, if every such group has one term on it and every term a
+        local form over the same factors; else None."""
+        out = []
+        for g in self.eq_groups:
+            maps = [coeff for ref, coeff in g.terms if ref == blk]
+            if not maps:
+                continue
+            if len(maps) > 1 or isinstance(maps[0], float) or maps[0].local is None:
+                return None
+            out.append((g.rows, maps[0].local))
+        return out if out and len({form.dims for _, form in out}) == 1 else None
 
     # -- value helpers -----------------------------------------------------
 
@@ -450,10 +474,11 @@ def _full_rank(a: _Rows) -> bool:
     return True
 
 
-# A block's part of the Schur complement comes from its rows' nonzeros when
-# the dense product, n d^3 + n^2 d^2 multiply-adds per member for n rows on a
-# block of order d, is larger than this; below it the nonzero path's many
-# small array operations cost more than they save
+# A block is large, and assembles its part of the Schur complement by local
+# contraction or from its rows' nonzeros, when the dense product, n d^3 +
+# n^2 d^2 multiply-adds per member for n rows on a block of order d, is
+# larger than this; below it those paths' many small array operations cost
+# more than they save
 _SPARSE_SCHUR_MACS = 1 << 24
 # the bytes of P_l the nonzero path holds at once, about a core's L2 share
 _SCHUR_CHUNK_BYTES = 1 << 19
@@ -464,26 +489,39 @@ class _BlockRows(NamedTuple):
     tr(A_k G A_l G) = a_k . svec(P_l) with P_l = G A_l G.
 
     A small block keeps `mats`, the matrices A_l of its rows of the reduced
-    A, for the dense product, and adds its part to M.  A large block keeps
-    its rows of A_n by their nonzeros, in `products` and `segments`, and adds
-    its part to M_n.  `rows` are the rows kept, those with a nonzero in the
-    block, ascending; `products` and `segments` each hold (where, ...) for
-    the rows `rows[where]`.  A product entry holds the rows' dense A_l, or,
-    for rows with s < d nonzero entries, A_l = sum_t v_t e_(i_t) e_(j_t)',
-    the index and value arrays (left, right, v), each (rows, 2s), of the real
-    product in `add_schur`.  A segment entry holds, for rows with L nonzero
-    svec coordinates p, the places of those coordinates among P's reals and
-    a_k[p] times svec's factor, each (rows, L)."""
+    A, for the dense product, and adds its part to M.  A large block adds
+    its part to M_n, from the rows of A_n, on one of two layouts.
+
+    The local layout serves a block each of whose row groups has one term
+    on it, with a `LocalForm` (L_X, X): the group's rows are D_X L_X K_tr(X),
+    D_X its part of the normalization d_inv.  The block of groups X and Y is
+    D_X L_X S_XY L_Y' D_Y, with S_XY the Schur block of the two partial
+    traces, which `herm.LocalSchur` contracts from G without forming any
+    P_l.  `local` holds the `LocalSchur` of the distinct kept factor sets
+    and, per group, (its rows, the index of its X, D_X, L_X or None for the
+    identity), each L_X the group's own map matrix, shared.
+
+    Otherwise the block keeps its rows by their nonzeros, in `products` and
+    `segments`.  `rows` are the rows kept, ascending: those with a nonzero
+    in the block, or on the local layout the rows of its groups; `products`
+    and `segments` each hold (where, ...) for the rows `rows[where]`.  A
+    product entry holds the rows' dense A_l, or, for rows with s < d nonzero
+    entries, A_l = sum_t v_t e_(i_t) e_(j_t)', the index and value arrays
+    (left, right, v), each (rows, 2s), of the real product in `add_schur`.
+    A segment entry holds, for rows with L nonzero svec coordinates p, the
+    places of those coordinates among P's reals and a_k[p] times svec's
+    factor, each (rows, L)."""
 
     rows: np.ndarray
     mats: np.ndarray | None
     products: list
     segments: list
+    local: tuple | None = None
 
     @staticmethod
-    def sparse(rows: np.ndarray, d: int) -> bool:
-        """Whether a block of order d, whose nonzeros lie in `rows`, takes
-        the nonzero path."""
+    def large(rows: np.ndarray, d: int) -> bool:
+        """Whether a block of order d, whose nonzeros lie in `rows`, is
+        large: it takes the local or the nonzero path."""
         n = np.count_nonzero(_first_of_runs(rows))
         return n * d ** 3 + n * n * d * d > _SPARSE_SCHUR_MACS
 
@@ -498,7 +536,7 @@ class _BlockRows(NamedTuple):
         active = rows[first]
         n = active.size
         local = np.cumsum(first) - 1                   # each nonzero's row in `active`
-        if not _BlockRows.sparse(rows, d):
+        if not _BlockRows.large(rows, d):
             if reduced is None:
                 return _BlockRows(active, smat(_dense_rows(np.arange(n), local, coords, vals, d),
                                                d), [], [])
@@ -528,11 +566,23 @@ class _BlockRows(NamedTuple):
                      for where, at in _by_size(terms) if at.shape[1] < d]
         return _BlockRows(active, None, products, segments)
 
+    @staticmethod
+    def of_local(terms: list[tuple[slice, LocalForm]], d_inv: np.ndarray) -> "_BlockRows":
+        """The local layout of a block, from the rows of each of its groups
+        and the local form of the group's term (see `_local_terms`)."""
+        keeps = list(dict.fromkeys(form.keep for _, form in terms))
+        groups = [(rows, keeps.index(form.keep), d_inv[rows], form.inner) for rows, form in terms]
+        active = np.concatenate([np.arange(rows.start, rows.stop) for rows, _ in terms])
+        return _BlockRows(active, None, [], [], (LocalSchur(terms[0][1].dims, keeps), groups))
+
     def add_schur(self, g: np.ndarray, m_n: np.ndarray):
         """Add tr(A_k G A_l G) over this block to m_n[:, l, k], for the
         members' scalings g (count, d, d): m_n is M for a small block and
         M_n for a large one."""
         count, d = g.shape[0], g.shape[-1]
+        if self.local is not None:
+            self._add_local(g, m_n)
+            return
         if self.mats is not None:
             # the real part of the inner product of the entries of A_k G and
             # (A_l G)', a real product of their (re, im) pairs with those of
@@ -566,6 +616,24 @@ class _BlockRows(NamedTuple):
                     p = (np.swapaxes(left[:, li], -1, -2)
                          @ (v[..., None] * right[:, ri]).view(np.float64))
                 self._contract(p.reshape(-1).view(np.float64), where[part], count, d, m_n)
+
+    def _add_local(self, g: np.ndarray, m_n: np.ndarray):
+        """The local layout's add_schur: one S block per pair of kept factor
+        sets, each group pair's block added to m_n and its transpose to the
+        mirror place."""
+        local_schur, groups = self.local
+        schur = local_schur(g)
+        for i, (rows_x, x, d_x, l_x) in enumerate(groups):
+            for j, (rows_y, y, d_y, l_y) in enumerate(groups[i:], i):
+                part = schur[x, y] if x <= y else np.swapaxes(schur[y, x], -1, -2)
+                if l_x is not None:
+                    part = l_x @ part
+                if l_y is not None:
+                    part = part @ l_y.T
+                part = d_x[:, None] * part * d_y
+                m_n[:, rows_x, rows_y] += part
+                if j != i:
+                    m_n[:, rows_y, rows_x] += np.swapaxes(part, -1, -2)
 
     def _contract(self, reals: np.ndarray, where: np.ndarray, count: int, d: int,
                   m_n: np.ndarray):

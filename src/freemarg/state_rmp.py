@@ -137,10 +137,11 @@ class RmpInstance:
 
     @cached_property
     def _maps(self) -> dict[str, LinearMap | None]:
-        """The extraction map of each marginal and of the free-set target, by
-        label, built once: every program of the instance shares them."""
-        return {",".join(sub.members): extraction_map(self.layout, sub.members)
-                for sub in [sub for sub, _ in self.marginals.entries] + [self.free.target]}
+        """The extraction map of each marginal, of the free-set target and of
+        no factor (the trace), by label, built once: every program of the
+        instance shares them."""
+        members = [sub.members for sub, _ in self.marginals.entries] + [self.free.target.members]
+        return {",".join(keep): extraction_map(self.layout, keep) for keep in members + [()]}
 
     @cached_property
     def pairs(self) -> tuple[tuple[str, LinearMap | None, np.ndarray], ...]:
@@ -148,7 +149,8 @@ class RmpInstance:
                      for label, (_, sigma) in zip(self.marginals.labels(), self.marginals.entries))
 
     def extract(self, key) -> LinearMap | None:
-        """A subsystem set, its members, or its label "A,B"."""
+        """A subsystem set, its members, or its label "A,B"; no members, or
+        the label "", extract the trace."""
         if isinstance(key, SubsystemSet):
             key = key.members
         label = key if isinstance(key, str) else ",".join(key)
@@ -158,7 +160,7 @@ class RmpInstance:
 
     def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
         if pinned:  # the cone form, tr(V) = tr(V), says nothing
-            prog.add_scalar_equality("unit_trace", [(v, np.eye(self.layout.total_dim))], 1.0)
+            prog.add_matrix_equality("unit_trace", [(v, self.extract(()))], np.ones((1, 1)))
 
     def constrain(self, prog: ConicProgram, v: BlockRef):
         attach_free_state_cone(prog, v, self.extract(self.free.target), self.free)

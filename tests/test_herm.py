@@ -7,14 +7,19 @@ from freemarg.herm import (
     DensityMatrix,
     HermitianOperator,
     LayoutError,
+    LocalSchur,
     SubsystemLayout,
     SubsystemSet,
     ValidationError,
     eig_hermitian,
     partial_trace,
+    partial_trace_map,
     partial_transpose,
+    partial_transpose_map,
     permute_factors,
     psd_split,
+    replacement_defect_map,
+    smat,
     tensor,
     trace_norm,
 )
@@ -203,6 +208,54 @@ class TestEig:
         v1, w1 = eig_hermitian(op)
         v2, w2 = eig_hermitian(op)
         assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
+
+
+class TestLocalSchur:
+    """The Schur block L S L'^T of two maps with local forms (L, X) and
+    (L', Y), against tr(A_k G B_l G) of their rows, for a stack of two G."""
+
+    LAYOUT = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+
+    @classmethod
+    def maps(cls):
+        lay = cls.LAYOUT
+        ac = lay.sublayout(("A", "C"))
+        out = {keep: partial_trace_map(lay, tuple(keep))
+               for keep in ("", "A", "B", "AB", "BC", "AC", "ABC")}
+        out["pt(AC)"] = partial_transpose_map(ac, ("C",)) @ out["AC"]
+        return out
+
+    @pytest.mark.parametrize("x, y", [
+        ("AB", "AB"), ("AC", "AC"),            # equal, contiguous or not
+        ("AB", "BC"), ("AC", "BC"),            # overlapping
+        ("A", "BC"), ("B", "AC"),              # disjoint
+        ("", ""), ("", "AB"), ("ABC", ""),     # nothing kept, or all
+        ("pt(AC)", "AC"), ("pt(AC)", "pt(AC)"), ("AB", "pt(AC)"),
+    ])
+    def test_matches_the_trace_formula(self, rng, x, y):
+        d = self.LAYOUT.total_dim
+        z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(d)
+        mx, my = self.maps()[x], self.maps()[y]
+        s = LocalSchur(mx.local.dims, [mx.local.keep, my.local.keep])(g)[0, 1]
+        lx, ly = (np.eye(s.shape[-2]) if mx.local.inner is None else mx.local.inner,
+                  np.eye(s.shape[-1]) if my.local.inner is None else my.local.inner)
+        out = lx @ s @ ly.T
+        ax, ay = smat(mx.k, d) @ g[:, None], smat(my.k, d) @ g[:, None]
+        ref = np.einsum("ckij,clji->ckl", ax, ay).real
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_composition_carries_the_local_form(self):
+        maps = self.maps()
+        ab = self.LAYOUT.sublayout(("A", "B"))
+        assert maps["AC"].local == (self.LAYOUT.dims, (0, 2), None)
+        pin = replacement_defect_map(ab, ("B",))
+        outer = replacement_defect_map(ab, ("A",)) @ pin @ maps["AB"]
+        assert outer.local.keep == (0, 1)
+        assert np.allclose(outer.local.inner @ maps["AB"].k, outer.k, atol=1e-14)
+        # only the innermost map decides: a map before a partial trace has none
+        assert (maps["AB"] @ replacement_defect_map(self.LAYOUT, ("C",))).local is None
 
 
 class TestNorms:

@@ -1,5 +1,6 @@
-"""Solves of six- and seven-qubit programs, whose large blocks take the
-solver's nonzero path without any forcing."""
+"""Solves of six- and seven-qubit programs.  Their V blocks are large and
+every row group on them is a partial trace followed by a map, so they take
+the solver's local path without any forcing; their rows stay nonzeros."""
 
 import math
 
@@ -51,10 +52,12 @@ def robustness_program(inst):
     return state_rmp._program(inst, pinned=False, pairs=inst.pairs)[0]
 
 
-def test_six_qubit_robustness_then_witness(densified):
+def test_six_qubit_robustness_then_witness(densified, monkeypatch):
     inst = cyclic_instance(6)
-    rows = robustness_program(inst).compile()["A"]
+    data = robustness_program(inst).compile()
+    rows = data["A"]
     assert isinstance(rows, solver._Rows) and rows.shape == (400, 4496)
+    assert data["block_rows"][0].local is not None
     res = state_rmp.robustness(inst)
     assert res.status.value == "Optimal"
     assert abs(res.value_log2 - math.log2(1.55)) <= 1e-8
@@ -63,6 +66,11 @@ def test_six_qubit_robustness_then_witness(densified):
     assert wit.gap > 0
     # the witness's small program has dense rows, the robustness program not
     assert rows.shape not in densified
+    # the nonzero path, forced, finds the same optimum
+    monkeypatch.setattr(solver.ConicProgram, "_local_terms", lambda self, blk: None)
+    assert robustness_program(inst).compile()["block_rows"][0].local is None
+    forced = state_rmp.robustness(inst)
+    assert abs(forced.value_log2 - res.value_log2) <= 1e-10
 
 
 def test_seven_qubit_robustness(densified):

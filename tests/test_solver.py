@@ -5,6 +5,7 @@ import pytest
 
 from freemarg.herm import (
     LinearMap,
+    SubsystemLayout,
     hermitian_basis,
     partial_trace_map,
     partial_transpose_map,
@@ -26,12 +27,16 @@ from freemarg.states import qubit_layout
 from conftest import rand_herm
 
 
-@pytest.fixture(params=["dense", "nonzeros"])
+@pytest.fixture(params=["dense", "nonzeros", "local"])
 def schur_path(request, monkeypatch):
     """Assemble the Schur complement of every block densely (the default for
-    small blocks) or from its rows' nonzeros (the default for large ones)."""
-    if request.param == "nonzeros":
+    small blocks), from its rows' nonzeros (the default for large blocks
+    with a row group that is not a partial trace followed by a map) or by
+    local contraction (the default for the other large blocks)."""
+    if request.param != "dense":
         monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+    if request.param == "nonzeros":
+        monkeypatch.setattr(solver.ConicProgram, "_local_terms", lambda self, blk: None)
     return request.param
 
 
@@ -473,6 +478,7 @@ class TestSchurAssembly:
     """M_n[l, k] = tr(A_k G A_l G), assembled densely or from the nonzeros of
     the rows, and what the solver builds on it."""
 
+    @pytest.mark.parametrize("schur_path", ["dense", "nonzeros"], indirect=True)
     def test_matches_the_trace_formula(self, rng, schur_path):
         for d, a_blk in every_map_kind(rng).items():
             rows, coords = np.nonzero(a_blk)
@@ -486,6 +492,35 @@ class TestSchurAssembly:
             ref = np.einsum("ckij,clji->clk", ag, ag).real
             assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_local_layout_matches_the_trace_formula(self, rng, monkeypatch):
+        # groups of mixed sizes, one of them a PSD inequality with a slack,
+        # on factors of dimensions 2, 3, 2, with uneven row norms
+        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+        lay = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+        ac = lay.sublayout(("A", "C"))
+        prog = ConicProgram()
+        v = prog.add_variable("V", 12)
+        prog.add_matrix_equality("ab", [(v, partial_trace_map(lay, ("A", "B")))],
+                                 rand_herm(rng, 6))
+        prog.add_matrix_equality("none", [(v, partial_trace_map(lay, ()))], np.ones((1, 1)))
+        prog.add_psd_inequality("ppt", [(v, partial_transpose_map(ac, ("C",))
+                                         @ partial_trace_map(lay, ("A", "C")))])
+        prog.add_matrix_equality("bc", [(v, partial_trace_map(lay, ("B", "C")))],
+                                 rand_herm(rng, 6))
+        prog.add_matrix_equality("ac", [(v, partial_trace_map(lay, ("A", "C")))],
+                                 rand_herm(rng, 4))
+        data = prog.compile()
+        blk = data["block_rows"][0]
+        assert blk.local is not None and data["block_rows"][1].local is None
+        a_n = data["d_inv"][:, None] * prog.equality_rows()[0].dense()[:, prog.block_slice(v)]
+        z = rng.normal(size=(2, 12, 12)) + 1j * rng.normal(size=(2, 12, 12))
+        g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(12)
+        m_n = np.zeros((2, len(a_n), len(a_n)))
+        blk.add_schur(g, m_n)
+        ag = smat(a_n, 12) @ g[:, None]
+        ref = np.einsum("ckij,clji->clk", ag, ag).real
+        assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_batch_member_equals_solo_on_four_qubits(self, rng, schur_path):
         from freemarg.freesets import FreeSetSpec
         from freemarg.herm import SubsystemSet
@@ -497,6 +532,9 @@ class TestSchurAssembly:
         fam = MarginalFamily(lay, [(m, marginal_of(rho, m)) for m in ("ABC", "BCD")])
         inst = RmpInstance(fam, FreeSetSpec.all_states(SubsystemSet(lay, lay.labels)))
         prog, v = _program(inst, pinned=True, pairs=inst.pairs)
+        v_rows = prog.compile()["block_rows"][0]
+        assert (v_rows.mats is None) == (schur_path != "dense")
+        assert (v_rows.local is not None) == (schur_path == "local")
         costs = [rand_herm(rng, 16) for _ in range(3)]
         batch = solve_many(prog, [-prog.objective_vector([(v, cm)]) for cm in costs])
         for cm, res in zip(costs, batch):

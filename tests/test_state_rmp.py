@@ -381,8 +381,8 @@ class TestProblemMaps:
         fresh = make()
         for g1, g2, (_, m, _), (_, m3, _) in zip(first.eq_groups[1:], second.eq_groups[1:],
                                                  inst.pairs, fresh.pairs):
-            # the rows of both programs hold the very matrices of inst.pairs
-            assert g1.terms[0][1] is g2.terms[0][1] is m.k
+            # the rows of both programs hold the very maps of inst.pairs
+            assert g1.terms[0][1] is g2.terms[0][1] is m
             assert np.array_equal(m.k, m3.k)
 
 
