@@ -446,12 +446,14 @@ class ChannelWitness:
         return self.value_at_family - self.free_sup
 
 
-def channel_witness(inst: ChannelRmpInstance,
+def channel_witness(feasible: ChannelRmpInstance | CompatibleSetModel,
                     robustness: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> ChannelWitness:
     """The robustness dual per pair, decomposed over IC frames into
-    (observable, input state) terms."""
-    duals, value, sup = witness_duals(inst, robustness, settings)
+    (observable, input state) terms; the free-set supremum is taken over
+    `feasible`, the instance or a model of it."""
+    duals, value, sup = witness_duals(feasible, robustness, settings)
+    inst = CompatibleSetModel.instance_of(feasible)
     entries: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for pair, spec in inst.family.entries:
         e = duals[pair.label()]
@@ -509,11 +511,14 @@ class ChannelDiscriminationTask:
                 for label, prior in self.pair_priors.items()]
 
 
-def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
+def state_discrimination_task(witness: ChannelWitness,
+                              feasible: ChannelRmpInstance | CompatibleSetModel,
                               epsilon: float | None = None,
                               settings: SolverSettings | None = None) -> ChannelDiscriminationTask:
     """Shift and scale the witness observables into strictly positive POVM
-    elements, append the completing outcome, and fix the priors."""
+    elements, append the completing outcome, and fix the priors; the epsilon
+    rule bounds the task over `feasible`, the instance or a model of it."""
+    inst = CompatibleSetModel.instance_of(feasible)
     if all(np.max(np.abs(wj)) < 1e-14 for terms in witness.entries.values()
            for wj, _ in terms):
         raise ValueError("degenerate (all-zero) witness cannot define a task")
@@ -541,7 +546,8 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
             states=states, povms=povms, epsilon=float(eps), metadata={"n_terms": n})
 
     if epsilon is None:
-        epsilon = epsilon_rule(*epsilon_bound_terms(task_at(0.5), inst.family, inst, settings))
+        epsilon = epsilon_rule(*epsilon_bound_terms(task_at(0.5), inst.family, feasible,
+                                                    settings))
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon = {epsilon} does not give a strictly positive task")
     task = task_at(epsilon)

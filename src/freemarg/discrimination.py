@@ -228,7 +228,8 @@ def _block_from_spectrum(sub: SubsystemSet, weights: np.ndarray, vectors: np.nda
                      spectral_weights=weights, spectral_vectors=vectors)
 
 
-def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None = None,
+def task_from_witness(witness: Witness, unitaries,
+                      instance: RmpInstance | CompatibleSetModel | None = None,
                       delta: float = 0.01, epsilon: float | None = None,
                       settings: SolverSettings | None = None) -> DiscriminationTask:
     """Build the discrimination task attached to a witness.
@@ -238,8 +239,9 @@ def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None 
     completing outcome (identity if omitted).  With `epsilon=None` the
     completing-outcome prior is chosen by the safety rule
     eps = 1/2 if Delta_2 <= 0 else min(Delta_1/Delta_2, 1)/2, which needs the
-    instance to solve the two bound terms.  Passing epsilon=0 is allowed for
-    diagnostics but yields a task that is not strictly positive.
+    instance, or a model of it, to solve the two bound terms.  Passing
+    epsilon=0 is allowed for diagnostics but yields a task that is not
+    strictly positive.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -264,7 +266,8 @@ def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None 
         if instance is None:
             raise ValueError("epsilon rule needs the instance to bound the task terms")
         draft = _assemble(specs, delta, 0.5)
-        eps = epsilon_rule(*epsilon_bound_terms(draft, instance.marginals, instance, settings))
+        family = CompatibleSetModel.instance_of(instance).marginals
+        eps = epsilon_rule(*epsilon_bound_terms(draft, family, instance, settings))
     return _assemble(specs, delta, float(eps))
 
 

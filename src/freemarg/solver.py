@@ -22,16 +22,20 @@ contraction if each of its row groups has one term on it, with a local
 form, and from its rows' nonzeros otherwise (see `_BlockRows`).
 
 One loop, `solve_many`, solves a program for a batch of objectives on
-stacked iterates; `solve` is its one-member case.  Its Newton step is a
+stacked iterates; `solve` is its one-member case.  The iterate and every
+per-block quantity of a step are one stack per block order, (members,
+blocks of that order, d, d), and `_Blocks` converts them to and from the
+svec vectors that A acts on by one gather or scatter.  The Newton step is a
 sequence of phases, as in the NT-scaling method of Todd-Toh-Tutuncu (SIAM
-J. Optim. 1998) and SDPT3: `_Scaling` (the NT factors and W), `_Normal`
-(the Schur complement M = A W A' and its Cholesky factor), `_direction`
-(predictor and corrector) and `_step_length`.  `_status` is the one place
-a status is decided: the loop calls it at feas_tol, and a member that ends
-without an optimum has its best iterate tested at ten times that.  The
-solver is deterministic: no randomized pivoting, identical inputs give
-identical iterates, and a member's iterates do not depend on the rest of
-its batch.  Enable DEBUG on the ``freemarg.solver`` logger for a
+J. Optim. 1998) and SDPT3: `_Scaling` (the NT factors and W per block
+order), `_Normal` (the Schur complement M = A W A' and its Cholesky
+factor), `_direction` (predictor and corrector) and `_step_length`.
+`_status` is the one place a status is decided: the loop calls it at
+feas_tol, and a member that ends without an optimum has its best iterate
+tested at ten times that.  The solver is deterministic: no randomized
+pivoting, identical inputs give identical iterates, and a member's iterates
+do not depend on the rest of its batch, nor a block's on the other blocks
+of its order.  Enable DEBUG on the ``freemarg.solver`` logger for a
 per-iteration diagnostic trace.
 """
 
@@ -148,8 +152,12 @@ class ConicProgram:
 
     @staticmethod
     def _map_terms(name: str, terms: Sequence[Term], d: int) -> list:
-        """Each map (1.0 for the identity), checked against the d x d output."""
+        """Each map (1.0 for the identity), checked against its block and the
+        d x d output."""
         for ref, lmap in terms:
+            if lmap is not None and lmap.in_dim != ref.cdim:
+                raise ValueError(f"constraint {name!r}: term input dim {lmap.in_dim} != "
+                                 f"{ref.cdim} of block {ref.name!r}")
             out = ref.cdim if lmap is None else lmap.out_dim
             if out != d:
                 raise ValueError(f"constraint {name!r}: term output dim {out} != {d}")
@@ -168,6 +176,10 @@ class ConicProgram:
     def add_scalar_equality(self, name: str, terms: Sequence[tuple[BlockRef, np.ndarray]],
                             rhs: float):
         """sum_j tr(probe_j X_j) = rhs."""
+        for ref, probe in terms:
+            if np.shape(probe) != (ref.cdim, ref.cdim):
+                raise ValueError(f"constraint {name!r}: probe of shape {np.shape(probe)} on "
+                                 f"block {ref.name!r} of order {ref.cdim}")
         probes = [svec(hermitize(np.asarray(probe, dtype=complex)))[None] for _, probe in terms]
         self._append_rows(name, [(ref, LinearMap(k)) for (ref, _), k in zip(terms, probes)],
                           [float(rhs)], True)
@@ -370,21 +382,45 @@ def _cap(step: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
 
 
 class _Blocks:
-    """Pack/unpack between stacked svec vectors and per-block matrices."""
+    """Conversion between stacked svec vectors (..., n) and the blocks as one
+    stack per block order, (..., blocks of that order, d, d), orders
+    ascending and the blocks of an order in program order.  Each direction
+    is one precomputed table over all blocks, built from `herm._coords`:
+    `pack` gathers the stacks' reals and scales them as `svec` does, and
+    `unpack` scatters the coordinates into one buffer as `smat` does, with
+    a view of it per order."""
 
     def __init__(self, dims: Sequence[int]):
-        self.dims = list(dims)
-        ends = np.cumsum([n * n for n in self.dims], dtype=int).tolist()
-        self.slices = [slice(end - n * n, end) for end, n in zip(ends, self.dims)]
-        # the blocks of each order, for one stacked call per order
-        self.by_dim = [[j for j, d in enumerate(self.dims) if d == dim]
-                       for dim in sorted(set(self.dims))]
+        dims = list(dims)
+        orders = sorted(set(dims))
+        # each block's order (an index into `shapes`) and place in its stack
+        self.place = [(orders.index(d), dims[:j].count(d)) for j, d in enumerate(dims)]
+        self.shapes = [(dims.count(d), d, d) for d in orders]
+        # where each stack's reals lie in the one buffer
+        self.bounds = np.cumsum([0] + [2 * math.prod(shape) for shape in self.shapes]).tolist()
+        tables, start = [], 0
+        for d, (order, at) in zip(dims, self.place):
+            base = self.bounds[order] + at * 2 * d * d
+            pos, factor, src, dst, scale = _coords(d)
+            tables.append((base + pos, factor, start + src, base + dst, scale))
+            start += d * d
+        self.gather, self.factor, self.src, self.dst, self.scale = (
+            np.concatenate(t) for t in zip(*tables))
 
-    def unpack(self, v):
-        return [smat(v[..., sl], n) for sl, n in zip(self.slices, self.dims)]
+    def unpack(self, v: np.ndarray) -> list[np.ndarray]:
+        lead = v.shape[:-1]
+        reals = np.zeros(lead + (self.bounds[-1],))
+        reals[..., self.dst] = v[..., self.src] * self.scale
+        return [reals[..., lo:hi].view(complex).reshape(lead + shape)
+                for lo, hi, shape in zip(self.bounds, self.bounds[1:], self.shapes)]
 
-    def pack(self, mats):
-        return np.concatenate([svec(m) for m in mats], axis=-1)
+    def pack(self, mats: Sequence[np.ndarray]) -> np.ndarray:
+        lead = mats[0].shape[:-3]
+        reals = np.concatenate([m.reshape(lead + (-1,)) for m in mats], axis=-1, dtype=complex)
+        # `take`, as in `svec`, keeps the row-wise sums member by member
+        out = np.take(reals.view(np.float64), self.gather, axis=-1)
+        out *= self.factor
+        return out
 
 
 # the entries of the temporaries of `_Rows.row_norms` and `_Rows.gram`
@@ -675,7 +711,8 @@ def _by_size(sizes: np.ndarray):
 
 
 # iterates of the homogeneous model, one row per member: the primal and dual
-# slack blocks, each a (members, d, d) stack, then y, tau, kappa
+# slack blocks, one (members, blocks, d, d) stack per block order, then y,
+# tau, kappa
 _Iterate = namedtuple("_Iterate", "xm sm y tau kappa")
 
 
@@ -721,13 +758,10 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_to_boundary(lam: np.ndarray, dm: np.ndarray) -> np.ndarray:
-    """sup { a : diag(lam) + a*dm > 0 } for positive lam, per member of the
-    stacks lam (..., d) and dm (..., d, d): one over minus the smallest
-    eigenvalue of diag(lam)^-1/2 dm diag(lam)^-1/2."""
-    if np.any(lam <= 0):
-        raise np.linalg.LinAlgError("scaled block lost definiteness")
-    r = 1.0 / np.sqrt(lam)
+def _step_to_boundary(r: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """sup { a : diag(lam) + a*dm > 0 } for positive lam, per matrix of the
+    stacks r = lam^-1/2 (..., d) and dm (..., d, d): one over minus the
+    smallest eigenvalue of diag(r) dm diag(r)."""
     low = np.linalg.eigvalsh(r[..., :, None] * dm * r[..., None, :])[..., 0]
     return np.where(low >= -1e-16, np.inf, -1.0 / np.minimum(low, -1e-16))
 
@@ -791,33 +825,39 @@ class _Scaling:
     """Nesterov-Todd scaling of every block (Todd-Toh-Tutuncu): X = Lx Lx',
     S = Ls Ls' and Ls' Lx = U diag(lam) V' give F = Lx V lam^-1/2 with
     F^-1 X F^-1' = F' S F = diag(lam).  The scaled point is diagonal,
-    exactly, and W = F F' (G per block) satisfies W S W = X."""
+    exactly, and W = F F' (G per block) satisfies W S W = X.
 
-    def __init__(self, blocks: _Blocks, xm: list, sm: list):
-        self.blocks = blocks
-        self.f, self.fi, self.lam, self.g = [], [], [], []
+    Every quantity is one stack per block order, as `_Blocks.unpack` gives
+    the iterate: F, F^-1', lam, G and r, which holds lam^-1/2 twice along
+    the block axis, for the x and the s half of a step's scaled direction."""
+
+    def __init__(self, xm: list, sm: list):
+        self.f, self.fi, self.lam, self.g, self.r = [], [], [], [], []
         for xb, sb in zip(xm, sm):
             lx = np.linalg.cholesky(xb)
             ls = np.linalg.cholesky(sb)
             u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
-            f = (lx @ _ct(vh)) / np.sqrt(lam)[:, None, :]
+            if np.any(lam <= 0):
+                raise np.linalg.LinAlgError("scaled block lost definiteness")
+            root = np.sqrt(lam)
+            f = (lx @ _ct(vh)) / root[..., None, :]
             self.f.append(f)
-            self.fi.append((_ct(u) @ _ct(ls)) / np.sqrt(lam)[:, :, None])
+            self.fi.append((_ct(u) @ _ct(ls)) / root[..., :, None])
             self.lam.append(lam)
             self.g.append(f @ _ct(f))
+            self.r.append(np.concatenate([1.0 / root] * 2, axis=1))
 
-    def w(self, vec: np.ndarray) -> np.ndarray:
-        """W V W of the stacked svec vectors vec, block by block."""
-        return self.blocks.pack([g @ m @ g for g, m in zip(self.g, self.blocks.unpack(vec))])
+    def w(self, mats: list) -> list:
+        """W V W, block by block."""
+        return [g @ m @ g for g, m in zip(self.g, mats)]
 
-    def half(self, vec: np.ndarray) -> np.ndarray:
+    def half(self, mats: list) -> list:
         """F' V F, block by block."""
-        return self.blocks.pack([_ct(f) @ m @ f for f, m in zip(self.f, self.blocks.unpack(vec))])
+        return [_ct(f) @ m @ f for f, m in zip(self.f, mats)]
 
-    def scaled(self, dx: np.ndarray, ds: np.ndarray) -> tuple[list, list]:
+    def scaled(self, dxm: list, dsm: list) -> tuple[list, list]:
         """F^-1 dx F^-1' and F' ds F, block by block."""
-        return ([fi @ m @ _ct(fi) for fi, m in zip(self.fi, self.blocks.unpack(dx))],
-                [_ct(f) @ m @ f for f, m in zip(self.f, self.blocks.unpack(ds))])
+        return [fi @ m @ _ct(fi) for fi, m in zip(self.fi, dxm)], self.half(dsm)
 
 
 class _Normal:
@@ -829,8 +869,8 @@ class _Normal:
         r, n_rows = model.a.shape[0], model.u_r.shape[0]
         m_mat = np.zeros((count, r, r))
         m_n = np.zeros((count, n_rows, n_rows)) if model.reduce_sparse else m_mat
-        for g, blk in zip(g_list, model.block_rows):
-            blk.add_schur(g, m_mat if blk.mats is not None else m_n)
+        for (order, at), blk in zip(model.blocks.place, model.block_rows):
+            blk.add_schur(g_list[order][:, at], m_mat if blk.mats is not None else m_n)
         if model.reduce_sparse:
             m_mat += model.u_rt @ m_n @ model.u_r
         self.m = hermitize(m_mat)
@@ -855,9 +895,9 @@ class _Normal:
         return u + lit @ (self.li @ (rhs - self.m @ u))
 
 
-# the constants of one Newton step, per member: q = A W c, u2 = M^-1 (q + b)
-# and the dtau pivot den
-_Step = namedtuple("_Step", "c g1 g2 g3 q u2 den tau kappa")
+# the constants of one Newton step, per member: q = A W c, u2 = M^-1 (q + b),
+# the dtau pivot den and W g1, which the predictor and the corrector share
+_Step = namedtuple("_Step", "c g1 g2 g3 q u2 den tau kappa w_g1")
 
 
 def _direction(model: _Model, sc: _Scaling, normal: _Normal, k: _Step, eta, target_mu,
@@ -865,22 +905,22 @@ def _direction(model: _Model, sc: _Scaling, normal: _Normal, k: _Step, eta, targ
     """(dx, dy, ds, dtau, dkappa) toward complementarity target_mu, the
     residuals cut by the factor 1 - eta (scalars or one per member); corr
     holds the corrector's second-order terms, per block and for tau kappa."""
-    eta_col, mu_col = np.reshape(eta, (-1, 1)), np.reshape(target_mu, (-1, 1))
-    rlam = []
-    for j, lam in enumerate(sc.lam):
+    blocks = model.blocks
+    eta_col, mu_col = np.reshape(eta, (-1, 1)), np.reshape(target_mu, (-1, 1, 1))
+    dxm = []
+    for j, (f, lam) in enumerate(zip(sc.f, sc.lam)):
         t = np.zeros(lam.shape + lam.shape[-1:]) if corr is None else -corr[0][j]
         diag = np.arange(lam.shape[-1])
-        t[:, diag, diag] += mu_col - lam * lam
-        rlam.append(2.0 * t / (lam[:, :, None] + lam[:, None, :]))
-    dx_part = (model.blocks.pack([f @ rl @ _ct(f) for f, rl in zip(sc.f, rlam)])
-               + eta_col * sc.w(k.g1))
+        t[..., diag, diag] += mu_col - lam * lam
+        dxm.append(f @ (2.0 * t / (lam[..., :, None] + lam[..., None, :])) @ _ct(f))
+    dx_part = blocks.pack(dxm) + eta_col * k.w_g1
     r_tk = target_mu - k.tau * k.kappa - (0.0 if corr is None else corr[1])
     u1 = normal.solve((-_mv(model.a, dx_part) - eta_col * k.g2)[..., None])[..., 0]
     num = -eta * k.g3 + _dot(k.c, dx_part) + _dot(k.q - model.b, u1) + r_tk / k.tau
     dtau = num / k.den
     dy = u1 + dtau[:, None] * k.u2
     at_dy = _mv(model.at, dy)
-    return (dx_part + sc.w(at_dy - k.c * dtau[:, None]), dy,
+    return (dx_part + blocks.pack(sc.w(blocks.unpack(at_dy - k.c * dtau[:, None]))), dy,
             -eta_col * k.g1 - at_dy + k.c * dtau[:, None], dtau, (r_tk - k.kappa * dtau) / k.tau)
 
 
@@ -891,10 +931,9 @@ def _step_length(sc: _Scaling, dlx: list, dls: list, k: _Step, dtau: np.ndarray,
     way and less after a short step (90% in the limit), a margin where
     progress is slow."""
     step = np.full(k.tau.shape, np.inf)
-    for group in sc.blocks.by_dim:   # one stacked call per block order
-        lam = np.concatenate([sc.lam[j] for j in group] * 2)
-        dl = np.concatenate([dlx[j] for j in group] + [dls[j] for j in group])
-        step = np.minimum(step, _step_to_boundary(lam, dl).reshape(-1, step.size).min(axis=0))
+    for r, dx, ds in zip(sc.r, dlx, dls):   # one stacked call per block order
+        bound = _step_to_boundary(r, np.concatenate([dx, ds], axis=1))
+        step = np.minimum(step, bound.min(axis=1))
     step = _cap(_cap(step, k.tau, dtau), k.kappa, dkappa)
     full = np.minimum(step, 1.0)
     return full, np.minimum(1.0, (0.9 + 0.09 * full) * step)
@@ -903,19 +942,22 @@ def _step_length(sc: _Scaling, dlx: list, dls: list, k: _Step, dtau: np.ndarray,
 def _newton(model: _Model, cur: _Iterate, c: np.ndarray, st: _Check):
     """One predictor-corrector step of every member of the stack: the next
     iterate, the step lengths and the centering parameters."""
-    tau, kappa, b = cur.tau, cur.kappa, model.b
-    sc = _Scaling(model.blocks, cur.xm, cur.sm)
+    tau, kappa, b, blocks = cur.tau, cur.kappa, model.b, model.blocks
+    sc = _Scaling(cur.xm, cur.sm)
     normal = _Normal(model, sc.g, tau.size)
-    q = _mv(model.a, sc.w(c))
+    cm = blocks.unpack(c)
+    q = _mv(model.a, blocks.pack(sc.w(cm)))
     sol = normal.solve(np.stack([q + b, q, np.broadcast_to(b, q.shape)], axis=-1))
     # stable positive denominator for the dtau pivot:
     #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
-    resid = sc.half(c) - sc.half(_mv(model.at, sol[..., 1]))
+    resid = (blocks.pack(sc.half(cm))
+             - blocks.pack(sc.half(blocks.unpack(_mv(model.at, sol[..., 1])))))
     den = _dot(resid, resid) + _dot(b, sol[..., 2]) + kappa / tau
-    k = _Step(c, st.g1, st.g2, st.g3, q, sol[..., 0], den, tau, kappa)
+    k = _Step(c, st.g1, st.g2, st.g3, q, sol[..., 0], den, tau, kappa,
+              blocks.pack(sc.w(blocks.unpack(st.g1))))
 
     dx_a, _, ds_a, dtau_a, dkap_a = _direction(model, sc, normal, k, 1.0, 0.0, None)
-    dlx_a, dls_a = sc.scaled(dx_a, ds_a)
+    dlx_a, dls_a = sc.scaled(blocks.unpack(dx_a), blocks.unpack(ds_a))
     alpha = _step_length(sc, dlx_a, dls_a, k, dtau_a, dkap_a)[0]
     gap_aff = (_dot(st.x + alpha[:, None] * dx_a, st.s + alpha[:, None] * ds_a)
                + (tau + alpha * dtau_a) * (kappa + alpha * dkap_a))
@@ -925,22 +967,23 @@ def _newton(model: _Model, cur: _Iterate, c: np.ndarray, st: _Check):
     # lam_i^2 below mu/100) its second-order term points at the boundary
     # and the steps shrink to nothing, so such members take the
     # first-order step to the same target instead
-    near = np.min([np.min(lam * lam, axis=-1) for lam in sc.lam], axis=0) >= 1e-2 * st.mu
-    corr = [hermitize(dlx @ dls) * near[:, None, None] for dlx, dls in zip(dlx_a, dls_a)]
+    near = np.min([np.min(lam * lam, axis=(1, 2)) for lam in sc.lam], axis=0) >= 1e-2 * st.mu
+    corr = [hermitize(dlx @ dls) * near[:, None, None, None] for dlx, dls in zip(dlx_a, dls_a)]
     dx, dy, ds, dtau, dkap = _direction(model, sc, normal, k, 1.0 - sigma, sigma * st.mu,
                                         (corr, dtau_a * dkap_a * near))
-    step = _step_length(sc, *sc.scaled(dx, ds), k, dtau, dkap)[1]
+    dxm, dsm = blocks.unpack(dx), blocks.unpack(ds)
+    step = _step_length(sc, *sc.scaled(dxm, dsm), k, dtau, dkap)[1]
 
-    blk = step[:, None, None]
-    x_m = [hermitize(xb + blk * dxb) for xb, dxb in zip(cur.xm, model.blocks.unpack(dx))]
-    s_m = [hermitize(sb + blk * dsb) for sb, dsb in zip(cur.sm, model.blocks.unpack(ds))]
+    blk = step[:, None, None, None]
+    x_m = [hermitize(xb + blk * dxb) for xb, dxb in zip(cur.xm, dxm)]
+    s_m = [hermitize(sb + blk * dsb) for sb, dsb in zip(cur.sm, dsm)]
     tau = tau + step * dtau
     kappa = kappa + step * dkap
     # the model is homogeneous of degree one: rescale the iterate so
     # tau + kappa stays O(1) instead of drifting along the ray
     inv = 2.0 / (tau + kappa)
-    nxt = _Iterate([xb * inv[:, None, None] for xb in x_m],
-                   [sb * inv[:, None, None] for sb in s_m],
+    nxt = _Iterate([xb * inv[:, None, None, None] for xb in x_m],
+                   [sb * inv[:, None, None, None] for sb in s_m],
                    (cur.y + step[:, None] * dy) * inv[:, None], tau * inv, kappa * inv)
     return nxt, step, sigma
 
@@ -982,8 +1025,8 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     c *= program.sense
     results: list[SolveResult | None] = [None] * count
     ids = np.arange(count)                 # each active member's place in `results`
-    cur = _Iterate(*[[np.broadcast_to(np.eye(d, dtype=complex), (count, d, d)).copy()
-                      for d in data["dims"]] for _ in range(2)],
+    cur = _Iterate(*[[np.broadcast_to(np.eye(shape[-1], dtype=complex), (count,) + shape).copy()
+                      for shape in model.blocks.shapes] for _ in range(2)],
                    np.zeros((count, r)), np.ones(count), np.ones(count))
     best, best_score = cur, np.full(count, np.inf)
     stall = np.zeros(count, dtype=int)

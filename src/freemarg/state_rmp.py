@@ -307,16 +307,23 @@ class CompatibleSetModel:
     channel instance, sum over pairs of tr(J_pair O_pair)).
 
     The feasible set is every family of marginals of a global state (or
-    channel) whose target reduction is free; the compiled program is reused
-    across objectives, which matters for sampling experiments.
+    channel) whose target reduction is free.  The program is built and
+    compiled on first use and reused across objectives, which matters for
+    sampling experiments and for a request that maximizes over the set
+    several times; a model that is never used costs nothing.
     """
 
     def __init__(self, inst: Instance, settings: SolverSettings | None = None):
         self.instance = inst
         self.settings = settings
-        self.prog, self.var = _program(inst, pinned=True)
-        self.prog.set_objective([], "max")
-        self.prog.compile()  # every objective shares the compiled data
+
+    @cached_property
+    def program(self) -> tuple[ConicProgram, BlockRef]:
+        """The compiled program with its variable V."""
+        prog, var = _program(self.instance, pinned=True)
+        prog.set_objective([], "max")
+        prog.compile()  # every objective shares the compiled data
+        return prog, var
 
     @staticmethod
     def of(feasible: Instance | CompatibleSetModel,
@@ -326,6 +333,11 @@ class CompatibleSetModel:
             return feasible
         return CompatibleSetModel(feasible, settings)
 
+    @staticmethod
+    def instance_of(feasible: Instance | CompatibleSetModel) -> Instance:
+        """The instance of `feasible`, a model or an instance."""
+        return feasible.instance if isinstance(feasible, CompatibleSetModel) else feasible
+
     def maximize(self, objectives: Iterable[tuple[object, np.ndarray]]) -> SolveResult:
         """`objectives` holds (key, O) pairs; a key is a label or a subsystem set."""
         return self.maximize_many([objectives])[0]
@@ -333,16 +345,17 @@ class CompatibleSetModel:
     def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]]
                       ) -> list[SolveResult]:
         """`maximize` of each entry, solved together in one batch."""
+        prog, var = self.program
         costs = []
         for objectives in objective_lists:
-            cost = np.zeros(self.prog.num_cols)
-            coeff = cost[self.prog.block_slice(self.var)]
+            cost = np.zeros(prog.num_cols)
+            coeff = cost[prog.block_slice(var)]
             for key, obs in objectives:
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
                 x, m = svec(hermitize(obs)), self.instance.extract(key)
                 coeff += x if m is None else x @ m.k  # m's adjoint, in svec coordinates
             costs.append(cost)
-        results = solve_many(self.prog, costs, self.settings)
+        results = solve_many(prog, costs, self.settings)
         for k, res in enumerate(results):
             if res.status != Status.OPTIMAL:
                 raise SolverFailure(f"set maximization {k} ended with status {res.status.value}")
@@ -361,12 +374,15 @@ def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
 # ---------------------------------------------------------------------------
 
 
-def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = None,
+def witness_duals(feasible: Instance | CompatibleSetModel,
+                  robustness_result: RobustnessResult | None = None,
                   settings: SolverSettings | None = None
                   ) -> tuple[dict[str, np.ndarray], float, float]:
     """The robustness program's dual multipliers Y_X by label, their value
     sum_X tr(Y_X sigma_X) at the family, and the independently re-solved
-    supremum of that value over the free-compatible set."""
+    supremum of that value over the free-compatible set.  `feasible` is the
+    instance or a model of it, which the supremum then reuses."""
+    inst = CompatibleSetModel.instance_of(feasible)
     res = robustness_result if robustness_result is not None else robustness(inst, settings)
     if res.status != Status.OPTIMAL:
         raise SolverFailure(f"robustness status {res.status.value}; witness needs Optimal")
@@ -375,7 +391,7 @@ def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = N
                              "(robustness is zero)")
     duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
     value = sum(float(np.trace(duals[label] @ target).real) for label, _, target in inst.pairs)
-    sup = linear_max_over_set(duals.items(), inst, settings)
+    sup = linear_max_over_set(duals.items(), feasible, settings)
     if value <= sup:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
     return duals, value, sup
@@ -404,11 +420,14 @@ class Witness:
         return total
 
 
-def extract_witness(inst: RmpInstance, robustness_result: RobustnessResult | None = None,
+def extract_witness(feasible: RmpInstance | CompatibleSetModel,
+                    robustness_result: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> Witness:
     """Dual optimizer of the robustness program, reported with its
-    independently re-solved free-set supremum."""
-    duals, value, sup = witness_duals(inst, robustness_result, settings)
+    independently re-solved free-set supremum (over `feasible`, the
+    instance or a model of it)."""
+    duals, value, sup = witness_duals(feasible, robustness_result, settings)
+    inst = CompatibleSetModel.instance_of(feasible)
     blocks = tuple((sub, HermitianOperator(sub.sublayout(), duals[label]))
                    for label, (sub, _) in zip(inst.marginals.labels(), inst.marginals.entries))
     return Witness(blocks, sup, value,

@@ -325,3 +325,18 @@ class TestDiscriminateCommand:
     def test_compatible_instance_exit_3(self, compatible_instance_file):
         proc = run_cli("discriminate", "--input", compatible_instance_file)
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("name, builds", [("w_instance_file", 1), ("broadcasting_file", 1),
+                                              ("compatible_instance_file", 0)])
+    def test_one_free_set_model_per_request(self, name, builds, request, tmp_path, monkeypatch):
+        # the witness supremum, the epsilon rule and the advantage share one
+        # compiled model; a compatible family, with no witness, builds none
+        calls = []
+        program = state_rmp._program
+        monkeypatch.setattr(state_rmp, "_program",
+                            lambda inst, pinned, **kw: calls.append(pinned)
+                            or program(inst, pinned, **kw))
+        rc = cli.main(["discriminate", "--input", request.getfixturevalue(name),
+                       "--output", str(tmp_path / "d.json")])
+        assert rc == (0 if builds else 3)
+        assert calls.count(True) == builds

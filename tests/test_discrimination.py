@@ -341,6 +341,14 @@ class TestHistogram:
         assert got == ["0.008045210742014253", "0.006505203041742319", "0.005778727323888233",
                        "0.0073097345792041135", "0.005110385575627485"]
 
+    def test_w_robustness_pinned(self):
+        # the W example's robustness solve, bit for bit: any change to the
+        # order of the solver's arithmetic shows here
+        res = robustness(w_example_instance())
+        got = (repr(res.value_log2), repr(res.optimum), repr(res.solve_result.dual_value),
+               res.solve_result.iterations)
+        assert got == ("0.06732983580405241", "1.0477756471720268", "1.0477756423075684", 8)
+
     def test_small_run_statistics(self):
         h = histogram_experiment(40, seed=0)
         assert np.all(h.samples > 0)

@@ -84,6 +84,29 @@ class TestBasics:
         assert res.residuals["dual"] <= 1e-7
 
 
+class TestTermDimensions:
+    """A term must fit its block: a map built for another block size, or a
+    probe of another order, would spill into the next block's columns."""
+
+    @staticmethod
+    def two_blocks():
+        prog = ConicProgram()
+        return prog, prog.add_variable("X", 2), prog.add_variable("Y", 4)
+
+    def test_map_on_a_smaller_block_is_refused(self):
+        prog, x, y = self.two_blocks()
+        pt = partial_trace_map(qubit_layout("AB"), ("A",))
+        with pytest.raises(ValueError, match="'marg'.*input dim 4 != 2"):
+            prog.add_matrix_equality("marg", [(x, pt)], np.eye(2) / 2)
+        with pytest.raises(ValueError, match="'cone'.*input dim 4 != 2"):
+            prog.add_psd_inequality("cone", [(x, pt)])
+
+    def test_probe_of_another_order_is_refused(self):
+        prog, x, y = self.two_blocks()
+        with pytest.raises(ValueError, match="'tr'.*order 2"):
+            prog.add_scalar_equality("tr", [(x, np.eye(4))], 1.0)
+
+
 class TestDegenerateConePair:
     """A cone so degenerate that primal and dual are both infinite."""
 
@@ -244,7 +267,7 @@ class TestStepToBoundary:
     def step(lam, dm):
         # the solver passes lam diagonal; rotate a general lam into its eigenbasis
         w, q = np.linalg.eigh(lam)
-        return _step_to_boundary(w, q.conj().T @ dm @ q)
+        return _step_to_boundary(1.0 / np.sqrt(w), q.conj().T @ dm @ q)
 
     def test_step_is_the_boundary(self, rng):
         for d in (1, 2, 4, 6):
@@ -263,52 +286,96 @@ class TestStepToBoundary:
         g = rand_herm(rng, 3)
         assert self.step(np.diag([1.0, 2.0, 3.0]), g @ g) == np.inf
 
-    def test_indefinite_scaling_point_raises(self):
+    def test_indefinite_scaling_point_raises(self, monkeypatch):
+        # the step needs lam^-1/2, so the scaling refuses a zero lam, here
+        # an SVD of Ls' Lx that reports one
+        svd = np.linalg.svd
+
+        def singular(m):
+            u, lam, vh = svd(m)
+            return u, lam * (np.arange(lam.shape[-1]) > 0), vh
+
+        monkeypatch.setattr(np.linalg, "svd", singular)
+        eye = np.eye(2, dtype=complex)[None, None]
         with pytest.raises(np.linalg.LinAlgError):
-            _step_to_boundary(np.array([1.0, 0.0]), -np.eye(2))
+            solver._Scaling([eye], [eye])
+
+
+class TestBlocks:
+    """The svec conversions of the solver, one gather or scatter over blocks
+    of repeated orders, against `svec` and `smat` block by block."""
+
+    DIMS = (1, 3, 3, 8, 3)
+
+    def test_round_trip_matches_svec_and_smat(self, rng):
+        blocks = solver._Blocks(self.DIMS)
+        ends = np.cumsum([d * d for d in self.DIMS])
+        v = rng.normal(size=(4, ends[-1]))
+        mats = blocks.unpack(v)
+        assert [m.shape for m in mats] == [(4, 1, 1, 1), (4, 3, 3, 3), (4, 1, 8, 8)]
+        for (order, at), d, end in zip(blocks.place, self.DIMS, ends):
+            assert np.array_equal(mats[order][:, at], smat(v[:, end - d * d:end], d))
+        per_block = [svec(mats[order][:, at]) for order, at in blocks.place]
+        back = blocks.pack(mats)
+        assert np.array_equal(back, np.concatenate(per_block, axis=-1))
+        # smat's 1/sqrt2 and svec's sqrt2 round, so the trip is exact to an ulp
+        assert np.max(np.abs(back - v)) <= 2 * np.finfo(float).eps * np.max(np.abs(v))
 
 
 class TestScaling:
     """The Nesterov-Todd scaling phase on its own, on stacks of three complex
-    positive definite X and S per block."""
+    positive definite X and S per block, one stack per block order."""
 
-    DIMS = (1, 3, 8)
+    DIMS = (1, 3, 3, 8)
 
     @pytest.fixture
     def points(self, rng):
-        def pd(d):
-            z = rng.normal(size=(3, d, 2 * d)) + 1j * rng.normal(size=(3, d, 2 * d))
+        shapes = solver._Blocks(self.DIMS).shapes
+
+        def pd(n, d):
+            z = rng.normal(size=(3, n, d, 2 * d)) + 1j * rng.normal(size=(3, n, d, 2 * d))
             return z @ np.swapaxes(z.conj(), -1, -2) / (2 * d) + 0.1 * np.eye(d)
 
-        return [pd(d) for d in self.DIMS], [pd(d) for d in self.DIMS]
+        return [pd(n, d) for n, d, _ in shapes], [pd(n, d) for n, d, _ in shapes]
 
     def test_scaled_point_is_diagonal(self, points):
         xm, sm = points
-        sc = solver._Scaling(solver._Blocks(self.DIMS), xm, sm)
-        for x, s, f, fi, lam in zip(xm, sm, sc.f, sc.fi, sc.lam):
-            diag = lam[:, :, None] * np.eye(lam.shape[-1])
+        sc = solver._Scaling(xm, sm)
+        for x, s, f, fi, lam, r in zip(xm, sm, sc.f, sc.fi, sc.lam, sc.r):
+            diag = lam[..., :, None] * np.eye(lam.shape[-1])
             for scaled in (fi @ x @ solver._ct(fi), solver._ct(f) @ s @ f):
                 assert np.max(np.abs(scaled - diag)) <= 1e-12 * np.max(lam)
+            assert np.array_equal(r, np.concatenate([1.0 / np.sqrt(lam)] * 2, axis=1))
 
     def test_w_maps_s_to_x(self, points):
         xm, sm = points
         blocks = solver._Blocks(self.DIMS)
-        sc = solver._Scaling(blocks, xm, sm)
+        sc = solver._Scaling(xm, sm)
         for x, s, f, g in zip(xm, sm, sc.f, sc.g):
             assert np.array_equal(g, f @ solver._ct(f))
             assert np.max(np.abs(g @ s @ g - x)) <= 1e-12 * np.max(np.abs(x))
         x, s = blocks.pack(xm), blocks.pack(sm)
-        assert np.max(np.abs(sc.w(s) - x)) <= 1e-12 * np.max(np.abs(x))
+        w_s = blocks.pack(sc.w(blocks.unpack(s)))
+        assert np.max(np.abs(w_s - x)) <= 1e-12 * np.max(np.abs(x))
 
     def test_members_equal_their_solo_scaling(self, points):
         xm, sm = points
-        blocks = solver._Blocks(self.DIMS)
-        sc = solver._Scaling(blocks, xm, sm)
+        sc = solver._Scaling(xm, sm)
         for k in range(3):
-            solo = solver._Scaling(blocks, [x[k:k + 1] for x in xm], [s[k:k + 1] for s in sm])
-            for name in ("f", "fi", "lam", "g"):
+            solo = solver._Scaling([x[k:k + 1] for x in xm], [s[k:k + 1] for s in sm])
+            for name in ("f", "fi", "lam", "g", "r"):
                 for stacked, one in zip(getattr(sc, name), getattr(solo, name)):
                     assert np.array_equal(stacked[k], one[0])
+
+    def test_blocks_equal_their_scaling_alone(self, points):
+        xm, sm = points
+        sc = solver._Scaling(xm, sm)
+        for order, (x, s) in enumerate(zip(xm, sm)):
+            for at in range(x.shape[1]):
+                alone = solver._Scaling([x[:, at:at + 1]], [s[:, at:at + 1]])
+                for name in ("f", "fi", "lam", "g"):
+                    assert np.array_equal(getattr(sc, name)[order][:, at],
+                                          getattr(alone, name)[0][:, 0])
 
 
 class TestDeterminism:
@@ -386,6 +453,21 @@ class TestSolveMany:
             if k != 2:
                 assert res.status == Status.OPTIMAL
                 assert res.primal_value == pytest.approx(1.0, abs=1e-7)
+
+    def test_repeated_block_orders_match_solo(self, rng):
+        # blocks of orders 2, 3, 2, 3, 1 share two stacks of equal order
+        prog = make_random_feasible(rng, [2, 3, 2, 3, 1], 6)
+        refs = prog.blocks
+        costs = [prog.objective_vector([(ref, rand_herm(rng, ref.cdim) + 3 * np.eye(ref.cdim))
+                                        for ref in refs]) for _ in range(4)]
+        costs.append(prog.objective)
+        batch = solve_many(prog, costs)
+        for cost, res in zip(costs, batch):
+            assert res.status == Status.OPTIMAL
+            solo = solve_many(prog, [cost])[0]
+            self.same(res, solo)
+            for name, block in solo.primal_blocks.items():
+                assert np.array_equal(res.primal_blocks[name], block)
 
     def test_program_without_equalities(self):
         prog = ConicProgram()
