@@ -60,9 +60,21 @@ class FreeSetSpec:
         if self.kind == "SeparablePPT":
             if not self.bipartitions:
                 raise ValueError("SeparablePPT needs at least one bipartition")
+            # an empty side, the whole target or a factor transposed twice
+            # leaves every state PSD, and a side and its complement state
+            # the same cut
             sub = self.target.sublayout()
+            whole, seen = frozenset(sub.labels), set()
             for part in self.bipartitions:
-                sub._check(part)
+                side = frozenset(sub._check(part))
+                if len(side) < len(part):
+                    raise ValueError(f"bipartition {list(part)} names a factor twice")
+                if not side or side == whole:
+                    raise ValueError(f"bipartition {list(part)} must leave both of its sides "
+                                     f"nonempty")
+                if side in seen or whole - side in seen:
+                    raise ValueError(f"bipartition {list(part)} repeats a cut listed before it")
+                seen.add(side)
         if self.kind == "Incoherent" and self.basis is not None:
             b = np.array(self.basis, complex)
             b.setflags(write=False)

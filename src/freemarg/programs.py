@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .freesets import FreeSetSpec
-from .herm import LinearMap, hermitian_basis, partial_transpose_map, replacement_defect_map
+from .herm import (LinearMap, hermitian_basis, hermitize, partial_transpose_map,
+                   replacement_defect_map, svec)
 from .solver import BlockRef, ConicProgram
 
 
@@ -30,8 +31,12 @@ def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap
         for j, h in enumerate(hermitian_basis(d)[d:]):  # off-diagonal part only
             if free.basis is not None:
                 h = free.basis @ h @ free.basis.conj().T
-            lifted = h if extract is None else extract.adjoint(h)
-            prog.add_scalar_equality(f"{prefix}.diag[{j}]", [(var, lifted)], 0.0)
+            # one row, tr(h X) = 0, composed with the extraction so that it
+            # keeps the extraction's local form
+            row = LinearMap(svec(hermitize(h))[None])
+            prog.add_matrix_equality(f"{prefix}.diag[{j}]",
+                                     [(var, row if extract is None else row @ extract)],
+                                     np.zeros((1, 1)))
     elif free.kind == "Singleton":  # X = tr(X) * state
         pin = replacement_defect_map(sub, sub.labels, free.state.entries)
         pin = pin if extract is None else pin @ extract

@@ -16,10 +16,10 @@ knows nothing of tensor factors: a map that is a partial trace followed by
 another map carries its `herm.LocalForm`, and `herm.LocalSchur` contracts
 the scalings of a block whose rows all have one.  `compile` normalizes the
 equality rows to A_n, finds their rank and reduces rank-deficient rows to
-A = U_r' A_n.  A small block takes the dense Schur product in the rows of
-A; a large block assembles its part of M_n = A_n W A_n' by local
-contraction if each of its row groups has one term on it, with a local
-form, and from its rows' nonzeros otherwise (see `_BlockRows`).
+A = U_r' A_n.  A large block each of whose row groups has one term on it,
+with a local form, assembles its part of M_n = A_n W A_n' by local
+contraction; every other block takes the dense Schur product in the rows
+of A (see `_BlockRows`).
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -511,96 +511,58 @@ def _full_rank(a: _Rows) -> bool:
 
 
 # A block is large, and assembles its part of the Schur complement by local
-# contraction or from its rows' nonzeros, when the dense product, n d^3 +
-# n^2 d^2 multiply-adds per member for n rows on a block of order d, is
-# larger than this; below it those paths' many small array operations cost
-# more than they save
-_SPARSE_SCHUR_MACS = 1 << 24
-# the bytes of P_l the nonzero path holds at once, about a core's L2 share
-_SCHUR_CHUNK_BYTES = 1 << 19
+# contraction if its rows allow it, when the dense product, n d^3 + n^2 d^2
+# multiply-adds per member for n rows on a block of order d, is larger than
+# this; below it the local path's many small array operations cost more than
+# they save
+_LOCAL_SCHUR_MACS = 1 << 24
 
 
 class _BlockRows(NamedTuple):
     """One block's rows, laid out for its part of the Schur complement,
-    tr(A_k G A_l G) = a_k . svec(P_l) with P_l = G A_l G.
+    tr(A_k G A_l G) for the rows k and l, on one of two layouts.
 
-    A small block keeps `mats`, the matrices A_l of its rows of the reduced
-    A, for the dense product, and adds its part to M.  A large block adds
-    its part to M_n, from the rows of A_n, on one of two layouts.
+    The dense layout keeps `mats`, the matrices A_l of the block's rows of
+    the reduced A, and adds its part to M by the dense product.  Every block
+    takes it but a large one that can take the local layout.
 
-    The local layout serves a block each of whose row groups has one term
-    on it, with a `LocalForm` (L_X, X): the group's rows are D_X L_X K_tr(X),
-    D_X its part of the normalization d_inv.  The block of groups X and Y is
+    The local layout serves a large block each of whose row groups has one
+    term on it, with a `LocalForm` (L_X, X): the group's rows are
+    D_X L_X K_tr(X), D_X its part of the normalization d_inv.  It adds its
+    part to M_n, in the rows of A_n.  The block of groups X and Y is
     D_X L_X S_XY L_Y' D_Y, with S_XY the Schur block of the two partial
     traces, which `herm.LocalSchur` contracts from G without forming any
-    P_l.  `local` holds the `LocalSchur` of the distinct kept factor sets
-    and, per group, (its rows, the index of its X, D_X, L_X or None for the
-    identity), each L_X the group's own map matrix, shared.
+    G A_l G.  `local` holds the `LocalSchur` of the distinct kept factor
+    sets and, per group, (its rows, the index of its X, D_X, L_X or None for
+    the identity), each L_X the group's own map matrix, shared.
 
-    Otherwise the block keeps its rows by their nonzeros, in `products` and
-    `segments`.  `rows` are the rows kept, ascending: those with a nonzero
-    in the block, or on the local layout the rows of its groups; `products`
-    and `segments` each hold (where, ...) for the rows `rows[where]`.  A
-    product entry holds the rows' dense A_l, or, for rows with s < d nonzero
-    entries, A_l = sum_t v_t e_(i_t) e_(j_t)', the index and value arrays
-    (left, right, v), each (rows, 2s), of the real product in `add_schur`.
-    A segment entry holds, for rows with L nonzero svec coordinates p, the
-    places of those coordinates among P's reals and a_k[p] times svec's
-    factor, each (rows, L)."""
+    `rows` are the rows kept, ascending: those with a nonzero in the block,
+    or on the local layout the rows of its groups."""
 
     rows: np.ndarray
     mats: np.ndarray | None
-    products: list
-    segments: list
     local: tuple | None = None
 
     @staticmethod
     def large(rows: np.ndarray, d: int) -> bool:
         """Whether a block of order d, whose nonzeros lie in `rows`, is
-        large: it takes the local or the nonzero path."""
+        large: it takes the local layout if its row groups allow it."""
         n = np.count_nonzero(_first_of_runs(rows))
-        return n * d ** 3 + n * n * d * d > _SPARSE_SCHUR_MACS
+        return n * d ** 3 + n * n * d * d > _LOCAL_SCHUR_MACS
 
     @staticmethod
     def of(nonzeros: tuple, d: int, reduced: np.ndarray | None) -> "_BlockRows":
-        """The layout for a block of order d, from the nonzeros (rows,
-        coords, vals) of A_n in its columns, row by row, or, for the dense
-        product, from its dense rows of the reduced A, `reduced`, which are
-        never more; None means A = A_n."""
+        """The dense layout of a block of order d, from its dense rows of the
+        reduced A, `reduced`, or, where A = A_n (None), from the nonzeros
+        (rows, coords, vals) of A_n in its columns, row by row."""
+        if reduced is not None:
+            active = np.flatnonzero(np.any(reduced, axis=1))
+            return _BlockRows(active, smat(reduced[active], d))
         rows, coords, vals = nonzeros
         first = _first_of_runs(rows)
-        active = rows[first]
-        n = active.size
-        local = np.cumsum(first) - 1                   # each nonzero's row in `active`
-        if not _BlockRows.large(rows, d):
-            if reduced is None:
-                return _BlockRows(active, smat(_dense_rows(np.arange(n), local, coords, vals, d),
-                                               d), [], [])
-            active = np.flatnonzero(np.any(reduced, axis=1))
-            return _BlockRows(active, smat(reduced[active], d), [], [])
-        pos, factor, _, dst, scale = _coords(d)
-        nnz = np.bincount(local, minlength=n)
-        segments = [(where, pos[coords[at]], vals[at] * factor[coords[at]])
-                    for where, at in _by_size(nnz)]
-
-        # a coordinate is one matrix entry (diagonal) or two, an upper entry
-        # and its conjugate mirror: `smat` table places p and d*d + p - d
-        upper = coords >= d
-        tab = np.concatenate([coords, d * d - d + coords[upper]])
-        order = np.argsort(np.concatenate([local, local[upper]]), kind="stable")
-        tab = tab[order]
-        val = np.concatenate([vals, vals[upper]])[order] * scale[tab]
-        val = np.where(dst[tab] % 2 == 1, 1j * val, val)
-        i, j = np.divmod(dst[tab] // 2, d)
-        terms = nnz + np.bincount(local[upper], minlength=n)
-        dense = np.flatnonzero(terms >= d)
-        products = ([(dense, smat(_dense_rows(dense, local, coords, vals, d), d))]
-                    if dense.size else [])
-        products += [(where, (np.concatenate([i[at], d + i[at]], axis=-1),
-                              np.concatenate([j[at], d + j[at]], axis=-1),
-                              np.concatenate([val[at], val[at]], axis=-1)))
-                     for where, at in _by_size(terms) if at.shape[1] < d]
-        return _BlockRows(active, None, products, segments)
+        dense = np.zeros((np.count_nonzero(first), d * d))
+        dense[np.cumsum(first) - 1, coords] = vals
+        return _BlockRows(rows[first], smat(dense, d))
 
     @staticmethod
     def of_local(terms: list[tuple[slice, LocalForm]], d_inv: np.ndarray) -> "_BlockRows":
@@ -609,49 +571,28 @@ class _BlockRows(NamedTuple):
         keeps = list(dict.fromkeys(form.keep for _, form in terms))
         groups = [(rows, keeps.index(form.keep), d_inv[rows], form.inner) for rows, form in terms]
         active = np.concatenate([np.arange(rows.start, rows.stop) for rows, _ in terms])
-        return _BlockRows(active, None, [], [], (LocalSchur(terms[0][1].dims, keeps), groups))
+        return _BlockRows(active, None, (LocalSchur(terms[0][1].dims, keeps), groups))
 
-    def add_schur(self, g: np.ndarray, m_n: np.ndarray):
-        """Add tr(A_k G A_l G) over this block to m_n[:, l, k], for the
-        members' scalings g (count, d, d): m_n is M for a small block and
-        M_n for a large one."""
-        count, d = g.shape[0], g.shape[-1]
+    def add_schur(self, g: np.ndarray, m: np.ndarray):
+        """Add tr(A_k G A_l G) over this block to m[:, l, k], for the
+        members' scalings g (count, d, d): m is M on the dense layout and
+        M_n on the local one."""
         if self.local is not None:
-            self._add_local(g, m_n)
+            self._add_local(g, m)
             return
-        if self.mats is not None:
-            # the real part of the inner product of the entries of A_k G and
-            # (A_l G)', a real product of their (re, im) pairs with those of
-            # conj(A_l G)'
-            n = self.rows.size
-            ag = np.matmul(self.mats.reshape(n * d, d), g).reshape(count, n, d, d)
-            ag_h = np.swapaxes(ag, -1, -2).copy()
-            np.conjugate(ag_h, out=ag_h)
-            part = np.matmul(ag.reshape(count, n, d * d).view(np.float64),
-                             np.swapaxes(ag_h.reshape(count, n, d * d).view(np.float64), -1, -2))
-            if n == m_n.shape[-1]:
-                m_n += part
-            else:
-                m_n[:, self.rows[:, None], self.rows] += part
-            return
-        # G A_l G = sum_t v_t conj(G[i_t, :])' G[j_t, :] is one real product
-        # X' Y: X stacks Re and Im of the rows conj(G[i_t, :]), and Y the
-        # (re, im) pairs of v_t G[j_t, :] and of i v_t G[j_t, :], so X' Y
-        # holds the (re, im) pairs of G A_l G
-        left = np.concatenate([g.real, -g.imag], axis=-2)
-        right = np.concatenate([g, 1j * g], axis=-2)
-        # a few rows at a time, so that their P stays in cache for the gather
-        step = max(1, _SCHUR_CHUNK_BYTES // (count * 16 * d * d))
-        for where, terms in self.products:
-            for at in range(0, where.size, step):
-                part = slice(at, at + step)
-                if isinstance(terms, np.ndarray):
-                    p = g[:, None] @ terms[part] @ g[:, None]
-                else:
-                    li, ri, v = (t[part] for t in terms)
-                    p = (np.swapaxes(left[:, li], -1, -2)
-                         @ (v[..., None] * right[:, ri]).view(np.float64))
-                self._contract(p.reshape(-1).view(np.float64), where[part], count, d, m_n)
+        # the real part of the inner product of the entries of A_k G and
+        # (A_l G)', a real product of their (re, im) pairs with those of
+        # conj(A_l G)'
+        count, d, n = g.shape[0], g.shape[-1], self.rows.size
+        ag = np.matmul(self.mats.reshape(n * d, d), g).reshape(count, n, d, d)
+        ag_h = np.swapaxes(ag, -1, -2).copy()
+        np.conjugate(ag_h, out=ag_h)
+        part = np.matmul(ag.reshape(count, n, d * d).view(np.float64),
+                         np.swapaxes(ag_h.reshape(count, n, d * d).view(np.float64), -1, -2))
+        if n == m.shape[-1]:
+            m += part
+        else:
+            m[:, self.rows[:, None], self.rows] += part
 
     def _add_local(self, g: np.ndarray, m_n: np.ndarray):
         """The local layout's add_schur: one S block per pair of kept factor
@@ -670,27 +611,6 @@ class _BlockRows(NamedTuple):
                 m_n[:, rows_x, rows_y] += part
                 if j != i:
                     m_n[:, rows_y, rows_x] += np.swapaxes(part, -1, -2)
-
-    def _contract(self, reals: np.ndarray, where: np.ndarray, count: int, d: int,
-                  m_n: np.ndarray):
-        """Add a_k . svec(P_l) to m_n[:, l, k] for the rows l = rows[where],
-        whose P_l are the (re, im) pairs `reals`, member by member."""
-        base = np.arange(count * where.size)[:, None] * (2 * d * d)
-        for k_where, gather, weight in self.segments:
-            vals = np.take(reals, base + gather.reshape(-1))
-            part = np.matmul(vals.reshape(count, where.size, k_where.size, 1, -1),
-                             weight[:, :, None])
-            m_n[:, self.rows[where, None], self.rows[k_where]] += part[..., 0, 0]
-
-
-def _dense_rows(where: np.ndarray, local: np.ndarray, coords: np.ndarray, vals: np.ndarray,
-                d: int) -> np.ndarray:
-    """The rows `where` (ascending) of a block of order d as dense svec rows,
-    from its nonzeros: each one's row, coordinate and value."""
-    out = np.zeros((where.size, d * d))
-    at = np.isin(local, where)
-    out[np.searchsorted(where, local[at]), coords[at]] = vals[at]
-    return out
 
 
 def _first_of_runs(items: np.ndarray) -> np.ndarray:
@@ -775,10 +695,10 @@ class _Model:
         self.at = self.a.T if isinstance(self.a, _Rows) else np.ascontiguousarray(self.a.T)
         self.u_rt = np.ascontiguousarray(self.u_r.T)
         self.block_rows = data["block_rows"]
-        # blocks assembled from their nonzeros use the normalized rows, which
-        # need the reduction when the rows are rank-deficient
-        self.reduce_sparse = (self.a.shape[0] < self.u_r.shape[0]
-                              and any(blk.mats is None for blk in self.block_rows))
+        # blocks on the local layout use the normalized rows, which need the
+        # reduction when the rows are rank-deficient
+        self.reduce_local = (self.a.shape[0] < self.u_r.shape[0]
+                             and any(blk.local is not None for blk in self.block_rows))
         self.blocks = _Blocks(data["dims"])
         self.nu = sum(data["dims"]) + 1.0
         self.norm_b = 1.0 + np.linalg.norm(self.b)
@@ -862,16 +782,17 @@ class _Scaling:
 
 class _Normal:
     """M = A W A' per member and its Cholesky factor: the sum over blocks of
-    tr(A_k G A_l G), in the rows of A for small blocks and for large ones in
-    the normalized rows, whose M_n gives U_r' M_n U_r."""
+    tr(A_k G A_l G), in the rows of A for blocks on the dense layout and for
+    those on the local layout in the normalized rows, whose M_n gives
+    U_r' M_n U_r."""
 
     def __init__(self, model: _Model, g_list: list, count: int):
         r, n_rows = model.a.shape[0], model.u_r.shape[0]
         m_mat = np.zeros((count, r, r))
-        m_n = np.zeros((count, n_rows, n_rows)) if model.reduce_sparse else m_mat
+        m_n = np.zeros((count, n_rows, n_rows)) if model.reduce_local else m_mat
         for (order, at), blk in zip(model.blocks.place, model.block_rows):
-            blk.add_schur(g_list[order][:, at], m_mat if blk.mats is not None else m_n)
-        if model.reduce_sparse:
+            blk.add_schur(g_list[order][:, at], m_n if blk.local is not None else m_mat)
+        if model.reduce_local:
             m_mat += model.u_rt @ m_n @ model.u_r
         self.m = hermitize(m_mat)
         reg = 0.0

@@ -53,6 +53,16 @@ CORPUS = {
     "string_bipartition": edited(STATE, lambda d: d["free"]["params"].__setitem__(
         "bipartitions", ["C"])),
     "string_channel_labels": edited(CHANNEL, lambda d: d["pairs"][0].__setitem__("out", "A")),
+    # a cut listed twice would add its PSD block twice, and an empty side,
+    # the whole target or a factor transposed twice would admit every state
+    "repeated_bipartition": edited(STATE, lambda d: d["free"]["params"].__setitem__(
+        "bipartitions", [["C"], ["C"]])),
+    "empty_bipartition": edited(STATE, lambda d: d["free"]["params"].__setitem__(
+        "bipartitions", [[]])),
+    "whole_target_bipartition": edited(STATE, lambda d: d["free"]["params"].__setitem__(
+        "bipartitions", [["A", "C"]])),
+    "bipartition_naming_a_factor_twice": edited(STATE, lambda d: d["free"]["params"].__setitem__(
+        "bipartitions", [["C", "C"]])),
 }
 
 

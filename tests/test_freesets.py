@@ -187,6 +187,15 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             FreeSetSpec("Bogus", SubsystemSet(qubit_layout("T"), ("T",)))
 
+    @pytest.mark.parametrize("parts", [[()], [("A", "B", "C")], [("B",), ("B",)],
+                                       [("A", "B"), ("B", "A")], [("A",), ("B", "C")],
+                                       [("B", "B")]])
+    def test_bipartitions_must_be_proper_and_distinct(self, parts):
+        # an empty side, the whole target, the same side twice, a side and
+        # its complement, a factor named twice
+        with pytest.raises(ValueError, match="bipartition"):
+            FreeSetSpec.separable_ppt(SubsystemSet(qubit_layout("ABC"), ("A", "B", "C")), parts)
+
 
 class TestFreeChannelSpecs:
     def test_replacement_probe(self):

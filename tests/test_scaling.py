@@ -1,7 +1,10 @@
 """Solves of six- and seven-qubit programs.  Their V blocks are large and
 every row group on them is a partial trace followed by a map, so they take
-the solver's local path without any forcing; their rows stay nonzeros."""
+the solver's local path without any forcing; their rows stay nonzeros.  A
+large block without a local form, such as the slack of a PPT target on
+four qubits, takes the dense path."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,11 +69,44 @@ def test_six_qubit_robustness_then_witness(densified, monkeypatch):
     assert wit.gap > 0
     # the witness's small program has dense rows, the robustness program not
     assert rows.shape not in densified
-    # the nonzero path, forced, finds the same optimum
+    # the dense path, forced, finds the same optimum
     monkeypatch.setattr(solver.ConicProgram, "_local_terms", lambda self, blk: None)
-    assert robustness_program(inst).compile()["block_rows"][0].local is None
+    assert robustness_program(inst).compile()["block_rows"][0].mats is not None
     forced = state_rmp.robustness(inst)
     assert abs(forced.value_log2 - res.value_log2) <= 1e-10
+
+
+def ppt_abcd(layout):
+    return FreeSetSpec.separable_ppt(SubsystemSet(layout, tuple("ABCD")), [("A", "B")])
+
+
+def incoherent_ac(layout):
+    return FreeSetSpec.incoherent(SubsystemSet(layout, ("A", "C")))
+
+
+# the free set, the layout of each large block by name, and log2 of the optimum
+TARGETS = {
+    # the slack of the PPT inequality, of order 16, is large without a local form
+    "ppt_abcd": (ppt_abcd, {"V": "local", "free.ppt[A,B].slack": "dense"}, math.log2(1.55)),
+    # each off-diagonal probe is a row composed with the extraction onto AC
+    "incoherent_ac": (incoherent_ac, {"V": "local"}, 0.76553474738),
+}
+
+
+@pytest.mark.parametrize("target", list(TARGETS))
+def test_six_qubit_robustness_by_target(target):
+    make, layouts, value = TARGETS[target]
+    inst = cyclic_instance(6)
+    inst = dataclasses.replace(inst, free=make(inst.layout))
+    prog = robustness_program(inst)
+    data = prog.compile()
+    large = {blk.name: "local" if rows.local is not None else "dense"
+             for blk, rows in zip(prog.blocks, data["block_rows"])
+             if solver._BlockRows.large(rows.rows, blk.cdim)}
+    assert large == layouts
+    res = state_rmp.robustness(inst)
+    assert res.status.value == "Optimal"
+    assert abs(res.value_log2 - value) <= 1e-8
 
 
 def test_seven_qubit_robustness(densified):

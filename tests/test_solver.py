@@ -27,16 +27,14 @@ from freemarg.states import qubit_layout
 from conftest import rand_herm
 
 
-@pytest.fixture(params=["dense", "nonzeros", "local"])
+@pytest.fixture(params=["dense", "local"])
 def schur_path(request, monkeypatch):
     """Assemble the Schur complement of every block densely (the default for
-    small blocks), from its rows' nonzeros (the default for large blocks
-    with a row group that is not a partial trace followed by a map) or by
-    local contraction (the default for the other large blocks)."""
-    if request.param != "dense":
-        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
-    if request.param == "nonzeros":
-        monkeypatch.setattr(solver.ConicProgram, "_local_terms", lambda self, blk: None)
+    small blocks and for large blocks with a row group that is not a partial
+    trace followed by a map) or, where its rows allow it, by local
+    contraction (the default for the other large blocks)."""
+    if request.param == "local":
+        monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
     return request.param
 
 
@@ -557,15 +555,18 @@ def every_map_kind(rng) -> dict[int, np.ndarray]:
 
 
 class TestSchurAssembly:
-    """M_n[l, k] = tr(A_k G A_l G), assembled densely or from the nonzeros of
-    the rows, and what the solver builds on it."""
+    """M_n[l, k] = tr(A_k G A_l G), assembled densely or by local
+    contraction, and what the solver builds on it."""
 
-    @pytest.mark.parametrize("schur_path", ["dense", "nonzeros"], indirect=True)
-    def test_matches_the_trace_formula(self, rng, schur_path):
+    # the dense layout is built from the dense rows of the reduced A, or,
+    # where A = A_n, from the nonzeros of A_n
+    @pytest.mark.parametrize("reduced", [True, False], ids=["dense", "from_nonzeros"])
+    def test_matches_the_trace_formula(self, rng, reduced):
         for d, a_blk in every_map_kind(rng).items():
             rows, coords = np.nonzero(a_blk)
-            blk = _BlockRows.of((rows, coords, a_blk[rows, coords]), d, a_blk)
-            assert (blk.mats is None) == (schur_path == "nonzeros")
+            blk = _BlockRows.of((rows, coords, a_blk[rows, coords]), d,
+                                a_blk if reduced else None)
+            assert blk.mats is not None and blk.local is None
             z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
             g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(d)
             m_n = np.zeros((2, len(a_blk), len(a_blk)))
@@ -577,7 +578,7 @@ class TestSchurAssembly:
     def test_local_layout_matches_the_trace_formula(self, rng, monkeypatch):
         # groups of mixed sizes, one of them a PSD inequality with a slack,
         # on factors of dimensions 2, 3, 2, with uneven row norms
-        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+        monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
         lay = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
         ac = lay.sublayout(("A", "C"))
         prog = ConicProgram()
@@ -615,8 +616,7 @@ class TestSchurAssembly:
         inst = RmpInstance(fam, FreeSetSpec.all_states(SubsystemSet(lay, lay.labels)))
         prog, v = _program(inst, pinned=True, pairs=inst.pairs)
         v_rows = prog.compile()["block_rows"][0]
-        assert (v_rows.mats is None) == (schur_path != "dense")
-        assert (v_rows.local is not None) == (schur_path == "local")
+        assert (v_rows.mats is None) == (v_rows.local is not None) == (schur_path == "local")
         costs = [rand_herm(rng, 16) for _ in range(3)]
         batch = solve_many(prog, [-prog.objective_vector([(v, cm)]) for cm in costs])
         for cm, res in zip(costs, batch):
@@ -632,8 +632,9 @@ class TestSchurAssembly:
         self.test_batch_member_equals_solo_on_four_qubits(rng, schur_path)
 
     def test_block_without_rows_and_program_without_equalities(self, monkeypatch):
-        # in the mixed-status program the block X is in no equality row
-        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+        # every block large, so compile() tries the Gram test; in the
+        # mixed-status program the block X is in no equality row
+        monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
         TestSolveMany().test_mixed_statuses_in_one_batch()
         TestSolveMany().test_program_without_equalities()
 
@@ -719,8 +720,8 @@ class TestRankReduction:
 
     @pytest.mark.parametrize("make", PROGRAMS)
     def test_gram_test_shows_full_rank_and_leaves_the_rest_to_qr(self, make, monkeypatch):
-        # every block on the nonzero path, where compile() tries the Gram test
-        monkeypatch.setattr(solver, "_SPARSE_SCHUR_MACS", -1)
+        # every block large, where compile() tries the Gram test
+        monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
         prog = getattr(self, make)()
         a_n, rank, _, _ = self.plain_svd_rank(prog)
         rows, cols = np.nonzero(a_n)
