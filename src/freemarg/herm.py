@@ -6,6 +6,12 @@ index.  The basis convention is the usual Kronecker one: the first factor is
 the most significant index, e.g. a two-qubit basis is ordered
 |00>, |01>, |10>, |11>.
 
+Linear maps between Hermitian matrix spaces (`LinearMap`) are held by the
+nonzeros of their real matrices in `svec` coordinates (`_Rows`, the type
+the solver's rows share).  Partial traces and partial transposes are built
+straight from the `svec` and `smat` index tables, so no dense matrix over
+the d^2 coordinates of a large layout is formed.
+
 All values are immutable after construction and safe to share across
 workers.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,6 +229,134 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Real matrices by their nonzeros
+# ---------------------------------------------------------------------------
+
+# the entries of the temporaries of `_Rows.row_norms` and `_Rows.gram`
+_CHUNK = 1 << 16
+
+
+class _Rows(NamedTuple):
+    """A real matrix by its nonzeros: entry (rows[t], cols[t]) is vals[t],
+    each entry once.  A `LinearMap` and `solver.ConicProgram.equality_rows`
+    list them row by row, with ascending columns in each row, and no zero
+    value."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    @staticmethod
+    def of_dense(k: np.ndarray) -> "_Rows":
+        rows, cols = np.nonzero(k)
+        return _Rows(rows, cols, k[rows, cols], k.shape)
+
+    @staticmethod
+    def summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+               shape: tuple[int, int]) -> "_Rows":
+        """The matrix whose entry (r, c) is the sum of the vals at (r, c),
+        added in the order given, as adding them one by one to a zero matrix
+        adds them; the entries that sum to zero are left out."""
+        n = max(shape[1], 1)
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = _first_of_runs(keys)
+        sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
+        nonzero = sums != 0
+        rows, cols = np.divmod(keys[first][nonzero], n)
+        return _Rows(rows, cols, sums[nonzero], shape)
+
+    @property
+    def T(self) -> "_Rows":
+        return _Rows(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """The product with each vector of the stack v (..., n): a gather and
+        a sum per row in the order of the entries, member by member."""
+        m, n = self.shape
+        flat = v.reshape(-1, n)
+        count = flat.shape[0]
+        bins = (np.arange(count)[:, None] * m + self.rows).reshape(-1)
+        out = np.bincount(bins, weights=(flat[:, self.cols] * self.vals).reshape(-1),
+                          minlength=count * m)
+        return out.reshape(v.shape[:-1] + (m,))
+
+    def product(self, other: "_Rows") -> "_Rows":
+        """The matrix product with `other`, whose entries are listed row by
+        row: each entry sums its products in the order of this matrix's
+        entries, so an entry with one product is that product."""
+        counts = np.bincount(other.rows, minlength=other.shape[0])
+        reps = counts[self.cols]
+        # each entry of self meets the entries of the row of `other` that its
+        # column names, which start at `starts` among other's entries
+        starts = np.cumsum(counts) - counts
+        at = np.arange(reps.sum()) + np.repeat(starts[self.cols] - np.cumsum(reps) + reps, reps)
+        return _Rows.summed(np.repeat(self.rows, reps), other.cols[at],
+                            np.repeat(self.vals, reps) * other.vals[at],
+                            (self.shape[0], other.shape[1]))
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def row_norms(self) -> np.ndarray:
+        """The 2-norm of each row (rows in order), computed on a few dense
+        rows at a time so that it rounds exactly as the norm of a dense row."""
+        m, n = self.shape
+        step = max(1, _CHUNK // max(n, 1))
+        norms = np.zeros(m)
+        for start in range(0, m, step):
+            lo, hi = np.searchsorted(self.rows, [start, start + step])
+            chunk = np.zeros((min(step, m - start), n))
+            chunk[self.rows[lo:hi] - start, self.cols[lo:hi]] = self.vals[lo:hi]
+            norms[start:start + step] = np.linalg.norm(chunk, axis=1)
+        return norms
+
+    def columns(self, cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries in the columns `cols`, in order, as (rows,
+        columns counted from cols.start, values)."""
+        at = (self.cols >= cols.start) & (self.cols < cols.stop) & (self.vals != 0)
+        return self.rows[at], self.cols[at] - cols.start, self.vals[at]
+
+    def gram(self) -> np.ndarray:
+        """The Gram matrix of the rows, the sum over the columns of the
+        products of the column's entries."""
+        m, n = self.shape
+        order = np.argsort(self.cols, kind="stable")
+        rows, vals = self.rows[order], self.vals[order]
+        out = np.zeros(m * m)
+        for _, at in _by_size(np.bincount(self.cols, minlength=n)):
+            size = at.shape[1]
+            step = max(1, _CHUNK // max(size * size, 1))
+            for part in range(0, len(at) if size else 0, step):
+                r, v = rows[at[part:part + step]], vals[at[part:part + step]]
+                out += np.bincount((r[:, :, None] * m + r[:, None, :]).reshape(-1),
+                                   weights=(v[:, :, None] * v[:, None, :]).reshape(-1),
+                                   minlength=m * m)
+        return out.reshape(m, m)
+
+
+def _first_of_runs(items: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive items starts."""
+    first = np.ones(items.size, dtype=bool)
+    np.not_equal(items[1:], items[:-1], out=first[1:])
+    return first
+
+
+def _by_size(sizes: np.ndarray):
+    """Consecutive runs of items grouped by length: for each distinct length
+    L, the indices of the runs of length L and the places of their items in
+    the concatenation, (runs, L)."""
+    starts = np.cumsum(sizes) - sizes
+    for size in np.flatnonzero(np.bincount(sizes)):
+        where = np.flatnonzero(sizes == size)
+        yield where, starts[where, None] + np.arange(size)
+
+
+# ---------------------------------------------------------------------------
 # Linear maps between Hermitian matrix spaces
 # ---------------------------------------------------------------------------
 
@@ -241,52 +375,76 @@ class LocalForm(NamedTuple):
 
 class LinearMap:
     """A linear map from d_in x d_in to d_out x d_out Hermitian matrices,
-    held as its real (d_out^2, d_in^2) matrix `k` in `svec` coordinates:
-    svec(apply(M)) == k @ svec(M).  The adjoint under the trace inner product
-    has the matrix k.T.  Maps compose with `outer @ inner`.
+    held by the nonzeros `nz` of its real (d_out^2, d_in^2) matrix K in
+    `svec` coordinates, row by row: svec(apply(M)) == K svec(M).  The
+    adjoint under the trace inner product has the matrix K'.  Maps compose
+    with `outer @ inner`; `dense()` gives K, for a small map.
 
     `local` is the map's `LocalForm` (L, X), if it has one:
     `partial_trace_map` sets it, and composition carries it,
-    outer @ (L, X) = (outer.k @ L, X), so a map applied after a partial
+    outer @ (L, X) = (K_outer L, X), so a map applied after a partial
     trace has one too."""
 
-    def __init__(self, k: np.ndarray, local: LocalForm | None = None):
-        self.k = np.asarray(k, dtype=float)
-        self.k.setflags(write=False)
+    def __init__(self, k: np.ndarray | _Rows, local: LocalForm | None = None):
+        """K, dense or by its nonzeros row by row; the map keeps a copy."""
+        nz = k if isinstance(k, _Rows) else _Rows.of_dense(np.asarray(k, dtype=float))
+        self.nz = _Rows(_freeze(nz.rows, np.int64), _freeze(nz.cols, np.int64),
+                        _freeze(nz.vals, float), tuple(nz.shape))
         self.local = local
 
     @property
     def in_dim(self) -> int:
-        return math.isqrt(self.k.shape[1])
+        return math.isqrt(self.nz.shape[1])
 
     @property
     def out_dim(self) -> int:
-        return math.isqrt(self.k.shape[0])
+        return math.isqrt(self.nz.shape[0])
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.nz.shape)
+        out[self.nz.rows, self.nz.cols] = self.nz.vals
+        return out
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """The map at the Hermitian part of m."""
-        return smat(svec(hermitize(m)) @ self.k.T, self.out_dim)
+        return smat(self.nz @ svec(hermitize(m)), self.out_dim)
 
     def adjoint(self, h: np.ndarray) -> np.ndarray:
         """The H' with tr(H' M) == tr(H apply(M)) for every Hermitian M."""
-        return smat(svec(hermitize(h)) @ self.k, self.in_dim)
+        return smat(self.nz.T @ svec(hermitize(h)), self.in_dim)
 
     def __matmul__(self, inner: "LinearMap") -> "LinearMap":
         if inner.out_dim != self.in_dim:
             raise ValueError("composed map dimensions do not match")
         local = inner.local
         if local is not None:
-            local = local._replace(inner=self.k if local.inner is None else self.k @ local.inner)
-        return LinearMap(self.k @ inner.k, local)
+            outer = self.dense()
+            local = local._replace(inner=outer if local.inner is None else outer @ local.inner)
+        return LinearMap(self.nz.product(inner.nz), local)
 
 
-def _map_from_adjoint(adjoint: Callable[[np.ndarray], np.ndarray], out_dim: int,
-                      local: LocalForm | None = None) -> LinearMap:
-    """The map whose adjoint sends a stack of out_dim x out_dim Hermitian
-    matrices to `adjoint` of it: row k of its matrix is svec of the adjoint
-    of `hermitian_basis(out_dim)[k]`.  `adjoint` must return exactly
-    Hermitian matrices, as the factor moves and traces below do."""
-    return LinearMap(svec(adjoint(hermitian_basis(out_dim))), local)
+def _copy_map(source: np.ndarray, out_dim: int, local: LocalForm | None = None) -> LinearMap:
+    """The map whose adjoint copies entries: entry e (flat) of the image of
+    an out_dim x out_dim H is entry source[e] of H, or 0 where source[e] is
+    negative.  Row k of its matrix is svec of the image of
+    `hermitian_basis(out_dim)[k]`, read off the `svec` and `smat` tables:
+    svec takes coordinate c as the real pos[c] times factor[c], and the real
+    of H that pos[c] copies is scale[t] in row src[t], for the one
+    coordinate t that smat writes it from, if any.  So the entry is
+    scale[t] * factor[c], the very product that svec of the image rounds."""
+    pos, factor = _coords(math.isqrt(source.size))[:2]
+    _, _, src, dst, scale = _coords(out_dim)
+    writer = np.full(2 * out_dim * out_dim, -1)
+    writer[dst] = np.arange(dst.size)
+    # the real of H that each coordinate reads, negative where it reads a 0
+    reals = 2 * source.reshape(-1)[pos // 2] + pos % 2
+    t = np.where(reals >= 0, writer[np.maximum(reals, 0)], -1)
+    cols = np.flatnonzero(t >= 0)
+    t = t[cols]
+    order = np.argsort(src[t], kind="stable")
+    cols, t = cols[order], t[order]
+    return LinearMap(_Rows(src[t], cols, scale[t] * factor[cols], (out_dim ** 2, pos.size)),
+                     local)
 
 
 def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap:
@@ -297,10 +455,14 @@ def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap
     keep_axes = sorted(layout.axes_of(keep))
     drop = [a for a in range(n) if a not in keep_axes]
     order = keep_axes + drop
-    eye = np.eye(int(np.prod([layout.dims[a] for a in drop], dtype=np.int64)))
+    d_keep = layout.dim_of(keep)
+    # the entry of H that each entry of H (x) I copies, in layout order: the
+    # entries of H are numbered from 1, so that the zeros of I become -1
+    source = np.kron(np.arange(1, d_keep * d_keep + 1).reshape(d_keep, d_keep),
+                     np.eye(layout.total_dim // d_keep, dtype=np.int64)) - 1
     dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
-    return _map_from_adjoint(lambda h: permute_array(np.kron(h, eye), dims, back),
-                             layout.dim_of(keep), LocalForm(layout.dims, tuple(keep_axes), None))
+    return _copy_map(permute_array(source, dims, back), d_keep,
+                     LocalForm(layout.dims, tuple(keep_axes), None))
 
 
 def _basis_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -399,8 +561,9 @@ def _schur_terms(dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
 
 def partial_transpose_map(layout: SubsystemLayout, part: Sequence[str]) -> LinearMap:
     """Transpose the factors `part` of M on `layout` (a self-adjoint map)."""
-    axes = layout.axes_of(part)
-    return _map_from_adjoint(lambda h: ptranspose_array(h, layout.dims, axes), layout.total_dim)
+    d = layout.total_dim
+    entries = np.arange(d * d).reshape(d, d)
+    return _copy_map(ptranspose_array(entries, layout.dims, layout.axes_of(part)), d)
 
 
 def replacement_defect_map(layout: SubsystemLayout, fixed: Sequence[str],
@@ -409,7 +572,9 @@ def replacement_defect_map(layout: SubsystemLayout, fixed: Sequence[str],
     replaced in place by `state` (default I/d_F).  Set to zero, it says that
     M carries `state` on F: no-signalling, Choi normalization, replacement
     channels and singleton pins.  The adjoint is
-    H -> H - tr_F((I (x) state) H) (x) I_F."""
+    H -> H - tr_F((I (x) state) H) (x) I_F.  Row k of its matrix is svec of
+    the adjoint at `hermitian_basis(d)[k]`, which is exactly Hermitian, as
+    the factor moves and traces are."""
     n = len(layout.dims)
     fixed_axes = sorted(layout.axes_of(fixed))
     order = [a for a in range(n) if a not in fixed_axes] + fixed_axes
@@ -423,7 +588,7 @@ def replacement_defect_map(layout: SubsystemLayout, fixed: Sequence[str],
         reduced = np.einsum("xaibj,ji->xab", t, sigma)
         return h - permute_array(np.kron(reduced, np.eye(d_f)), dims, back)
 
-    return _map_from_adjoint(adjoint, layout.total_dim)
+    return LinearMap(svec(adjoint(hermitian_basis(layout.total_dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +596,9 @@ def replacement_defect_map(layout: SubsystemLayout, fixed: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _freeze(arr: np.ndarray, dtype=complex) -> np.ndarray:
+    """A read-only copy."""
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 

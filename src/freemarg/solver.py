@@ -10,16 +10,17 @@ surface as explicit certificates instead of garbage numbers.
 
 A constraint term applies a linear map to a block.  The maps (partial
 traces, partial transposes and the other maps on tensor factors) are built
-once in `herm`, each as a `LinearMap` holding its real matrix in `svec`
-coordinates, and the solver places that matrix in the block's columns.  It
-knows nothing of tensor factors: a map that is a partial trace followed by
-another map carries its `herm.LocalForm`, and `herm.LocalSchur` contracts
-the scalings of a block whose rows all have one.  `compile` normalizes the
-equality rows to A_n, finds their rank and reduces rank-deficient rows to
-A = U_r' A_n.  A large block each of whose row groups has one term on it,
-with a local form, assembles its part of M_n = A_n W A_n' by local
-contraction; every other block takes the dense Schur product in the rows
-of A (see `_BlockRows`).
+once in `herm`, each as a `LinearMap` holding the nonzeros of its real
+matrix in `svec` coordinates, and `ConicProgram.equality_rows` places them
+in the block's columns; maps and rows are one sparse type, `herm._Rows`.
+The solver knows nothing of tensor factors: a map that is a partial trace
+followed by another map carries its `herm.LocalForm`, and `herm.LocalSchur`
+contracts the scalings of a block whose rows all have one.  `compile`
+normalizes the equality rows to A_n, finds their rank and reduces
+rank-deficient rows to A = U_r' A_n.  A large block each of whose row
+groups has one term on it, with a local form, assembles its part of
+M_n = A_n W A_n' by local contraction; every other block takes the dense
+Schur product in the rows of A (see `_BlockRows`).
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -54,7 +55,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .herm import LinearMap, LocalForm, LocalSchur, _coords, hermitize, smat, svec
+from .herm import (LinearMap, LocalForm, LocalSchur, _coords, _first_of_runs, _Rows,
+                   hermitize, smat, svec)
 
 
 class SolverFailure(RuntimeError):
@@ -230,32 +232,23 @@ class ConicProgram:
 
     # -- compilation -------------------------------------------------------
 
-    def equality_rows(self) -> tuple["_Rows", np.ndarray]:
+    def equality_rows(self) -> tuple[_Rows, np.ndarray]:
         """The equality rows by their nonzeros, row by row, and their
-        right-hand sides."""
-        m, n = len(self._rhs), self.num_cols
-        parts = [(np.zeros(0, dtype=np.int64), np.zeros(0))]
+        right-hand sides.  Entries shared by terms are summed in the order of
+        the terms, as adding the terms to a zero matrix one by one sums them."""
+        parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
         for g in self.eq_groups:
             for ref, coeff in g.terms:
                 start = self.block_slice(ref).start
                 if isinstance(coeff, float):
                     diag = np.arange(ref.cdim ** 2)
-                    parts.append(((g.rows.start + diag) * n + start + diag,
-                                  np.full(diag.size, coeff)))
+                    parts.append((g.rows.start + diag, start + diag, np.full(diag.size, coeff)))
                 else:
-                    i, j = np.nonzero(coeff.k)
-                    parts.append(((g.rows.start + i) * n + start + j, coeff.k[i, j]))
-        keys = np.concatenate([k for k, _ in parts])
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = _first_of_runs(keys)
-        # entries shared by terms are summed in the order of the terms, as
-        # adding the terms to a zero matrix one by one sums them
-        vals = np.bincount(np.cumsum(first) - 1,
-                           weights=np.concatenate([v for _, v in parts])[order])
-        nonzero = vals != 0
-        rows, cols = np.divmod(keys[first][nonzero], max(n, 1))
-        return _Rows(rows, cols, vals[nonzero], (m, n)), np.array(self._rhs)
+                    parts.append((g.rows.start + coeff.nz.rows, start + coeff.nz.cols,
+                                  coeff.nz.vals))
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        a = _Rows.summed(rows, cols, vals, (len(self._rhs), self.num_cols))
+        return a, np.array(self._rhs)
 
     def compile(self) -> dict:
         """Assemble (A, b), normalize and rank-reduce the equality rows.  The
@@ -423,77 +416,6 @@ class _Blocks:
         return out
 
 
-# the entries of the temporaries of `_Rows.row_norms` and `_Rows.gram`
-_CHUNK = 1 << 20
-
-
-class _Rows(NamedTuple):
-    """A matrix by its nonzeros: entry (rows[t], cols[t]) is vals[t], each
-    entry once.  `ConicProgram.equality_rows` lists them row by row, with
-    ascending columns in each row."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def T(self) -> "_Rows":
-        return _Rows(self.cols, self.rows, self.vals, self.shape[::-1])
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """The product with each vector of the stack v (..., n): a gather and
-        a sum per row in the order of the entries, member by member."""
-        m, n = self.shape
-        flat = v.reshape(-1, n)
-        count = flat.shape[0]
-        bins = (np.arange(count)[:, None] * m + self.rows).reshape(-1)
-        out = np.bincount(bins, weights=(flat[:, self.cols] * self.vals).reshape(-1),
-                          minlength=count * m)
-        return out.reshape(v.shape[:-1] + (m,))
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def row_norms(self) -> np.ndarray:
-        """The 2-norm of each row (rows in order), computed on a few dense
-        rows at a time so that it rounds exactly as the norm of a dense row."""
-        m, n = self.shape
-        step = max(1, _CHUNK // max(n, 1))
-        norms = np.zeros(m)
-        for start in range(0, m, step):
-            lo, hi = np.searchsorted(self.rows, [start, start + step])
-            chunk = np.zeros((min(step, m - start), n))
-            chunk[self.rows[lo:hi] - start, self.cols[lo:hi]] = self.vals[lo:hi]
-            norms[start:start + step] = np.linalg.norm(chunk, axis=1)
-        return norms
-
-    def columns(self, cols: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries in the columns `cols`, in order, as (rows,
-        columns counted from cols.start, values)."""
-        at = (self.cols >= cols.start) & (self.cols < cols.stop) & (self.vals != 0)
-        return self.rows[at], self.cols[at] - cols.start, self.vals[at]
-
-    def gram(self) -> np.ndarray:
-        """The Gram matrix of the rows, the sum over the columns of the
-        products of the column's entries."""
-        m, n = self.shape
-        order = np.argsort(self.cols, kind="stable")
-        rows, vals = self.rows[order], self.vals[order]
-        out = np.zeros(m * m)
-        for _, at in _by_size(np.bincount(self.cols, minlength=n)):
-            size = at.shape[1]
-            step = max(1, _CHUNK // max(size * size, 1))
-            for part in range(0, len(at) if size else 0, step):
-                r, v = rows[at[part:part + step]], vals[at[part:part + step]]
-                out += np.bincount((r[:, :, None] * m + r[:, None, :]).reshape(-1),
-                                   weights=(v[:, :, None] * v[:, None, :]).reshape(-1),
-                                   minlength=m * m)
-        return out.reshape(m, m)
-
-
 def _full_rank(a: _Rows) -> bool:
     """Whether the rows of a are independent, by far: a Cholesky factor of
     G - t I, with G the Gram matrix and t = 10 m eps tr(G), exists only if
@@ -611,23 +533,6 @@ class _BlockRows(NamedTuple):
                 m_n[:, rows_x, rows_y] += part
                 if j != i:
                     m_n[:, rows_y, rows_x] += np.swapaxes(part, -1, -2)
-
-
-def _first_of_runs(items: np.ndarray) -> np.ndarray:
-    """Where each run of equal consecutive items starts."""
-    first = np.ones(items.size, dtype=bool)
-    np.not_equal(items[1:], items[:-1], out=first[1:])
-    return first
-
-
-def _by_size(sizes: np.ndarray):
-    """Consecutive runs of items grouped by length: for each distinct length
-    L, the indices of the runs of length L and the places of their items in
-    the concatenation, (runs, L)."""
-    starts = np.cumsum(sizes) - sizes
-    for size in np.flatnonzero(np.bincount(sizes)):
-        where = np.flatnonzero(sizes == size)
-        yield where, starts[where, None] + np.arange(size)
 
 
 # iterates of the homogeneous model, one row per member: the primal and dual

@@ -244,7 +244,7 @@ def check_rfree_compatible(inst: Instance,
     res = solve(prog, settings)
     if res.status == Status.OPTIMAL:
         m, found = inst.project(res.primal_blocks["V"])
-        dev = max((float(np.max(np.abs((e.apply(m) if e else m) - target)))
+        dev = max((float(np.max(np.abs((m if e is None else e.apply(m)) - target)))
                    for _, e, target in inst.pairs), default=0.0)
         if dev > DEFAULT_TOLS.compat:
             raise SolverFailure(f"feasible point violates marginals by {dev:.2e} > tol")
@@ -353,7 +353,7 @@ class CompatibleSetModel:
             for key, obs in objectives:
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
                 x, m = svec(hermitize(obs)), self.instance.extract(key)
-                coeff += x if m is None else x @ m.k  # m's adjoint, in svec coordinates
+                coeff += x if m is None else m.nz.T @ x  # m's adjoint, in svec coordinates
             costs.append(cost)
         results = solve_many(prog, costs, self.settings)
         for k, res in enumerate(results):

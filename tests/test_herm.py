@@ -7,19 +7,25 @@ from freemarg.herm import (
     DensityMatrix,
     HermitianOperator,
     LayoutError,
+    LinearMap,
     LocalSchur,
     SubsystemLayout,
     SubsystemSet,
     ValidationError,
+    _Rows,
     eig_hermitian,
+    hermitian_basis,
     partial_trace,
     partial_trace_map,
     partial_transpose,
     partial_transpose_map,
+    permute_array,
     permute_factors,
     psd_split,
+    ptranspose_array,
     replacement_defect_map,
     smat,
+    svec,
     tensor,
     trace_norm,
 )
@@ -210,6 +216,126 @@ class TestEig:
         assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
 
 
+def rand_density_matrix(rng, d):
+    z = rand_herm(rng, d)
+    m = z @ z
+    return m / np.trace(m).real
+
+
+def reference_matrix(adjoint, out_dim):
+    """A map's dense matrix by the adjoint route: row k is svec of the
+    adjoint at the k-th element of the Hermitian basis."""
+    return svec(adjoint(hermitian_basis(out_dim)))
+
+
+def ptrace_adjoint(layout, keep):
+    """H -> H (x) I on the dropped factors, back in layout order."""
+    n = len(layout.dims)
+    keep_axes = sorted(layout.axes_of(keep))
+    order = keep_axes + [a for a in range(n) if a not in keep_axes]
+    eye = np.eye(layout.total_dim // layout.dim_of(keep))
+    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
+    return lambda h: permute_array(np.kron(h, eye), dims, back)
+
+
+def defect_adjoint(layout, fixed, state=None):
+    """H -> H - tr_F((I (x) state) H) (x) I_F."""
+    n = len(layout.dims)
+    fixed_axes = sorted(layout.axes_of(fixed))
+    order = [a for a in range(n) if a not in fixed_axes] + fixed_axes
+    d_f = layout.dim_of(fixed)
+    d_r = layout.total_dim // d_f
+    sigma = np.eye(d_f) / d_f if state is None else state
+    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
+
+    def adjoint(h):
+        t = permute_array(h, layout.dims, order).reshape(-1, d_r, d_f, d_r, d_f)
+        reduced = np.einsum("xaibj,ji->xab", t, sigma)
+        return h - permute_array(np.kron(reduced, np.eye(d_f)), dims, back)
+
+    return adjoint
+
+
+class TestMapsByNonzeros:
+    """Each map's nonzeros, row by row, equal bit for bit those of its dense
+    matrix built by the adjoint route; `apply` and `adjoint` agree with that
+    matrix to 1e-15."""
+
+    LAYOUT = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+
+    @classmethod
+    def cases(cls, rng):
+        lay = cls.LAYOUT
+        d = lay.total_dim
+        ac = lay.sublayout(("A", "C"))
+        state = rand_density_matrix(rng, 3)
+        out = {}
+        for keep in ("", "A", "B", "AC", "CA", "BC", "ABC"):  # "AC": not contiguous
+            out[f"ptrace[{keep}]"] = (partial_trace_map(lay, tuple(keep)),
+                                      reference_matrix(ptrace_adjoint(lay, keep), lay.dim_of(keep)))
+        for part in ("A", "B", "AC", "ABC"):
+            axes = lay.axes_of(part)
+            out[f"ptranspose[{part}]"] = (
+                partial_transpose_map(lay, tuple(part)),
+                reference_matrix(lambda h, axes=axes: ptranspose_array(h, lay.dims, axes), d))
+        out["defect[B]"] = (replacement_defect_map(lay, ("B",)),
+                            reference_matrix(defect_adjoint(lay, ("B",)), d))
+        out["defect[B],state"] = (replacement_defect_map(lay, ("B",), state),
+                                  reference_matrix(defect_adjoint(lay, ("B",), state), d))
+        everything = rand_density_matrix(rng, d)
+        out["defect[ABC],state"] = (replacement_defect_map(lay, lay.labels, everything),
+                                    reference_matrix(defect_adjoint(lay, "ABC", everything), d))
+        # compositions after a partial trace, and probe rows
+        tr_ac = out["ptrace[AC]"]
+        inner = [("ptranspose[C]", partial_transpose_map(ac, ("C",)),
+                  reference_matrix(lambda h: ptranspose_array(h, ac.dims, (1,)), 4)),
+                 ("defect[C]", replacement_defect_map(ac, ("C",)),
+                  reference_matrix(defect_adjoint(ac, ("C",)), 4))]
+        for name, outer, ref in inner:
+            out[f"{name}@ptrace[AC]"] = (outer @ tr_ac[0], ref @ tr_ac[1])
+        probe = svec(rand_herm(rng, 4))[None]
+        out["probe@ptrace[AC]"] = (LinearMap(probe) @ tr_ac[0], probe @ tr_ac[1])
+        probe = svec(rand_herm(rng, d))[None]
+        out["probe"] = (LinearMap(probe), probe)
+        return out
+
+    NAMES = ["ptrace[]", "ptrace[A]", "ptrace[B]", "ptrace[AC]", "ptrace[CA]", "ptrace[BC]",
+             "ptrace[ABC]", "ptranspose[A]", "ptranspose[B]", "ptranspose[AC]",
+             "ptranspose[ABC]", "defect[B]", "defect[B],state", "defect[ABC],state",
+             "ptranspose[C]@ptrace[AC]", "defect[C]@ptrace[AC]", "probe@ptrace[AC]", "probe"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_nonzeros_match_the_dense_route(self, rng, name):
+        lmap, ref = self.cases(rng)[name]
+        rows, cols = np.nonzero(ref)
+        assert lmap.nz.shape == ref.shape
+        assert np.array_equal(lmap.nz.rows, rows) and np.array_equal(lmap.nz.cols, cols)
+        assert lmap.nz.vals.tobytes() == ref[rows, cols].tobytes()
+        # to 1e-15 of the sum of the magnitudes of each entry's terms
+        x, y = svec(rand_herm(rng, lmap.in_dim)), svec(rand_herm(rng, lmap.out_dim))
+        assert np.all(np.abs(svec(lmap.apply(smat(x, lmap.in_dim))) - ref @ x)
+                      <= 1e-15 * (np.abs(ref) @ np.abs(x)))
+        assert np.all(np.abs(svec(lmap.adjoint(smat(y, lmap.out_dim))) - y @ ref)
+                      <= 1e-15 * (np.abs(y) @ np.abs(ref)))
+
+    def test_partial_trace_and_transpose_entries_are_plus_or_minus_one(self, rng):
+        for name in self.NAMES:
+            if name.startswith(("ptrace", "ptranspose")):
+                assert set(np.abs(self.cases(rng)[name][0].nz.vals)) == {1.0}
+
+    def test_keeps_its_own_copy(self):
+        a = np.zeros((1, 4))
+        lmap = LinearMap(a)
+        a[0, 0] = 1.0
+        assert lmap.nz.vals.size == 0
+        rows, cols, vals = np.array([0]), np.array([3]), np.array([2.0])
+        lmap = LinearMap(_Rows(rows, cols, vals, (1, 4)))
+        rows[0], cols[0], vals[0] = 5, 5, 5.0
+        assert np.array_equal(lmap.dense(), [[0.0, 0.0, 0.0, 2.0]])
+        with pytest.raises(ValueError):
+            lmap.nz.vals[0] = 1.0
+
+
 class TestLocalSchur:
     """The Schur block L S L'^T of two maps with local forms (L, X) and
     (L', Y), against tr(A_k G B_l G) of their rows, for a stack of two G."""
@@ -241,7 +367,7 @@ class TestLocalSchur:
         lx, ly = (np.eye(s.shape[-2]) if mx.local.inner is None else mx.local.inner,
                   np.eye(s.shape[-1]) if my.local.inner is None else my.local.inner)
         out = lx @ s @ ly.T
-        ax, ay = smat(mx.k, d) @ g[:, None], smat(my.k, d) @ g[:, None]
+        ax, ay = smat(mx.dense(), d) @ g[:, None], smat(my.dense(), d) @ g[:, None]
         ref = np.einsum("ckij,clji->ckl", ax, ay).real
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -253,7 +379,7 @@ class TestLocalSchur:
         pin = replacement_defect_map(ab, ("B",))
         outer = replacement_defect_map(ab, ("A",)) @ pin @ maps["AB"]
         assert outer.local.keep == (0, 1)
-        assert np.allclose(outer.local.inner @ maps["AB"].k, outer.k, atol=1e-14)
+        assert np.allclose(outer.local.inner @ maps["AB"].dense(), outer.dense(), atol=1e-14)
         # only the innermost map decides: a map before a partial trace has none
         assert (maps["AB"] @ replacement_defect_map(self.LAYOUT, ("C",))).local is None
 

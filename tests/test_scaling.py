@@ -1,11 +1,13 @@
-"""Solves of six- and seven-qubit programs.  Their V blocks are large and
-every row group on them is a partial trace followed by a map, so they take
-the solver's local path without any forcing; their rows stay nonzeros.  A
-large block without a local form, such as the slack of a PPT target on
-four qubits, takes the dense path."""
+"""Solves of six- and seven-qubit programs, and the build of an eight-qubit
+one.  Their V blocks are large and every row group on them is a partial
+trace followed by a map, so they take the solver's local path without any
+forcing; their rows and maps stay nonzeros.  A large block without a local
+form, such as the slack of a PPT target on four qubits, takes the dense
+path."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +19,15 @@ from freemarg.states import max_entangled, qubit_layout, random_density
 
 # cyclic 3-body marginals of n qubits
 MARGINALS = {6: ("ABC", "BCD", "CDE", "DEF", "AEF", "ABF"),
-             7: ("ABC", "BCD", "CDE", "DEF", "EFG", "AFG", "ABG")}
+             7: ("ABC", "BCD", "CDE", "DEF", "EFG", "AFG", "ABG"),
+             8: ("ABC", "BCD", "CDE", "DEF", "EFG", "FGH", "AGH", "ABH")}
 
 
 def cyclic_instance(n: int, seed: int = 0) -> state_rmp.RmpInstance:
     """The marginals MARGINALS[n] of 0.7 (Phi+_AC (x) rho_rest) + 0.3 I/2^n,
     with rho_rest a seeded rank-2 state, and a PPT target AC.  The optimum
     depends only on the Phi+ part: 1.55 at six qubits."""
-    labels = "ABCDEFG"[:n]
+    labels = "ABCDEFGH"[:n]
     layout = qubit_layout(labels)
     rest = qubit_layout("".join(lbl for lbl in labels if lbl not in "AC"))
     rho = random_density(rest, np.random.default_rng(seed), rank=2)
@@ -117,3 +120,18 @@ def test_seven_qubit_robustness(densified):
     assert res.status.value == "Optimal"
     assert abs(res.value_log2 - 0.6322682) <= 1e-7
     assert not densified
+
+
+def test_eight_qubit_program_builds_in_little_memory():
+    """No map matrix over the 4^8 svec coordinates is built: one dense
+    64 x 65536 partial-trace matrix alone would take 33.5 MB."""
+    tracemalloc.start()
+    try:
+        inst = cyclic_instance(8)
+        prog = robustness_program(inst)
+        data = prog.compile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
+    assert prog.blocks[0].name == "V" and data["block_rows"][0].local is not None

@@ -540,15 +540,15 @@ def every_map_kind(rng) -> dict[int, np.ndarray]:
     lay = qubit_layout("ABC")
     ac = lay.sublayout(("A", "C"))
     rows = {
-        8: [partial_trace_map(lay, ("A", "B")).k,
-            (partial_transpose_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).k,
-            replacement_defect_map(lay, ("B",)).k,
-            (replacement_defect_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).k,
-            replacement_defect_map(lay, lay.labels, rand_herm(rng, 8)).k,
+        8: [partial_trace_map(lay, ("A", "B")).dense(),
+            (partial_transpose_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).dense(),
+            replacement_defect_map(lay, ("B",)).dense(),
+            (replacement_defect_map(ac, ("C",)) @ partial_trace_map(lay, ("A", "C"))).dense(),
+            replacement_defect_map(lay, lay.labels, rand_herm(rng, 8)).dense(),
             svec(np.eye(8))[None],
             -np.eye(64),
             np.zeros((3, 64))],
-        4: [replacement_defect_map(qubit_layout("AB"), ("B",)).k, -np.eye(16),
+        4: [replacement_defect_map(qubit_layout("AB"), ("B",)).dense(), -np.eye(16),
             np.zeros((2, 16))],
     }
     return {d: rng.permutation(np.vstack(parts)) for d, parts in rows.items()}

@@ -383,7 +383,7 @@ class TestProblemMaps:
                                                  inst.pairs, fresh.pairs):
             # the rows of both programs hold the very maps of inst.pairs
             assert g1.terms[0][1] is g2.terms[0][1] is m
-            assert np.array_equal(m.k, m3.k)
+            assert np.array_equal(m.dense(), m3.dense())
 
 
 class TestActivation:
