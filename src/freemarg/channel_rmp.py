@@ -4,8 +4,8 @@ pairs, and the ensemble state-discrimination task.  Compatibility, robustness,
 linear maximization and the witness duals are those of `state_rmp`, which
 read the members a `ChannelRmpInstance` shares with a state instance
 (`layout`, `pairs`, `extract`, `normalize`, `constrain`, `project`, `finite`,
-`diagnostics`); success probability, advantage and the epsilon rule are those
-of `discrimination`, fed by `ChannelDiscriminationTask.outcomes()`.
+`diagnostics`, `model`); success probability, advantage and the epsilon rule
+are those of `discrimination`, fed by `ChannelDiscriminationTask.outcomes()`.
 
 Conventions.  A channel from X' to X is stored as its Choi *state*
 J = (E (x) id)(|Phi+><Phi+|) on the layout  out (x) in :  J >= 0 iff E is
@@ -297,6 +297,10 @@ class ChannelRmpInstance:
     def finite(self) -> bool:
         return self.free.admits_full_rank_replacement()
 
+    @cached_property
+    def model(self) -> CompatibleSetModel:
+        return CompatibleSetModel(self)
+
     diagnostics = ("no scaled free-compatible Choi dominates the family: the free "
                    "channel set likely admits no full-rank replacement channel "
                    "(finiteness assumption violated)")
@@ -446,14 +450,11 @@ class ChannelWitness:
         return self.value_at_family - self.free_sup
 
 
-def channel_witness(feasible: ChannelRmpInstance | CompatibleSetModel,
-                    robustness: RobustnessResult | None = None,
+def channel_witness(inst: ChannelRmpInstance, robustness: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> ChannelWitness:
     """The robustness dual per pair, decomposed over IC frames into
-    (observable, input state) terms; the free-set supremum is taken over
-    `feasible`, the instance or a model of it."""
-    duals, value, sup = witness_duals(feasible, robustness, settings)
-    inst = CompatibleSetModel.instance_of(feasible)
+    (observable, input state) terms, with the free-set supremum."""
+    duals, value, sup = witness_duals(inst, robustness, settings)
     entries: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for pair, spec in inst.family.entries:
         e = duals[pair.label()]
@@ -511,14 +512,12 @@ class ChannelDiscriminationTask:
                 for label, prior in self.pair_priors.items()]
 
 
-def state_discrimination_task(witness: ChannelWitness,
-                              feasible: ChannelRmpInstance | CompatibleSetModel,
+def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
                               epsilon: float | None = None,
                               settings: SolverSettings | None = None) -> ChannelDiscriminationTask:
     """Shift and scale the witness observables into strictly positive POVM
     elements, append the completing outcome, and fix the priors; the epsilon
-    rule bounds the task over `feasible`, the instance or a model of it."""
-    inst = CompatibleSetModel.instance_of(feasible)
+    rule bounds the task over the instance's free-compatible set."""
     if all(np.max(np.abs(wj)) < 1e-14 for terms in witness.entries.values()
            for wj, _ in terms):
         raise ValueError("degenerate (all-zero) witness cannot define a task")
@@ -546,8 +545,7 @@ def state_discrimination_task(witness: ChannelWitness,
             states=states, povms=povms, epsilon=float(eps), metadata={"n_terms": n})
 
     if epsilon is None:
-        epsilon = epsilon_rule(*epsilon_bound_terms(task_at(0.5), inst.family, feasible,
-                                                    settings))
+        epsilon = epsilon_rule(*epsilon_bound_terms(task_at(0.5), inst.family, inst, settings))
     if not (0 < epsilon < 1):
         raise ValueError(f"epsilon = {epsilon} does not give a strictly positive task")
     task = task_at(epsilon)

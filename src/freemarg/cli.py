@@ -71,28 +71,28 @@ def cmd_check_compat(args, inst, settings: SolverSettings) -> dict:
 def cmd_discriminate(args, inst, settings: SolverSettings) -> dict:
     """The witness, the task and its fields come from the instance kind; the
     advantage and the rest of the payload do not.  The witness supremum, the
-    epsilon rule and the advantage maximize over one compiled model."""
-    model = state_rmp.CompatibleSetModel(inst, settings)
+    epsilon rule and the advantage all maximize over the instance's one
+    compiled model (`inst.model`)."""
     if isinstance(inst, state_rmp.RmpInstance):
-        w = state_rmp.extract_witness(model, settings=settings)
+        w = state_rmp.extract_witness(inst, settings=settings)
         gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
         unitaries = {tuple(sub.members): [discrimination.haar_from_generator(block.dim, gen)
                                           for _ in range(block.dim + 1)]
                      for sub, block in w.blocks}
-        task = discrimination.task_from_witness(w, unitaries, model, settings=settings)
+        task = discrimination.task_from_witness(w, unitaries, inst, settings=settings)
         family = inst.marginals
         fields = {"blocks": [{"subsystems": list(b.sub.members), "prior": b.prior,
                               "outcome_priors": b.outcome_priors, "povm": b.povm}
                              for b in task.blocks]}
     else:
-        w = channel_rmp.channel_witness(model, settings=settings)
-        task = channel_rmp.state_discrimination_task(w, model, settings=settings)
+        w = channel_rmp.channel_witness(inst, settings=settings)
+        task = channel_rmp.state_discrimination_task(w, inst, settings=settings)
         family = inst.family
         fields = {"pairs": {label: {"priors": task.outcome_priors[label],
                                     "povm": task.povms[label],
                                     "states": task.states[label]}
                             for label in task.pair_priors}}
-    return {"delta_p": discrimination.advantage(task, family, model, settings),
+    return {"delta_p": discrimination.advantage(task, family, inst, settings),
             "epsilon": task.epsilon,
             "witness_gap": w.gap,
             **fields,

@@ -46,13 +46,12 @@ from .config import DEFAULT_TOLS
 from .freesets import FreeSetSpec
 from .herm import (
     HermitianOperator,
-    SubsystemLayout,
     SubsystemSet,
     eig_hermitian,
     hermitize,
 )
 from .solver import SolverFailure, SolverSettings
-from .state_rmp import CompatibleSetModel, MarginalFamily, RmpInstance, Witness
+from .state_rmp import MarginalFamily, RmpInstance, Witness
 from .states import qubit_layout, w_marginal
 
 if TYPE_CHECKING:
@@ -164,24 +163,24 @@ def success_probability(task, inputs) -> float:
     return value_at(effective_observables(task), inputs)
 
 
-def advantage(task, sigma, feasible: Instance | CompatibleSetModel,
-              settings: SolverSettings | None = None) -> float:
-    """P at the family `sigma` minus the best P over the free-compatible set."""
+def advantage(task, sigma, inst: Instance, settings: SolverSettings | None = None) -> float:
+    """P at the family `sigma` minus the best P over the free-compatible set
+    of `inst`, maximized over the instance's model."""
     if not task.strictly_positive:
         raise ValueError("advantage is defined for strictly positive tasks")
     obs = effective_observables(task)
-    sup = CompatibleSetModel.of(feasible, settings).maximize(obs).primal_value
-    return value_at(obs, sigma) - sup
+    return value_at(obs, sigma) - inst.model.maximize(obs, settings).primal_value
 
 
-def epsilon_bound_terms(task, sigma, feasible: Instance | CompatibleSetModel,
+def epsilon_bound_terms(task, sigma, inst: Instance,
                         settings: SolverSettings | None = None) -> tuple[float, float]:
     """(Delta_1, Delta_2) of the epsilon rule: the family's advantage on the
     main outcomes, weighted uniformly, and the worst drift of the completing
-    outcome against them over the free-compatible set."""
+    outcome against them over the free-compatible set of `inst`, both
+    maximized in one batch over the instance's model."""
     main = effective_observables(task, lambda i, n: 1.0 / n if i < n else 0.0)
     gamma = effective_observables(task, lambda i, n: -1.0 / n if i < n else 1.0)
-    sup_main, sup_gamma = CompatibleSetModel.of(feasible, settings).maximize_many([main, gamma])
+    sup_main, sup_gamma = inst.model.maximize_many([main, gamma], settings)
     return (value_at(main, sigma) - sup_main.primal_value,
             sup_gamma.primal_value - value_at(gamma, sigma))
 
@@ -228,8 +227,7 @@ def _block_from_spectrum(sub: SubsystemSet, weights: np.ndarray, vectors: np.nda
                      spectral_weights=weights, spectral_vectors=vectors)
 
 
-def task_from_witness(witness: Witness, unitaries,
-                      instance: RmpInstance | CompatibleSetModel | None = None,
+def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None = None,
                       delta: float = 0.01, epsilon: float | None = None,
                       settings: SolverSettings | None = None) -> DiscriminationTask:
     """Build the discrimination task attached to a witness.
@@ -239,9 +237,8 @@ def task_from_witness(witness: Witness, unitaries,
     completing outcome (identity if omitted).  With `epsilon=None` the
     completing-outcome prior is chosen by the safety rule
     eps = 1/2 if Delta_2 <= 0 else min(Delta_1/Delta_2, 1)/2, which needs the
-    instance, or a model of it, to solve the two bound terms.  Passing
-    epsilon=0 is allowed for diagnostics but yields a task that is not
-    strictly positive.
+    instance to solve the two bound terms.  Passing epsilon=0 is allowed for
+    diagnostics but yields a task that is not strictly positive.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -266,8 +263,7 @@ def task_from_witness(witness: Witness, unitaries,
         if instance is None:
             raise ValueError("epsilon rule needs the instance to bound the task terms")
         draft = _assemble(specs, delta, 0.5)
-        family = CompatibleSetModel.instance_of(instance).marginals
-        eps = epsilon_rule(*epsilon_bound_terms(draft, family, instance, settings))
+        eps = epsilon_rule(*epsilon_bound_terms(draft, instance.marginals, instance, settings))
     return _assemble(specs, delta, float(eps))
 
 
@@ -305,16 +301,6 @@ W_EXAMPLE_VECTORS = np.array([
     [-_B, 0.0, 0.0, _A],
     [0.0, 1.0, 0.0, 0.0],
 ], dtype=complex)  # columns are the vectors for the four weights above
-
-
-def w_example_witness_block(layout: SubsystemLayout | None = None) -> HermitianOperator:
-    """The two-qubit witness block reconstructed from the published spectrum."""
-    layout = layout or qubit_layout("AB")
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        v = W_EXAMPLE_VECTORS[:, i]
-        m += (W_EXAMPLE_WEIGHTS[i] - W_EXAMPLE_DELTA) * np.outer(v, v.conj())
-    return HermitianOperator(layout, m)
 
 
 def w_example_instance() -> RmpInstance:
@@ -396,11 +382,12 @@ def w_advantages(indices: Sequence[int], seed: int,
     separable-target compatible set.  The tasks are built as one stack of
     observables and the set maximizations solved in one batch; a sample's
     value does not depend on the batch."""
-    model = CompatibleSetModel(w_histogram_instance(), settings)
+    inst = w_histogram_instance()
     obs = _w_observables(_w_unitaries(indices, seed))
-    targets = model.instance.marginals.targets()  # by label: "A,B" then "A,C", the task's blocks
+    targets = inst.marginals.targets()  # by label: "A,B" then "A,C", the task's blocks
     try:
-        sups = model.maximize_many([[(label, o) for label in targets] for o in obs])
+        sups = inst.model.maximize_many([[(label, o) for label in targets] for o in obs],
+                                        settings)
     except SolverFailure as exc:
         raise SolverFailure(f"histogram samples {indices[0]}..{indices[-1]} failed: {exc}") from exc
     at_sigma = sum(np.trace(obs @ t, axis1=1, axis2=2).real for t in targets.values())

@@ -99,8 +99,15 @@ class SubsystemLayout:
 
     @staticmethod
     def from_json(data: Sequence) -> "SubsystemLayout":
-        """[[label, dim], ...]; a dimension must be an integer, not a string."""
-        return SubsystemLayout([(str(l), operator.index(d)) for l, d in data])
+        """[[label, dim], ...]; a dimension must be an integer, not a string
+        or a boolean (which `operator.index` would read as 0 or 1)."""
+        return SubsystemLayout([(str(l), _json_dim(d)) for l, d in data])
+
+
+def _json_dim(d) -> int:
+    if isinstance(d, bool):
+        raise TypeError(f"dimension {d!r} is not an integer")
+    return operator.index(d)
 
 
 @dataclass(frozen=True)
@@ -616,6 +623,8 @@ class HermitianOperator:
         d = layout.total_dim
         if entries.shape != (d, d):
             raise ValidationError(f"entries shape {entries.shape} != layout dim {d}")
+        if not np.isfinite(entries).all():  # a NaN would pass the Hermiticity test
+            raise ValidationError("entries must be finite numbers")
         dev = float(np.max(np.abs(entries - entries.conj().T))) if d else 0.0
         if dev > DEFAULT_TOLS.hermiticity:
             raise ValidationError(f"not Hermitian: max |M - M^dag| = {dev:.3e}")
@@ -767,14 +776,6 @@ def trace_norm(a: HermitianOperator | np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
 
 
-def psd_split(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Jordan split a = a+ - a- with both parts PSD."""
-    vals, vecs = np.linalg.eigh(a.entries)
-    pos = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
-    neg = (vecs * np.clip(-vals, 0, None)) @ vecs.conj().T
-    return pos, neg
-
-
 # ---------------------------------------------------------------------------
 # Matrix JSON round-tripping
 # ---------------------------------------------------------------------------
@@ -792,7 +793,11 @@ def matrix_from_json(data: Sequence) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+_FLOAT_MAX = float(np.finfo(float).max)  # an integer beyond it has no float
+
+
 def _json_real(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"matrix entry {x!r} is not a number")
+    """A JSON number that is finite as a float; `not <=` also refuses NaN."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= _FLOAT_MAX:
+        raise ValueError(f"matrix entry {x!r} is not a finite number")
     return float(x)

@@ -16,7 +16,10 @@ stays <= 1 while the value at sigma equals the optimum > 1.
 A channel family is the same problem on out (x) in with extra linear rows
 (see `channel_rmp`).  Both instance types define the members these programs
 read (see `RmpInstance`), so the compatibility check, the robustness, the
-compiled linear-max model and the witness duals below take either.
+linear maximization and the witness duals below take either.  The instance
+alone fixes the free-compatible set, so each instance holds the one compiled
+model of that set (`model`); every maximization over the set reuses it, with
+the settings of its own call.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class RmpInstance:
     and the free cone.  `project(V)` returns the nearest valid matrix and the
     object reported for it.  `finite` says the free set has a full-rank
     member, the condition for a finite robustness; `diagnostics` explains an
-    infinite one.
+    infinite one.  `model` is the instance's `CompatibleSetModel`.
     """
 
     marginals: MarginalFamily
@@ -174,6 +177,10 @@ class RmpInstance:
     @property
     def finite(self) -> bool:
         return self.free.contains_full_rank_member()
+
+    @cached_property
+    def model(self) -> CompatibleSetModel:
+        return CompatibleSetModel(self)
 
     @property
     def diagnostics(self) -> str:
@@ -307,15 +314,16 @@ class CompatibleSetModel:
     channel instance, sum over pairs of tr(J_pair O_pair)).
 
     The feasible set is every family of marginals of a global state (or
-    channel) whose target reduction is free.  The program is built and
+    channel) whose target reduction is free, which the instance alone fixes:
+    use `inst.model`, the one model of an instance.  The program is built and
     compiled on first use and reused across objectives, which matters for
     sampling experiments and for a request that maximizes over the set
-    several times; a model that is never used costs nothing.
+    several times; a model that is never used costs nothing.  The solver
+    settings are those of each call.
     """
 
-    def __init__(self, inst: Instance, settings: SolverSettings | None = None):
+    def __init__(self, inst: Instance):
         self.instance = inst
-        self.settings = settings
 
     @cached_property
     def program(self) -> tuple[ConicProgram, BlockRef]:
@@ -325,25 +333,14 @@ class CompatibleSetModel:
         prog.compile()  # every objective shares the compiled data
         return prog, var
 
-    @staticmethod
-    def of(feasible: Instance | CompatibleSetModel,
-           settings: SolverSettings | None = None) -> CompatibleSetModel:
-        """`feasible` itself if it is a model, else a new model of the instance."""
-        if isinstance(feasible, CompatibleSetModel):
-            return feasible
-        return CompatibleSetModel(feasible, settings)
+    def maximize(self, objectives: Iterable[tuple[object, np.ndarray]],
+                 settings: SolverSettings | None = None) -> SolveResult:
+        """`objectives` holds (key, O) pairs, a key being what the instance's
+        `extract` takes: a label, or for a state instance a subsystem set."""
+        return self.maximize_many([objectives], settings)[0]
 
-    @staticmethod
-    def instance_of(feasible: Instance | CompatibleSetModel) -> Instance:
-        """The instance of `feasible`, a model or an instance."""
-        return feasible.instance if isinstance(feasible, CompatibleSetModel) else feasible
-
-    def maximize(self, objectives: Iterable[tuple[object, np.ndarray]]) -> SolveResult:
-        """`objectives` holds (key, O) pairs; a key is a label or a subsystem set."""
-        return self.maximize_many([objectives])[0]
-
-    def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]]
-                      ) -> list[SolveResult]:
+    def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]],
+                      settings: SolverSettings | None = None) -> list[SolveResult]:
         """`maximize` of each entry, solved together in one batch."""
         prog, var = self.program
         costs = []
@@ -355,18 +352,17 @@ class CompatibleSetModel:
                 x, m = svec(hermitize(obs)), self.instance.extract(key)
                 coeff += x if m is None else m.nz.T @ x  # m's adjoint, in svec coordinates
             costs.append(cost)
-        results = solve_many(prog, costs, self.settings)
+        results = solve_many(prog, costs, settings)
         for k, res in enumerate(results):
             if res.status != Status.OPTIMAL:
                 raise SolverFailure(f"set maximization {k} ended with status {res.status.value}")
         return results
 
 
-def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
-                        inst: Instance | CompatibleSetModel,
+def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]], inst: Instance,
                         settings: SolverSettings | None = None) -> float:
     """sup of sum_X tr(tau_X O_X) over the free-compatible marginal families."""
-    return CompatibleSetModel.of(inst, settings).maximize(objectives).primal_value
+    return inst.model.maximize(objectives, settings).primal_value
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +370,12 @@ def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]],
 # ---------------------------------------------------------------------------
 
 
-def witness_duals(feasible: Instance | CompatibleSetModel,
-                  robustness_result: RobustnessResult | None = None,
+def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = None,
                   settings: SolverSettings | None = None
                   ) -> tuple[dict[str, np.ndarray], float, float]:
     """The robustness program's dual multipliers Y_X by label, their value
     sum_X tr(Y_X sigma_X) at the family, and the independently re-solved
-    supremum of that value over the free-compatible set.  `feasible` is the
-    instance or a model of it, which the supremum then reuses."""
-    inst = CompatibleSetModel.instance_of(feasible)
+    supremum of that value over the free-compatible set."""
     res = robustness_result if robustness_result is not None else robustness(inst, settings)
     if res.status != Status.OPTIMAL:
         raise SolverFailure(f"robustness status {res.status.value}; witness needs Optimal")
@@ -391,7 +384,7 @@ def witness_duals(feasible: Instance | CompatibleSetModel,
                              "(robustness is zero)")
     duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
     value = sum(float(np.trace(duals[label] @ target).real) for label, _, target in inst.pairs)
-    sup = linear_max_over_set(duals.items(), feasible, settings)
+    sup = linear_max_over_set(duals.items(), inst, settings)
     if value <= sup:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
     return duals, value, sup
@@ -420,14 +413,11 @@ class Witness:
         return total
 
 
-def extract_witness(feasible: RmpInstance | CompatibleSetModel,
-                    robustness_result: RobustnessResult | None = None,
+def extract_witness(inst: RmpInstance, robustness_result: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> Witness:
     """Dual optimizer of the robustness program, reported with its
-    independently re-solved free-set supremum (over `feasible`, the
-    instance or a model of it)."""
-    duals, value, sup = witness_duals(feasible, robustness_result, settings)
-    inst = CompatibleSetModel.instance_of(feasible)
+    independently re-solved free-set supremum."""
+    duals, value, sup = witness_duals(inst, robustness_result, settings)
     blocks = tuple((sub, HermitianOperator(sub.sublayout(), duals[label]))
                    for label, (sub, _) in zip(inst.marginals.labels(), inst.marginals.entries))
     return Witness(blocks, sup, value,

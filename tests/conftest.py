@@ -13,6 +13,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from freemarg.discrimination import W_EXAMPLE_DELTA, W_EXAMPLE_VECTORS, W_EXAMPLE_WEIGHTS
+from freemarg.herm import HermitianOperator
+from freemarg.states import qubit_layout
+
 
 @pytest.fixture
 def rng():
@@ -29,6 +33,24 @@ def rand_unitary(rng, d):
     q, r = np.linalg.qr(z)
     ph = np.diag(r) / np.abs(np.diag(r))
     return q * ph
+
+
+def psd_split(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Jordan split a = a+ - a- with both parts PSD."""
+    vals, vecs = np.linalg.eigh(a.entries)
+    pos = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
+    neg = (vecs * np.clip(-vals, 0, None)) @ vecs.conj().T
+    return pos, neg
+
+
+def w_example_witness_block(layout=None) -> HermitianOperator:
+    """The two-qubit witness block reconstructed from the published spectrum."""
+    layout = layout or qubit_layout("AB")
+    m = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        v = W_EXAMPLE_VECTORS[:, i]
+        m += (W_EXAMPLE_WEIGHTS[i] - W_EXAMPLE_DELTA) * np.outer(v, v.conj())
+    return HermitianOperator(layout, m)
 
 
 def rand_kraus(rng, d_in, d_out, n_kraus):

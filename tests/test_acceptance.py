@@ -21,7 +21,6 @@ from freemarg.discrimination import (
     success_probability,
     task_from_witness,
     w_example_instance,
-    w_example_witness_block,
 )
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import (
@@ -31,7 +30,6 @@ from freemarg.herm import (
     SubsystemSet,
     partial_trace_map,
     partial_transpose,
-    psd_split,
     svec,
     tensor,
     trace_norm,
@@ -59,7 +57,7 @@ from freemarg.states import (
     w_marginal,
 )
 
-from conftest import rand_herm, rand_kraus, rand_unitary
+from conftest import psd_split, rand_herm, rand_kraus, rand_unitary, w_example_witness_block
 
 LAYOUT = qubit_layout("ABC")
 

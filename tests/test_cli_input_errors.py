@@ -36,6 +36,15 @@ CORPUS = {
         0, str(d["marginals"][0]["matrix"][0][0][0]))),
     "boolean_imaginary_part": edited(STATE, lambda d: d["marginals"][0]["matrix"][0][1].__setitem__(
         1, False)),
+    # json reads true as a number, and operator.index(True) is 1
+    "boolean_dimension": edited(STATE, lambda d: d["layout"].append(["D", True])),
+    # json reads NaN and Infinity; a NaN passes a Hermiticity test `dev > tol`
+    "nan_entry": edited(STATE, lambda d: d["marginals"][0]["matrix"][0][0].__setitem__(
+        0, float("nan"))),
+    "infinite_entry": edited(STATE, lambda d: d["marginals"][0]["matrix"][1][2].__setitem__(
+        1, float("inf"))),
+    "overflowing_integer_entry": edited(STATE, lambda d: d["marginals"][0]["matrix"][0][0]
+                                        .__setitem__(0, 10 ** 400)),
     # a label keys the targets, the maps and the duals, so each appears once
     "repeated_marginal": edited(STATE, lambda d: d["marginals"].append(d["marginals"][0])),
     "repeated_channel_pair": edited(CHANNEL, lambda d: d["pairs"].append(d["pairs"][0])),
@@ -78,6 +87,15 @@ def test_bad_instance_exits_2(name, command, tmp_path, capsys):
     assert err.startswith("input error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["nan_entry", "infinite_entry", "overflowing_integer_entry"])
+def test_non_finite_entry_is_named(name, tmp_path, capsys):
+    # not a LAPACK convergence failure further down
+    path = tmp_path / "instance.json"
+    path.write_bytes(CORPUS[name])
+    assert cli.main(["robustness", "--input", str(path), "--output", str(tmp_path / "o")]) == 2
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 BAD_ARGUMENTS = {

@@ -16,7 +16,6 @@ from freemarg.discrimination import (
     success_probability,
     task_from_witness,
     w_example_instance,
-    w_example_witness_block,
     w_histogram_instance,
 )
 from freemarg.herm import SubsystemSet
@@ -24,7 +23,7 @@ from freemarg.solver import SolverFailure, SolverSettings
 from freemarg.state_rmp import MarginalFamily, Witness, extract_witness, robustness
 from freemarg.states import marginal_of, maximally_mixed, qubit_layout, random_density, w_marginal
 
-from conftest import rand_unitary
+from conftest import rand_unitary, w_example_witness_block
 
 LAYOUT = qubit_layout("ABC")
 

@@ -21,7 +21,6 @@ from freemarg.herm import (
     partial_transpose_map,
     permute_array,
     permute_factors,
-    psd_split,
     ptranspose_array,
     replacement_defect_map,
     smat,
@@ -31,7 +30,7 @@ from freemarg.herm import (
 )
 from freemarg.states import ket, maximally_mixed, pure, qubit_layout, w_marginal, w_state
 
-from conftest import rand_herm
+from conftest import psd_split, rand_herm, w_example_witness_block
 
 
 def herm(labels, m):
@@ -68,6 +67,14 @@ class TestHermitianValidation:
         m = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(ValidationError):
             HermitianOperator(qubit_layout("A"), m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # NaN - NaN is NaN, and `dev > tol` is False for it
+        m = np.eye(4, dtype=complex)
+        m[0, 0] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            HermitianOperator(qubit_layout("AB"), m)
 
     def test_density_matrix_checks(self):
         lay = qubit_layout("A")
@@ -185,7 +192,7 @@ class TestEig:
 
     def test_published_shifted_witness_spectrum(self):
         # the four reference eigenvalues of the shifted W-marginal witness
-        from freemarg.discrimination import W_EXAMPLE_WEIGHTS, w_example_witness_block
+        from freemarg.discrimination import W_EXAMPLE_WEIGHTS
 
         block = w_example_witness_block()
         shifted = HermitianOperator(block.layout, block.entries + 0.01 * np.eye(4))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet
-from freemarg.solver import SolverFailure, Status
+from freemarg.solver import SolverFailure, SolverSettings, Status
 from freemarg.state_rmp import (
     MarginalFamily,
     NoWitnessError,
@@ -29,7 +31,7 @@ from freemarg.states import (
     w_state,
 )
 
-from conftest import rand_kraus, rand_unitary
+from conftest import rand_kraus, rand_unitary, w_example_witness_block
 
 # regression constant: optimum tr(V*) of the W-marginal instance with a
 # separable (PPT) target, cross-checked against a mixing-parameter bisection
@@ -242,8 +244,6 @@ class TestLinearMax:
         assert val == pytest.approx(expect, abs=1e-6)
 
     def test_published_witness_strictly_below_sigma_value(self):
-        from freemarg.discrimination import w_example_witness_block
-
         inst = w_instance()
         block = w_example_witness_block
         objs = [(("A", "B"), block(LAYOUT.sublayout(("A", "B"))).entries),
@@ -251,6 +251,42 @@ class TestLinearMax:
         sup = linear_max_over_set(objs, inst)
         at_sigma = sum(float(np.trace(o @ w_marginal().entries).real) for _, o in objs)
         assert at_sigma - sup >= 1e-4
+
+
+class TestInstanceModel:
+    """An instance holds the one model of its free-compatible set, and each
+    maximization over it solves at the settings of its own call."""
+
+    OBJECTIVES = [(("A", "B"), np.diag([0.5, -0.25, 1.5, 0.0])), (("B", "C"), np.eye(4))]
+
+    def test_settings_reach_each_maximization_of_a_shared_model(self):
+        from freemarg.discrimination import advantage, task_from_witness
+
+        inst = w_instance()
+        wit = extract_witness(inst)  # the model serves the supremum at default settings
+        unitaries = {tuple(sub.members): [np.eye(4, dtype=complex)] * 4 for sub, _ in wit.blocks}
+        task = task_from_witness(wit, unitaries, inst)
+        few = SolverSettings(max_iters=2)
+        with pytest.raises(SolverFailure):
+            inst.model.maximize(self.OBJECTIVES, few)
+        with pytest.raises(SolverFailure):
+            linear_max_over_set(self.OBJECTIVES, inst, few)
+        with pytest.raises(SolverFailure):
+            advantage(task, inst.marginals, inst, few)
+        assert advantage(task, inst.marginals, inst) > 0  # the defaults still solve
+
+    def test_one_model_per_instance_ignored_by_equality(self):
+        from test_channel_rmp import broadcasting_instance
+
+        inst = w_instance()
+        model = inst.model
+        assert inst.model is model and model.instance is inst
+        copy = dataclasses.replace(inst)
+        assert copy.model is not model
+        assert copy == inst and hash(copy) == hash(inst)
+        assert inst == w_instance() and hash(inst) == hash(w_instance())
+        channel = broadcasting_instance()
+        assert channel.model is channel.model and channel.model.instance is channel
 
 
 class TestFreeOperations:
