@@ -48,10 +48,10 @@ from .solver import BlockRef, ConicProgram, SolverFailure, SolverSettings
 from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     CompatibilityResult,
     CompatibleSetModel,
+    InstanceBase,
     NoWitnessError,
     RobustnessResult,
     check_rfree_compatible,
-    extraction_map,
     linear_max_over_set,
     robustness,
     witness_duals,
@@ -214,7 +214,7 @@ class ChannelMarginalFamily:
 
 
 @dataclass(frozen=True)
-class ChannelRmpInstance:
+class ChannelRmpInstance(InstanceBase):
     """The state problem on out (x) in, with the members of `RmpInstance`:
     Choi validity as normalization, and marginal-channel existence
     (no-signalling) and the free-channel structure as extra rows."""
@@ -234,20 +234,17 @@ class ChannelRmpInstance:
         return self.family.global_out.concat(self.family.global_in)
 
     @cached_property
-    def _maps(self) -> dict[str, LinearMap | None]:
-        """The extraction map of each pair and of the target, by label,
+    def _maps(self) -> dict[str, LinearMap]:
+        """The partial trace onto each pair and onto the target, by label,
         built once: every program of the instance shares them."""
         so = self.layout
-        return {pair.label(): extraction_map(so, pair.out.members + pair.inp.members)
+        return {pair.label(): partial_trace_map(so, pair.out.members + pair.inp.members)
                 for pair in [pair for pair, _ in self.family.entries] + [self.target]}
 
     @cached_property
-    def pairs(self) -> tuple[tuple[str, LinearMap | None, np.ndarray], ...]:
+    def pairs(self) -> tuple[tuple[str, LinearMap, np.ndarray], ...]:
         return tuple((pair.label(), self._maps[pair.label()], spec.choi.entries)
                      for pair, spec in self.family.entries)
-
-    def extract(self, key: str) -> LinearMap | None:
-        return self._maps[key]
 
     def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
         """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
@@ -296,10 +293,6 @@ class ChannelRmpInstance:
     @property
     def finite(self) -> bool:
         return self.free.admits_full_rank_replacement()
-
-    @cached_property
-    def model(self) -> CompatibleSetModel:
-        return CompatibleSetModel(self)
 
     diagnostics = ("no scaled free-compatible Choi dominates the family: the free "
                    "channel set likely admits no full-rank replacement channel "

@@ -370,14 +370,15 @@ def _by_size(sizes: np.ndarray):
 
 class LocalForm(NamedTuple):
     """A map K on matrices over factors of dimensions `dims` as a partial
-    trace followed by a map on the kept factors: K = inner . K_tr(keep), with
-    K_tr(keep) the partial trace onto the factors at the axes `keep`
-    (ascending) and `inner` the real matrix of the map after it (None: the
-    identity)."""
+    trace followed by a map on the kept factors: K = scale inner K_tr(keep),
+    with K_tr(keep) the partial trace onto the factors at the axes `keep`
+    (ascending), the identity if it keeps them all, and `inner` the real
+    matrix of the map after it (None: the identity)."""
 
     dims: tuple[int, ...]
     keep: tuple[int, ...]
     inner: np.ndarray | None
+    scale: float = 1.0
 
 
 class LinearMap:
@@ -388,9 +389,9 @@ class LinearMap:
     with `outer @ inner`; `dense()` gives K, for a small map.
 
     `local` is the map's `LocalForm` (L, X), if it has one:
-    `partial_trace_map` sets it, and composition carries it,
-    outer @ (L, X) = (K_outer L, X), so a map applied after a partial
-    trace has one too."""
+    `partial_trace_map` and `identity_map` set it, and composition carries
+    it, outer @ (L, X) = (K_outer L, X), so a map applied after a partial
+    trace has one too; after the identity, outer @ I is outer itself."""
 
     def __init__(self, k: np.ndarray | _Rows, local: LocalForm | None = None):
         """K, dense or by its nonzeros row by row; the map keeps a copy."""
@@ -408,9 +409,7 @@ class LinearMap:
         return math.isqrt(self.nz.shape[0])
 
     def dense(self) -> np.ndarray:
-        out = np.zeros(self.nz.shape)
-        out[self.nz.rows, self.nz.cols] = self.nz.vals
-        return out
+        return self.nz.dense()
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """The map at the Hermitian part of m."""
@@ -425,6 +424,8 @@ class LinearMap:
             raise ValueError("composed map dimensions do not match")
         local = inner.local
         if local is not None:
+            if local.inner is None and local.scale == 1 and len(local.keep) == len(local.dims):
+                return self  # inner is the identity
             outer = self.dense()
             local = local._replace(inner=outer if local.inner is None else outer @ local.inner)
         return LinearMap(self.nz.product(inner.nz), local)
@@ -472,6 +473,13 @@ def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap
                      LocalForm(layout.dims, tuple(keep_axes), None))
 
 
+def identity_map(d: int, scale: float = 1.0) -> LinearMap:
+    """scale I on d x d matrices: the partial trace onto one factor, scaled."""
+    diag = np.arange(d * d)
+    return LinearMap(_Rows(diag, diag, np.full(d * d, scale), (d * d,) * 2),
+                     LocalForm((d,), (0,), None, scale))
+
+
 def _basis_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows, columns and values, each (d*d, 2), of the nonzero entries
     of each element of `hermitian_basis(d)`, read from the `smat` tables
@@ -488,6 +496,7 @@ def _basis_entries(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the bytes of the rearranged G that `LocalSchur` holds at once: with the
 # copies its product makes, about a core's L2 share
 _LOCAL_CHUNK_BYTES = 1 << 18
+_TERMS_CHUNK = 1 << 20  # the entries of S_XY whose term tables `LocalSchur` builds at once
 
 
 class LocalSchur:
@@ -508,11 +517,13 @@ class LocalSchur:
     two nonzero entries, each real or imaginary, and the terms of the sum
     come in conjugate pairs, so each entry of S_XY is a weighted sum of two
     reals of T.  A map with the `LocalForm` (L, X) has the rows L K_tr(X),
-    so its block with a map of form (L', Y) is L S_XY L'^T.
+    so its block with a map of form (L', Y) is L S_XY L'^T.  Keeping every
+    factor, S is G (x)_s G, by O(d^4) work.
 
     Built once for the kept sets `keeps`; a call gives S for every pair
     (i, j), i <= j, of them.  The pairs of equal (d_X, d_Y) share their
-    index tables and their stacked products."""
+    index tables and their stacked products; a pair holds its term tables
+    only if one chunk covers them (see `_schur_terms`)."""
 
     def __init__(self, dims: Sequence[int], keeps: Sequence[Sequence[int]]):
         n, d = len(dims), math.prod(dims)
@@ -525,45 +536,51 @@ class LocalSchur:
         for i in range(len(keeps)):
             for j in range(i, len(keeps)):
                 by_shape.setdefault((len(order[i]), len(order[j])), []).append((i, j))
-        # per shape, the pairs, the rows and columns of G in their P, and the
-        # places among T's reals and weights of the two terms of S's entries
+        # per shape, the pairs, the rows and columns of G in their P, (d_X,
+        # d_Y), and the term tables, if held
         self.shapes = [(pairs, np.stack([order[i] * d for i, _ in pairs])[:, :, None, :, None],
-                        np.stack([order[j] for _, j in pairs])[:, None, :, None, :],
-                        *_schur_terms(dx, dy)) for (dx, dy), pairs in by_shape.items()]
+                        np.stack([order[j] for _, j in pairs])[:, None, :, None, :], dx, dy,
+                        list(_schur_terms(dx, dy)) if dx * dx * dy * dy <= _TERMS_CHUNK else None)
+                       for (dx, dy), pairs in by_shape.items()]
 
     def __call__(self, g: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         count, d = g.shape[0], g.shape[-1]
         flat = g.reshape(count, -1)
         out = {}
-        for pairs, rows, cols, at, weight in self.shapes:
+        for pairs, rows, cols, dx, dy, held in self.shapes:
             step = max(1, _LOCAL_CHUNK_BYTES // (16 * count * d * d))
             for start in range(0, len(pairs), step):
                 part = slice(start, start + step)
                 places = rows[part] + cols[part]      # (pairs, d_X, d_Y, rest_X, rest_Y)
-                p = np.take(flat, places.reshape(len(places), rows.shape[1] * cols.shape[2], -1),
-                            axis=1)
+                p = np.take(flat, places.reshape(len(places), dx * dy, -1), axis=1)
                 t = p @ np.swapaxes(p.conj(), -1, -2)
                 reals = t.reshape(t.shape[:2] + (-1,)).view(np.float64)
-                s = (np.take(reals, at[0], axis=-1) * weight[0]
-                     + np.take(reals, at[1], axis=-1) * weight[1])
+                s = np.empty(reals.shape[:2] + (dx * dx, dy * dy))
+                for j, at, weight in held or _schur_terms(dx, dy):
+                    np.add(np.take(reals, at[0], axis=-1) * weight[0],
+                           np.take(reals, at[1], axis=-1) * weight[1], out=s[:, :, j])
                 out.update((pair, s[:, k]) for k, pair in enumerate(pairs[part]))
         return out
 
 
-def _schur_terms(dx: int, dy: int) -> tuple[np.ndarray, np.ndarray]:
-    """The places among the reals of T and the weights, each (2, dx*dx,
-    dy*dy), of the two terms of each entry of S_XY (see `LocalSchur`).  The
-    terms of (j, i) are those of the first entry (a, b) of H_j with each
-    entry (c, e) of H_i; each stands for itself and its conjugate, the term
-    of (b, a) and (e, c), unless H_j is diagonal.  A product of two entries
-    is real or imaginary, so each term is one real of T."""
+def _schur_terms(dx: int, dy: int):
+    """Per chunk of rows j of S_XY (see `LocalSchur`), the rows j, and the
+    places among the reals of T and the weights, each (2, rows, dy*dy), of
+    the two terms of each entry.  The terms of (j, i) are those of the first
+    entry (a, b) of H_j with each entry (c, e) of H_i; each stands for
+    itself and its conjugate, the term of (b, a) and (e, c), unless H_j is
+    diagonal.  A product of two entries is real or imaginary, so each term
+    is one real of T."""
     a, b, vx = _basis_entries(dx)
     c, e, vy = _basis_entries(dy)
-    coeff = (vx[:, 0] * np.where(a[:, 0] == b[:, 0], 1, 2))[:, None, None] * vy
-    place = ((b[:, :1, None] * dy + c) * dx + a[:, :1, None]) * dy + e
-    imag = coeff.imag != 0
-    at, weight = 2 * place + imag, np.where(imag, -coeff.imag, coeff.real)
-    return np.moveaxis(at, -1, 0).copy(), np.moveaxis(weight, -1, 0).copy()
+    step = max(1, _TERMS_CHUNK // (dy * dy))
+    for start in range(0, dx * dx, step):
+        j = slice(start, start + step)
+        coeff = (vx[j, 0] * np.where(a[j, 0] == b[j, 0], 1, 2))[:, None, None] * vy
+        place = ((b[j, :1, None] * dy + c) * dx + a[j, :1, None]) * dy + e
+        imag = coeff.imag != 0
+        at, weight = 2 * place + imag, np.where(imag, -coeff.imag, coeff.real)
+        yield j, np.moveaxis(at, -1, 0).copy(), np.moveaxis(weight, -1, 0).copy()
 
 
 def partial_transpose_map(layout: SubsystemLayout, part: Sequence[str]) -> LinearMap:

@@ -11,9 +11,10 @@ from .herm import (LinearMap, hermitian_basis, hermitize, partial_transpose_map,
 from .solver import BlockRef, ConicProgram
 
 
-def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap | None,
+def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap,
                            free: FreeSetSpec, prefix: str = "free"):
-    """Constrain extract(V) (default: V itself) into cone(free set).
+    """Constrain extract(V) into cone(free set); on a whole-layout target,
+    `extract` is the identity, after which each map is itself.
 
     The variable's PSD cone membership already gives extract(V) >= 0 for
     trace-like extraction maps, so `AllStates` adds no rows.  `Singleton`
@@ -24,8 +25,7 @@ def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap
     if free.kind == "SeparablePPT":  # X^{T_part} >= 0 per bipartition
         for part in free.bipartitions:
             pt = partial_transpose_map(sub, part)
-            prog.add_psd_inequality(f"{prefix}.ppt[{','.join(part)}]",
-                                    [(var, pt if extract is None else pt @ extract)])
+            prog.add_psd_inequality(f"{prefix}.ppt[{','.join(part)}]", [(var, pt @ extract)])
     elif free.kind == "Incoherent":  # off-diagonal entries of B' X B vanish
         d = sub.total_dim
         for j, h in enumerate(hermitian_basis(d)[d:]):  # off-diagonal part only
@@ -34,10 +34,8 @@ def attach_free_state_cone(prog: ConicProgram, var: BlockRef, extract: LinearMap
             # one row, tr(h X) = 0, composed with the extraction so that it
             # keeps the extraction's local form
             row = LinearMap(svec(hermitize(h))[None])
-            prog.add_matrix_equality(f"{prefix}.diag[{j}]",
-                                     [(var, row if extract is None else row @ extract)],
+            prog.add_matrix_equality(f"{prefix}.diag[{j}]", [(var, row @ extract)],
                                      np.zeros((1, 1)))
     elif free.kind == "Singleton":  # X = tr(X) * state
-        pin = replacement_defect_map(sub, sub.labels, free.state.entries)
-        pin = pin if extract is None else pin @ extract
+        pin = replacement_defect_map(sub, sub.labels, free.state.entries) @ extract
         prog.add_matrix_equality(f"{prefix}.pin", [(var, pin)], np.zeros((sub.total_dim,) * 2))

@@ -56,7 +56,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .herm import (LinearMap, LocalForm, LocalSchur, _coords, _first_of_runs, _Rows,
-                   hermitize, smat, svec)
+                   hermitize, identity_map, smat, svec)
 
 
 class SolverFailure(RuntimeError):
@@ -94,10 +94,8 @@ class _EqGroup:
     name: str
     rows: slice
     scalar: bool
-    # per term, a block and its coefficients in the group's rows: a map,
-    # whose matrix is over the block's columns, or alpha for alpha times the
-    # identity
-    terms: list[tuple[BlockRef, LinearMap | float]]
+    # per term, a block and the map of its coefficients in the group's rows
+    terms: list[tuple[BlockRef, LinearMap]]
 
     def value(self, y: np.ndarray) -> np.ndarray | float:
         """The group's entries of y, a number or a Hermitian matrix."""
@@ -111,8 +109,8 @@ class _PsdGroup:
     slack: BlockRef
 
 
-# a block and the map applied to it; a map of None is the identity
-Term = tuple[BlockRef, LinearMap | None]
+# a block and the map applied to it
+Term = tuple[BlockRef, LinearMap]
 
 
 class ConicProgram:
@@ -154,16 +152,14 @@ class ConicProgram:
 
     @staticmethod
     def _map_terms(name: str, terms: Sequence[Term], d: int) -> list:
-        """Each map (1.0 for the identity), checked against its block and the
-        d x d output."""
+        """The terms, each map checked against its block and the output."""
         for ref, lmap in terms:
-            if lmap is not None and lmap.in_dim != ref.cdim:
+            if lmap.in_dim != ref.cdim:
                 raise ValueError(f"constraint {name!r}: term input dim {lmap.in_dim} != "
                                  f"{ref.cdim} of block {ref.name!r}")
-            out = ref.cdim if lmap is None else lmap.out_dim
-            if out != d:
-                raise ValueError(f"constraint {name!r}: term output dim {out} != {d}")
-        return [(ref, 1.0 if lmap is None else lmap) for ref, lmap in terms]
+            if lmap.out_dim != d:
+                raise ValueError(f"constraint {name!r}: term output dim {lmap.out_dim} != {d}")
+        return list(terms)
 
     @property
     def num_cols(self) -> int:
@@ -194,15 +190,13 @@ class ConicProgram:
     def add_psd_inequality(self, name: str, terms: Sequence[Term],
                            const: np.ndarray | None = None):
         """sum_j map_j(X_j) + const >= 0 (PSD), via a slack block S and the
-        rows sum_j map_j(X_j) - S = -const."""
-        dims = {ref.cdim if lmap is None else lmap.out_dim for ref, lmap in terms}
-        if len(dims) != 1:
-            raise ValueError(f"constraint {name!r}: mismatched term dimensions {sorted(dims)}")
-        (d,) = dims
+        rows sum_j map_j(X_j) - S = -const; S's term is minus the identity."""
+        d = terms[0][1].out_dim
+        terms = self._map_terms(name, terms, d)
         slack = BlockRef(f"{name}.slack", d, len(self.blocks))
         self._append_block(slack)
         rhs = np.zeros((d, d), dtype=complex) if const is None else -np.asarray(const, complex)
-        self._append_rows(f"{name}.def", self._map_terms(name, terms, d) + [(slack, -1.0)],
+        self._append_rows(f"{name}.def", terms + [(slack, identity_map(d, -1.0))],
                           svec(hermitize(rhs)), False)
         self.psd_groups.append(_PsdGroup(name, slack))
 
@@ -238,14 +232,9 @@ class ConicProgram:
         the terms, as adding the terms to a zero matrix one by one sums them."""
         parts = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
         for g in self.eq_groups:
-            for ref, coeff in g.terms:
+            for ref, lmap in g.terms:
                 start = self.block_slice(ref).start
-                if isinstance(coeff, float):
-                    diag = np.arange(ref.cdim ** 2)
-                    parts.append((g.rows.start + diag, start + diag, np.full(diag.size, coeff)))
-                else:
-                    parts.append((g.rows.start + coeff.nz.rows, start + coeff.nz.cols,
-                                  coeff.nz.vals))
+                parts.append((g.rows.start + lmap.nz.rows, start + lmap.nz.cols, lmap.nz.vals))
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
         a = _Rows.summed(rows, cols, vals, (len(self._rhs), self.num_cols))
         return a, np.array(self._rhs)
@@ -314,10 +303,10 @@ class ConicProgram:
         local form over the same factors; else None."""
         out = []
         for g in self.eq_groups:
-            maps = [coeff for ref, coeff in g.terms if ref == blk]
+            maps = [lmap for ref, lmap in g.terms if ref == blk]
             if not maps:
                 continue
-            if len(maps) > 1 or isinstance(maps[0], float) or maps[0].local is None:
+            if len(maps) > 1 or maps[0].local is None:
                 return None
             out.append((g.rows, maps[0].local))
         return out if out and len({form.dims for _, form in out}) == 1 else None
@@ -450,13 +439,14 @@ class _BlockRows(NamedTuple):
 
     The local layout serves a large block each of whose row groups has one
     term on it, with a `LocalForm` (L_X, X): the group's rows are
-    D_X L_X K_tr(X), D_X its part of the normalization d_inv.  It adds its
-    part to M_n, in the rows of A_n.  The block of groups X and Y is
-    D_X L_X S_XY L_Y' D_Y, with S_XY the Schur block of the two partial
-    traces, which `herm.LocalSchur` contracts from G without forming any
-    G A_l G.  `local` holds the `LocalSchur` of the distinct kept factor
-    sets and, per group, (its rows, the index of its X, D_X, L_X or None for
-    the identity), each L_X the group's own map matrix, shared.
+    D_X L_X K_tr(X), D_X its part of the normalization d_inv times the
+    form's scale (-1 for a slack's term).  It adds its part to M_n, in the
+    rows of A_n.  The block of groups X and Y is D_X L_X S_XY L_Y' D_Y, with
+    S_XY the Schur block of the two partial traces, which `herm.LocalSchur`
+    contracts from G without forming any G A_l G.  `local` holds the
+    `LocalSchur` of the distinct kept factor sets and, per group, (its rows,
+    the index of its X, D_X, L_X or None for the identity), each L_X the
+    group's own map matrix, shared.
 
     `rows` are the rows kept, ascending: those with a nonzero in the block,
     or on the local layout the rows of its groups."""
@@ -491,7 +481,8 @@ class _BlockRows(NamedTuple):
         """The local layout of a block, from the rows of each of its groups
         and the local form of the group's term (see `_local_terms`)."""
         keeps = list(dict.fromkeys(form.keep for _, form in terms))
-        groups = [(rows, keeps.index(form.keep), d_inv[rows], form.inner) for rows, form in terms]
+        groups = [(rows, keeps.index(form.keep), d_inv[rows] * form.scale, form.inner)
+                  for rows, form in terms]
         active = np.concatenate([np.arange(rows.start, rows.stop) for rows, _ in terms])
         return _BlockRows(active, None, (LocalSchur(terms[0][1].dims, keeps), groups))
 
@@ -703,7 +694,7 @@ class _Normal:
         reg = 0.0
         for attempt in range(4):
             try:
-                chol = np.linalg.cholesky(self.m + reg * np.eye(r))
+                chol = np.linalg.cholesky(self.m + reg * np.eye(r) if reg else self.m)
                 break
             except np.linalg.LinAlgError:
                 # only a lone member is regularized: a stack that fails is

@@ -18,8 +18,8 @@ A channel family is the same problem on out (x) in with extra linear rows
 read (see `RmpInstance`), so the compatibility check, the robustness, the
 linear maximization and the witness duals below take either.  The instance
 alone fixes the free-compatible set, so each instance holds the one compiled
-model of that set (`model`); every maximization over the set reuses it, with
-the settings of its own call.
+program of that set (`compatible_set`), and its `model` maximizes over it,
+with the settings of each call.
 """
 
 from __future__ import annotations
@@ -105,22 +105,51 @@ class MarginalFamily:
         return {label: sigma.entries for label, (_, sigma) in zip(self.labels(), self.entries)}
 
 
+class InstanceBase:
+    """The members both instance kinds share, read from their maps by label,
+    `_maps`: the objective-key rule, the program of the free-compatible set
+    and the model over it."""
+
+    def extract(self, key) -> LinearMap:
+        """The map of a label of `_maps`, of a channel pair (its `label()`),
+        or of a subsystem set or its members ("A,B"; none: the trace)."""
+        key = key.label() if hasattr(key, "label") else getattr(key, "members", key)
+        label = key if isinstance(key, str) else ",".join(key)
+        if label not in self._maps:
+            raise LayoutError(f"no map for the objective key {label!r}; keys: {list(self._maps)}")
+        return self._maps[label]
+
+    @cached_property
+    def compatible_set(self) -> tuple[ConicProgram, BlockRef]:
+        """The compiled program of the free-compatible set, with its variable
+        V, built on first use; every objective shares the compiled data."""
+        prog, var = _program(self, pinned=True)
+        prog.set_objective([], "max")
+        prog.compile()
+        return prog, var
+
+    @property
+    def model(self) -> CompatibleSetModel:
+        return CompatibleSetModel(self)
+
+
 @dataclass(frozen=True)
-class RmpInstance:
+class RmpInstance(InstanceBase):
     """A marginal family and a free set on its target.
 
     The shared programs below read these members of an instance, state or
     channel.  The variable V is a PSD matrix on `layout`.  Each of `pairs`
     (label, map, target) asks map(V) = target on the compatible set and
-    map(V) >= target in the robustness program; a map of None is the
-    identity.  `extract(key)` gives the map of a label or subsystem set an
-    objective names.  `normalize(prog, V, pinned)` adds V's normalization:
-    pinned on the compatible set (unit trace, Choi state), scaled by tr(V)
-    for the robustness.  `constrain(prog, V)` adds the structural equalities
-    and the free cone.  `project(V)` returns the nearest valid matrix and the
-    object reported for it.  `finite` says the free set has a full-rank
-    member, the condition for a finite robustness; `diagnostics` explains an
-    infinite one.  `model` is the instance's `CompatibleSetModel`.
+    map(V) >= target in the robustness program; each map is a partial trace
+    (onto every factor: the identity).  `extract(key)` gives the map that an
+    objective's key names.  `normalize(prog, V, pinned)` adds V's
+    normalization: pinned on the compatible set (unit trace, Choi state),
+    scaled by tr(V) for the robustness.  `constrain(prog, V)` adds the
+    structural equalities and the free cone.  `project(V)` returns the
+    nearest valid matrix and the object reported for it.  `finite` says the
+    free set has a full-rank member, the condition for a finite robustness;
+    `diagnostics` explains an infinite one.  `compatible_set` is the
+    compiled program of the free-compatible set, and `model` maximizes over it.
     """
 
     marginals: MarginalFamily
@@ -139,27 +168,17 @@ class RmpInstance:
         return self.free.target
 
     @cached_property
-    def _maps(self) -> dict[str, LinearMap | None]:
-        """The extraction map of each marginal, of the free-set target and of
-        no factor (the trace), by label, built once: every program of the
-        instance shares them."""
+    def _maps(self) -> dict[str, LinearMap]:
+        """The partial trace onto each marginal, onto the free-set target and
+        onto no factor (the trace), by label, built once: every program of
+        the instance shares them."""
         members = [sub.members for sub, _ in self.marginals.entries] + [self.free.target.members]
-        return {",".join(keep): extraction_map(self.layout, keep) for keep in members + [()]}
+        return {",".join(keep): partial_trace_map(self.layout, keep) for keep in members + [()]}
 
     @cached_property
-    def pairs(self) -> tuple[tuple[str, LinearMap | None, np.ndarray], ...]:
+    def pairs(self) -> tuple[tuple[str, LinearMap, np.ndarray], ...]:
         return tuple((label, self._maps[label], sigma.entries)
                      for label, (_, sigma) in zip(self.marginals.labels(), self.marginals.entries))
-
-    def extract(self, key) -> LinearMap | None:
-        """A subsystem set, its members, or its label "A,B"; no members, or
-        the label "", extract the trace."""
-        if isinstance(key, SubsystemSet):
-            key = key.members
-        label = key if isinstance(key, str) else ",".join(key)
-        if label in self._maps:
-            return self._maps[label]
-        return extraction_map(self.layout, SubsystemSet(self.layout, label.split(",")).members)
 
     def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
         if pinned:  # the cone form, tr(V) = tr(V), says nothing
@@ -178,10 +197,6 @@ class RmpInstance:
     def finite(self) -> bool:
         return self.free.contains_full_rank_member()
 
-    @cached_property
-    def model(self) -> CompatibleSetModel:
-        return CompatibleSetModel(self)
-
     @property
     def diagnostics(self) -> str:
         text = ("the robustness program is infeasible, so the measure is unbounded: "
@@ -197,14 +212,8 @@ class RmpInstance:
 # ---------------------------------------------------------------------------
 
 
-def extraction_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap | None:
-    if tuple(keep) == layout.labels:
-        return None  # identity
-    return partial_trace_map(layout, keep)
-
-
 def _program(inst: Instance, pinned: bool,
-             pairs: Iterable[tuple[str, LinearMap | None, np.ndarray]] = ()
+             pairs: Iterable[tuple[str, LinearMap, np.ndarray]] = ()
              ) -> tuple[ConicProgram, BlockRef]:
     """V, its normalization, the pair rows, then the structure and the free
     cone; this order fixes the compiled rows and so the iterates.  The
@@ -251,8 +260,8 @@ def check_rfree_compatible(inst: Instance,
     res = solve(prog, settings)
     if res.status == Status.OPTIMAL:
         m, found = inst.project(res.primal_blocks["V"])
-        dev = max((float(np.max(np.abs((m if e is None else e.apply(m)) - target)))
-                   for _, e, target in inst.pairs), default=0.0)
+        dev = max((float(np.max(np.abs(e.apply(m) - target))) for _, e, target in inst.pairs),
+                  default=0.0)
         if dev > DEFAULT_TOLS.compat:
             raise SolverFailure(f"feasible point violates marginals by {dev:.2e} > tol")
         return CompatibilityResult(True, found, dev)
@@ -315,42 +324,34 @@ class CompatibleSetModel:
 
     The feasible set is every family of marginals of a global state (or
     channel) whose target reduction is free, which the instance alone fixes:
-    use `inst.model`, the one model of an instance.  The program is built and
-    compiled on first use and reused across objectives, which matters for
-    sampling experiments and for a request that maximizes over the set
-    several times; a model that is never used costs nothing.  The solver
+    the program is the instance's `compatible_set`, compiled on first use
+    and reused across objectives and models, which matters for sampling
+    experiments and for a request that maximizes over the set several
+    times; it goes with the instance, which holds no model.  The solver
     settings are those of each call.
     """
 
     def __init__(self, inst: Instance):
         self.instance = inst
 
-    @cached_property
-    def program(self) -> tuple[ConicProgram, BlockRef]:
-        """The compiled program with its variable V."""
-        prog, var = _program(self.instance, pinned=True)
-        prog.set_objective([], "max")
-        prog.compile()  # every objective shares the compiled data
-        return prog, var
-
     def maximize(self, objectives: Iterable[tuple[object, np.ndarray]],
                  settings: SolverSettings | None = None) -> SolveResult:
         """`objectives` holds (key, O) pairs, a key being what the instance's
-        `extract` takes: a label, or for a state instance a subsystem set."""
+        `extract` takes: a label, a channel pair or a subsystem set."""
         return self.maximize_many([objectives], settings)[0]
 
     def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]],
                       settings: SolverSettings | None = None) -> list[SolveResult]:
         """`maximize` of each entry, solved together in one batch."""
-        prog, var = self.program
+        prog, var = self.instance.compatible_set
         costs = []
         for objectives in objective_lists:
             cost = np.zeros(prog.num_cols)
             coeff = cost[prog.block_slice(var)]
             for key, obs in objectives:
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-                x, m = svec(hermitize(obs)), self.instance.extract(key)
-                coeff += x if m is None else m.nz.T @ x  # m's adjoint, in svec coordinates
+                # the adjoint of the key's map, in svec coordinates
+                coeff += self.instance.extract(key).nz.T @ svec(hermitize(obs))
             costs.append(cost)
         results = solve_many(prog, costs, settings)
         for k, res in enumerate(results):

@@ -28,6 +28,7 @@ from freemarg.herm import (
     LinearMap,
     SubsystemLayout,
     SubsystemSet,
+    identity_map,
     partial_trace_map,
     partial_transpose,
     svec,
@@ -179,7 +180,7 @@ def test_criterion_4_strong_duality_and_degenerate_cone():
     prog.add_scalar_equality("off_re", [(v, np.array([[0, 1], [1, 0]]) / s2)], 0.0)
     prog.add_scalar_equality("off_im", [(v, np.array([[0, -1j], [1j, 0]]) / s2)], 0.0)
     prog.add_scalar_equality("corner", [(v, np.diag([0.0, 1.0]))], 0.0)
-    prog.add_psd_inequality("dom", [(v, None)], const=-np.eye(2) / 2)
+    prog.add_psd_inequality("dom", [(v, identity_map(2))], const=-np.eye(2) / 2)
     prog.set_objective([(v, np.eye(2))], "min")
     primal_status = solve(prog).status
 

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,8 @@ from freemarg.channel_rmp import (
 )
 from freemarg.discrimination import advantage, task_from_witness, w_example_instance
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
-from freemarg.herm import HermitianOperator, SubsystemLayout, SubsystemSet, ValidationError
+from freemarg.herm import (HermitianOperator, LayoutError, SubsystemLayout, SubsystemSet,
+                           ValidationError)
 from freemarg.solver import SolverFailure, SolverSettings, Status
 from freemarg.state_rmp import check_rfree_compatible, extract_witness, robustness
 from freemarg.states import maximally_mixed, qubit_layout
@@ -378,6 +380,18 @@ class TestLinearMaxOverSet:
         val = channel_linear_max_over_set(obs, inst)
         # each pair Choi has unit trace
         assert val == pytest.approx(len(obs), abs=1e-6)
+
+    def test_a_pair_is_a_key_as_its_label_is(self, rng):
+        # one key rule for both instance kinds: a pair names its label
+        inst = broadcasting_instance()
+        pair = inst.family.entries[0][0]
+        obs = rand_herm(rng, 4)
+        by_pair = inst.model.maximize([(pair, obs)])
+        by_label = inst.model.maximize([(pair.label(), obs)])
+        assert by_pair.primal_value == by_label.primal_value
+        assert inst.extract(inst.target) is inst.extract(inst.target.label())
+        with pytest.raises(LayoutError, match=re.escape(str(["A'->A", "A'->B", "A'->A,B"]))):
+            inst.extract("A'->C")
 
 
 class TestFreeOutputStateWrappedSpec:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
-from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet
+from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet, partial_trace_map
 from freemarg.programs import attach_free_state_cone
 from freemarg.solver import ConicProgram
 from freemarg.states import ket, maximally_mixed, pure, qubit_layout, w_marginal
@@ -19,7 +19,8 @@ def attached(spec: FreeSetSpec) -> tuple[list[str], list[str]]:
     """The named equality rows and PSD groups that `attach_free_state_cone`
     adds for a variable on the target itself."""
     prog = ConicProgram()
-    attach_free_state_cone(prog, prog.add_variable("X", spec.target.dim), None, spec)
+    identity = partial_trace_map(spec.target.sublayout(), spec.target.members)
+    attach_free_state_cone(prog, prog.add_variable("X", spec.target.dim), identity, spec)
     return [g.name for g in prog.eq_groups], [g.name for g in prog.psd_groups]
 
 

@@ -15,6 +15,7 @@ from freemarg.herm import (
     _Rows,
     eig_hermitian,
     hermitian_basis,
+    identity_map,
     partial_trace,
     partial_trace_map,
     partial_transpose,
@@ -382,13 +383,33 @@ class TestLocalSchur:
     def test_composition_carries_the_local_form(self):
         maps = self.maps()
         ab = self.LAYOUT.sublayout(("A", "B"))
-        assert maps["AC"].local == (self.LAYOUT.dims, (0, 2), None)
+        assert maps["AC"].local == (self.LAYOUT.dims, (0, 2), None, 1.0)
         pin = replacement_defect_map(ab, ("B",))
         outer = replacement_defect_map(ab, ("A",)) @ pin @ maps["AB"]
         assert outer.local.keep == (0, 1)
         assert np.allclose(outer.local.inner @ maps["AB"].dense(), outer.dense(), atol=1e-14)
         # only the innermost map decides: a map before a partial trace has none
         assert (maps["AB"] @ replacement_defect_map(self.LAYOUT, ("C",))).local is None
+
+    def test_the_identity_leaves_the_outer_map_as_it_is(self):
+        # the partial trace onto every factor is the identity, with the local
+        # form "keep every factor"; after it an outer map keeps its nonzeros
+        # and its lack of a local form
+        lay = self.LAYOUT
+        identity = self.maps()["ABC"]
+        assert np.array_equal(identity.dense(), np.eye(lay.total_dim ** 2))
+        assert identity.local == (lay.dims, (0, 1, 2), None, 1.0)
+        for outer in (partial_transpose_map(lay, ("B",)), replacement_defect_map(lay, ("A",)),
+                      LinearMap(svec(np.diag(np.arange(12.0)))[None])):
+            composed = outer @ identity
+            assert composed.local is None
+            for mine, theirs in zip(composed.nz, outer.nz):
+                assert np.array_equal(mine, theirs)
+        minus = identity_map(5, -1.0)
+        assert np.array_equal(minus.dense(), -np.eye(25))
+        assert minus.local == ((5,), (0,), None, -1.0)
+        transpose = partial_transpose_map(SubsystemLayout([("A", 5)]), ("A",))
+        assert (transpose @ minus).local.scale == -1.0
 
 
 class TestNorms:

@@ -7,6 +7,7 @@ from freemarg.herm import (
     LinearMap,
     SubsystemLayout,
     hermitian_basis,
+    identity_map,
     partial_trace_map,
     partial_transpose_map,
     replacement_defect_map,
@@ -64,7 +65,7 @@ class TestBasics:
     def test_forced_optimum(self):
         prog = ConicProgram()
         x = prog.add_variable("X", 2)
-        prog.add_psd_inequality("dom", [(x, None)], const=-np.eye(2))
+        prog.add_psd_inequality("dom", [(x, identity_map(2))], const=-np.eye(2))
         prog.set_objective([(x, np.eye(2))], "min")
         res = solve(prog)
         assert res.status == Status.OPTIMAL
@@ -118,7 +119,7 @@ class TestDegenerateConePair:
         prog.add_scalar_equality("off_re", [(v, e_re)], 0.0)
         prog.add_scalar_equality("off_im", [(v, e_im)], 0.0)
         prog.add_scalar_equality("corner", [(v, e_11)], 0.0)
-        prog.add_psd_inequality("dom", [(v, None)], const=-np.eye(2) / 2)
+        prog.add_psd_inequality("dom", [(v, identity_map(2))], const=-np.eye(2) / 2)
         prog.set_objective([(v, np.eye(2))], "min")
         return prog
 
@@ -576,8 +577,10 @@ class TestSchurAssembly:
             assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_local_layout_matches_the_trace_formula(self, rng, monkeypatch):
-        # groups of mixed sizes, one of them a PSD inequality with a slack,
-        # on factors of dimensions 2, 3, 2, with uneven row norms
+        # groups of mixed sizes, two of them PSD inequalities with a slack,
+        # one of those on the identity, on factors of dimensions 2, 3, 2,
+        # with uneven row norms; every block is local, a slack by its term
+        # minus the identity
         monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
         lay = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
         ac = lay.sublayout(("A", "C"))
@@ -592,17 +595,21 @@ class TestSchurAssembly:
                                  rand_herm(rng, 6))
         prog.add_matrix_equality("ac", [(v, partial_trace_map(lay, ("A", "C")))],
                                  rand_herm(rng, 4))
+        prog.add_psd_inequality("all", [(v, partial_trace_map(lay, lay.labels))],
+                                const=-np.eye(12) / 24)
         data = prog.compile()
-        blk = data["block_rows"][0]
-        assert blk.local is not None and data["block_rows"][1].local is None
-        a_n = data["d_inv"][:, None] * prog.equality_rows()[0].dense()[:, prog.block_slice(v)]
-        z = rng.normal(size=(2, 12, 12)) + 1j * rng.normal(size=(2, 12, 12))
-        g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(12)
-        m_n = np.zeros((2, len(a_n), len(a_n)))
-        blk.add_schur(g, m_n)
-        ag = smat(a_n, 12) @ g[:, None]
-        ref = np.einsum("ckij,clji->clk", ag, ag).real
-        assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
+        a_n = data["d_inv"][:, None] * prog.equality_rows()[0].dense()
+        assert [blk.cdim for blk in prog.blocks] == [12, 4, 12]
+        for blk, rows in zip(prog.blocks, data["block_rows"]):
+            assert rows.local is not None
+            d = blk.cdim
+            z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+            g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(d)
+            m_n = np.zeros((2, len(a_n), len(a_n)))
+            rows.add_schur(g, m_n)
+            ag = smat(a_n[:, prog.block_slice(blk)], d) @ g[:, None]
+            ref = np.einsum("ckij,clji->clk", ag, ag).real
+            assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_batch_member_equals_solo_on_four_qubits(self, rng, schur_path):
         from freemarg.freesets import FreeSetSpec

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from freemarg.freesets import FreeSetSpec
-from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet
+from freemarg.herm import DensityMatrix, LayoutError, SubsystemLayout, SubsystemSet
 from freemarg.solver import SolverFailure, SolverSettings, Status
 from freemarg.state_rmp import (
     MarginalFamily,
@@ -227,6 +229,16 @@ class TestWitness:
 
 
 class TestLinearMax:
+    def test_objective_keys(self):
+        # a subsystem set, its members or its label name the same map; a key
+        # that is neither a marginal nor the target is refused by name
+        inst = w_instance()
+        ab = inst.marginals.entries[0][0]
+        assert inst.extract(ab) is inst.extract(("A", "B")) is inst.extract("A,B")
+        assert inst.extract(()) is inst.extract("")
+        with pytest.raises(LayoutError, match=r"'B'.*\['A,B', 'B,C', 'A,C', ''\]"):
+            inst.extract(("B",))
+
     def test_identity_objective_counts_blocks(self):
         inst = w_instance()
         val = linear_max_over_set([(("A", "B"), np.eye(4)), (("B", "C"), np.eye(4))], inst)
@@ -280,13 +292,38 @@ class TestInstanceModel:
 
         inst = w_instance()
         model = inst.model
-        assert inst.model is model and model.instance is inst
+        # the instance holds the one compiled program; each model wraps the
+        # instance
+        assert model.instance is inst and inst.model.instance is inst
+        assert inst.compatible_set is inst.compatible_set
         copy = dataclasses.replace(inst)
-        assert copy.model is not model
+        assert copy.compatible_set is not inst.compatible_set
         assert copy == inst and hash(copy) == hash(inst)
         assert inst == w_instance() and hash(inst) == hash(w_instance())
         channel = broadcasting_instance()
-        assert channel.model is channel.model and channel.model.instance is channel
+        assert channel.compatible_set is channel.compatible_set
+        assert channel.model.instance is channel
+
+    def test_an_instance_goes_with_its_last_reference(self, monkeypatch):
+        # the instance holds its program and the model its instance, with no
+        # cycle, so the instance of a histogram call is freed when it returns
+        from freemarg import discrimination
+
+        refs = []
+        real = discrimination.w_histogram_instance
+
+        def recorded():
+            inst = real()
+            refs.append(weakref.ref(inst))
+            return inst
+
+        monkeypatch.setattr(discrimination, "w_histogram_instance", recorded)
+        gc.disable()
+        try:
+            assert discrimination.w_advantages([0, 1], 3).shape == (2,)
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestFreeOperations:
