@@ -20,7 +20,8 @@ normalizes the equality rows to A_n, finds their rank and reduces
 rank-deficient rows to A = U_r' A_n.  A large block each of whose row
 groups has one term on it, with a local form, assembles its part of
 M_n = A_n W A_n' by local contraction; every other block takes the dense
-Schur product in the rows of A (see `_BlockRows`).
+Schur product in the rows of A (see `_BlockRows`).  A block is large when
+that dense product costs more real multiply-adds than `_LOCAL_SCHUR_MACS`.
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -29,8 +30,10 @@ blocks of that order, d, d), and `_Blocks` converts them to and from the
 svec vectors that A acts on by one gather or scatter.  The Newton step is a
 sequence of phases, as in the NT-scaling method of Todd-Toh-Tutuncu (SIAM
 J. Optim. 1998) and SDPT3: `_Scaling` (the NT factors and W per block
-order), `_Normal` (the Schur complement M = A W A' and its Cholesky
-factor), `_direction` (predictor and corrector) and `_step_length`.
+order), `_Normal` (the Schur complement M = A W A', assembled into
+buffers the solve keeps, its Cholesky factor and the blocked substitution
+that applies M^-1 without an inverse of the factor), `_direction`
+(predictor and corrector) and `_step_length`.
 `_status` is the one place a status is decided: the loop calls it at
 feas_tol, and a member that ends without an optimum has its best iterate
 tested at ten times that.  The solver is deterministic: no randomized
@@ -257,8 +260,8 @@ class ConicProgram:
         a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
         nonzeros = [a_n.columns(self.block_slice(blk)) for blk in self.blocks]
-        large = [_BlockRows.large(rows, blk.cdim)
-                 for (rows, _, _), blk in zip(nonzeros, self.blocks)]
+        large = [_BlockRows.large(_BlockRows.dense_rows(nz, None).size, blk.cdim)
+                 for nz, blk in zip(nonzeros, self.blocks)]
 
         # a program without a large block keeps the dense A, and so the
         # rounding of its products, to which feasible sets without an
@@ -281,12 +284,15 @@ class ConicProgram:
                 a_red = u_r.T @ a_n
                 b_red = u_r.T @ b_n
 
+        # a block is large by the rows its dense product would really use:
+        # those of the reduced A when the rows are rank-deficient
         block_rows = []
-        for nz, blk, big in zip(nonzeros, self.blocks, large):
-            local = self._local_terms(blk) if big else None
+        for nz, blk in zip(nonzeros, self.blocks):
             reduced = None if isinstance(a_red, _Rows) else a_red[:, self.block_slice(blk)]
+            rows = _BlockRows.dense_rows(nz, reduced)
+            local = self._local_terms(blk) if _BlockRows.large(rows.size, blk.cdim) else None
             block_rows.append(_BlockRows.of_local(local, d_inv) if local
-                              else _BlockRows.of(nz, blk.cdim, reduced))
+                              else _BlockRows.of(nz, blk.cdim, reduced, rows))
         self._compiled = {
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
@@ -422,10 +428,9 @@ def _full_rank(a: _Rows) -> bool:
 
 
 # A block is large, and assembles its part of the Schur complement by local
-# contraction if its rows allow it, when the dense product, n d^3 + n^2 d^2
-# multiply-adds per member for n rows on a block of order d, is larger than
-# this; below it the local path's many small array operations cost more than
-# they save
+# contraction if its rows allow it, when its dense product costs more real
+# multiply-adds per member than this (see `_BlockRows.large`); below it the
+# local path's many small array operations cost more than they save
 _LOCAL_SCHUR_MACS = 1 << 24
 
 
@@ -456,25 +461,35 @@ class _BlockRows(NamedTuple):
     local: tuple | None = None
 
     @staticmethod
-    def large(rows: np.ndarray, d: int) -> bool:
-        """Whether a block of order d, whose nonzeros lie in `rows`, is
-        large: it takes the local layout if its row groups allow it."""
-        n = np.count_nonzero(_first_of_runs(rows))
-        return n * d ** 3 + n * n * d * d > _LOCAL_SCHUR_MACS
+    def large(n: int, d: int) -> bool:
+        """Whether a block of order d with n rows on the dense layout is
+        large: it takes the local layout if its row groups allow it.  The
+        dense product costs 4 n d^3 + 2 n^2 d^2 real multiply-adds per
+        member: n complex products A_l G of order d, four real ones each,
+        then one real product of their n (re, im) rows of 2 d^2 entries."""
+        return 4 * n * d ** 3 + 2 * n * n * d * d > _LOCAL_SCHUR_MACS
 
     @staticmethod
-    def of(nonzeros: tuple, d: int, reduced: np.ndarray | None) -> "_BlockRows":
-        """The dense layout of a block of order d, from its dense rows of the
-        reduced A, `reduced`, or, where A = A_n (None), from the nonzeros
-        (rows, coords, vals) of A_n in its columns, row by row."""
+    def dense_rows(nonzeros: tuple, reduced: np.ndarray | None) -> np.ndarray:
+        """The rows the dense layout keeps, ascending: those of the reduced
+        A, `reduced`, with a nonzero in the block, or, where A = A_n (None),
+        those of its nonzeros (rows, coords, vals) in the block's columns."""
         if reduced is not None:
-            active = np.flatnonzero(np.any(reduced, axis=1))
-            return _BlockRows(active, smat(reduced[active], d))
-        rows, coords, vals = nonzeros
-        first = _first_of_runs(rows)
-        dense = np.zeros((np.count_nonzero(first), d * d))
-        dense[np.cumsum(first) - 1, coords] = vals
-        return _BlockRows(rows[first], smat(dense, d))
+            return np.flatnonzero(np.any(reduced, axis=1))
+        rows = nonzeros[0]
+        return rows[_first_of_runs(rows)]
+
+    @staticmethod
+    def of(nonzeros: tuple, d: int, reduced: np.ndarray | None,
+           rows: np.ndarray) -> "_BlockRows":
+        """The dense layout of a block of order d on its `dense_rows`, from
+        its dense rows of the reduced A or from the nonzeros of A_n."""
+        if reduced is not None:
+            return _BlockRows(rows, smat(reduced[rows], d))
+        nz_rows, coords, vals = nonzeros
+        dense = np.zeros((rows.size, d * d))
+        dense[np.cumsum(_first_of_runs(nz_rows)) - 1, coords] = vals
+        return _BlockRows(rows, smat(dense, d))
 
     @staticmethod
     def of_local(terms: list[tuple[slice, LocalForm]], d_inv: np.ndarray) -> "_BlockRows":
@@ -553,25 +568,9 @@ def _concat(*parts: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-# lower-triangular stacks up to this order are inverted by one LAPACK call
-_INV_LEAF = 128
-
-
-def _tril_inv(low: np.ndarray) -> np.ndarray:
-    """The inverses of a stack of nonsingular lower-triangular matrices
-    (..., n, n): [[L11, 0], [L21, L22]]^-1 is [[X11, 0], [-X22 L21 X11, X22]]
-    with X11 = L11^-1 and X22 = L22^-1, recursively, so that all but the
-    small diagonal blocks are matrix products, about n^3/3 multiply-adds."""
-    n = low.shape[-1]
-    if n <= _INV_LEAF:
-        return np.linalg.inv(low)
-    h = n // 2
-    x11, x22 = _tril_inv(low[..., :h, :h]), _tril_inv(low[..., h:, h:])
-    out = np.zeros_like(low)
-    out[..., :h, :h] = x11
-    out[..., h:, h:] = x22
-    out[..., h:, :h] = -(x22 @ (low[..., h:, :h] @ x11))
-    return out
+# M^-1 is applied by blocked substitution over the Cholesky factor, with
+# diagonal blocks of this order, the only parts of the factor inverted
+_INV_LEAF = 64
 
 
 def _step_to_boundary(r: np.ndarray, dm: np.ndarray) -> np.ndarray:
@@ -598,6 +597,25 @@ class _Model:
         self.blocks = _Blocks(data["dims"])
         self.nu = sum(data["dims"]) + 1.0
         self.norm_b = 1.0 + np.linalg.norm(self.b)
+        self._buffers: list[np.ndarray] = []
+
+    def schur_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M and M_n, zeroed, and room for M's symmetrized copy, for `count`
+        members: views of one buffer the model keeps for its Newton steps,
+        so that no step allocates them anew, and each step overwrites the
+        last one's M.  M_n is M itself unless the local blocks need the
+        reduction."""
+        if not self._buffers or self._buffers[0].shape[0] < count:
+            r, n_rows = self.a.shape[0], self.u_r.shape[0]
+            shapes = [(count, r, r)] * 2 + [(count, n_rows, n_rows)] * self.reduce_local
+            ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+            flat = np.empty(ends[-1])
+            self._buffers = [flat[lo:hi].reshape(shape)
+                             for lo, hi, shape in zip(ends, ends[1:], shapes)]
+        m, sym, *m_n = [buf[:count] for buf in self._buffers]
+        for buf in [m] + m_n:
+            buf.fill(0.0)
+        return m, m_n[0] if m_n else m, sym
 
 
 # an iterate's residuals and status tests, per member: x, y and s as vectors,
@@ -677,39 +695,73 @@ class _Scaling:
 
 
 class _Normal:
-    """M = A W A' per member and its Cholesky factor: the sum over blocks of
-    tr(A_k G A_l G), in the rows of A for blocks on the dense layout and for
-    those on the local layout in the normalized rows, whose M_n gives
-    U_r' M_n U_r."""
+    """M = A W A' per member, factored: its Cholesky factor L and the
+    inverses of L's diagonal blocks of order `_INV_LEAF`.  M^-1 is applied
+    by blocked forward and back substitution, in which the rest of L enters
+    by products; no inverse of L is formed."""
 
-    def __init__(self, model: _Model, g_list: list, count: int):
-        r, n_rows = model.a.shape[0], model.u_r.shape[0]
-        m_mat = np.zeros((count, r, r))
-        m_n = np.zeros((count, n_rows, n_rows)) if model.reduce_local else m_mat
+    @classmethod
+    def assemble(cls, model: _Model, g_list: list, count: int) -> "_Normal":
+        """M for the members' scalings: the sum over blocks of
+        tr(A_k G A_l G), in the rows of A for blocks on the dense layout and
+        for those on the local layout in the normalized rows, whose M_n
+        gives U_r' M_n U_r.  M and its symmetrized copy live in the model's
+        buffers, so that the factor is the one r x r array a step allocates."""
+        m_mat, m_n, sym = model.schur_buffers(count)
         for (order, at), blk in zip(model.blocks.place, model.block_rows):
             blk.add_schur(g_list[order][:, at], m_n if blk.local is not None else m_mat)
         if model.reduce_local:
             m_mat += model.u_rt @ m_n @ model.u_r
-        self.m = hermitize(m_mat)
+        # the Hermitian part of M, as `herm.hermitize` forms it
+        np.add(m_mat, np.swapaxes(m_mat, -1, -2), out=sym)
+        np.divide(sym, 2, out=sym)
+        return cls(sym)
+
+    def __init__(self, m: np.ndarray):
+        """Factor the symmetric positive definite stack m (count, r, r)."""
+        count, r = m.shape[:2]
+        self.m = m
         reg = 0.0
         for attempt in range(4):
             try:
-                chol = np.linalg.cholesky(self.m + reg * np.eye(r) if reg else self.m)
+                self.low = np.linalg.cholesky(m + reg * np.eye(r) if reg else m)
                 break
             except np.linalg.LinAlgError:
                 # only a lone member is regularized: a stack that fails is
                 # advanced member by member instead
                 if count > 1 or attempt == 3:
                     raise np.linalg.LinAlgError("KKT factorization failed") from None
-                reg = max(reg * 100, 1e-12 * (1 + np.trace(self.m[0]) / max(r, 1)))
-        self.li = _tril_inv(chol)
+                reg = max(reg * 100, 1e-12 * (1 + np.trace(m[0]) / max(r, 1)))
+        self.cuts = list(range(0, r, _INV_LEAF)) + [r]
+        self.inv = [np.linalg.inv(self.low[..., lo:hi, lo:hi])
+                    for lo, hi in zip(self.cuts, self.cuts[1:])]
+
+    def substitute(self, rhs: np.ndarray) -> np.ndarray:
+        """L'^-1 L^-1 rhs: block by block, forward through L, then back
+        through L'.  With one block this is li' (li rhs), li = L^-1, taken
+        in two products, as the many small programs' steps need no more."""
+        if len(self.inv) == 1:
+            return np.swapaxes(self.inv[0], -1, -2) @ (self.inv[0] @ rhs)
+        low, spans = self.low, list(zip(self.inv, self.cuts, self.cuts[1:]))
+        y = np.empty_like(rhs)
+        for inv, lo, hi in spans:
+            part = rhs[:, lo:hi]
+            if lo:
+                part = part - low[:, lo:hi, :lo] @ y[:, :lo]
+            y[:, lo:hi] = inv @ part
+        x = np.empty_like(rhs)
+        for inv, lo, hi in reversed(spans):
+            part = y[:, lo:hi]
+            if hi < rhs.shape[1]:
+                part = part - np.swapaxes(low[:, hi:, lo:hi], -1, -2) @ x[:, hi:]
+            x[:, lo:hi] = np.swapaxes(inv, -1, -2) @ part
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs for (count, r, k) right-hand sides; one step of iterative
         refinement buys an extra digit."""
-        lit = np.swapaxes(self.li, -1, -2)
-        u = lit @ (self.li @ rhs)
-        return u + lit @ (self.li @ (rhs - self.m @ u))
+        u = self.substitute(rhs)
+        return u + self.substitute(rhs - self.m @ u)
 
 
 # the constants of one Newton step, per member: q = A W c, u2 = M^-1 (q + b),
@@ -761,7 +813,7 @@ def _newton(model: _Model, cur: _Iterate, c: np.ndarray, st: _Check):
     iterate, the step lengths and the centering parameters."""
     tau, kappa, b, blocks = cur.tau, cur.kappa, model.b, model.blocks
     sc = _Scaling(cur.xm, cur.sm)
-    normal = _Normal(model, sc.g, tau.size)
+    normal = _Normal.assemble(model, sc.g, tau.size)
     cm = blocks.unpack(c)
     q = _mv(model.a, blocks.pack(sc.w(cm)))
     sol = normal.solve(np.stack([q + b, q, np.broadcast_to(b, q.shape)], axis=-1))

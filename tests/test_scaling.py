@@ -83,6 +83,87 @@ def test_six_qubit_robustness_then_witness(densified, monkeypatch):
     assert abs(forced.value_log2 - res.value_log2) <= 1e-10
 
 
+def test_kkt_step_allocates_no_square_array_but_the_factor():
+    """After a warm-up step, building M, its factor and a step's three
+    solves allocate no r x r array but the Cholesky factor: M and its
+    symmetrized copy live in buffers the model keeps, and the blocked
+    substitution forms no inverse of the factor."""
+    prog = robustness_program(cyclic_instance(6))
+    model = solver._Model(prog.compile())
+    r = model.a.shape[0]
+    cur = solver._Iterate(*[[np.eye(shape[-1], dtype=complex)[None].repeat(shape[0], 0)[None]
+                             for shape in model.blocks.shapes] for _ in range(2)],
+                          np.zeros((1, r)), np.ones(1), np.ones(1))
+    c = prog.sense * prog.objective[None]
+    settings = solver.SolverSettings()
+    with np.errstate(divide="ignore", invalid="ignore"):   # as in `solve_many`
+        cur = solver._newton(model, cur, c, solver._status(model, c, cur, settings, 1e-8))[0]
+    g = solver._Scaling(cur.xm, cur.sm).g
+    rhs = [np.random.default_rng(0).normal(size=(1, r, k)) for k in (3, 1, 1)]
+    tracemalloc.start()
+    try:
+        normal = solver._Normal.assemble(model, g, 1)
+        for part in rhs:
+            normal.solve(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * r * r * 8
+
+
+@pytest.fixture
+def layouts(monkeypatch):
+    """The layout of every block, by name, of every program as it compiles."""
+    seen = []
+    real = solver.ConicProgram.compile
+
+    def compile(self):
+        data = real(self)
+        seen.append({blk.name: "local" if rows.local is not None else "dense"
+                     for blk, rows in zip(self.blocks, data["block_rows"])})
+        return data
+
+    monkeypatch.setattr(solver.ConicProgram, "compile", compile)
+    return seen
+
+
+def test_witness_model_of_six_qubits_is_local(layouts):
+    # V of order 64 in 17 rows: its dense product costs more than the local one
+    cyclic_instance(6).compatible_set
+    assert layouts == [{"V": "local", "free.ppt[C].slack": "dense"}]
+
+
+def w_programs():
+    from freemarg.discrimination import w_example_instance
+
+    inst = w_example_instance()
+    state_rmp.check_rfree_compatible(inst)
+    state_rmp.extract_witness(inst, state_rmp.robustness(inst))
+
+
+def product_channel_programs():
+    # V of order 16 has 176 rows before the rank reduction and 112 or 119
+    # after, and its dense product uses the reduced ones
+    from test_channel_rmp import product_instance
+
+    inst, _ = product_instance(np.random.default_rng(1))
+    state_rmp.check_rfree_compatible(inst)
+    state_rmp.robustness(inst)
+    inst.compatible_set
+
+
+def histogram_model():
+    from freemarg.discrimination import w_advantages
+
+    w_advantages([0, 1], seed=3)
+
+
+@pytest.mark.parametrize("run", [w_programs, product_channel_programs, histogram_model])
+def test_small_programs_keep_the_dense_layout(layouts, run):
+    run()
+    assert layouts and all(set(blocks.values()) == {"dense"} for blocks in layouts)
+
+
 def ppt_abcd(layout):
     return FreeSetSpec.separable_ppt(SubsystemSet(layout, tuple("ABCD")), [("A", "B")])
 
@@ -110,7 +191,7 @@ def test_six_qubit_robustness_by_target(target):
     data = prog.compile()
     large = {blk.name: "local" if rows.local is not None else "dense"
              for blk, rows in zip(prog.blocks, data["block_rows"])
-             if solver._BlockRows.large(rows.rows, blk.cdim)}
+             if solver._BlockRows.large(rows.rows.size, blk.cdim)}
     assert large == layouts
     res = state_rmp.robustness(inst)
     assert res.status.value == "Optimal"

@@ -565,8 +565,8 @@ class TestSchurAssembly:
     def test_matches_the_trace_formula(self, rng, reduced):
         for d, a_blk in every_map_kind(rng).items():
             rows, coords = np.nonzero(a_blk)
-            blk = _BlockRows.of((rows, coords, a_blk[rows, coords]), d,
-                                a_blk if reduced else None)
+            nonzeros, dense = (rows, coords, a_blk[rows, coords]), a_blk if reduced else None
+            blk = _BlockRows.of(nonzeros, d, dense, _BlockRows.dense_rows(nonzeros, dense))
             assert blk.mats is not None and blk.local is None
             z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
             g = z @ np.swapaxes(z.conj(), -1, -2) + 0.1 * np.eye(d)
@@ -634,7 +634,7 @@ class TestSchurAssembly:
 
     def test_batch_member_equals_solo_with_a_small_inverse_leaf(self, rng, schur_path,
                                                                 monkeypatch):
-        # the KKT inverse is then built from many products, not one LAPACK call
+        # the KKT solves then substitute over many diagonal blocks, not one
         monkeypatch.setattr(solver, "_INV_LEAF", 5)
         self.test_batch_member_equals_solo_on_four_qubits(rng, schur_path)
 
@@ -744,18 +744,37 @@ class TestRankReduction:
         assert isinstance(data["A"], solver._Rows) == (rank == len(a_n))
 
 
-class TestTriangularInverse:
+class TestBlockedSolve:
+    """M^-1 by blocked forward and back substitution over the Cholesky factor
+    of M, with diagonal blocks of order b = `_INV_LEAF`."""
+
+    @staticmethod
+    def spd_stack(rng, order):
+        z = rng.normal(size=(3, order, order)) / np.sqrt(order)
+        return z @ np.swapaxes(z, -1, -2) + np.eye(order)
+
     @pytest.mark.parametrize("order", [1, solver._INV_LEAF, solver._INV_LEAF + 1,
                                        2 * solver._INV_LEAF + 3, 400])
-    def test_matches_the_lapack_inverse(self, rng, order):
-        z = rng.normal(size=(3, order, order)) / np.sqrt(order)
-        low = np.linalg.cholesky(z @ np.swapaxes(z, -1, -2) + np.eye(order))
-        out, ref = solver._tril_inv(low), np.linalg.inv(low)
-        if order <= solver._INV_LEAF:
-            assert np.array_equal(out, ref)
-        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_matches_the_lapack_solve(self, rng, order, columns):
+        m = self.spd_stack(rng, order)
+        rhs = rng.normal(size=(3, order, columns))
+        ref = np.linalg.solve(m, rhs)
+        normal = solver._Normal(m)
+        out = normal.solve(rhs)
+        for got in (normal.substitute(rhs), out):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         for k in range(3):
-            assert np.array_equal(out[k], solver._tril_inv(low[k:k + 1])[0])
+            assert np.array_equal(out[k], solver._Normal(m[k:k + 1]).solve(rhs[k:k + 1])[0])
+
+    @pytest.mark.parametrize("order", [1, 17, solver._INV_LEAF])
+    def test_one_block_applies_the_inverse_factor_twice(self, rng, order):
+        # as the explicit inverse li of the factor did: li' (li rhs)
+        m = self.spd_stack(rng, order)
+        rhs = rng.normal(size=(3, order, 3))
+        li = np.linalg.inv(np.linalg.cholesky(m))
+        ref = np.swapaxes(li, -1, -2) @ (li @ rhs)
+        assert np.array_equal(solver._Normal(m).substitute(rhs), ref)
 
 
 class TestNonzeroRows:
