@@ -607,6 +607,9 @@ class _Model:
         reduction."""
         if not self._buffers or self._buffers[0].shape[0] < count:
             r, n_rows = self.a.shape[0], self.u_r.shape[0]
+            # one allocation: once freed, a chunk this large lifts glibc's
+            # trim threshold above what a step allocates, so that the
+            # factor of later steps is not unmapped and faulted in again
             shapes = [(count, r, r)] * 2 + [(count, n_rows, n_rows)] * self.reduce_local
             ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
             flat = np.empty(ends[-1])
