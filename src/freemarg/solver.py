@@ -741,10 +741,7 @@ class _Normal:
 
     def substitute(self, rhs: np.ndarray) -> np.ndarray:
         """L'^-1 L^-1 rhs: block by block, forward through L, then back
-        through L'.  With one block this is li' (li rhs), li = L^-1, taken
-        in two products, as the many small programs' steps need no more."""
-        if len(self.inv) == 1:
-            return np.swapaxes(self.inv[0], -1, -2) @ (self.inv[0] @ rhs)
+        through L'.  With one block this is li' (li rhs), li = L^-1."""
         low, spans = self.low, list(zip(self.inv, self.cuts, self.cuts[1:]))
         y = np.empty_like(rhs)
         for inv, lo, hi in spans:
