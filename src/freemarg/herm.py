@@ -283,7 +283,7 @@ class _Rows(NamedTuple):
         """The product with each vector of the stack v (..., n): a gather and
         a sum per row in the order of the entries, member by member."""
         m, n = self.shape
-        flat = v.reshape(-1, n)
+        flat = v.reshape(math.prod(v.shape[:-1]), n)
         count = flat.shape[0]
         bins = (np.arange(count)[:, None] * m + self.rows).reshape(-1)
         out = np.bincount(bins, weights=(flat[:, self.cols] * self.vals).reshape(-1),

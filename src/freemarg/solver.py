@@ -15,13 +15,13 @@ matrix in `svec` coordinates, and `ConicProgram.equality_rows` places them
 in the block's columns; maps and rows are one sparse type, `herm._Rows`.
 The solver knows nothing of tensor factors: a map that is a partial trace
 followed by another map carries its `herm.LocalForm`, and `herm.LocalSchur`
-contracts the scalings of a block whose rows all have one.  `compile`
-normalizes the equality rows to A_n, finds their rank and reduces
-rank-deficient rows to A = U_r' A_n.  A large block each of whose row
-groups has one term on it, with a local form, assembles its part of
-M_n = A_n W A_n' by local contraction; every other block takes the dense
-Schur product in the rows of A (see `_BlockRows`).  A block is large when
-that dense product costs more real multiply-adds than `_LOCAL_SCHUR_MACS`.
+contracts the scalings of a block by these forms.  `compile` normalizes the
+equality rows to A_n, finds their rank and reduces rank-deficient rows to
+A = U_r' A_n.  A size test alone picks a block's Schur layout (see
+`_BlockRows`): a block whose dense Schur product, in the rows of A, costs
+more real multiply-adds than `_LOCAL_SCHUR_MACS` is large and assembles its
+part of M_n = A_n W A_n' by local contraction; a small one takes the dense
+product.
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -266,9 +266,8 @@ class ConicProgram:
         # a program without a large block keeps the dense A, and so the
         # rounding of its products, to which feasible sets without an
         # interior point are sensitive
-        if any(large) and m > 0 and _full_rank(a_n):  # the rows themselves are a basis
-            u_r, a_red, b_red = np.eye(m), a_n, b_n
-        else:
+        full = any(large) and m > 0 and _full_rank(a_n)
+        if not full:
             # A_n = R' Q' with Q orthonormal, so A_n and R' share their
             # singular values and left singular vectors, and R has m
             # columns and at most m rows
@@ -277,12 +276,13 @@ class ConicProgram:
             u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
             rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
             r = int(np.sum(sv > max(rank_tol, 1e-13)))
-            if r == m:  # full row rank: the rows themselves are a basis
-                u_r, a_red, b_red = np.eye(m), a_n, b_n
-            else:
-                u_r = u[:, :r]
-                a_red = u_r.T @ a_n
-                b_red = u_r.T @ b_n
+            full = r == m
+        if full:  # the rows themselves are a basis, and U_r the identity
+            diag = np.arange(m)
+            u_r, a_red, b_red = _Rows(diag, diag, np.ones(m), (m, m)), a_n, b_n
+        else:
+            u_r = u[:, :r]
+            a_red, b_red = u_r.T @ a_n, u_r.T @ b_n
 
         # a block is large by the rows its dense product would really use:
         # those of the reduced A when the rows are rank-deficient
@@ -290,8 +290,8 @@ class ConicProgram:
         for nz, blk in zip(nonzeros, self.blocks):
             reduced = None if isinstance(a_red, _Rows) else a_red[:, self.block_slice(blk)]
             rows = _BlockRows.dense_rows(nz, reduced)
-            local = self._local_terms(blk) if _BlockRows.large(rows.size, blk.cdim) else None
-            block_rows.append(_BlockRows.of_local(local, d_inv) if local
+            block_rows.append(_BlockRows.of_local(self._local_terms(blk), d_inv)
+                              if _BlockRows.large(rows.size, blk.cdim)
                               else _BlockRows.of(nz, blk.cdim, reduced, rows))
         self._compiled = {
             "A": a_red, "b": b_red,
@@ -303,19 +303,20 @@ class ConicProgram:
         }
         return self._compiled
 
-    def _local_terms(self, blk: BlockRef) -> list[tuple[slice, LocalForm]] | None:
-        """The rows and the term's `LocalForm` of each group with a term on
-        the block, if every such group has one term on it and every term a
-        local form over the same factors; else None."""
-        out = []
-        for g in self.eq_groups:
-            maps = [lmap for ref, lmap in g.terms if ref == blk]
-            if not maps:
-                continue
-            if len(maps) > 1 or maps[0].local is None:
-                return None
-            out.append((g.rows, maps[0].local))
-        return out if out and len({form.dims for _, form in out}) == 1 else None
+    def _local_terms(self, blk: BlockRef) -> list[tuple[slice, LocalForm]]:
+        """The rows and a `LocalForm` of each group with a term on the block,
+        all over the same factors: those of the first group whose one term
+        on the block has a form.  A group's form is that of its term, if it
+        has one term on the block with a form over these factors; else it
+        keeps every factor, with the matrix of its summed terms as inner."""
+        groups = [(g.rows, [lmap for ref, lmap in g.terms if ref == blk]) for g in self.eq_groups]
+        groups = [(rows, maps) for rows, maps in groups if maps]
+        own = [maps[0].local if len(maps) == 1 else None for _, maps in groups]
+        dims = next((form.dims for form in own if form is not None), (blk.cdim,))
+        keep_all = tuple(range(len(dims)))
+        return [(rows, form if form is not None and form.dims == dims
+                 else LocalForm(dims, keep_all, sum(lmap.dense() for lmap in maps)))
+                for (rows, maps), form in zip(groups, own)]
 
     # -- value helpers -----------------------------------------------------
 
@@ -428,30 +429,32 @@ def _full_rank(a: _Rows) -> bool:
 
 
 # A block is large, and assembles its part of the Schur complement by local
-# contraction if its rows allow it, when its dense product costs more real
-# multiply-adds per member than this (see `_BlockRows.large`); below it the
-# local path's many small array operations cost more than they save
+# contraction, when its dense product costs more real multiply-adds per
+# member than this (see `_BlockRows.large`); below it the local path's many
+# small array operations cost more than they save
 _LOCAL_SCHUR_MACS = 1 << 24
 
 
 class _BlockRows(NamedTuple):
     """One block's rows, laid out for its part of the Schur complement,
-    tr(A_k G A_l G) for the rows k and l, on one of two layouts.
+    tr(A_k G A_l G) for the rows k and l, on one of two layouts: a small
+    block takes the dense one, a large block the local one.
 
     The dense layout keeps `mats`, the matrices A_l of the block's rows of
-    the reduced A, and adds its part to M by the dense product.  Every block
-    takes it but a large one that can take the local layout.
+    the reduced A, and adds its part to M by the dense product.
 
-    The local layout serves a large block each of whose row groups has one
-    term on it, with a `LocalForm` (L_X, X): the group's rows are
+    On the local layout each row group has a `LocalForm` (L_X, X) on the
+    block (see `ConicProgram._local_terms`): the group's rows are
     D_X L_X K_tr(X), D_X its part of the normalization d_inv times the
-    form's scale (-1 for a slack's term).  It adds its part to M_n, in the
-    rows of A_n.  The block of groups X and Y is D_X L_X S_XY L_Y' D_Y, with
-    S_XY the Schur block of the two partial traces, which `herm.LocalSchur`
+    form's scale (-1 for a slack's term).  The groups that keep the same
+    factors X are stacked into one: their rows, their D_X and their L_X, an
+    identity standing for none.  The layout adds its part to M_n, in the
+    rows of A_n: D_X L_X S_XY L_Y' D_Y for the kept sets X and Y, with S_XY
+    the Schur block of the two partial traces, which `herm.LocalSchur`
     contracts from G without forming any G A_l G.  `local` holds the
-    `LocalSchur` of the distinct kept factor sets and, per group, (its rows,
-    the index of its X, D_X, L_X or None for the identity), each L_X the
-    group's own map matrix, shared.
+    `LocalSchur` of the kept sets and, per set, (its rows, D_X, L_X or None
+    for the identity); a set of one group keeps that group's slice of rows
+    and its own map matrix, shared.
 
     `rows` are the rows kept, ascending: those with a nonzero in the block,
     or on the local layout the rows of its groups."""
@@ -463,9 +466,8 @@ class _BlockRows(NamedTuple):
     @staticmethod
     def large(n: int, d: int) -> bool:
         """Whether a block of order d with n rows on the dense layout is
-        large: it takes the local layout if its row groups allow it.  The
-        dense product costs 4 n d^3 + 2 n^2 d^2 real multiply-adds per
-        member: n complex products A_l G of order d, four real ones each,
+        large.  The dense product costs 4 n d^3 + 2 n^2 d^2 real multiply-adds
+        per member: n complex products A_l G of order d, four real ones each,
         then one real product of their n (re, im) rows of 2 d^2 entries."""
         return 4 * n * d ** 3 + 2 * n * n * d * d > _LOCAL_SCHUR_MACS
 
@@ -494,12 +496,22 @@ class _BlockRows(NamedTuple):
     @staticmethod
     def of_local(terms: list[tuple[slice, LocalForm]], d_inv: np.ndarray) -> "_BlockRows":
         """The local layout of a block, from the rows of each of its groups
-        and the local form of the group's term (see `_local_terms`)."""
+        and the group's local form (see `_local_terms`)."""
+        dims = terms[0][1].dims if terms else ()   # () for a block in no row
         keeps = list(dict.fromkeys(form.keep for _, form in terms))
-        groups = [(rows, keeps.index(form.keep), d_inv[rows] * form.scale, form.inner)
-                  for rows, form in terms]
-        active = np.concatenate([np.arange(rows.start, rows.stop) for rows, _ in terms])
-        return _BlockRows(active, None, (LocalSchur(terms[0][1].dims, keeps), groups))
+        index, groups = np.arange(d_inv.size), []
+        for keep in keeps:
+            mine = [(rows, form) for rows, form in terms if form.keep == keep]
+            scale = np.concatenate([d_inv[rows] * form.scale for rows, form in mine])
+            if len(mine) == 1:
+                groups.append((mine[0][0], scale, mine[0][1].inner))
+                continue
+            size = math.prod(dims[a] for a in keep) ** 2
+            groups.append((np.concatenate([index[rows] for rows, _ in mine]), scale,
+                           np.vstack([np.eye(size) if form.inner is None else form.inner
+                                      for _, form in mine])))
+        active = np.concatenate([index[:0]] + [index[rows] for rows, _ in terms])
+        return _BlockRows(active, None, (LocalSchur(dims, keeps), groups))
 
     def add_schur(self, g: np.ndarray, m: np.ndarray):
         """Add tr(A_k G A_l G) over this block to m[:, l, k], for the
@@ -523,22 +535,30 @@ class _BlockRows(NamedTuple):
             m[:, self.rows[:, None], self.rows] += part
 
     def _add_local(self, g: np.ndarray, m_n: np.ndarray):
-        """The local layout's add_schur: one S block per pair of kept factor
-        sets, each group pair's block added to m_n and its transpose to the
-        mirror place."""
+        """The local layout's add_schur: per pair of kept factor sets, its
+        block added to m_n and its transpose to the mirror place; each S
+        block is scaled in place, and freed once added."""
         local_schur, groups = self.local
         schur = local_schur(g)
-        for i, (rows_x, x, d_x, l_x) in enumerate(groups):
-            for j, (rows_y, y, d_y, l_y) in enumerate(groups[i:], i):
-                part = schur[x, y] if x <= y else np.swapaxes(schur[y, x], -1, -2)
-                if l_x is not None:
-                    part = l_x @ part
-                if l_y is not None:
-                    part = part @ l_y.T
-                part = d_x[:, None] * part * d_y
-                m_n[:, rows_x, rows_y] += part
-                if j != i:
-                    m_n[:, rows_y, rows_x] += np.swapaxes(part, -1, -2)
+        while schur:
+            (x, y), part = schur.popitem()
+            (rows_x, d_x, l_x), (rows_y, d_y, l_y) = groups[x], groups[y]
+            if l_x is not None:
+                part = l_x @ part
+            if l_y is not None:
+                part = part @ l_y.T
+            part *= d_x[:, None]
+            part *= d_y
+            m_n[_at(rows_x, rows_y)] += part
+            if x != y:
+                m_n[_at(rows_y, rows_x)] += np.swapaxes(part, -1, -2)
+
+
+def _at(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
+    """The index of the block at `rows` and `cols` of a stack of matrices."""
+    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
+        rows = rows[:, None]
+    return np.s_[:, rows, cols]
 
 
 # iterates of the homogeneous model, one row per member: the primal and dual
@@ -588,12 +608,12 @@ class _Model:
         self.data = data
         self.a, self.b, self.u_r = data["A"], data["b"], data["u_r"]
         self.at = self.a.T if isinstance(self.a, _Rows) else np.ascontiguousarray(self.a.T)
-        self.u_rt = np.ascontiguousarray(self.u_r.T)
         self.block_rows = data["block_rows"]
         # blocks on the local layout use the normalized rows, which need the
         # reduction when the rows are rank-deficient
         self.reduce_local = (self.a.shape[0] < self.u_r.shape[0]
                              and any(blk.local is not None for blk in self.block_rows))
+        self.u_rt = np.ascontiguousarray(self.u_r.T) if self.reduce_local else None
         self.blocks = _Blocks(data["dims"])
         self.nu = sum(data["dims"]) + 1.0
         self.norm_b = 1.0 + np.linalg.norm(self.b)

@@ -1,10 +1,11 @@
-"""Solves of six- and seven-qubit programs, and the build of an eight-qubit
-one.  Their V blocks are large and every row group on them is a partial
-trace followed by a map, so they take the solver's local path without any
-forcing; their rows and maps stay nonzeros.  A large block without a local
-form, such as V under the bare partial transpose of a PPT target on the
-whole layout, takes the dense path; a slack's term, minus the identity, has
-one."""
+"""Solves of four- to seven-qubit programs, and the build of an eight-qubit
+one.  Their V blocks are large, so they take the solver's local path
+without any forcing, and their rows and maps stay nonzeros.  A row group
+on V that is not one partial trace followed by a map, such as the bare
+partial transpose of a PPT target on the whole layout, takes the local
+form that keeps every factor; a slack's term, minus the identity, is the
+partial trace onto its one factor.  Forced onto the dense path, each
+program finds the same optimum."""
 
 import dataclasses
 import math
@@ -17,7 +18,7 @@ import pytest
 from freemarg import solver, state_rmp
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import DensityMatrix, SubsystemSet, partial_trace, permute_factors, tensor
-from freemarg.states import max_entangled, qubit_layout, random_density
+from freemarg.states import marginal_of, max_entangled, qubit_layout, random_density
 
 # cyclic 3-body marginals of n qubits
 MARGINALS = {6: ("ABC", "BCD", "CDE", "DEF", "AEF", "ABF"),
@@ -25,17 +26,19 @@ MARGINALS = {6: ("ABC", "BCD", "CDE", "DEF", "AEF", "ABF"),
              8: ("ABC", "BCD", "CDE", "DEF", "EFG", "FGH", "AGH", "ABH")}
 
 
-def cyclic_instance(n: int, seed: int = 0) -> state_rmp.RmpInstance:
-    """The marginals MARGINALS[n] of 0.7 (Phi+_AC (x) rho_rest) + 0.3 I/2^n,
-    with rho_rest a seeded rank-2 state, and a PPT target AC.  The optimum
-    depends only on the Phi+ part: 1.55 at six qubits."""
+def cyclic_instance(n: int, seed: int = 0, noise: float = 0.3) -> state_rmp.RmpInstance:
+    """The marginals MARGINALS[n] of (1 - p) (Phi+_AC (x) rho_rest) + p I/2^n,
+    p = `noise`, with rho_rest a seeded rank-2 state, and a PPT target AC.
+    The optimum depends only on the Phi+ part: 1.55 at six qubits and the
+    default noise.  At noise 0.7 the AC marginal is PPT, and the family
+    compatible."""
     labels = "ABCDEFGH"[:n]
     layout = qubit_layout(labels)
     rest = qubit_layout("".join(lbl for lbl in labels if lbl not in "AC"))
     rho = random_density(rest, np.random.default_rng(seed), rank=2)
     glob = permute_factors(tensor(max_entangled(qubit_layout("AC")).op, rho.op),
                            list(layout.labels)).entries
-    glob = DensityMatrix.from_array(layout, 0.7 * glob + 0.3 * np.eye(2 ** n) / 2 ** n)
+    glob = DensityMatrix.from_array(layout, (1 - noise) * glob + noise * np.eye(2 ** n) / 2 ** n)
     fam = state_rmp.MarginalFamily(layout, [
         (tuple(m), DensityMatrix(partial_trace(glob.op, SubsystemSet(layout, tuple(m)))))
         for m in MARGINALS[n]])
@@ -77,7 +80,7 @@ def test_six_qubit_robustness_then_witness(densified, monkeypatch):
     # the witness's small program has dense rows, the robustness program not
     assert rows.shape not in densified
     # the dense path, forced, finds the same optimum
-    monkeypatch.setattr(solver.ConicProgram, "_local_terms", lambda self, blk: None)
+    monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", math.inf)
     assert robustness_program(inst).compile()["block_rows"][0].mats is not None
     forced = state_rmp.robustness(inst)
     assert abs(forced.value_log2 - res.value_log2) <= 1e-10
@@ -196,6 +199,53 @@ def test_six_qubit_robustness_by_target(target):
     res = state_rmp.robustness(inst)
     assert res.status.value == "Optimal"
     assert abs(res.value_log2 - value) <= 1e-8
+
+
+def test_compatible_six_qubit_family_reduces_its_local_rows(monkeypatch):
+    # the pinned rows are rank-deficient, 305 of 401, so A is dense and
+    # reduced, and V, large, assembles its block of M_n in the normalized
+    # rows, which U_r then reduces
+    inst = cyclic_instance(6, noise=0.7)
+    data = state_rmp._program(inst, pinned=True, pairs=inst.pairs)[0].compile()
+    assert data["A"].shape == (305, 4112) and data["u_r"].shape == (401, 305)
+    assert data["block_rows"][0].local is not None and solver._Model(data).reduce_local
+    res = state_rmp.check_rfree_compatible(inst)
+    monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", math.inf)
+    forced = state_rmp.check_rfree_compatible(inst)
+    assert res.compatible and forced.compatible
+    assert np.max(np.abs(res.witness_state.entries - forced.witness_state.entries)) <= 1e-8
+
+
+def whole_layout_instance(target: str) -> state_rmp.RmpInstance:
+    """Three 3-body marginals of a seeded rank-2 state of four qubits, with a
+    free set on the whole layout: PPT across AB|CD, incoherence in a Haar
+    basis, or a seeded full-rank singleton."""
+    from freemarg.discrimination import haar_from_generator
+
+    layout = qubit_layout("ABCD")
+    rng = np.random.default_rng(7)
+    rho = random_density(layout, rng, rank=2)
+    fam = state_rmp.MarginalFamily(layout, [(tuple(m), marginal_of(rho, m))
+                                            for m in ("ABC", "BCD", "ACD")])
+    whole = SubsystemSet(layout, layout.labels)
+    free = {"ppt": lambda: FreeSetSpec.separable_ppt(whole, [("A", "B")]),
+            "incoherent_rotated": lambda: FreeSetSpec.incoherent(
+                whole, haar_from_generator(16, np.random.default_rng(5))),
+            "singleton": lambda: FreeSetSpec.singleton(whole, random_density(layout, rng))}
+    return state_rmp.RmpInstance(fam, free[target]())
+
+
+@pytest.mark.parametrize("target", ["ppt", "incoherent_rotated", "singleton"])
+def test_four_qubit_whole_layout_target_is_local(target, monkeypatch):
+    # V has a row group with no partial-trace form: the bare partial
+    # transpose, one row per rotated probe, or the replacement defect
+    inst = whole_layout_instance(target)
+    assert robustness_program(inst).compile()["block_rows"][0].local is not None
+    res = state_rmp.robustness(inst)
+    monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", math.inf)
+    forced = state_rmp.robustness(inst)
+    assert res.status.value == forced.status.value == "Optimal"
+    assert abs(res.value_log2 - forced.value_log2) <= 1e-9
 
 
 def test_seven_qubit_robustness(densified):

@@ -31,9 +31,7 @@ from conftest import rand_herm
 @pytest.fixture(params=["dense", "local"])
 def schur_path(request, monkeypatch):
     """Assemble the Schur complement of every block densely (the default for
-    small blocks and for large blocks with a row group that is not a partial
-    trace followed by a map) or, where its rows allow it, by local
-    contraction (the default for the other large blocks)."""
+    small blocks) or by local contraction (the default for large blocks)."""
     if request.param == "local":
         monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
     return request.param
@@ -597,9 +595,42 @@ class TestSchurAssembly:
                                  rand_herm(rng, 4))
         prog.add_psd_inequality("all", [(v, partial_trace_map(lay, lay.labels))],
                                 const=-np.eye(12) / 24)
+        assert [blk.cdim for blk in prog.blocks] == [12, 4, 12]
+        self.check_local_layout(rng, prog)
+
+    def test_local_layout_of_groups_without_their_own_form(self, rng, monkeypatch):
+        # groups that keep every factor: a bare replacement defect, two
+        # terms on V, a form over other factors and a probe row, stacked
+        # into one with the identity of the partial trace onto every factor
+        monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
+        lay = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
+        prog = ConicProgram()
+        v = prog.add_variable("V", 12)
+        prog.add_matrix_equality("ab", [(v, partial_trace_map(lay, ("A", "B")))],
+                                 rand_herm(rng, 6))
+        prog.add_matrix_equality("defect", [(v, replacement_defect_map(lay, ("B",)))],
+                                 np.zeros((12, 12)))
+        prog.add_matrix_equality("two", [(v, partial_trace_map(lay, ("B", "C")))] * 2,
+                                 rand_herm(rng, 6))
+        other = SubsystemLayout([("X", 6), ("Y", 2)])
+        prog.add_matrix_equality("other", [(v, partial_trace_map(other, ("Y",)))],
+                                 rand_herm(rng, 2))
+        prog.add_scalar_equality("probe", [(v, rand_herm(rng, 12))], 1.0)
+        prog.add_matrix_equality("all", [(v, partial_trace_map(lay, lay.labels))],
+                                 rand_herm(rng, 12))
+        # the kept sets AB, with no inner, and every factor
+        (rows_ab, _, inner_ab), (rows_all, _, inner_all) = self.check_local_layout(
+            rng, prog)[0].local[1]
+        assert rows_ab == slice(0, 36) and inner_ab is None
+        assert rows_all.size == inner_all.shape[0] == 144 + 36 + 4 + 1 + 144
+        assert np.array_equal(inner_all[-144:], np.eye(144))
+
+    @staticmethod
+    def check_local_layout(rng, prog):
+        """Each block's rows on the local layout, checked against the trace
+        formula."""
         data = prog.compile()
         a_n = data["d_inv"][:, None] * prog.equality_rows()[0].dense()
-        assert [blk.cdim for blk in prog.blocks] == [12, 4, 12]
         for blk, rows in zip(prog.blocks, data["block_rows"]):
             assert rows.local is not None
             d = blk.cdim
@@ -610,6 +641,7 @@ class TestSchurAssembly:
             ag = smat(a_n[:, prog.block_slice(blk)], d) @ g[:, None]
             ref = np.einsum("ckij,clji->clk", ag, ag).real
             assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
+        return data["block_rows"]
 
     def test_batch_member_equals_solo_on_four_qubits(self, rng, schur_path):
         from freemarg.freesets import FreeSetSpec

@@ -474,12 +474,6 @@ class TestActivation:
         bell = pure(lay, ket(lay, "01") + ket(lay, "10"))
         assert activation_criterion(bell, samples=10) == pytest.approx(1.0, abs=1e-9)
 
-    def test_iterative_not_worse_than_grid(self):
-        rho = w_marginal(qubit_layout("AC"))
-        grid = activation_criterion(rho, search="grid", samples=20, seed=3)
-        it = activation_criterion(rho, search="iterative", samples=20, seed=3)
-        assert it >= grid - 1e-12
-
 
 class TestReductionToPlainMarginalCompatibility:
     """target = whole system with all states free recovers plain marginal
