@@ -2,10 +2,10 @@
 dynamical robustness cone program, witness decomposition into state/observable
 pairs, and the ensemble state-discrimination task.  Compatibility, robustness,
 linear maximization and the witness duals are those of `state_rmp`, which
-read the members a `ChannelRmpInstance` shares with a state instance
-(`layout`, `pairs`, `extract`, `normalize`, `constrain`, `project`, `finite`,
-`diagnostics`, `model`); success probability, advantage and the epsilon rule
-are those of `discrimination`, fed by `ChannelDiscriminationTask.outcomes()`.
+read the members a `ChannelRmpInstance` shares with a state instance (see
+`state_rmp.InstanceBase`), its free-channel set being the state free set it
+reduces to; success probability, advantage and the epsilon rule are those
+of `discrimination`, fed by `ChannelDiscriminationTask.outcomes()`.
 
 Conventions.  A channel from X' to X is stored as its Choi *state*
 J = (E (x) id)(|Phi+><Phi+|) on the layout  out (x) in :  J >= 0 iff E is
@@ -16,7 +16,6 @@ Input and output factors must carry distinct labels (e.g. "A" out, "A'" in).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -182,6 +181,11 @@ class ChannelPair:
     inp: SubsystemSet
     out: SubsystemSet
 
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The factors of out (x) in that the pair keeps: its Choi layout."""
+        return self.out.members + self.inp.members
+
     def label(self) -> str:
         return f"{','.join(self.inp.members)}->{','.join(self.out.members)}"
 
@@ -215,9 +219,9 @@ class ChannelMarginalFamily:
 
 @dataclass(frozen=True)
 class ChannelRmpInstance(InstanceBase):
-    """The state problem on out (x) in, with the members of `RmpInstance`:
-    Choi validity as normalization, and marginal-channel existence
-    (no-signalling) and the free-channel structure as extra rows."""
+    """The state problem on out (x) in (see `InstanceBase`): Choi validity
+    as normalization, and marginal-channel existence (no-signalling) and the
+    free-channel set, as the state free set it reduces to, as extra rows."""
 
     family: ChannelMarginalFamily
     target: ChannelPair
@@ -228,23 +232,18 @@ class ChannelRmpInstance(InstanceBase):
             raise LayoutError("target input must live on the global input layout")
         if self.target.out.layout != self.family.global_out:
             raise LayoutError("target output must live on the global output layout")
+        if (self.free.input, self.free.output) != (self.target.inp, self.target.out):
+            raise LayoutError("the free channel set must act on the target pair")
+        if self.free.kind == "SingletonChannel":  # its Choi must be a channel of the pair
+            ChannelSpec(self.target.inp.sublayout(), self.target.out.sublayout(), self.free.choi)
 
     @property
     def layout(self) -> SubsystemLayout:
         return self.family.global_out.concat(self.family.global_in)
 
-    @cached_property
-    def _maps(self) -> dict[str, LinearMap]:
-        """The partial trace onto each pair and onto the target, by label,
-        built once: every program of the instance shares them."""
-        so = self.layout
-        return {pair.label(): partial_trace_map(so, pair.out.members + pair.inp.members)
-                for pair in [pair for pair, _ in self.family.entries] + [self.target]}
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[str, LinearMap, np.ndarray], ...]:
-        return tuple((pair.label(), self._maps[pair.label()], spec.choi.entries)
-                     for pair, spec in self.family.entries)
+    @property
+    def _entries(self) -> tuple[tuple[ChannelPair, np.ndarray], ...]:
+        return tuple((pair, spec.choi.entries) for pair, spec in self.family.entries)
 
     def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
         """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
@@ -260,7 +259,7 @@ class ChannelRmpInstance(InstanceBase):
 
     def constrain(self, prog: ConicProgram, v: BlockRef):
         """Marginal-channel existence for every pair and the target, then the
-        free-channel structure on the target pair."""
+        free-channel set on the target pair, as the state set it reduces to."""
         so = self.layout
         for pair in [pair for pair, _ in self.family.entries] + [self.target]:
             m = _existence_map(so, self.family.global_in, pair)
@@ -268,35 +267,20 @@ class ChannelRmpInstance(InstanceBase):
                 prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m)],
                                          np.zeros((m.out_dim,) * 2))
 
-        free = self.free
-        t_pair = self.target
-        keep_t = list(t_pair.out.members) + list(t_pair.inp.members)
-        if free.kind == "SingletonChannel":  # V_TT' = tr(V_TT') * the free Choi
-            pin = replacement_defect_map(so.sublayout(keep_t), keep_t, free.choi.entries)
-            prog.add_matrix_equality("free.pin", [(v, pin @ partial_trace_map(so, keep_t))],
-                                     np.zeros((free.choi.dim,) * 2))
-        elif free.kind == "FreeOutputState":
-            # replacement structure: V_TT' = tr_{T'}(V_TT') (x) I/d_T'
-            m_tt = (replacement_defect_map(so.sublayout(keep_t), t_pair.inp.members)
-                    @ partial_trace_map(so, keep_t))
+        t_pair, extract, prefix = self.target, self.extract(self.target), "free"
+        if self.free.kind == "FreeOutputState":
+            # replacement maps, V_TT' = tr_{T'}(V_TT') (x) I/d_T', of a free output
+            m_tt = (replacement_defect_map(so.sublayout(t_pair.members), t_pair.inp.members)
+                    @ extract)
             prog.add_matrix_equality("free.replacement", [(v, m_tt)],
                                      np.zeros((m_tt.out_dim,) * 2))
-            attach_free_state_cone(prog, v, partial_trace_map(so, list(t_pair.out.members)),
-                                   free.state_spec, prefix="free.state")
-        # AllChannels: marginal existence + Choi validity already say it all
+            extract, prefix = partial_trace_map(so, t_pair.out.members), "free.state"
+        attach_free_state_cone(prog, v, extract, self.free.state_spec, prefix)
 
     def project(self, j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
         gin, gout = self.family.global_in, self.family.global_out
         j = _project_choi_state(j, gin.total_dim)
         return j, ChannelSpec(gin, gout, HermitianOperator(self.layout, j))
-
-    @property
-    def finite(self) -> bool:
-        return self.free.admits_full_rank_replacement()
-
-    diagnostics = ("no scaled free-compatible Choi dominates the family: the free "
-                   "channel set likely admits no full-rank replacement channel "
-                   "(finiteness assumption violated)")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +304,7 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> Marginal
     """
     so = global_channel.out_layout.concat(global_channel.in_layout)
     j = global_channel.choi.entries
-    marg = ptrace_array(j, so.dims, so.axes_of(pair.out.members + pair.inp.members))
+    marg = ptrace_array(j, so.dims, so.axes_of(pair.members))
     m = _existence_map(so, global_channel.in_layout, pair)
     dev = 0.0 if m is None else float(np.max(np.abs(m.apply(j))))
     if dev > DEFAULT_TOLS.psd:

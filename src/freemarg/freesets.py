@@ -3,7 +3,10 @@
 A `FreeSetSpec` describes which states of the target subsystem count as
 resource-free, as affine + PSD + partial-transpose constraints; its `kind`
 is read where the constraints are used, by
-`programs.attach_free_state_cone` and `check_cone_membership`.  Separability
+`programs.attach_free_state_cone` and `check_cone_membership`.  A
+`FreeChannelSetSpec` holds the state free set it reduces to, on its pair's
+Choi layout out (x) in (or on the output, for `FreeOutputState`), so
+channel programs add its rows by that same path.  Separability
 is modeled by positivity of the partial transpose across the listed
 bipartitions: exact for 2x2 and 2x3 targets, an outer approximation above
 (so computed robustness values are certified lower bounds and witnesses stay
@@ -209,14 +212,16 @@ class FreeSetSpec:
 
 @dataclass(frozen=True)
 class FreeChannelSetSpec:
-    """Free-channel set on a target input-output pair.
+    """Free-channel set on a target input-output pair, and `state_spec`,
+    the state free set it reduces to on the pair's Choi layout out (x) in.
 
     kind: 'AllChannels' | 'FreeOutputState' | 'SingletonChannel'
 
-    AllChannels imposes only Choi validity on the target-pair marginal.
+    AllChannels is `AllStates` on out (x) in: Choi validity alone.
     FreeOutputState restricts to replacement maps whose output state lies in
-    the wrapped `FreeSetSpec` (Choi = rho (x) I/d_in with rho free).
-    SingletonChannel pins the target-pair marginal to one channel's Choi.
+    the wrapped `state_spec`, given on the output (Choi = rho (x) I/d_in with
+    rho free); no other kind takes one.
+    SingletonChannel is the `Singleton` of one channel's Choi state.
     """
 
     kind: str
@@ -230,13 +235,19 @@ class FreeChannelSetSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown free-channel kind {self.kind!r}")
-        if self.kind == "FreeOutputState":
-            if self.state_spec is None:
-                raise ValueError("FreeOutputState needs a wrapped FreeSetSpec")
-            if self.state_spec.target.sublayout() != self.output.sublayout():
-                raise LayoutError("wrapped free set must live on the output target")
+        if (self.state_spec is not None) != (self.kind == "FreeOutputState"):
+            raise ValueError("FreeOutputState, and it alone, takes a wrapped FreeSetSpec")
         if self.kind == "SingletonChannel" and self.choi is None:
             raise ValueError("SingletonChannel needs a Choi matrix")
+        pair = SubsystemSet(self.output.layout.concat(self.input.layout),
+                            self.output.members + self.input.members)
+        if self.kind == "AllChannels":
+            object.__setattr__(self, "state_spec", FreeSetSpec.all_states(pair))
+        elif self.kind == "SingletonChannel":
+            object.__setattr__(self, "state_spec",
+                               FreeSetSpec.singleton(pair, DensityMatrix(self.choi)))
+        elif self.state_spec.target.sublayout() != self.output.sublayout():
+            raise LayoutError("wrapped free set must live on the output target")
 
     @staticmethod
     def all_channels(input: SubsystemSet, output: SubsystemSet) -> "FreeChannelSetSpec":
@@ -254,18 +265,12 @@ class FreeChannelSetSpec:
 
     @property
     def relaxation(self) -> str | None:
-        if self.kind == "FreeOutputState":
-            return self.state_spec.relaxation
-        return None
+        return self.state_spec.relaxation
 
-    def admits_full_rank_replacement(self) -> bool:
-        """DA2-style probe; False is surfaced as a warning, not a hard gate."""
-        if self.kind == "AllChannels":
-            return True
-        if self.kind == "FreeOutputState":
-            return self.state_spec.contains_full_rank_member()
-        vals = np.linalg.eigvalsh(self.choi.entries)
-        return bool(vals[0] > 1e-9)
+    def contains_full_rank_member(self) -> bool:
+        """DA2-style probe, that of `state_spec`; False is surfaced as a
+        warning, not a hard gate."""
+        return self.state_spec.contains_full_rank_member()
 
     def to_json(self) -> dict:
         params: dict = {}

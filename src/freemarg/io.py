@@ -178,7 +178,11 @@ def _clean(value: Any):
     if hasattr(value, "to_json"):
         return _clean(value.to_json())
     if isinstance(value, np.ndarray):
-        return _clean([float(x) for x in value] if value.ndim == 1 else matrix_to_json(value))
+        if value.ndim != 1:  # the [re, im] pairs of `matrix_to_json`
+            value = np.stack([value.real, value.imag], -1)
+        value = value.astype(float)
+        # only a non-finite entry needs the walk over the entries
+        return value.tolist() if np.isfinite(value).all() else _clean(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not np.isfinite(value):

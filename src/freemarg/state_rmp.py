@@ -14,8 +14,8 @@ incompatibility: sup over the free-compatible set of sum_X tr(tau_X Y_X)
 stays <= 1 while the value at sigma equals the optimum > 1.
 
 A channel family is the same problem on out (x) in with extra linear rows
-(see `channel_rmp`).  Both instance types define the members these programs
-read (see `RmpInstance`), so the compatibility check, the robustness, the
+(see `channel_rmp`).  Both instance types have the members these programs
+read (see `InstanceBase`), so the compatibility check, the robustness, the
 linear maximization and the witness duals below take either.  The instance
 alone fixes the free-compatible set, so each instance holds the one compiled
 program of that set (`compatible_set`), and its `model` maximizes over it,
@@ -105,19 +105,65 @@ class MarginalFamily:
         return {label: sigma.entries for label, (_, sigma) in zip(self.labels(), self.entries)}
 
 
+def _label(key) -> str:
+    """The label of an objective key: the key if a label, a channel pair's
+    `label()`, or a subsystem set's (or a sequence's) labels joined by ","."""
+    key = key.label() if hasattr(key, "label") else getattr(key, "members", key)
+    return key if isinstance(key, str) else ",".join(key)
+
+
 class InstanceBase:
-    """The members both instance kinds share, read from their maps by label,
-    `_maps`: the objective-key rule, the program of the free-compatible set
-    and the model over it."""
+    """The members the shared programs below read of an instance, state or
+    channel, built here from a kind's `layout`, `free` set, `target` and
+    `_entries`, the (key, matrix) of each marginal: a subsystem set or a
+    channel pair, whose `members` are the factors it keeps.
+
+    The variable V is a PSD matrix on `layout`.  Each of `pairs`
+    (label, map, target) asks map(V) = target on the compatible set and
+    map(V) >= target in the robustness program; each map is a partial trace
+    (onto every factor: the identity).  `extract(key)` gives the map that an
+    objective's key names.  A kind's `normalize(prog, V, pinned)` adds V's
+    normalization: pinned on the compatible set (unit trace, Choi state),
+    scaled by tr(V) for the robustness.  Its `constrain(prog, V)` adds the
+    structural equalities and the free cone.  Its `project(V)` returns the
+    nearest valid matrix and the object reported for it.  `finite` says the
+    free set has a full-rank member, the condition for a finite robustness;
+    `diagnostics` explains an infinite one.  `compatible_set` is the
+    compiled program of the free-compatible set, and `model` maximizes over it.
+    """
+
+    @cached_property
+    def _maps(self) -> dict[str, LinearMap]:
+        """The partial trace onto each marginal, onto the target and onto no
+        factor (the trace, label ""), by label, built once: every program of
+        the instance shares them."""
+        keep = {_label(key): key.members for key, _ in self._entries}
+        keep.update({_label(self.target): self.target.members, "": ()})
+        return {label: partial_trace_map(self.layout, members) for label, members in keep.items()}
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[str, LinearMap, np.ndarray], ...]:
+        return tuple((_label(key), self.extract(key), m) for key, m in self._entries)
 
     def extract(self, key) -> LinearMap:
-        """The map of a label of `_maps`, of a channel pair (its `label()`),
-        or of a subsystem set or its members ("A,B"; none: the trace)."""
-        key = key.label() if hasattr(key, "label") else getattr(key, "members", key)
-        label = key if isinstance(key, str) else ",".join(key)
+        """The map of a key's label ("A,B"; none: the trace)."""
+        label = _label(key)
         if label not in self._maps:
             raise LayoutError(f"no map for the objective key {label!r}; keys: {list(self._maps)}")
         return self._maps[label]
+
+    @property
+    def finite(self) -> bool:
+        return self.free.contains_full_rank_member()
+
+    @property
+    def diagnostics(self) -> str:
+        text = ("the robustness program is infeasible, so the measure is unbounded: "
+                "no scaled free extension dominates the family")
+        if not self.finite:
+            text += (" (the free set has no full-rank member, e.g. a pure singleton, "
+                     "so finiteness of the measure is not guaranteed)")
+        return text
 
     @cached_property
     def compatible_set(self) -> tuple[ConicProgram, BlockRef]:
@@ -135,22 +181,7 @@ class InstanceBase:
 
 @dataclass(frozen=True)
 class RmpInstance(InstanceBase):
-    """A marginal family and a free set on its target.
-
-    The shared programs below read these members of an instance, state or
-    channel.  The variable V is a PSD matrix on `layout`.  Each of `pairs`
-    (label, map, target) asks map(V) = target on the compatible set and
-    map(V) >= target in the robustness program; each map is a partial trace
-    (onto every factor: the identity).  `extract(key)` gives the map that an
-    objective's key names.  `normalize(prog, V, pinned)` adds V's
-    normalization: pinned on the compatible set (unit trace, Choi state),
-    scaled by tr(V) for the robustness.  `constrain(prog, V)` adds the
-    structural equalities and the free cone.  `project(V)` returns the
-    nearest valid matrix and the object reported for it.  `finite` says the
-    free set has a full-rank member, the condition for a finite robustness;
-    `diagnostics` explains an infinite one.  `compatible_set` is the
-    compiled program of the free-compatible set, and `model` maximizes over it.
-    """
+    """A marginal family and a free set on its target."""
 
     marginals: MarginalFamily
     free: FreeSetSpec
@@ -167,18 +198,9 @@ class RmpInstance(InstanceBase):
     def target(self) -> SubsystemSet:
         return self.free.target
 
-    @cached_property
-    def _maps(self) -> dict[str, LinearMap]:
-        """The partial trace onto each marginal, onto the free-set target and
-        onto no factor (the trace), by label, built once: every program of
-        the instance shares them."""
-        members = [sub.members for sub, _ in self.marginals.entries] + [self.free.target.members]
-        return {",".join(keep): partial_trace_map(self.layout, keep) for keep in members + [()]}
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[str, LinearMap, np.ndarray], ...]:
-        return tuple((label, self._maps[label], sigma.entries)
-                     for label, (_, sigma) in zip(self.marginals.labels(), self.marginals.entries))
+    @property
+    def _entries(self) -> tuple[tuple[SubsystemSet, np.ndarray], ...]:
+        return tuple((sub, sigma.entries) for sub, sigma in self.marginals.entries)
 
     def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
         if pinned:  # the cone form, tr(V) = tr(V), says nothing
@@ -192,19 +214,6 @@ class RmpInstance(InstanceBase):
         m = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
         state = DensityMatrix.from_array(self.layout, m / np.trace(m).real)
         return state.entries, state
-
-    @property
-    def finite(self) -> bool:
-        return self.free.contains_full_rank_member()
-
-    @property
-    def diagnostics(self) -> str:
-        text = ("the robustness program is infeasible, so the measure is unbounded: "
-                "no scaled free extension dominates the family")
-        if not self.finite:
-            text += (" (the free set has no full-rank member, e.g. a pure singleton, "
-                     "so finiteness of the measure is not guaranteed)")
-        return text
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,18 @@ class TestChannelRobustness:
         ident = ChannelSpec.identity(gin, gout)
         pair = ChannelPair(SubsystemSet(gin, ("A'",)), SubsystemSet(gout, ("A",)))
         fam = ChannelMarginalFamily(gin, gout, [(pair, ident)])
-        free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning):  # the identity's Choi state is pure
+            free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
             res = channel_robustness(ChannelRmpInstance(fam, pair, free))
         assert res.value_log2 == pytest.approx(0.0, abs=1e-6)
+
+    def test_free_set_on_another_pair_is_refused(self):
+        # it would otherwise be ignored: the program pins the target pair
+        inst = broadcasting_instance()
+        other = inst.family.entries[0][0]  # A'->A, the target being A'->A,B
+        with pytest.raises(LayoutError, match="target pair"):
+            ChannelRmpInstance(inst.family, inst.target,
+                               FreeChannelSetSpec.all_channels(other.inp, other.out))
 
     def test_free_output_state_constraint(self, rng):
         """With the free set forcing a replacement channel on the target, a
@@ -203,6 +211,38 @@ class TestChannelRobustness:
         free = FreeChannelSetSpec.free_output_state(pair.inp, pair.out, state_spec)
         res = channel_robustness(ChannelRmpInstance(fam, pair, free))
         assert res.value_log2 > 0.5  # identity is far from any replacement map
+
+
+def channel_dmax_draw(k: int) -> tuple[ChannelSpec, ChannelSpec]:
+    """Draw k of the channel D_max family: for each k in turn, a qubit
+    channel of two Kraus operators and a free one of four, whose Choi state
+    is full rank, both from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    for _ in range(k + 1):
+        chan, free = (ChannelSpec.from_kraus(rand_kraus(rng, 2, 2, n), primed("A"),
+                                             qubit_layout("A")) for n in (2, 4))
+    return chan, free
+
+
+class TestSingletonChannelReductionToDmax:
+    """One pair, the target, and a `SingletonChannel` at a full-rank Choi J_F,
+    pinned as the state `Singleton` on out (x) in: the robustness of the
+    pair's Choi J is max(0, log2 lambda_max(J_F^-1/2 J J_F^-1/2))."""
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_closed_form(self, k):
+        chan, free = channel_dmax_draw(k)
+        pair = ChannelPair(SubsystemSet(chan.in_layout, ("A'",)),
+                           SubsystemSet(chan.out_layout, ("A",)))
+        fam = ChannelMarginalFamily(chan.in_layout, chan.out_layout, [(pair, chan)])
+        inst = ChannelRmpInstance(
+            fam, pair, FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, free.choi))
+        vals, vecs = np.linalg.eigh(free.choi.entries)
+        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        dmax = max(0.0, np.log2(np.linalg.eigvalsh(inv_sqrt @ chan.choi.entries @ inv_sqrt)[-1]))
+        res = channel_robustness(inst)
+        assert res.status == Status.OPTIMAL
+        assert res.value_log2 == pytest.approx(dmax, rel=10 * SolverSettings().gap_tol)
 
 
 class TestCompatibilityCheck:
@@ -390,7 +430,9 @@ class TestLinearMaxOverSet:
         by_label = inst.model.maximize([(pair.label(), obs)])
         assert by_pair.primal_value == by_label.primal_value
         assert inst.extract(inst.target) is inst.extract(inst.target.label())
-        with pytest.raises(LayoutError, match=re.escape(str(["A'->A", "A'->B", "A'->A,B"]))):
+        # the trace, key "", is an objective key of both kinds too
+        assert inst.extract(()) is inst.extract("")
+        with pytest.raises(LayoutError, match=re.escape(str(["A'->A", "A'->B", "A'->A,B", ""]))):
             inst.extract("A'->C")
 
 

@@ -4,10 +4,12 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from freemarg import cli, io
 from freemarg.discrimination import w_example_instance
+from freemarg.herm import matrix_to_json
 
 from test_channel_rmp import broadcasting_instance
 
@@ -19,6 +21,18 @@ def edited(base, edit) -> bytes:
     data = copy.deepcopy(base)
     edit(data)
     return json.dumps(data).encode()
+
+
+def singleton_channel(layout, choi):
+    """Makes the channel instance's free set the `SingletonChannel` at `choi`."""
+    free = {"kind": "SingletonChannel",
+            "params": {"choi": {"layout": layout, "data": matrix_to_json(choi)}}}
+    return lambda d: d.__setitem__("free", free)
+
+
+PAIR_LAYOUT = [["A", 2], ["B", 2], ["A'", 2]]  # out (x) in of the target pair A'->A,B
+PURE = np.zeros((8, 8))
+PURE[0, 0] = 1.0
 
 
 CORPUS = {
@@ -52,6 +66,13 @@ CORPUS = {
     "channel_free_input_disagrees": edited(CHANNEL, lambda d: d["free"].__setitem__("input", [])),
     "channel_free_output_disagrees": edited(CHANNEL, lambda d: d["free"].__setitem__("output",
                                                                                    ["A"])),
+    # the free Choi must be a channel of the target pair: a state on its
+    # out (x) in, PSD and trace preserving
+    "singleton_choi_on_another_layout": edited(CHANNEL, singleton_channel([["A", 2]],
+                                                                          np.eye(2) / 2)),
+    "singleton_choi_not_psd": edited(CHANNEL, singleton_channel(
+        PAIR_LAYOUT, np.diag([2.0, -1.0, 0, 0, 0, 0, 0, 0]))),
+    "singleton_choi_not_trace_preserving": edited(CHANNEL, singleton_channel(PAIR_LAYOUT, PURE)),
     # a string would be split into one-letter labels
     "string_subsystems": edited(STATE, lambda d: d["marginals"][0].__setitem__("subsystems",
                                                                                 "AB")),
@@ -75,6 +96,8 @@ CORPUS = {
 }
 
 
+# a pure free Choi state warns that it is not full rank before it is refused
+@pytest.mark.filterwarnings("ignore:Singleton free state is not full rank:UserWarning")
 @pytest.mark.parametrize("command", ["robustness", "discriminate"])
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_bad_instance_exits_2(name, command, tmp_path, capsys):

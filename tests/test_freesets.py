@@ -204,9 +204,28 @@ class TestFreeChannelSpecs:
         gout = qubit_layout("T")
         inp = SubsystemSet(gin, ("T'",))
         out = SubsystemSet(gout, ("T",))
-        assert FreeChannelSetSpec.all_channels(inp, out).admits_full_rank_replacement()
+        assert FreeChannelSetSpec.all_channels(inp, out).contains_full_rank_member()
         wrapped = FreeSetSpec.all_states(out)
-        assert FreeChannelSetSpec.free_output_state(inp, out, wrapped).admits_full_rank_replacement()
+        assert FreeChannelSetSpec.free_output_state(inp, out, wrapped).contains_full_rank_member()
+
+    def test_each_kind_is_the_state_set_it_reduces_to(self):
+        gin = SubsystemLayout([("T'", 2)])
+        gout = qubit_layout("T")
+        inp, out = SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",))
+        pair = SubsystemSet(gout.concat(gin), ("T", "T'"))  # the Choi layout out (x) in
+        assert FreeChannelSetSpec.all_channels(inp, out).state_spec == FreeSetSpec.all_states(pair)
+        depolarizing = maximally_mixed(gout.concat(gin))
+        spec = FreeChannelSetSpec.singleton_channel(inp, out, depolarizing.op)
+        assert spec.state_spec == FreeSetSpec.singleton(pair, depolarizing)
+        assert spec.contains_full_rank_member() and spec.relaxation is None
+        two_out = SubsystemSet(qubit_layout("TU"), ("T", "U"))
+        wrapped = FreeSetSpec.separable_ppt(two_out)
+        assert FreeChannelSetSpec.free_output_state(inp, two_out, wrapped).relaxation == "ppt-exact"
+        # a kind other than FreeOutputState reduces to its own state set
+        with pytest.raises(ValueError, match="alone"):
+            FreeChannelSetSpec("AllChannels", inp, out, state_spec=FreeSetSpec.all_states(out))
+        with pytest.raises(ValueError, match="alone"):
+            FreeChannelSetSpec("FreeOutputState", inp, out)
 
     def test_singleton_channel_probe(self):
         from freemarg.channel_rmp import ChannelSpec
@@ -214,9 +233,10 @@ class TestFreeChannelSpecs:
         gin = SubsystemLayout([("T'", 2)])
         gout = qubit_layout("T")
         ident = ChannelSpec.identity(gin, gout)
-        spec = FreeChannelSetSpec.singleton_channel(
-            SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",)), ident.choi)
-        assert not spec.admits_full_rank_replacement()
+        with pytest.warns(UserWarning, match="not full rank"):
+            spec = FreeChannelSetSpec.singleton_channel(
+                SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",)), ident.choi)
+        assert not spec.contains_full_rank_member()
 
 
 class TestIncoherentRotatedBasis:
