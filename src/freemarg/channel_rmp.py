@@ -184,7 +184,7 @@ class ChannelPair:
     @property
     def members(self) -> tuple[str, ...]:
         """The factors of out (x) in that the pair keeps: its Choi layout."""
-        return self.out.members + self.inp.members
+        return self.out.choi_with(self.inp).members
 
     def label(self) -> str:
         return f"{','.join(self.inp.members)}->{','.join(self.out.members)}"

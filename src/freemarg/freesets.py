@@ -220,7 +220,7 @@ class FreeChannelSetSpec:
     AllChannels is `AllStates` on out (x) in: Choi validity alone.
     FreeOutputState restricts to replacement maps whose output state lies in
     the wrapped `state_spec`, given on the output (Choi = rho (x) I/d_in with
-    rho free); no other kind takes one.
+    rho free); any other kind takes only the set it reduces to.
     SingletonChannel is the `Singleton` of one channel's Choi state.
     """
 
@@ -235,17 +235,17 @@ class FreeChannelSetSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown free-channel kind {self.kind!r}")
-        if (self.state_spec is not None) != (self.kind == "FreeOutputState"):
-            raise ValueError("FreeOutputState, and it alone, takes a wrapped FreeSetSpec")
         if self.kind == "SingletonChannel" and self.choi is None:
             raise ValueError("SingletonChannel needs a Choi matrix")
-        pair = SubsystemSet(self.output.layout.concat(self.input.layout),
-                            self.output.members + self.input.members)
-        if self.kind == "AllChannels":
-            object.__setattr__(self, "state_spec", FreeSetSpec.all_states(pair))
-        elif self.kind == "SingletonChannel":
-            object.__setattr__(self, "state_spec",
-                               FreeSetSpec.singleton(pair, DensityMatrix(self.choi)))
+        if self.kind != "FreeOutputState":
+            pair = self.output.choi_with(self.input)
+            reduced = (FreeSetSpec.all_states(pair) if self.kind == "AllChannels"
+                       else FreeSetSpec.singleton(pair, DensityMatrix(self.choi)))
+            if self.state_spec not in (None, reduced):  # `dataclasses.replace` passes it back
+                raise ValueError("only FreeOutputState takes a wrapped FreeSetSpec")
+            object.__setattr__(self, "state_spec", reduced)
+        elif self.state_spec is None:
+            raise ValueError("FreeOutputState needs a wrapped FreeSetSpec")
         elif self.state_spec.target.sublayout() != self.output.sublayout():
             raise LayoutError("wrapped free set must live on the output target")
 

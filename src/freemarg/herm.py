@@ -135,6 +135,10 @@ class SubsystemSet:
     def sublayout(self) -> SubsystemLayout:
         return self.layout.sublayout(self.members)
 
+    def choi_with(self, inp: "SubsystemSet") -> "SubsystemSet":
+        """This set as a channel's output and `inp` as its input, on the Choi layout out (x) in."""
+        return SubsystemSet(self.layout.concat(inp.layout), self.members + inp.members)
+
 
 # ---------------------------------------------------------------------------
 # Array-level helpers (raw ndarrays + explicit dims)

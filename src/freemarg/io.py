@@ -178,11 +178,9 @@ def _clean(value: Any):
     if hasattr(value, "to_json"):
         return _clean(value.to_json())
     if isinstance(value, np.ndarray):
-        if value.ndim != 1:  # the [re, im] pairs of `matrix_to_json`
-            value = np.stack([value.real, value.imag], -1)
-        value = value.astype(float)
-        # only a non-finite entry needs the walk over the entries
-        return value.tolist() if np.isfinite(value).all() else _clean(value.tolist())
+        if value.ndim == 1 and np.iscomplexobj(value):  # `float` would drop the imaginary part
+            raise TypeError("a complex vector has no float list")
+        return _clean([float(x) for x in value] if value.ndim == 1 else matrix_to_json(value))
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float) and not np.isfinite(value):

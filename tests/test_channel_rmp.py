@@ -186,8 +186,9 @@ class TestChannelRobustness:
         ident = ChannelSpec.identity(gin, gout)
         pair = ChannelPair(SubsystemSet(gin, ("A'",)), SubsystemSet(gout, ("A",)))
         fam = ChannelMarginalFamily(gin, gout, [(pair, ident)])
-        with pytest.warns(UserWarning):  # the identity's Choi state is pure
+        with pytest.warns(UserWarning, match="not full rank"):  # the identity's Choi is pure
             free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
+        with pytest.warns(UserWarning, match="no full-rank member"):
             res = channel_robustness(ChannelRmpInstance(fam, pair, free))
         assert res.value_log2 == pytest.approx(0.0, abs=1e-6)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,10 +224,21 @@ class TestFreeChannelSpecs:
         wrapped = FreeSetSpec.separable_ppt(two_out)
         assert FreeChannelSetSpec.free_output_state(inp, two_out, wrapped).relaxation == "ppt-exact"
         # a kind other than FreeOutputState reduces to its own state set
-        with pytest.raises(ValueError, match="alone"):
+        with pytest.raises(ValueError, match="only FreeOutputState"):
             FreeChannelSetSpec("AllChannels", inp, out, state_spec=FreeSetSpec.all_states(out))
-        with pytest.raises(ValueError, match="alone"):
+        with pytest.raises(ValueError, match="needs a wrapped"):
             FreeChannelSetSpec("FreeOutputState", inp, out)
+
+    def test_replace_round_trips_each_kind(self):
+        # `dataclasses.replace` passes the filled state set back to the constructor
+        gin = SubsystemLayout([("T'", 2)])
+        gout = qubit_layout("T")
+        inp, out = SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",))
+        for spec in (FreeChannelSetSpec.all_channels(inp, out),
+                     FreeChannelSetSpec.free_output_state(inp, out, FreeSetSpec.all_states(out)),
+                     FreeChannelSetSpec.singleton_channel(
+                         inp, out, maximally_mixed(gout.concat(gin)).op)):
+            assert dataclasses.replace(spec) == spec
 
     def test_singleton_channel_probe(self):
         from freemarg.channel_rmp import ChannelSpec
