@@ -32,7 +32,6 @@ from .herm import (
     DensityMatrix,
     HermitianOperator,
     LayoutError,
-    LinearMap,
     SubsystemLayout,
     SubsystemSet,
     ValidationError,
@@ -42,8 +41,8 @@ from .herm import (
     replacement_defect_map,
     svec,
 )
-from .programs import attach_free_state_cone
-from .solver import BlockRef, ConicProgram, SolverFailure, SolverSettings
+from .programs import StringRows, attach_free_state_cone
+from .solver import SolverFailure, SolverSettings
 from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     CompatibilityResult,
     CompatibleSetModel,
@@ -234,8 +233,6 @@ class ChannelRmpInstance(InstanceBase):
             raise LayoutError("target output must live on the global output layout")
         if (self.free.input, self.free.output) != (self.target.inp, self.target.out):
             raise LayoutError("the free channel set must act on the target pair")
-        if self.free.kind == "SingletonChannel":  # its Choi must be a channel of the pair
-            ChannelSpec(self.target.inp.sublayout(), self.target.out.sublayout(), self.free.choi)
 
     @property
     def layout(self) -> SubsystemLayout:
@@ -245,37 +242,32 @@ class ChannelRmpInstance(InstanceBase):
     def _entries(self) -> tuple[tuple[ChannelPair, np.ndarray], ...]:
         return tuple((pair, spec.choi.entries) for pair, spec in self.family.entries)
 
-    def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
+    def normalize(self, rows: StringRows, pinned: bool):
         """Choi validity: tr_S(V) = I/d_in, or tr(V) I/d_in in the cone form."""
         gin = self.family.global_in
         tr_out_map = partial_trace_map(self.layout, gin.labels)
         d_in = gin.total_dim
         if pinned:
-            prog.add_matrix_equality("choi_state", [(v, tr_out_map)], np.eye(d_in) / d_in)
+            rows.marginal("choi_state", tr_out_map, np.eye(d_in) / d_in)
         else:
-            prog.add_matrix_equality("choi_cone",
-                                     [(v, replacement_defect_map(gin, gin.labels) @ tr_out_map)],
-                                     np.zeros((d_in, d_in)))
+            rows.vanish("choi_cone", tr_out_map, self.layout.axes_of(gin.labels))
 
-    def constrain(self, prog: ConicProgram, v: BlockRef):
+    def constrain(self, rows: StringRows):
         """Marginal-channel existence for every pair and the target, then the
         free-channel set on the target pair, as the state set it reduces to."""
         so = self.layout
         for pair in [pair for pair, _ in self.family.entries] + [self.target]:
-            m = _existence_map(so, self.family.global_in, pair)
-            if m is not None:
-                prog.add_matrix_equality(f"exists[{pair.label()}]", [(v, m)],
-                                         np.zeros((m.out_dim,) * 2))
+            keep, rest_in = _existence(self.family.global_in, pair)
+            if rest_in:
+                rows.vanish(f"exists[{pair.label()}]", partial_trace_map(so, keep),
+                            so.axes_of(rest_in))
 
         t_pair, extract, prefix = self.target, self.extract(self.target), "free"
         if self.free.kind == "FreeOutputState":
             # replacement maps, V_TT' = tr_{T'}(V_TT') (x) I/d_T', of a free output
-            m_tt = (replacement_defect_map(so.sublayout(t_pair.members), t_pair.inp.members)
-                    @ extract)
-            prog.add_matrix_equality("free.replacement", [(v, m_tt)],
-                                     np.zeros((m_tt.out_dim,) * 2))
+            rows.vanish("free.replacement", extract, so.axes_of(t_pair.inp.members))
             extract, prefix = partial_trace_map(so, t_pair.out.members), "free.state"
-        attach_free_state_cone(prog, v, extract, self.free.state_spec, prefix)
+        attach_free_state_cone(rows, extract, self.free.state_spec, prefix)
 
     def project(self, j: np.ndarray) -> tuple[np.ndarray, ChannelSpec]:
         gin, gout = self.family.global_in, self.family.global_out
@@ -305,8 +297,11 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> Marginal
     so = global_channel.out_layout.concat(global_channel.in_layout)
     j = global_channel.choi.entries
     marg = ptrace_array(j, so.dims, so.axes_of(pair.members))
-    m = _existence_map(so, global_channel.in_layout, pair)
-    dev = 0.0 if m is None else float(np.max(np.abs(m.apply(j))))
+    keep, rest_in = _existence(global_channel.in_layout, pair)
+    dev = 0.0
+    if rest_in:
+        m = replacement_defect_map(so.sublayout(keep), rest_in) @ partial_trace_map(so, keep)
+        dev = float(np.max(np.abs(m.apply(j))))
     if dev > DEFAULT_TOLS.psd:
         return MarginalChannelResult(False, None, dev)
     in_sub = global_channel.in_layout.sublayout(pair.inp.members)
@@ -320,16 +315,13 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> Marginal
 # ---------------------------------------------------------------------------
 
 
-def _existence_map(so: SubsystemLayout, global_in: SubsystemLayout,
-                   pair: ChannelPair) -> LinearMap | None:
+def _existence(global_in: SubsystemLayout, pair: ChannelPair) -> tuple[list, list]:
     """Marginal-channel existence (no-signalling from the other inputs):
-    V -> tr_{S\\X}(V) - tr_{SS'\\XX'}(V) (x) I/d on the other inputs, which
-    vanishes on the existence rows; None if no other input is left."""
+    the factors kept, the pair's outputs and every input, and the other
+    inputs; V -> tr_{S\\X}(V) - tr_{SS'\\XX'}(V) (x) I/d on the other inputs
+    vanishes on the existence rows, which there are if any input is left."""
     rest_in = [l for l in global_in.labels if l not in pair.inp.members]
-    if not rest_in:
-        return None
-    keep = list(pair.out.members) + list(global_in.labels)
-    return replacement_defect_map(so.sublayout(keep), rest_in) @ partial_trace_map(so, keep)
+    return list(pair.out.members) + list(global_in.labels), rest_in
 
 
 def _project_choi_state(j: np.ndarray, d_in: int) -> np.ndarray:

@@ -15,6 +15,8 @@ sound).  Results metadata records this as ``relaxation: "ppt-outer"``.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -92,10 +94,8 @@ class FreeSetSpec:
             if self.state.layout != self.target.sublayout():
                 raise LayoutError("Singleton state layout does not match the target")
             if self.state.op.min_eig() < 1e-7:
-                warnings.warn(
-                    "Singleton free state is not full rank; the robustness program "
-                    "may be infeasible for generic marginals (strong duality can fail)",
-                    stacklevel=2)
+                _warn_at_caller("Singleton free state is not full rank; the robustness program "
+                                "may be infeasible for generic marginals (strong duality can fail)")
 
     # -- constructors
 
@@ -237,6 +237,10 @@ class FreeChannelSetSpec:
             raise ValueError(f"unknown free-channel kind {self.kind!r}")
         if self.kind == "SingletonChannel" and self.choi is None:
             raise ValueError("SingletonChannel needs a Choi matrix")
+        if self.kind == "SingletonChannel":  # its Choi must be a channel of the pair
+            from .channel_rmp import ChannelSpec
+
+            ChannelSpec(self.input.sublayout(), self.output.sublayout(), self.choi)
         if self.kind != "FreeOutputState":
             pair = self.output.choi_with(self.input)
             reduced = (FreeSetSpec.all_states(pair) if self.kind == "AllChannels"
@@ -280,3 +284,17 @@ class FreeChannelSetSpec:
             params["choi"] = self.choi.to_json()
         return {"kind": self.kind, "input": list(self.input.members),
                 "output": list(self.output.members), "params": params}
+
+
+_PACKAGE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _warn_at_caller(message: str):
+    """A UserWarning at the first caller outside the package: a set's
+    dataclass-generated __init__ (file "<string>") counts as inside."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and (
+            os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == _PACKAGE
+            or isinstance(frame.f_locals.get("self"), (FreeSetSpec, FreeChannelSetSpec))):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)

@@ -12,12 +12,21 @@ the solver's rows share).  Partial traces and partial transposes are built
 straight from the `svec` and `smat` index tables, so no dense matrix over
 the d^2 coordinates of a large layout is formed.
 
+Product-operator strings give the other coordinates of a layout: each
+factor of dimension d has the generalized Gell-Mann basis `factor_basis(d)`,
+orthonormal with I/sqrt(d) first, and a string is the tensor product of one
+element per factor.  `string_rows` gives the svec rows of strings, so that
+a map's rows can be taken along them: a marginal is fixed by the
+coefficient tr((P (x) I) V) of each string P on its factors, and
+`programs.StringRows` states each string once.
+
 All values are immutable after construction and safe to share across
 workers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -237,6 +246,56 @@ def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (trace inner product) basis of d x d Hermitian matrices,
     stacked: element k is `smat` of the k-th unit vector."""
     return smat(np.eye(d * d), d)
+
+
+# ---------------------------------------------------------------------------
+# Product-operator strings
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def factor_basis(d: int) -> np.ndarray:
+    """The generalized Gell-Mann basis of one factor of dimension d,
+    orthonormal under the trace inner product, stacked (d*d, d, d) and
+    read-only: first I/sqrt(d), then for each j < k the symmetric and the
+    antisymmetric element on |j>, |k>, then the d - 1 traceless diagonal
+    ones (Bertlmann-Krammer, "Bloch vectors for qudits", J. Phys. A 41,
+    235303 (2008)).  For a qubit these are I, X, Y and Z over sqrt(2), the
+    Pauli basis.  Built on first use, once per dimension."""
+    out = np.zeros((d * d, d, d), dtype=complex)
+    out[0] = np.eye(d) / np.sqrt(d)
+    j, k = np.triu_indices(d, 1)
+    at = 1 + 2 * np.arange(j.size)
+    out[at, j, k] = out[at, k, j] = 1 / _SQRT2
+    out[at + 1, j, k], out[at + 1, k, j] = -1j / _SQRT2, 1j / _SQRT2
+    for l in range(1, d):
+        diag = np.r_[np.ones(l), -l, np.zeros(d - l - 1)] / np.sqrt(l * (l + 1))
+        out[d * d - d + l, np.arange(d), np.arange(d)] = diag
+    out.setflags(write=False)
+    return out
+
+
+def string_rows(dims: Sequence[int]) -> np.ndarray:
+    """The `svec` coordinates of the product-operator strings over factors
+    of dimensions `dims`, one row per string: string s is the tensor
+    product, in factor order, of the `factor_basis` elements of its digits
+    in the mixed radix (d_1^2, d_2^2, ...), the first factor most
+    significant.  So the rows are an orthonormal basis whose first element
+    is the scaled identity, and a string's support is the set of its
+    nonzero digits.  Built a few strings at a time, never as one dense
+    stack."""
+    d = math.prod(dims)
+    digits = np.unravel_index(np.arange(d * d), [k * k for k in dims]) if dims else ()
+    out = np.empty((d * d, d * d))
+    step = max(1, _CHUNK // (d * d))
+    for lo in range(0, d * d, step):
+        part = np.ones((len(out[lo:lo + step]), 1, 1), dtype=complex)
+        for k, digit in zip(dims, digits):
+            n, a = part.shape[:2]
+            e = factor_basis(k)[digit[lo:lo + step]]
+            part = (part[:, :, None, :, None] * e[:, None, :, None, :]).reshape(n, a * k, a * k)
+        out[lo:lo + step] = svec(part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +521,18 @@ def _copy_map(source: np.ndarray, out_dim: int, local: LocalForm | None = None) 
 def partial_trace_map(layout: SubsystemLayout, keep: Sequence[str]) -> LinearMap:
     """M on `layout` -> its partial trace onto `keep`, factors in layout order.
     The adjoint tensors with the identity on the traced-out factors.  The
-    map carries its `LocalForm`, the identity after the trace onto `keep`."""
+    map carries its `LocalForm`, the identity after the trace onto `keep`.
+    A map is immutable, so one is built per layout and kept factors, and
+    every program shares it."""
+    return _partial_trace_map(layout, tuple(sorted(layout.axes_of(keep))))
+
+
+@functools.lru_cache(maxsize=256)
+def _partial_trace_map(layout: SubsystemLayout, keep_axes: tuple[int, ...]) -> LinearMap:
     n = len(layout.dims)
-    keep_axes = sorted(layout.axes_of(keep))
     drop = [a for a in range(n) if a not in keep_axes]
-    order = keep_axes + drop
-    d_keep = layout.dim_of(keep)
+    order = list(keep_axes) + drop
+    d_keep = math.prod(layout.dims[a] for a in keep_axes)
     # the entry of H that each entry of H (x) I copies, in layout order: the
     # entries of H are numbered from 1, so that the zeros of I become -1
     source = np.kron(np.arange(1, d_keep * d_keep + 1).reshape(d_keep, d_keep),

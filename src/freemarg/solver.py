@@ -16,12 +16,16 @@ in the block's columns; maps and rows are one sparse type, `herm._Rows`.
 The solver knows nothing of tensor factors: a map that is a partial trace
 followed by another map carries its `herm.LocalForm`, and `herm.LocalSchur`
 contracts the scalings of a block by these forms.  `compile` normalizes the
-equality rows to A_n, finds their rank and reduces rank-deficient rows to
-A = U_r' A_n.  A size test alone picks a block's Schur layout (see
-`_BlockRows`): a block whose dense Schur product, in the rows of A, costs
-more real multiply-adds than `_LOCAL_SCHUR_MACS` is large and assembles its
-part of M_n = A_n W A_n' by local contraction; a small one takes the dense
-product.
+equality rows to A_n and finds their rank: first by the Gram test
+(`_full_rank`), which the package's rows, each product string stated once,
+pass at once, and by a QR and SVD only where the test cannot confirm full
+rank; rank-deficient rows are reduced to A = U_r' A_n.  A program without a
+large block keeps a dense A, its product-string rows, if it has any, in the
+eigenbasis of their Gram matrix.  A size test alone picks a block's Schur
+layout (see `_BlockRows`): in full-rank rows, a block whose dense Schur
+product costs more real multiply-adds than `_LOCAL_SCHUR_MACS` is large and
+assembles its part of M = A_n W A_n' by local contraction; a small one, and
+every block of rank-deficient rows, takes the dense product.
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -99,10 +103,16 @@ class _EqGroup:
     scalar: bool
     # per term, a block and the map of its coefficients in the group's rows
     terms: list[tuple[BlockRef, LinearMap]]
+    # the svec of the output basis element of each row, if the rows are not
+    # the output's svec coordinates
+    basis: np.ndarray | None = None
 
     def value(self, y: np.ndarray) -> np.ndarray | float:
-        """The group's entries of y, a number or a Hermitian matrix."""
+        """The group's entries of y, a number or a Hermitian matrix: on rows
+        in a `basis`, the sum of its elements weighted by them."""
         ys = y[self.rows]
+        if self.basis is not None:
+            return smat(ys @ self.basis, math.isqrt(self.basis.shape[1]))
         return float(ys[0]) if self.scalar else smat(ys, math.isqrt(ys.size))
 
 
@@ -131,6 +141,9 @@ class ConicProgram:
         self._c: np.ndarray | None = None
         self.sense: int = +1  # +1 minimize, -1 maximize
         self._compiled: dict | None = None
+        # a Farkas ray of the equality rows known as they are stated, by row
+        # (see `programs.StringRows`): the program is infeasible unsolved
+        self.ray: dict[int, float] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -147,11 +160,16 @@ class ConicProgram:
         self._offsets.append(start)
         self._compiled = None
 
-    def _append_rows(self, name: str, terms: list, rhs: np.ndarray, scalar: bool):
+    def _append_rows(self, name: str, terms: list, rhs: np.ndarray, scalar: bool,
+                     basis: np.ndarray | None = None):
         start = len(self._rhs)
         self._rhs.extend(rhs)
-        self.eq_groups.append(_EqGroup(name, slice(start, len(self._rhs)), scalar, terms))
+        self.eq_groups.append(_EqGroup(name, slice(start, len(self._rhs)), scalar, terms, basis))
         self._compiled = None
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._rhs)
 
     @staticmethod
     def _map_terms(name: str, terms: Sequence[Term], d: int) -> list:
@@ -189,6 +207,17 @@ class ConicProgram:
         """sum_j map_j(X_j) = rhs, one row per svec coordinate of the output."""
         rhs = hermitize(np.asarray(rhs, dtype=complex))
         self._append_rows(name, self._map_terms(name, terms, rhs.shape[0]), svec(rhs), False)
+
+    def add_basis_equality(self, name: str, terms: Sequence[Term], rhs: np.ndarray,
+                           basis: np.ndarray):
+        """sum_j map_j(X_j) = rhs, one row per element of an orthonormal set
+        of Hermitian matrices, `basis` (their svec, one row each): each map's
+        rows are the coordinates of its output along them."""
+        for ref, lmap in terms:
+            if lmap.in_dim != ref.cdim or lmap.nz.shape[0] != len(basis):
+                raise ValueError(f"constraint {name!r}: term of shape {lmap.nz.shape} on block "
+                                 f"{ref.name!r} of order {ref.cdim} in {len(basis)} rows")
+        self._append_rows(name, list(terms), np.asarray(rhs, dtype=float), False, basis)
 
     def add_psd_inequality(self, name: str, terms: Sequence[Term],
                            const: np.ndarray | None = None):
@@ -243,9 +272,9 @@ class ConicProgram:
         return a, np.array(self._rhs)
 
     def compile(self) -> dict:
-        """Assemble (A, b), normalize and rank-reduce the equality rows.  The
-        objective is not part of the compiled data, so every objective of the
-        program shares it."""
+        """Assemble (A, b), normalize the equality rows, and reduce them if
+        they are rank-deficient.  The objective is not part of the compiled
+        data, so every objective of the program shares it."""
         if self._compiled is not None:
             return self._compiled
         a, b = self.equality_rows()
@@ -263,36 +292,47 @@ class ConicProgram:
         large = [_BlockRows.large(_BlockRows.dense_rows(nz, None).size, blk.cdim)
                  for nz, blk in zip(nonzeros, self.blocks)]
 
-        # a program without a large block keeps the dense A, and so the
-        # rounding of its products, to which feasible sets without an
-        # interior point are sensitive
-        full = any(large) and m > 0 and _full_rank(a_n)
-        if not full:
-            # A_n = R' Q' with Q orthonormal, so A_n and R' share their
-            # singular values and left singular vectors, and R has m
-            # columns and at most m rows
+        # the rank comes from the Gram test first; only rows it cannot show
+        # to be independent take a QR factor: A_n = R' Q' with Q
+        # orthonormal, so A_n and R' share their singular values and left
+        # singular vectors, and R has m columns and at most m rows
+        full = m > 0 and _full_rank(a_n)
+        if not (full and any(large)):
+            # a program without a large block keeps the dense A, and so the
+            # rounding of its products, to which feasible sets without an
+            # interior point are sensitive
             a_n = a_n.dense()
+        if not full:
             rfac = np.linalg.qr(a_n.T, mode="r")
             u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
             rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
             r = int(np.sum(sv > max(rank_tol, 1e-13)))
             full = r == m
-        if full:  # the rows themselves are a basis, and U_r the identity
+        if full and not any(large) and any(g.basis is not None for g in self.eq_groups):
+            # rows stated by product strings (see `programs.StringRows`) are
+            # sparse and aligned with the marginals; on a set without an
+            # interior point the dense steps converge far more often on
+            # their span in the eigenbasis of the Gram matrix, eigenvalues
+            # descending, as the SVD of a reduction orders it
+            u_r = np.linalg.eigh(a_n @ a_n.T)[1][:, ::-1]
+            a_red, b_red = u_r.T @ a_n, u_r.T @ b_n
+        elif full:  # the rows themselves are a basis, and U_r the identity
             diag = np.arange(m)
             u_r, a_red, b_red = _Rows(diag, diag, np.ones(m), (m, m)), a_n, b_n
         else:
             u_r = u[:, :r]
             a_red, b_red = u_r.T @ a_n, u_r.T @ b_n
 
-        # a block is large by the rows its dense product would really use:
-        # those of the reduced A when the rows are rank-deficient
+        # a large block takes the local layout in the rows of A_n, which are
+        # those of A where A keeps its nonzeros; in dense rows, and so in
+        # rank-deficient ones, every block takes the dense layout
         block_rows = []
-        for nz, blk in zip(nonzeros, self.blocks):
+        for nz, blk, big in zip(nonzeros, self.blocks, large):
             reduced = None if isinstance(a_red, _Rows) else a_red[:, self.block_slice(blk)]
-            rows = _BlockRows.dense_rows(nz, reduced)
             block_rows.append(_BlockRows.of_local(self._local_terms(blk), d_inv)
-                              if _BlockRows.large(rows.size, blk.cdim)
-                              else _BlockRows.of(nz, blk.cdim, reduced, rows))
+                              if big and reduced is None
+                              else _BlockRows.of(nz, blk.cdim, reduced,
+                                                 _BlockRows.dense_rows(nz, reduced)))
         self._compiled = {
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
@@ -448,8 +488,8 @@ class _BlockRows(NamedTuple):
     D_X L_X K_tr(X), D_X its part of the normalization d_inv times the
     form's scale (-1 for a slack's term).  The groups that keep the same
     factors X are stacked into one: their rows, their D_X and their L_X, an
-    identity standing for none.  The layout adds its part to M_n, in the
-    rows of A_n: D_X L_X S_XY L_Y' D_Y for the kept sets X and Y, with S_XY
+    identity standing for none.  The layout adds its part to M, in the
+    rows of A = A_n: D_X L_X S_XY L_Y' D_Y for the kept sets X and Y, with S_XY
     the Schur block of the two partial traces, which `herm.LocalSchur`
     contracts from G without forming any G A_l G.  `local` holds the
     `LocalSchur` of the kept sets and, per set, (its rows, D_X, L_X or None
@@ -515,8 +555,7 @@ class _BlockRows(NamedTuple):
 
     def add_schur(self, g: np.ndarray, m: np.ndarray):
         """Add tr(A_k G A_l G) over this block to m[:, l, k], for the
-        members' scalings g (count, d, d): m is M on the dense layout and
-        M_n on the local one."""
+        members' scalings g (count, d, d)."""
         if self.local is not None:
             self._add_local(g, m)
             return
@@ -534,9 +573,9 @@ class _BlockRows(NamedTuple):
         else:
             m[:, self.rows[:, None], self.rows] += part
 
-    def _add_local(self, g: np.ndarray, m_n: np.ndarray):
+    def _add_local(self, g: np.ndarray, m: np.ndarray):
         """The local layout's add_schur: per pair of kept factor sets, its
-        block added to m_n and its transpose to the mirror place; each S
+        block added to m and its transpose to the mirror place; each S
         block is scaled in place, and freed once added."""
         local_schur, groups = self.local
         schur = local_schur(g)
@@ -549,9 +588,9 @@ class _BlockRows(NamedTuple):
                 part = part @ l_y.T
             part *= d_x[:, None]
             part *= d_y
-            m_n[_at(rows_x, rows_y)] += part
+            m[_at(rows_x, rows_y)] += part
             if x != y:
-                m_n[_at(rows_y, rows_x)] += np.swapaxes(part, -1, -2)
+                m[_at(rows_y, rows_x)] += np.swapaxes(part, -1, -2)
 
 
 def _at(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
@@ -609,36 +648,24 @@ class _Model:
         self.a, self.b, self.u_r = data["A"], data["b"], data["u_r"]
         self.at = self.a.T if isinstance(self.a, _Rows) else np.ascontiguousarray(self.a.T)
         self.block_rows = data["block_rows"]
-        # blocks on the local layout use the normalized rows, which need the
-        # reduction when the rows are rank-deficient
-        self.reduce_local = (self.a.shape[0] < self.u_r.shape[0]
-                             and any(blk.local is not None for blk in self.block_rows))
-        self.u_rt = np.ascontiguousarray(self.u_r.T) if self.reduce_local else None
         self.blocks = _Blocks(data["dims"])
         self.nu = sum(data["dims"]) + 1.0
         self.norm_b = 1.0 + np.linalg.norm(self.b)
-        self._buffers: list[np.ndarray] = []
+        self._buffers: np.ndarray | None = None
 
-    def schur_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """M and M_n, zeroed, and room for M's symmetrized copy, for `count`
-        members: views of one buffer the model keeps for its Newton steps,
-        so that no step allocates them anew, and each step overwrites the
-        last one's M.  M_n is M itself unless the local blocks need the
-        reduction."""
-        if not self._buffers or self._buffers[0].shape[0] < count:
-            r, n_rows = self.a.shape[0], self.u_r.shape[0]
+    def schur_buffers(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """M, zeroed, and room for its symmetrized copy, for `count` members:
+        views of one buffer the model keeps for its Newton steps, so that no
+        step allocates them anew, and each step overwrites the last one's M."""
+        if self._buffers is None or self._buffers.shape[1] < count:
+            r = self.a.shape[0]
             # one allocation: once freed, a chunk this large lifts glibc's
             # trim threshold above what a step allocates, so that the
             # factor of later steps is not unmapped and faulted in again
-            shapes = [(count, r, r)] * 2 + [(count, n_rows, n_rows)] * self.reduce_local
-            ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-            flat = np.empty(ends[-1])
-            self._buffers = [flat[lo:hi].reshape(shape)
-                             for lo, hi, shape in zip(ends, ends[1:], shapes)]
-        m, sym, *m_n = [buf[:count] for buf in self._buffers]
-        for buf in [m] + m_n:
-            buf.fill(0.0)
-        return m, m_n[0] if m_n else m, sym
+            self._buffers = np.empty((2, count, r, r))
+        m, sym = self._buffers[:, :count]
+        m.fill(0.0)
+        return m, sym
 
 
 # an iterate's residuals and status tests, per member: x, y and s as vectors,
@@ -726,15 +753,11 @@ class _Normal:
     @classmethod
     def assemble(cls, model: _Model, g_list: list, count: int) -> "_Normal":
         """M for the members' scalings: the sum over blocks of
-        tr(A_k G A_l G), in the rows of A for blocks on the dense layout and
-        for those on the local layout in the normalized rows, whose M_n
-        gives U_r' M_n U_r.  M and its symmetrized copy live in the model's
+        tr(A_k G A_l G).  M and its symmetrized copy live in the model's
         buffers, so that the factor is the one r x r array a step allocates."""
-        m_mat, m_n, sym = model.schur_buffers(count)
+        m_mat, sym = model.schur_buffers(count)
         for (order, at), blk in zip(model.blocks.place, model.block_rows):
-            blk.add_schur(g_list[order][:, at], m_n if blk.local is not None else m_mat)
-        if model.reduce_local:
-            m_mat += model.u_rt @ m_n @ model.u_r
+            blk.add_schur(g_list[order][:, at], m_mat)
         # the Hermitian part of M, as `herm.hermitize` forms it
         np.add(m_mat, np.swapaxes(m_mat, -1, -2), out=sym)
         np.divide(sym, 2, out=sym)
@@ -895,6 +918,12 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     row-wise reductions), so a member's result does not depend, bit for
     bit, on which other members share its stack."""
     settings = settings or SolverSettings()
+    if program.ray:
+        ray = np.zeros(program.num_rows)
+        for row, weight in program.ray.items():
+            ray[row] = weight
+        return [_infeasible_result(program, ray, None, "a string stated with two values", 0)
+                for _ in objectives]
     data = program.compile()
     r, n = data["A"].shape
     if np.any(data["zero_row_ray"]):

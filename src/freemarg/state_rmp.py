@@ -45,7 +45,7 @@ from .herm import (
     partial_trace_map,
     svec,
 )
-from .programs import attach_free_state_cone
+from .programs import StringRows, attach_free_state_cone
 from .solver import (
     BlockRef,
     ConicProgram,
@@ -122,10 +122,11 @@ class InstanceBase:
     (label, map, target) asks map(V) = target on the compatible set and
     map(V) >= target in the robustness program; each map is a partial trace
     (onto every factor: the identity).  `extract(key)` gives the map that an
-    objective's key names.  A kind's `normalize(prog, V, pinned)` adds V's
-    normalization: pinned on the compatible set (unit trace, Choi state),
-    scaled by tr(V) for the robustness.  Its `constrain(prog, V)` adds the
-    structural equalities and the free cone.  Its `project(V)` returns the
+    objective's key names.  A kind's `normalize(rows, pinned)` adds V's
+    normalization to the `programs.StringRows` of V: pinned on the
+    compatible set (unit trace, Choi state), scaled by tr(V) for the
+    robustness.  Its `constrain(rows)` adds the structural equalities and
+    the free cone.  Its `project(V)` returns the
     nearest valid matrix and the object reported for it.  `finite` says the
     free set has a full-rank member, the condition for a finite robustness;
     `diagnostics` explains an infinite one.  `compatible_set` is the
@@ -202,12 +203,12 @@ class RmpInstance(InstanceBase):
     def _entries(self) -> tuple[tuple[SubsystemSet, np.ndarray], ...]:
         return tuple((sub, sigma.entries) for sub, sigma in self.marginals.entries)
 
-    def normalize(self, prog: ConicProgram, v: BlockRef, pinned: bool):
+    def normalize(self, rows: StringRows, pinned: bool):
         if pinned:  # the cone form, tr(V) = tr(V), says nothing
-            prog.add_matrix_equality("unit_trace", [(v, self.extract(()))], np.ones((1, 1)))
+            rows.marginal("unit_trace", self.extract(()), np.ones((1, 1)))
 
-    def constrain(self, prog: ConicProgram, v: BlockRef):
-        attach_free_state_cone(prog, v, self.extract(self.free.target), self.free)
+    def constrain(self, rows: StringRows):
+        attach_free_state_cone(rows, self.extract(self.free.target), self.free)
 
     def project(self, m: np.ndarray) -> tuple[np.ndarray, DensityMatrix]:
         vals, vecs = np.linalg.eigh(hermitize(m))
@@ -225,17 +226,19 @@ def _program(inst: Instance, pinned: bool,
              pairs: Iterable[tuple[str, LinearMap, np.ndarray]] = ()
              ) -> tuple[ConicProgram, BlockRef]:
     """V, its normalization, the pair rows, then the structure and the free
-    cone; this order fixes the compiled rows and so the iterates.  The
-    caller sets the objective."""
+    cone; this order fixes the compiled rows and so the iterates, and which
+    group states a string that several fix (see `programs.StringRows`).
+    The caller sets the objective."""
     prog = ConicProgram()
     v = prog.add_variable("V", inst.layout.total_dim)
-    inst.normalize(prog, v, pinned)
+    rows = StringRows(prog, v, inst.layout.dims)
+    inst.normalize(rows, pinned)
     for label, m, target in pairs:
         if pinned:
-            prog.add_matrix_equality(f"marginal[{label}]", [(v, m)], target)
+            rows.marginal(f"marginal[{label}]", m, target)
         else:
             prog.add_psd_inequality(f"dominate[{label}]", [(v, m)], const=-target)
-    inst.constrain(prog, v)
+    inst.constrain(rows)
     return prog, v
 
 
@@ -528,20 +531,22 @@ def activation_criterion(rho: DensityMatrix, samples: int = 200, seed: int = 0) 
     """max over sampled local unitaries U of <psi|(U (x) I) rho (U (x) I)^dag|psi>
     with |psi> = (1/sqrt(d)) sum_i |i+1 mod d>|i>; a value above 1/d flags
     activation of multi-copy nonlocality.  The U are the identity and
-    `samples` Haar draws from the Philox stream of `seed`, so the value is a
-    heuristic lower bound."""
+    `samples` Haar draws from the Philox stream of `seed`, drawn and
+    evaluated as one stack, so the value is a heuristic lower bound."""
     if len(rho.layout.dims) != 2 or rho.layout.dims[0] != rho.layout.dims[1]:
         raise LayoutError("activation criterion needs a bipartite state of equal dims")
+    from .discrimination import _haar_from_normals
+
     d = rho.layout.dims[0]
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        psi[((i + 1) % d) * d + i] = 1 / np.sqrt(d)
-
-    def value(u: np.ndarray) -> float:
-        big = np.kron(u, np.eye(d))
-        return float(np.real(psi.conj() @ big @ rho.entries @ big.conj().T @ psi))
-
-    from .discrimination import haar_from_generator
-
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return max([value(np.eye(d))] + [value(haar_from_generator(d, gen)) for _ in range(samples)])
+    us = _haar_from_normals(gen.normal(size=(samples, 2, d, d)))
+    return float(np.max(_activation_overlaps(rho.entries, np.concatenate([np.eye(d)[None], us]))))
+
+
+def _activation_overlaps(rho: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """<psi|(U (x) I) rho (U (x) I)^dag|psi> for each U of the stack us: with
+    psi = vec(Psi), (U (x) I)^dag psi is vec(U^dag Psi)."""
+    d = us.shape[-1]
+    psi = np.roll(np.eye(d), 1, axis=0) / np.sqrt(d)   # Psi[(i + 1) % d, i] = 1/sqrt(d)
+    phi = (np.swapaxes(us.conj(), -1, -2) @ psi).reshape(len(us), d * d)
+    return np.einsum("si,ij,sj->s", phi.conj(), rho, phi).real

@@ -3,6 +3,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,8 +99,6 @@ CORPUS = {
 }
 
 
-# a pure free Choi state warns that it is not full rank before it is refused
-@pytest.mark.filterwarnings("ignore:Singleton free state is not full rank:UserWarning")
 @pytest.mark.parametrize("command", ["robustness", "discriminate"])
 @pytest.mark.parametrize("name", list(CORPUS))
 def test_bad_instance_exits_2(name, command, tmp_path, capsys):
@@ -110,6 +111,21 @@ def test_bad_instance_exits_2(name, command, tmp_path, capsys):
     assert err.startswith("input error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_refused_singleton_channel_says_input_error_first(tmp_path):
+    # a pure free Choi that is not trace preserving is refused before its
+    # rank warns, in a process whose warnings go to stderr as a user sees them
+    path = tmp_path / "instance.json"
+    path.write_bytes(CORPUS["singleton_choi_not_trace_preserving"])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "freemarg.cli", "robustness", "--input", str(path),
+                          "--output", str(tmp_path / "out.json")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr.splitlines()[0].startswith("input error:")
+    assert "Warning" not in run.stderr
 
 
 @pytest.mark.parametrize("name", ["nan_entry", "infinite_entry", "overflowing_integer_entry"])

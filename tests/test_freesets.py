@@ -5,7 +5,7 @@ import pytest
 
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet, partial_trace_map
-from freemarg.programs import attach_free_state_cone
+from freemarg.programs import StringRows, attach_free_state_cone
 from freemarg.solver import ConicProgram
 from freemarg.states import ket, maximally_mixed, pure, qubit_layout, w_marginal
 
@@ -21,8 +21,9 @@ def attached(spec: FreeSetSpec) -> tuple[list[str], list[str]]:
     """The named equality rows and PSD groups that `attach_free_state_cone`
     adds for a variable on the target itself."""
     prog = ConicProgram()
-    identity = partial_trace_map(spec.target.sublayout(), spec.target.members)
-    attach_free_state_cone(prog, prog.add_variable("X", spec.target.dim), identity, spec)
+    sub = spec.target.sublayout()
+    rows = StringRows(prog, prog.add_variable("X", spec.target.dim), sub.dims)
+    attach_free_state_cone(rows, partial_trace_map(sub, spec.target.members), spec)
     return [g.name for g in prog.eq_groups], [g.name for g in prog.psd_groups]
 
 
@@ -239,6 +240,20 @@ class TestFreeChannelSpecs:
                      FreeChannelSetSpec.singleton_channel(
                          inp, out, maximally_mixed(gout.concat(gin)).op)):
             assert dataclasses.replace(spec) == spec
+
+    def test_singleton_rank_warning_points_at_the_caller(self):
+        # not into the dataclass-generated __init__, which prints as <string>
+        from freemarg.channel_rmp import ChannelSpec
+
+        lay = qubit_layout("T")
+        with pytest.warns(UserWarning, match="not full rank") as record:
+            FreeSetSpec.singleton(SubsystemSet(lay, ("T",)), pure(lay, np.array([1.0, 0.0])))
+        gin = SubsystemLayout([("T'", 2)])
+        with pytest.warns(UserWarning, match="not full rank") as record_channel:
+            FreeChannelSetSpec.singleton_channel(SubsystemSet(gin, ("T'",)),
+                                                 SubsystemSet(lay, ("T",)),
+                                                 ChannelSpec.identity(gin, lay).choi)
+        assert [w.filename for w in list(record) + list(record_channel)] == [__file__] * 2
 
     def test_singleton_channel_probe(self):
         from freemarg.channel_rmp import ChannelSpec

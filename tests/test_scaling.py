@@ -201,14 +201,17 @@ def test_six_qubit_robustness_by_target(target):
     assert abs(res.value_log2 - value) <= 1e-8
 
 
-def test_compatible_six_qubit_family_reduces_its_local_rows(monkeypatch):
-    # the pinned rows are rank-deficient, 305 of 401, so A is dense and
-    # reduced, and V, large, assembles its block of M_n in the normalized
-    # rows, which U_r then reduces
+def test_compatible_six_qubit_family_states_each_string_once(monkeypatch):
+    # the pinned marginals overlap, and each Pauli string inside some cyclic
+    # window is stated once, 1 + 18 + 108 + 162 of them, next to the 16 rows
+    # of the PPT slack: full rank, so A keeps its nonzeros and U_r is the
+    # identity, and V, large, takes the local Schur path in the rows of A
     inst = cyclic_instance(6, noise=0.7)
     data = state_rmp._program(inst, pinned=True, pairs=inst.pairs)[0].compile()
-    assert data["A"].shape == (305, 4112) and data["u_r"].shape == (401, 305)
-    assert data["block_rows"][0].local is not None and solver._Model(data).reduce_local
+    assert isinstance(data["A"], solver._Rows) and data["A"].shape == (305, 4112)
+    u_r = data["u_r"]
+    assert isinstance(u_r, solver._Rows) and np.array_equal(u_r.dense(), np.eye(305))
+    assert data["block_rows"][0].local is not None
     res = state_rmp.check_rfree_compatible(inst)
     monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", math.inf)
     forced = state_rmp.check_rfree_compatible(inst)

@@ -627,11 +627,13 @@ class TestSchurAssembly:
 
     @staticmethod
     def check_local_layout(rng, prog):
-        """Each block's rows on the local layout, checked against the trace
-        formula."""
-        data = prog.compile()
-        a_n = data["d_inv"][:, None] * prog.equality_rows()[0].dense()
-        for blk, rows in zip(prog.blocks, data["block_rows"]):
+        """Each block's rows on the local layout, built from its row groups
+        (these rows are rank-deficient, so `compile` lays every block out
+        dense), checked against the trace formula."""
+        d_inv = prog.compile()["d_inv"]
+        a_n = d_inv[:, None] * prog.equality_rows()[0].dense()
+        block_rows = [_BlockRows.of_local(prog._local_terms(blk), d_inv) for blk in prog.blocks]
+        for blk, rows in zip(prog.blocks, block_rows):
             assert rows.local is not None
             d = blk.cdim
             z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
@@ -641,7 +643,7 @@ class TestSchurAssembly:
             ag = smat(a_n[:, prog.block_slice(blk)], d) @ g[:, None]
             ref = np.einsum("ckij,clji->clk", ag, ag).real
             assert np.max(np.abs(m_n - ref)) <= 1e-12 * np.max(np.abs(ref))
-        return data["block_rows"]
+        return block_rows
 
     def test_batch_member_equals_solo_on_four_qubits(self, rng, schur_path):
         from freemarg.freesets import FreeSetSpec
@@ -685,11 +687,22 @@ class TestRankReduction:
 
     @staticmethod
     def w_compatibility():
+        """The W family's compatibility program with each marginal stated
+        whole, by its partial trace: AB and BC both fix the B marginal, and
+        the trace row its trace, so the rows are rank-deficient (the package
+        states each product string once instead)."""
         from freemarg.discrimination import w_example_instance
-        from freemarg.state_rmp import _program
+        from freemarg.programs import StringRows, attach_free_state_cone
 
         inst = w_example_instance()
-        return _program(inst, pinned=True, pairs=inst.pairs)[0]
+        prog = ConicProgram()
+        v = prog.add_variable("V", inst.layout.total_dim)
+        prog.add_matrix_equality("unit_trace", [(v, inst.extract(()))], np.ones((1, 1)))
+        for label, m, target in inst.pairs:
+            prog.add_matrix_equality(f"marginal[{label}]", [(v, m)], target)
+        attach_free_state_cone(StringRows(prog, v, inst.layout.dims),
+                               inst.extract(inst.free.target), inst.free)
+        return prog
 
     @staticmethod
     def broadcasting_compatibility():
