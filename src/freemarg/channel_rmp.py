@@ -37,8 +37,8 @@ from .herm import (
     ValidationError,
     hermitize,
     partial_trace_map,
+    permute_array,
     ptrace_array,
-    replacement_defect_map,
     svec,
 )
 from .programs import StringRows, attach_free_state_cone
@@ -115,17 +115,6 @@ class ChannelSpec:
     def identity(in_layout: SubsystemLayout, out_layout: SubsystemLayout | None = None) -> "ChannelSpec":
         out_layout = out_layout or _primed_twin(in_layout)
         return ChannelSpec.from_kraus([np.eye(in_layout.total_dim)], in_layout, out_layout)
-
-    @staticmethod
-    def depolarizing(in_layout: SubsystemLayout, out_layout: SubsystemLayout | None = None,
-                     p: float = 1.0) -> "ChannelSpec":
-        """E(rho) = (1-p) rho + p tr(rho) I/d."""
-        out_layout = out_layout or _primed_twin(in_layout)
-        d = in_layout.total_dim
-        ident = ChannelSpec.identity(in_layout, out_layout).choi.entries
-        mixed = np.kron(np.eye(d) / d, np.eye(d) / d)
-        j = (1 - p) * ident + p * mixed
-        return ChannelSpec(in_layout, out_layout, HermitianOperator(out_layout.concat(in_layout), j))
 
     @staticmethod
     def replacement(state: DensityMatrix, in_layout: SubsystemLayout) -> "ChannelSpec":
@@ -290,9 +279,13 @@ class MarginalChannelResult:
 def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> MarginalChannelResult:
     """Reduced channel on the pair, when the no-signaling condition holds.
 
-    Exists iff the existence map of the channel programs sends J to zero;
-    the reduced Choi is then the pair marginal of the global Choi.  A Choi
-    state has unit trace, so its entries and their deviation are absolute.
+    With F the other inputs and M = tr_{S\\keep}(J) the Choi marginal on
+    the pair's outputs and every input, the marginal channel exists iff M
+    carries I/d_F on F, as the existence rows of the channel programs
+    state: `deviation` is max |M - tr_F(M) (x) I/d_F|, by partial traces of
+    J.  The reduced Choi is then the pair marginal of the global Choi.  A
+    Choi state has unit trace, so its entries and their deviation are
+    absolute.
     """
     so = global_channel.out_layout.concat(global_channel.in_layout)
     j = global_channel.choi.entries
@@ -300,8 +293,14 @@ def marginal_channel(global_channel: ChannelSpec, pair: ChannelPair) -> Marginal
     keep, rest_in = _existence(global_channel.in_layout, pair)
     dev = 0.0
     if rest_in:
-        m = replacement_defect_map(so.sublayout(keep), rest_in) @ partial_trace_map(so, keep)
-        dev = float(np.max(np.abs(m.apply(j))))
+        # M with F moved last, which leaves its entries, and so their
+        # largest deviation, as they are
+        sub = so.sublayout(keep)
+        fixed, d_f = sub.axes_of(rest_in), sub.dim_of(rest_in)
+        order = [a for a in range(len(sub.dims)) if a not in fixed] + list(fixed)
+        m = permute_array(ptrace_array(j, so.dims, so.axes_of(keep)), sub.dims, order)
+        reduced = ptrace_array(m, (m.shape[0] // d_f, d_f), (0,))
+        dev = float(np.max(np.abs(m - np.kron(reduced, np.eye(d_f) / d_f))))
     if dev > DEFAULT_TOLS.psd:
         return MarginalChannelResult(False, None, dev)
     in_sub = global_channel.in_layout.sublayout(pair.inp.members)

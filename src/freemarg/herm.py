@@ -8,9 +8,10 @@ the most significant index, e.g. a two-qubit basis is ordered
 
 Linear maps between Hermitian matrix spaces (`LinearMap`) are held by the
 nonzeros of their real matrices in `svec` coordinates (`_Rows`, the type
-the solver's rows share).  Partial traces and partial transposes are built
-straight from the `svec` and `smat` index tables, so no dense matrix over
-the d^2 coordinates of a large layout is formed.
+the solver's rows share).  Every map built here is built from index
+tables: a partial trace or a partial transpose from those of `svec` and
+`smat`, a scaled identity from its diagonal.  So no dense matrix over the
+d^2 coordinates of a large layout is formed.
 
 Product-operator strings give the other coordinates of a layout: each
 factor of dimension d has the generalized Gell-Mann basis `factor_basis(d)`,
@@ -657,31 +658,6 @@ def partial_transpose_map(layout: SubsystemLayout, part: Sequence[str]) -> Linea
     d = layout.total_dim
     entries = np.arange(d * d).reshape(d, d)
     return _copy_map(ptranspose_array(entries, layout.dims, layout.axes_of(part)), d)
-
-
-def replacement_defect_map(layout: SubsystemLayout, fixed: Sequence[str],
-                           state: np.ndarray | None = None) -> LinearMap:
-    """M on `layout` -> M - tr_F(M) (x) state, the factors F = `fixed`
-    replaced in place by `state` (default I/d_F).  Set to zero, it says that
-    M carries `state` on F: no-signalling, Choi normalization, replacement
-    channels and singleton pins.  The adjoint is
-    H -> H - tr_F((I (x) state) H) (x) I_F.  Row k of its matrix is svec of
-    the adjoint at `hermitian_basis(d)[k]`, which is exactly Hermitian, as
-    the factor moves and traces are."""
-    n = len(layout.dims)
-    fixed_axes = sorted(layout.axes_of(fixed))
-    order = [a for a in range(n) if a not in fixed_axes] + fixed_axes
-    d_f = layout.dim_of(fixed)
-    d_r = layout.total_dim // d_f
-    sigma = np.eye(d_f) / d_f if state is None else np.asarray(state, dtype=complex)
-    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
-
-    def adjoint(h):
-        t = permute_array(h, layout.dims, order).reshape(-1, d_r, d_f, d_r, d_f)
-        reduced = np.einsum("xaibj,ji->xab", t, sigma)
-        return h - permute_array(np.kron(reduced, np.eye(d_f)), dims, back)
-
-    return LinearMap(svec(adjoint(hermitian_basis(layout.total_dim))))
 
 
 # ---------------------------------------------------------------------------

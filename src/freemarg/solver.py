@@ -289,7 +289,7 @@ class ConicProgram:
         a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
         nonzeros = [a_n.columns(self.block_slice(blk)) for blk in self.blocks]
-        large = [_BlockRows.large(_BlockRows.dense_rows(nz, None).size, blk.cdim)
+        large = [_BlockRows.large(int(_first_of_runs(nz[0]).sum()), blk.cdim)
                  for nz, blk in zip(nonzeros, self.blocks)]
 
         # the rank comes from the Gram test first; only rows it cannot show
@@ -325,14 +325,18 @@ class ConicProgram:
 
         # a large block takes the local layout in the rows of A_n, which are
         # those of A where A keeps its nonzeros; in dense rows, and so in
-        # rank-deficient ones, every block takes the dense layout
+        # rank-deficient ones, every block takes the dense layout, from its
+        # columns of A, or of A_n's nonzeros scattered into zeros
         block_rows = []
-        for nz, blk, big in zip(nonzeros, self.blocks, large):
-            reduced = None if isinstance(a_red, _Rows) else a_red[:, self.block_slice(blk)]
-            block_rows.append(_BlockRows.of_local(self._local_terms(blk), d_inv)
-                              if big and reduced is None
-                              else _BlockRows.of(nz, blk.cdim, reduced,
-                                                 _BlockRows.dense_rows(nz, reduced)))
+        for (rows, coords, vals), blk, big in zip(nonzeros, self.blocks, large):
+            if not isinstance(a_red, _Rows):
+                block_rows.append(_BlockRows.of(a_red[:, self.block_slice(blk)], blk.cdim))
+            elif big:
+                block_rows.append(_BlockRows.of_local(self._local_terms(blk), d_inv))
+            else:
+                part = np.zeros((m, blk.cdim ** 2))
+                part[rows, coords] = vals
+                block_rows.append(_BlockRows.of(part, blk.cdim))
         self._compiled = {
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
@@ -480,8 +484,9 @@ class _BlockRows(NamedTuple):
     tr(A_k G A_l G) for the rows k and l, on one of two layouts: a small
     block takes the dense one, a large block the local one.
 
-    The dense layout keeps `mats`, the matrices A_l of the block's rows of
-    the reduced A, and adds its part to M by the dense product.
+    The dense layout is built from one table, the block's dense columns of
+    A (`of`).  It keeps `mats`, the matrices A_l of the rows with a nonzero
+    there, and adds its part to M by the dense product.
 
     On the local layout each row group has a `LocalForm` (L_X, X) on the
     block (see `ConicProgram._local_terms`): the group's rows are
@@ -512,26 +517,11 @@ class _BlockRows(NamedTuple):
         return 4 * n * d ** 3 + 2 * n * n * d * d > _LOCAL_SCHUR_MACS
 
     @staticmethod
-    def dense_rows(nonzeros: tuple, reduced: np.ndarray | None) -> np.ndarray:
-        """The rows the dense layout keeps, ascending: those of the reduced
-        A, `reduced`, with a nonzero in the block, or, where A = A_n (None),
-        those of its nonzeros (rows, coords, vals) in the block's columns."""
-        if reduced is not None:
-            return np.flatnonzero(np.any(reduced, axis=1))
-        rows = nonzeros[0]
-        return rows[_first_of_runs(rows)]
-
-    @staticmethod
-    def of(nonzeros: tuple, d: int, reduced: np.ndarray | None,
-           rows: np.ndarray) -> "_BlockRows":
-        """The dense layout of a block of order d on its `dense_rows`, from
-        its dense rows of the reduced A or from the nonzeros of A_n."""
-        if reduced is not None:
-            return _BlockRows(rows, smat(reduced[rows], d))
-        nz_rows, coords, vals = nonzeros
-        dense = np.zeros((rows.size, d * d))
-        dense[np.cumsum(_first_of_runs(nz_rows)) - 1, coords] = vals
-        return _BlockRows(rows, smat(dense, d))
+    def of(part: np.ndarray, d: int) -> "_BlockRows":
+        """The dense layout of a block of order d from its dense column
+        table of A, one row per row of A: the rows with a nonzero in it."""
+        rows = np.flatnonzero(np.any(part, axis=1))
+        return _BlockRows(rows, smat(part[rows], d))
 
     @staticmethod
     def of_local(terms: list[tuple[slice, LocalForm]], d_inv: np.ndarray) -> "_BlockRows":
@@ -929,8 +919,12 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     if np.any(data["zero_row_ray"]):
         return [_infeasible_result(program, data["zero_row_ray"], None,
                                    "zero row with nonzero rhs", 0) for _ in objectives]
-    if r > 0 and (np.linalg.norm(data["b_perp"])
-                  > settings.feas_tol * (1 + np.linalg.norm(data["b"]))):
+    m = data["u_r"].shape[0]
+    # b_perp is rounding where the reduction kept every row; where it dropped
+    # some, it is tested at no less than the rounding of the projection
+    if 0 < r < m and (np.linalg.norm(data["b_perp"])
+                      > max(settings.feas_tol, 10 * m * np.finfo(float).eps)
+                      * (1 + np.linalg.norm(data["b"]))):
         # equality system itself is inconsistent; Farkas direction is immediate
         return [_infeasible_result(program, data["d_inv"] * data["b_perp"], None,
                                    "inconsistent equalities", 0) for _ in objectives]

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from freemarg.discrimination import W_EXAMPLE_DELTA, W_EXAMPLE_VECTORS, W_EXAMPLE_WEIGHTS
-from freemarg.herm import HermitianOperator
+from freemarg.channel_rmp import ChannelSpec
+from freemarg.herm import (HermitianOperator, LinearMap, hermitian_basis, permute_array,
+                           svec)
 from freemarg.states import qubit_layout
 
 
@@ -41,6 +43,42 @@ def psd_split(a: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     pos = (vecs * np.clip(vals, 0, None)) @ vecs.conj().T
     neg = (vecs * np.clip(-vals, 0, None)) @ vecs.conj().T
     return pos, neg
+
+
+def defect_adjoint(layout, fixed, state=None):
+    """The adjoint of M -> M - tr_F(M) (x) state, the factors F = `fixed`
+    replaced in place by `state` (default I/d_F):
+    H -> H - tr_F((I (x) state) H) (x) I_F."""
+    n = len(layout.dims)
+    fixed_axes = sorted(layout.axes_of(fixed))
+    order = [a for a in range(n) if a not in fixed_axes] + fixed_axes
+    d_f = layout.dim_of(fixed)
+    d_r = layout.total_dim // d_f
+    sigma = np.eye(d_f) / d_f if state is None else state
+    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
+
+    def adjoint(h):
+        t = permute_array(h, layout.dims, order).reshape(-1, d_r, d_f, d_r, d_f)
+        reduced = np.einsum("xaibj,ji->xab", t, sigma)
+        return h - permute_array(np.kron(reduced, np.eye(d_f)), dims, back)
+
+    return adjoint
+
+
+def replacement_defect_map(layout, fixed, state=None) -> LinearMap:
+    """The replacement defect M -> M - tr_F(M) (x) state as a map with no
+    local form: row k of its matrix is svec of its adjoint at
+    `hermitian_basis(d)[k]`, a dense matrix over the d^2 coordinates."""
+    adjoint = defect_adjoint(layout, fixed, state)
+    return LinearMap(svec(adjoint(hermitian_basis(layout.total_dim))))
+
+
+def depolarizing(in_layout, out_layout, p=1.0) -> ChannelSpec:
+    """E(rho) = (1-p) rho + p tr(rho) I/d."""
+    d = in_layout.total_dim
+    ident = ChannelSpec.identity(in_layout, out_layout).choi.entries
+    j = (1 - p) * ident + p * np.kron(np.eye(d) / d, np.eye(d) / d)
+    return ChannelSpec(in_layout, out_layout, HermitianOperator(out_layout.concat(in_layout), j))
 
 
 def w_example_witness_block(layout=None) -> HermitianOperator:

@@ -22,15 +22,16 @@ from freemarg.channel_rmp import (
     state_discrimination_task,
     tensor_channels,
 )
+from freemarg.config import DEFAULT_TOLS
 from freemarg.discrimination import advantage, task_from_witness, w_example_instance
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import (HermitianOperator, LayoutError, SubsystemLayout, SubsystemSet,
-                           ValidationError)
+                           ValidationError, partial_trace_map)
 from freemarg.solver import SolverFailure, SolverSettings, Status
 from freemarg.state_rmp import check_rfree_compatible, extract_witness, robustness
 from freemarg.states import maximally_mixed, qubit_layout
 
-from conftest import rand_herm, rand_kraus, rand_unitary
+from conftest import depolarizing, rand_herm, rand_kraus, rand_unitary, replacement_defect_map
 
 
 def primed(labels):
@@ -104,7 +105,7 @@ class TestChannelSpec:
         assert np.max(np.abs(chan.apply(m) - np.trace(m) * state.entries)) < 1e-12
 
     def test_depolarizing(self, rng):
-        chan = ChannelSpec.depolarizing(primed("A"), qubit_layout("A"), p=1.0)
+        chan = depolarizing(primed("A"), qubit_layout("A"), p=1.0)
         m = rand_herm(rng, 2)
         assert np.max(np.abs(chan.apply(m) - np.trace(m) * np.eye(2) / 2)) < 1e-12
 
@@ -138,7 +139,7 @@ class TestMarginalChannel:
     def test_depolarizing_marginal_exists(self):
         gin = primed("AB")
         gout = qubit_layout("AB")
-        chan = ChannelSpec.depolarizing(gin, gout, p=1.0)
+        chan = depolarizing(gin, gout, p=1.0)
         pair = ChannelPair(SubsystemSet(gin, ("B'",)), SubsystemSet(gout, ("B",)))
         res = marginal_channel(chan, pair)
         assert res.exists
@@ -160,6 +161,40 @@ class TestMarginalChannel:
             pair_b = ChannelPair(SubsystemSet(gin, ("B'",)), SubsystemSet(gout, ("B",)))
             assert marginal_channel(prod, pair_a).exists
             assert marginal_channel(prod, pair_b).exists
+
+    @pytest.mark.parametrize("draw", range(4))
+    def test_deviation_matches_the_replacement_defect(self, draw):
+        # three inputs, one a qutrit: a random channel, which signals, and a
+        # product of a channel A'B' -> A and one C' -> B, which signals
+        # neither from C' to A nor from A'B' to B; each pair's deviation
+        # against the replacement defect of the other inputs after the
+        # partial trace onto the pair's outputs and every input
+        gen = np.random.default_rng(draw)
+        gin = SubsystemLayout([("A'", 2), ("B'", 3), ("C'", 2)])
+        gout = qubit_layout("AB")
+        rand = ChannelSpec.from_kraus(rand_kraus(gen, 12, 4, 3), gin, gout)
+        prod = tensor_channels(
+            ChannelSpec.from_kraus(rand_kraus(gen, 6, 2, 3), gin.sublayout(("A'", "B'")),
+                                   gout.sublayout(("A",))),
+            ChannelSpec.from_kraus(rand_kraus(gen, 2, 2, 2), gin.sublayout(("C'",)),
+                                   gout.sublayout(("B",))))
+        so = gout.concat(gin)
+        pairs = [(("A'",), ("A",)), (("A'", "B'"), ("A",)), (("C'",), ("B",)),
+                 (("B'",), ("A", "B"))]
+        exists = []
+        for chan in (rand, prod):
+            for inp, out in pairs:
+                pair = ChannelPair(SubsystemSet(gin, inp), SubsystemSet(gout, out))
+                keep = out + gin.labels
+                rest = [l for l in gin.labels if l not in inp]
+                defect = replacement_defect_map(so.sublayout(keep), rest)
+                ref = np.max(np.abs((defect @ partial_trace_map(so, keep)).apply(
+                    chan.choi.entries)))
+                res = marginal_channel(chan, pair)
+                assert abs(res.deviation - ref) <= 1e-15
+                assert res.exists == (ref <= DEFAULT_TOLS.psd)
+                exists.append(res.exists)
+        assert exists == [False] * 4 + [False, True, True, False]
 
 
 class TestChannelRobustness:
@@ -376,7 +411,7 @@ class TestChannelSuccessProbability:
     def test_depolarizing_output_is_input_independent(self, rng):
         gin = primed("A")
         gout = qubit_layout("A")
-        dep = ChannelSpec.depolarizing(gin, gout, p=1.0)
+        dep = depolarizing(gin, gout, p=1.0)
         pair = ChannelPair(SubsystemSet(gin, ("A'",)), SubsystemSet(gout, ("A",)))
         fam = ChannelMarginalFamily(gin, gout, [(pair, dep)])
         from freemarg.channel_rmp import ChannelDiscriminationTask

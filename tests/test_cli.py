@@ -139,6 +139,16 @@ class TestCheckCompatCommand:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["compatible"] is False
 
+    def test_unreachable_tolerance_is_a_solver_error(self, compatible_instance_file, tmp_path,
+                                                     capsys):
+        # at 1e-300 the rounding of the rows' eigenbasis is no Farkas
+        # certificate: the check fails instead of answering incompatible
+        out = tmp_path / "c.json"
+        rc = cli.main(["check-compat", "--input", compatible_instance_file, "--output", str(out),
+                       "--gap-tol", "1e-300", "--feas-tol", "1e-300"])
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err.startswith("solver error:")
+
     def test_channel_broadcasting(self, broadcasting_file, tmp_path):
         out = tmp_path / "c.json"
         proc = run_cli("check-compat", "--input", broadcasting_file, "--output", str(out))

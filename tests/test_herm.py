@@ -23,7 +23,6 @@ from freemarg.herm import (
     permute_array,
     permute_factors,
     ptranspose_array,
-    replacement_defect_map,
     smat,
     svec,
     tensor,
@@ -31,7 +30,8 @@ from freemarg.herm import (
 )
 from freemarg.states import ket, maximally_mixed, pure, qubit_layout, w_marginal, w_state
 
-from conftest import psd_split, rand_herm, w_example_witness_block
+from conftest import (defect_adjoint, psd_split, rand_herm, replacement_defect_map,
+                      w_example_witness_block)
 
 
 def herm(labels, m):
@@ -244,24 +244,6 @@ def ptrace_adjoint(layout, keep):
     eye = np.eye(layout.total_dim // layout.dim_of(keep))
     dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
     return lambda h: permute_array(np.kron(h, eye), dims, back)
-
-
-def defect_adjoint(layout, fixed, state=None):
-    """H -> H - tr_F((I (x) state) H) (x) I_F."""
-    n = len(layout.dims)
-    fixed_axes = sorted(layout.axes_of(fixed))
-    order = [a for a in range(n) if a not in fixed_axes] + fixed_axes
-    d_f = layout.dim_of(fixed)
-    d_r = layout.total_dim // d_f
-    sigma = np.eye(d_f) / d_f if state is None else state
-    dims, back = [layout.dims[a] for a in order], [order.index(a) for a in range(n)]
-
-    def adjoint(h):
-        t = permute_array(h, layout.dims, order).reshape(-1, d_r, d_f, d_r, d_f)
-        reduced = np.einsum("xaibj,ji->xab", t, sigma)
-        return h - permute_array(np.kron(reduced, np.eye(d_f)), dims, back)
-
-    return adjoint
 
 
 class TestMapsByNonzeros:

@@ -19,6 +19,7 @@ from freemarg.state_rmp import (
     linear_max_over_set,
     product_channels_on_family,
     robustness,
+    _program,
     verify_w_uniqueness,
 )
 from freemarg.states import (
@@ -63,6 +64,26 @@ def monogamy_instance():
         (("B", "C"), sym_bell(LAYOUT.sublayout(("B", "C")))),
     ])
     return RmpInstance(fam, FreeSetSpec.all_states(SubsystemSet(LAYOUT, ("A", "B", "C"))))
+
+
+def incoherent_ac_family(seed: int = 5) -> MarginalFamily:
+    """The AB and BC marginals of sum_(a,c) p_ac |a><a| (x) sigma_ac (x)
+    |c><c|, with random weights and random states sigma_ac of B: the AC
+    marginal is diagonal, while B, and so the AB marginal, is coherent."""
+    gen = np.random.default_rng(seed)
+    weights = gen.random(4)
+    rho = np.zeros((8, 8), dtype=complex)
+    for k, p in enumerate(weights / weights.sum()):
+        a, c = np.diag(np.eye(2)[k // 2]), np.diag(np.eye(2)[k % 2])
+        sigma = random_density(qubit_layout("B"), gen).entries
+        rho += p * np.kron(np.kron(a, sigma), c)
+    rho = DensityMatrix.from_array(LAYOUT, rho)
+    return MarginalFamily(LAYOUT, [(m, marginal_of(rho, m)) for m in ("AB", "BC")])
+
+
+def incoherent_instance(target: str) -> RmpInstance:
+    return RmpInstance(incoherent_ac_family(),
+                       FreeSetSpec.incoherent(SubsystemSet(LAYOUT, tuple(target))))
 
 
 class TestCompatibility:
@@ -546,6 +567,38 @@ class TestIncoherentTarget:
         if res.value_log2 > 1e-6:
             w = extract_witness(inst, res)
             assert w.gap > 0
+
+
+    def test_target_overlapping_a_pinned_marginal(self):
+        # the Incoherent rows of a target that overlaps a pinned marginal
+        # state coefficients the marginal already fixes, so the rows are
+        # rank-deficient, and compile reduces them by a QR and an SVD
+        inst = incoherent_instance("AC")
+        prog, _ = _program(inst, pinned=True, pairs=inst.pairs)
+        assert prog.compile()["A"].shape[0] < prog.num_rows
+        assert check_rfree_compatible(inst).compatible
+        # the AB marginal is coherent: the rows contradict it
+        res = check_rfree_compatible(incoherent_instance("AB"))
+        assert not res.compatible
+        assert res.certificate["note"] == "inconsistent equalities"
+
+
+class TestRoundingIsNoCertificate:
+    """A part of b off the reduced rows that is rounding is no Farkas
+    certificate, however small the feasibility tolerance: out of reach, the
+    check fails and never answers incompatible."""
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    @pytest.mark.parametrize("family", ["square", "truncated"])
+    def test_compatible_family_at_an_unreachable_tolerance(self, family, tol):
+        # white noise: full-rank string rows in the square eigenbasis of
+        # their Gram matrix; the Incoherent target: a truncated reduction
+        inst = white_noise_instance() if family == "square" else incoherent_instance("AC")
+        prog, _ = _program(inst, pinned=True, pairs=inst.pairs)
+        u_r = prog.compile()["u_r"]
+        assert (u_r.shape[1] == prog.num_rows) == (family == "square")
+        with pytest.raises(SolverFailure):
+            check_rfree_compatible(inst, SolverSettings(feas_tol=tol, gap_tol=tol))
 
 
 class TestFullySeparableTarget:
