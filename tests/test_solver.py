@@ -556,10 +556,18 @@ class TestSchurAssembly:
     """M_n[l, k] = tr(A_k G A_l G), assembled densely or by local
     contraction, and what the solver builds on it."""
 
-    # the dense layout is built from the block's dense columns of A
-    def test_matches_the_trace_formula(self, rng):
+    # the dense layout is built from the block's dense columns of A, or,
+    # where A keeps its nonzeros, from A_n's nonzeros scattered into zeros
+    @pytest.mark.parametrize("reduced", [True, False], ids=["dense", "from_nonzeros"])
+    def test_matches_the_trace_formula(self, rng, reduced):
         for d, a_blk in every_map_kind(rng).items():
-            blk = _BlockRows.of(a_blk, d)
+            if reduced:
+                part = a_blk
+            else:
+                rows, coords = np.nonzero(a_blk)
+                part = np.zeros_like(a_blk)
+                part[rows, coords] = a_blk[rows, coords]
+            blk = _BlockRows.of(part, d)
             assert blk.mats is not None and blk.local is None
             assert np.array_equal(blk.rows, np.unique(np.nonzero(a_blk)[0]))
             z = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
