@@ -305,6 +305,8 @@ def string_rows(dims: Sequence[int]) -> np.ndarray:
 
 # the entries of the temporaries of `_Rows.row_norms` and `_Rows.gram`
 _CHUNK = 1 << 16
+# `_Rows.gram` takes a column with more entries than this by a dense product
+_HEAVY = 256
 
 
 class _Rows(NamedTuple):
@@ -394,15 +396,24 @@ class _Rows(NamedTuple):
 
     def gram(self) -> np.ndarray:
         """The Gram matrix of the rows, the sum over the columns of the
-        products of the column's entries."""
+        products of the column's entries: the columns with more than
+        `_HEAVY` entries by one dense product, the rest by their pairs."""
         m, n = self.shape
+        counts = np.bincount(self.cols, minlength=n)
+        heavy = np.flatnonzero(counts > _HEAVY)
+        at = np.isin(self.cols, heavy)
+        dense = np.zeros((m, heavy.size))
+        dense[self.rows[at], np.searchsorted(heavy, self.cols[at])] = self.vals[at]
+        out = (dense @ dense.T).reshape(-1)
         order = np.argsort(self.cols, kind="stable")
         rows, vals = self.rows[order], self.vals[order]
-        out = np.zeros(m * m)
-        for _, at in _by_size(np.bincount(self.cols, minlength=n)):
+        # a chunk's pairs: as many as an eighth of G's entries, since each
+        # chunk's sum over them is m * m entries long
+        pairs = max(_CHUNK, m * m // 8)
+        for _, at in _by_size(counts):
             size = at.shape[1]
-            step = max(1, _CHUNK // max(size * size, 1))
-            for part in range(0, len(at) if size else 0, step):
+            step = max(1, pairs // max(size * size, 1))
+            for part in range(0, len(at) if 0 < size <= _HEAVY else 0, step):
                 r, v = rows[at[part:part + step]], vals[at[part:part + step]]
                 out += np.bincount((r[:, :, None] * m + r[:, None, :]).reshape(-1),
                                    weights=(v[:, :, None] * v[:, None, :]).reshape(-1),

@@ -1,7 +1,8 @@
 """Solver rows of the marginal problems: `StringRows` states the equality
 rows on the variable V by product-operator strings, each string once, and
 `attach_free_state_cone` reads a free set's `kind` and adds the rows and
-PSD groups of that kind."""
+PSD groups of that kind; an `Incoherent` target's rotated strings alone
+are stated whole, past the ledger."""
 
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .freesets import FreeSetSpec
-from .herm import (LinearMap, hermitian_basis, hermitize, partial_transpose_map,
-                   string_rows, svec)
+from .herm import LinearMap, hermitize, partial_transpose_map, smat, string_rows, svec
 from .solver import BlockRef, ConicProgram
 
 
@@ -62,10 +62,15 @@ class StringRows:
         """M - tr_F(M) (x) I/d_F = 0 at M = extract(V), F the layout's
         factors at the axes `replaced`: a string on extract's factors with
         a factor of F off the identity has coefficient 0, and the rest none."""
-        digits, q = self._strings(extract)
-        live = np.any([dig != 0 for dig, a in zip(digits, extract.local.keep) if a in replaced],
-                      axis=0)
-        self._state(name, extract, digits, q, q[live], np.zeros(live.sum()), 0.0, live)
+        self._zero(name, extract, {a: self.dims[a] ** 2 for a in replaced})
+
+    def off_diagonal(self, name: str, extract: LinearMap, basis: np.ndarray | None = None):
+        """B' M B diagonal at M = extract(V), B the computational basis if
+        None: the strings on extract's factors with an off-diagonal factor
+        element (elements 1 ... d^2 - d of `factor_basis(d)`) span the
+        off-diagonal matrices, and each, conjugated by B, has coefficient 0."""
+        keep = extract.local.keep
+        self._zero(name, extract, {a: self.dims[a] ** 2 - self.dims[a] + 1 for a in keep}, basis)
 
     def pin(self, name: str, extract: LinearMap, state: np.ndarray):
         """M = tr(M) state at M = extract(V): each string P but the identity
@@ -74,6 +79,20 @@ class StringRows:
         c = q[1:] @ svec(hermitize(np.asarray(state, dtype=complex)))
         inner = q[1:] - c[:, None] * svec(np.eye(math.isqrt(q.shape[1])))
         self._state(name, extract, digits, q, inner, np.zeros(len(c)), c, np.arange(len(q)) > 0)
+
+    def _zero(self, name, extract, stop: dict[int, int], basis: np.ndarray | None = None):
+        """Coefficient 0 on each string on extract's factors with a digit
+        1 ... stop[a] - 1 at some axis a; conjugated by `basis`, if given,
+        these are no strings of the ledger, and are one group, stated whole."""
+        digits, q = self._strings(extract)
+        live = np.any([(dig > 0) & (dig < stop.get(a, 0))
+                       for dig, a in zip(digits, extract.local.keep)], axis=0)
+        if basis is None:
+            self._state(name, extract, digits, q, q[live], np.zeros(live.sum()), 0.0, live)
+            return
+        rot = svec(basis @ smat(q[live], math.isqrt(q.shape[1])) @ basis.conj().T)
+        self.prog.add_basis_equality(name, [(self.var, LinearMap(rot) @ extract)],
+                                     np.zeros(len(rot)), rot)
 
     def _strings(self, extract: LinearMap) -> tuple[tuple, np.ndarray]:
         """The digits and the svec rows of every string on extract's factors."""
@@ -139,23 +158,15 @@ def attach_free_state_cone(rows: StringRows, extract: LinearMap, free: FreeSetSp
 
     The variable's PSD cone membership already gives extract(V) >= 0 for
     trace-like extraction maps, so `AllStates` adds no rows.  `Singleton`
-    pins X = extract(V) to tr(X) * state, a string at a time.
+    pins X = extract(V) to tr(X) * state, a string at a time, and
+    `Incoherent` states X's off-diagonal strings zero, as one group.
     """
     prog, var = rows.prog, rows.var
-    sub = free.target.sublayout()
     if free.kind == "SeparablePPT":  # X^{T_part} >= 0 per bipartition
         for part in free.bipartitions:
-            pt = partial_transpose_map(sub, part)
+            pt = partial_transpose_map(free.target.sublayout(), part)
             prog.add_psd_inequality(f"{prefix}.ppt[{','.join(part)}]", [(var, pt @ extract)])
-    elif free.kind == "Incoherent":  # off-diagonal entries of B' X B vanish
-        d = sub.total_dim
-        for j, h in enumerate(hermitian_basis(d)[d:]):  # off-diagonal part only
-            if free.basis is not None:
-                h = free.basis @ h @ free.basis.conj().T
-            # one row, tr(h X) = 0, composed with the extraction so that it
-            # keeps the extraction's local form
-            row = LinearMap(svec(hermitize(h))[None])
-            prog.add_matrix_equality(f"{prefix}.diag[{j}]", [(var, row @ extract)],
-                                     np.zeros((1, 1)))
+    elif free.kind == "Incoherent":  # B' X B diagonal
+        rows.off_diagonal(f"{prefix}.diag", extract, free.basis)
     elif free.kind == "Singleton":  # X = tr(X) * state
         rows.pin(f"{prefix}.pin", extract, free.state.entries)

@@ -280,12 +280,10 @@ class ConicProgram:
         a, b = self.equality_rows()
         m, n = a.shape
 
+        # a zero row keeps its right-hand side: it is a dependent row, and
+        # what the reduction leaves of its b_i is tested as any other's
         norms = a.row_norms()
-        keep = norms > 1e-14
-        # a zero row with a nonzero right-hand side is its own Farkas ray:
-        # weight sign(b_i) on it gives A'y = 0 and b'y > 0
-        zero_row_ray = np.where(~keep & (np.abs(b) > 1e-12), np.sign(b), 0.0)
-        d_inv = np.where(keep, 1.0 / np.where(keep, norms, 1.0), 0.0)
+        d_inv = 1.0 / np.where(norms > 1e-14, norms, 1.0)
         a_n = a._replace(vals=a.vals * d_inv[a.rows])
         b_n = b * d_inv
         nonzeros = [a_n.columns(self.block_slice(blk)) for blk in self.blocks]
@@ -341,7 +339,6 @@ class ConicProgram:
             "A": a_red, "b": b_red,
             "u_r": u_r, "d_inv": d_inv,
             "b_perp": b_n - u_r @ b_red,
-            "zero_row_ray": zero_row_ray,
             "dims": [blk.cdim for blk in self.blocks],
             "block_rows": block_rows,
         }
@@ -491,15 +488,13 @@ class _BlockRows(NamedTuple):
     On the local layout each row group has a `LocalForm` (L_X, X) on the
     block (see `ConicProgram._local_terms`): the group's rows are
     D_X L_X K_tr(X), D_X its part of the normalization d_inv times the
-    form's scale (-1 for a slack's term).  The groups that keep the same
-    factors X are stacked into one: their rows, their D_X and their L_X, an
-    identity standing for none.  The layout adds its part to M, in the
-    rows of A = A_n: D_X L_X S_XY L_Y' D_Y for the kept sets X and Y, with S_XY
-    the Schur block of the two partial traces, which `herm.LocalSchur`
-    contracts from G without forming any G A_l G.  `local` holds the
-    `LocalSchur` of the kept sets and, per set, (its rows, D_X, L_X or None
-    for the identity); a set of one group keeps that group's slice of rows
-    and its own map matrix, shared.
+    form's scale (-1 for a slack's term).  The layout adds its part to M,
+    in the rows of A = A_n: D_X L_X S_XY L_Y' D_Y for each pair of groups,
+    of kept sets X and Y, with S_XY the Schur block of the two partial
+    traces, which `herm.LocalSchur` contracts from G without forming any
+    G A_l G.  `local` holds the `LocalSchur` of the groups' kept sets, one
+    per group, and per group (its slice of rows, D_X, L_X or None for the
+    identity), L_X its map matrix, shared.
 
     `rows` are the rows kept, ascending: those with a nonzero in the block,
     or on the local layout the rows of its groups."""
@@ -528,20 +523,11 @@ class _BlockRows(NamedTuple):
         """The local layout of a block, from the rows of each of its groups
         and the group's local form (see `_local_terms`)."""
         dims = terms[0][1].dims if terms else ()   # () for a block in no row
-        keeps = list(dict.fromkeys(form.keep for _, form in terms))
-        index, groups = np.arange(d_inv.size), []
-        for keep in keeps:
-            mine = [(rows, form) for rows, form in terms if form.keep == keep]
-            scale = np.concatenate([d_inv[rows] * form.scale for rows, form in mine])
-            if len(mine) == 1:
-                groups.append((mine[0][0], scale, mine[0][1].inner))
-                continue
-            size = math.prod(dims[a] for a in keep) ** 2
-            groups.append((np.concatenate([index[rows] for rows, _ in mine]), scale,
-                           np.vstack([np.eye(size) if form.inner is None else form.inner
-                                      for _, form in mine])))
+        index = np.arange(d_inv.size)
         active = np.concatenate([index[:0]] + [index[rows] for rows, _ in terms])
-        return _BlockRows(active, None, (LocalSchur(dims, keeps), groups))
+        return _BlockRows(active, None, (
+            LocalSchur(dims, [form.keep for _, form in terms]),
+            [(rows, d_inv[rows] * form.scale, form.inner) for rows, form in terms]))
 
     def add_schur(self, g: np.ndarray, m: np.ndarray):
         """Add tr(A_k G A_l G) over this block to m[:, l, k], for the
@@ -578,16 +564,9 @@ class _BlockRows(NamedTuple):
                 part = part @ l_y.T
             part *= d_x[:, None]
             part *= d_y
-            m[_at(rows_x, rows_y)] += part
+            m[:, rows_x, rows_y] += part
             if x != y:
-                m[_at(rows_y, rows_x)] += np.swapaxes(part, -1, -2)
-
-
-def _at(rows: slice | np.ndarray, cols: slice | np.ndarray) -> tuple:
-    """The index of the block at `rows` and `cols` of a stack of matrices."""
-    if isinstance(rows, np.ndarray) and isinstance(cols, np.ndarray):
-        rows = rows[:, None]
-    return np.s_[:, rows, cols]
+                m[:, rows_y, rows_x] += np.swapaxes(part, -1, -2)
 
 
 # iterates of the homogeneous model, one row per member: the primal and dual
@@ -916,15 +895,13 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
                 for _ in objectives]
     data = program.compile()
     r, n = data["A"].shape
-    if np.any(data["zero_row_ray"]):
-        return [_infeasible_result(program, data["zero_row_ray"], None,
-                                   "zero row with nonzero rhs", 0) for _ in objectives]
     m = data["u_r"].shape[0]
     # b_perp is rounding where the reduction kept every row; where it dropped
-    # some, it is tested at no less than the rounding of the projection
-    if 0 < r < m and (np.linalg.norm(data["b_perp"])
-                      > max(settings.feas_tol, 10 * m * np.finfo(float).eps)
-                      * (1 + np.linalg.norm(data["b"]))):
+    # some, zero rows among them, it is tested at no less than the rounding
+    # of the projection
+    if r < m and (np.linalg.norm(data["b_perp"])
+                  > max(settings.feas_tol, 10 * m * np.finfo(float).eps)
+                  * (1 + np.linalg.norm(data["b"]))):
         # equality system itself is inconsistent; Farkas direction is immediate
         return [_infeasible_result(program, data["d_inv"] * data["b_perp"], None,
                                    "inconsistent equalities", 0) for _ in objectives]

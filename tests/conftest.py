@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import os
 import sys
 import warnings
@@ -17,7 +19,67 @@ from freemarg.discrimination import W_EXAMPLE_DELTA, W_EXAMPLE_VECTORS, W_EXAMPL
 from freemarg.channel_rmp import ChannelSpec
 from freemarg.herm import (HermitianOperator, LinearMap, hermitian_basis, permute_array,
                            svec)
+from freemarg.solver import ConicProgram
 from freemarg.states import qubit_layout
+
+
+def pytest_addoption(parser):
+    parser.addoption("--record-programs", metavar="FILE",
+                     help="write a line per fresh ConicProgram.compile() to FILE: the test id "
+                          "and a sha256 of the compiled data and the group names")
+
+
+def pytest_configure(config):
+    path = config.getoption("--record-programs")
+    if not path:
+        return
+    out = open(path, "w")
+    patch = pytest.MonkeyPatch()
+    config.add_cleanup(out.close)
+    config.add_cleanup(patch.undo)
+    patch.setattr(ConicProgram, "compile", _recording(ConicProgram.compile, out))
+
+
+def _recording(compile_, out):
+    """`compile_` that writes the test id and `program_hash` of each program
+    it compiles afresh to `out`."""
+    @functools.wraps(compile_)
+    def compile(prog):
+        fresh = prog._compiled is None
+        data = compile_(prog)
+        if fresh:
+            test = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+            out.write(f"{test}\t{program_hash(prog, data)}\n")
+        return data
+    return compile
+
+
+def program_hash(prog, data) -> str:
+    """sha256 over A, b, u_r, d_inv, b_perp, dims, each block's rows, mats
+    and local groups, and the names of the program's groups."""
+    h = hashlib.sha256()
+    for key in ("A", "b", "u_r", "d_inv", "b_perp", "dims", "block_rows"):
+        _digest(h, data[key])
+    _digest(h, [g.name for g in prog.eq_groups + prog.psd_groups])
+    return h.hexdigest()
+
+
+def _digest(h, obj):
+    """Feed obj to h: an array by its dtype, shape and bytes, a sequence or a
+    dict item by item, an object with attributes by them, else its repr."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (tuple, list)):
+        h.update(f"{type(obj).__name__}{len(obj)}".encode())
+        for item in obj:
+            _digest(h, item)
+    elif isinstance(obj, dict):
+        _digest(h, sorted(obj.items()))
+    elif hasattr(obj, "__dict__"):
+        _digest(h, vars(obj))
+    else:
+        h.update(repr(obj).encode())
 
 
 @pytest.fixture

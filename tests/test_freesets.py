@@ -47,7 +47,7 @@ class TestEmit:
 
     def test_incoherent(self):
         spec = FreeSetSpec.incoherent(SubsystemSet(qubit_layout("T"), ("T",)))
-        assert attached(spec) == (["free.diag[0]", "free.diag[1]"], [])
+        assert attached(spec) == (["free.diag"], [])
 
 
 class TestMembership:

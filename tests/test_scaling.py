@@ -180,7 +180,7 @@ TARGETS = {
     # the slack of the PPT inequality, of order 16, is local by its term, minus
     # the identity
     "ppt_abcd": (ppt_abcd, {"V": "local", "free.ppt[A,B].slack": "local"}, math.log2(1.55)),
-    # each off-diagonal probe is a row composed with the extraction onto AC
+    # the off-diagonal strings on AC, one group composed with the extraction
     "incoherent_ac": (incoherent_ac, {"V": "local"}, 0.76553474738),
 }
 
@@ -241,7 +241,7 @@ def whole_layout_instance(target: str) -> state_rmp.RmpInstance:
 @pytest.mark.parametrize("target", ["ppt", "incoherent_rotated", "singleton"])
 def test_four_qubit_whole_layout_target_is_local(target, monkeypatch):
     # V has a row group with no partial-trace form: the bare partial
-    # transpose, one row per rotated probe, or the replacement defect
+    # transpose, the rotated off-diagonal strings, or the replacement defect
     inst = whole_layout_instance(target)
     assert robustness_program(inst).compile()["block_rows"][0].local is not None
     res = state_rmp.robustness(inst)

@@ -194,7 +194,7 @@ class TestRandomInstances:
         prog.set_objective([(x, np.eye(2))], "min")
         res = solve(prog)
         assert res.status == Status.INFEASIBLE
-        assert res.residuals["note"] == "zero row with nonzero rhs"
+        assert res.residuals["note"] == "inconsistent equalities"
         # the Farkas ray of the original rows: A'y = 0 and b'y > 0
         rows, rhs = prog.equality_rows()
         ray = res.certificate["equality_ray"]
@@ -604,8 +604,8 @@ class TestSchurAssembly:
 
     def test_local_layout_of_groups_without_their_own_form(self, rng, monkeypatch):
         # groups that keep every factor: a bare replacement defect, two
-        # terms on V, a form over other factors and a probe row, stacked
-        # into one with the identity of the partial trace onto every factor
+        # terms on V, a form over other factors and a probe row, next to
+        # the partial trace onto every factor; each group its own kept set
         monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
         lay = SubsystemLayout([("A", 2), ("B", 3), ("C", 2)])
         prog = ConicProgram()
@@ -622,12 +622,13 @@ class TestSchurAssembly:
         prog.add_scalar_equality("probe", [(v, rand_herm(rng, 12))], 1.0)
         prog.add_matrix_equality("all", [(v, partial_trace_map(lay, lay.labels))],
                                  rand_herm(rng, 12))
-        # the kept sets AB, with no inner, and every factor
-        (rows_ab, _, inner_ab), (rows_all, _, inner_all) = self.check_local_layout(
-            rng, prog)[0].local[1]
-        assert rows_ab == slice(0, 36) and inner_ab is None
-        assert rows_all.size == inner_all.shape[0] == 144 + 36 + 4 + 1 + 144
-        assert np.array_equal(inner_all[-144:], np.eye(144))
+        # one (rows, scale, inner) per group: the partial traces onto AB and
+        # onto every factor have no inner, the others their summed matrix
+        groups = self.check_local_layout(rng, prog)[0].local[1]
+        assert [rows for rows, _, _ in groups] == [g.rows for g in prog.eq_groups]
+        assert [inner is None for _, _, inner in groups] == [True, False, False, False, False,
+                                                             True]
+        assert all(scale.size == rows.stop - rows.start for rows, scale, _ in groups)
 
     @staticmethod
     def check_local_layout(rng, prog):
@@ -707,6 +708,20 @@ class TestRankReduction:
         attach_free_state_cone(StringRows(prog, v, inst.layout.dims),
                                inst.extract(inst.free.target), inst.free)
         return prog
+
+    def test_gram_of_heavy_columns(self):
+        # each string of a whole-layout pin meets the diagonal of V, so 16
+        # columns hold more entries than `herm._HEAVY`: one dense product
+        from freemarg import herm
+        from freemarg.state_rmp import _program
+
+        from test_scaling import whole_layout_instance
+
+        inst = whole_layout_instance("singleton")
+        a = _program(inst, pinned=False, pairs=inst.pairs)[0].equality_rows()[0]
+        assert np.sum(np.bincount(a.cols) > herm._HEAVY) == 16
+        dense = a.dense()
+        assert np.max(np.abs(a.gram() - dense @ dense.T)) <= 1e-12
 
     @staticmethod
     def broadcasting_compatibility():

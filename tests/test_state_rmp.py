@@ -7,7 +7,7 @@ import pytest
 
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import DensityMatrix, LayoutError, SubsystemLayout, SubsystemSet
-from freemarg.solver import SolverFailure, SolverSettings, Status
+from freemarg.solver import SolverFailure, SolverSettings, Status, solve
 from freemarg.state_rmp import (
     MarginalFamily,
     NoWitnessError,
@@ -570,17 +570,28 @@ class TestIncoherentTarget:
 
 
     def test_target_overlapping_a_pinned_marginal(self):
-        # the Incoherent rows of a target that overlaps a pinned marginal
-        # state coefficients the marginal already fixes, so the rows are
-        # rank-deficient, and compile reduces them by a QR and an SVD
+        # the target's off-diagonal strings go through the ledger: those a
+        # pinned marginal fixes at 0 are skipped, and the rows have full rank
         inst = incoherent_instance("AC")
         prog, _ = _program(inst, pinned=True, pairs=inst.pairs)
-        assert prog.compile()["A"].shape[0] < prog.num_rows
+        assert prog.compile()["A"].shape[0] == prog.num_rows == 36
         assert check_rfree_compatible(inst).compatible
-        # the AB marginal is coherent: the rows contradict it
-        res = check_rfree_compatible(incoherent_instance("AB"))
-        assert not res.compatible
-        assert res.certificate["note"] == "inconsistent equalities"
+        # the AB marginal is coherent: a string it fixes is stated again at
+        # 0, and the family is infeasible with no solve
+        inst = incoherent_instance("AB")
+        prog, v = _program(inst, pinned=True, pairs=inst.pairs)
+        prog.set_objective([(v, np.eye(8))], "min")
+        res = solve(prog)
+        assert res.status == Status.INFEASIBLE and res.iterations == 0
+        assert res.certificate["note"] == "a string stated with two values"
+        # the ray, in the rows as stated: A'y = 0 and b'y > 0
+        y = np.zeros(prog.num_rows)
+        for row, weight in prog.ray.items():
+            y[row] = weight
+        a, b = prog.equality_rows()
+        assert np.max(np.abs(a.T @ y)) <= 1e-15
+        assert b @ y > 1e-3
+        assert not check_rfree_compatible(inst).compatible
 
 
 class TestRoundingIsNoCertificate:
@@ -592,11 +603,18 @@ class TestRoundingIsNoCertificate:
     @pytest.mark.parametrize("family", ["square", "truncated"])
     def test_compatible_family_at_an_unreachable_tolerance(self, family, tol):
         # white noise: full-rank string rows in the square eigenbasis of
-        # their Gram matrix; the Incoherent target: a truncated reduction
-        inst = white_noise_instance() if family == "square" else incoherent_instance("AC")
+        # their Gram matrix; the Incoherent target in a diagonal basis, the
+        # same set, stated whole over the pinned marginals: 40 rows of rank
+        # 36, a truncated reduction
+        if family == "square":
+            inst = white_noise_instance()
+        else:
+            inst = incoherent_instance("AC")
+            inst = dataclasses.replace(inst, free=FreeSetSpec.incoherent(
+                inst.free.target, basis=np.diag([1, 1j, -1, -1j])))
         prog, _ = _program(inst, pinned=True, pairs=inst.pairs)
         u_r = prog.compile()["u_r"]
-        assert (u_r.shape[1] == prog.num_rows) == (family == "square")
+        assert u_r.shape == ((40, 36) if family == "truncated" else (prog.num_rows,) * 2)
         with pytest.raises(SolverFailure):
             check_rfree_compatible(inst, SolverSettings(feas_tol=tol, gap_tol=tol))
 

