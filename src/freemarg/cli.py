@@ -19,6 +19,7 @@ import sys
 import numpy as np
 
 from . import channel_rmp, discrimination, io, state_rmp
+from .config import DEFAULT_TOLS
 from .solver import SolverFailure, SolverSettings
 from .states import qubit_layout, w_marginal
 
@@ -176,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             sp.add_argument("--input", required=True, help="instance JSON file")
         sp.add_argument("--output", default=None, help="result JSON file (default stdout)")
-        sp.add_argument("--gap-tol", type=_tolerance, default=1e-8)
-        sp.add_argument("--feas-tol", type=_tolerance, default=1e-8)
+        sp.add_argument("--gap-tol", type=_tolerance, default=DEFAULT_TOLS.gap)
+        sp.add_argument("--feas-tol", type=_tolerance, default=DEFAULT_TOLS.feas)
         for flag, kwargs in extra:
             sp.add_argument(flag, **kwargs)
     return p

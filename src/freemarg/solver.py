@@ -16,16 +16,17 @@ in the block's columns; maps and rows are one sparse type, `herm._Rows`.
 The solver knows nothing of tensor factors: a map that is a partial trace
 followed by another map carries its `herm.LocalForm`, and `herm.LocalSchur`
 contracts the scalings of a block by these forms.  `compile` normalizes the
-equality rows to A_n and finds their rank: first by the Gram test
-(`_full_rank`), which the package's rows, each product string stated once,
-pass at once, and by a QR and SVD only where the test cannot confirm full
-rank; rank-deficient rows are reduced to A = U_r' A_n.  A program without a
-large block keeps a dense A, its product-string rows, if it has any, in the
-eigenbasis of their Gram matrix.  A size test alone picks a block's Schur
-layout (see `_BlockRows`): in full-rank rows, a block whose dense Schur
-product costs more real multiply-adds than `_LOCAL_SCHUR_MACS` is large and
-assembles its part of M = A_n W A_n' by local contraction; a small one, and
-every block of rank-deficient rows, takes the dense product.
+equality rows to A_n, forms their Gram matrix G once, and finds their rank
+by one threshold t on its eigenvalues: by the Cholesky test `_full_rank`,
+which the package's rows, each product string stated once, pass at once,
+or else by `eigh(G)`, whose eigenvectors above t, U_r, reduce the rows to
+A = U_r' A_n; b_n's part along the others, b_perp, certifies inconsistent
+rows.  A program without a large block keeps a dense A, its product-string
+rows, if it has any, in the eigenbasis of G.  A size test alone picks a
+block's Schur layout (see `_BlockRows`): in full-rank rows, a block whose
+dense Schur product costs more real multiply-adds than `_LOCAL_SCHUR_MACS`
+is large and assembles its part of M = A_n W A_n' by local contraction; a
+small one, and every block of rank-deficient rows, takes the dense product.
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -278,7 +279,7 @@ class ConicProgram:
         if self._compiled is not None:
             return self._compiled
         a, b = self.equality_rows()
-        m, n = a.shape
+        m = a.shape[0]
 
         # a zero row keeps its right-hand side: it is a dependent row, and
         # what the reduction leaves of its b_i is tested as any other's
@@ -290,36 +291,36 @@ class ConicProgram:
         large = [_BlockRows.large(int(_first_of_runs(nz[0]).sum()), blk.cdim)
                  for nz, blk in zip(nonzeros, self.blocks)]
 
-        # the rank comes from the Gram test first; only rows it cannot show
-        # to be independent take a QR factor: A_n = R' Q' with Q
-        # orthonormal, so A_n and R' share their singular values and left
-        # singular vectors, and R has m columns and at most m rows
-        full = m > 0 and _full_rank(a_n)
-        if not (full and any(large)):
-            # a program without a large block keeps the dense A, and so the
-            # rounding of its products, to which feasible sets without an
-            # interior point are sensitive
+        # a program without a large block keeps the dense A, and so the
+        # rounding of its products, to which feasible sets without an
+        # interior point are sensitive; the Gram matrix G of the rows is
+        # formed once, by the dense product there and from the nonzeros else
+        if not any(large):
             a_n = a_n.dense()
-        if not full:
-            rfac = np.linalg.qr(a_n.T, mode="r")
-            u, sv, _ = np.linalg.svd(rfac.T, full_matrices=False)
-            rank_tol = (sv[0] if sv.size else 0.0) * max(m, n) * 1e-13
-            r = int(np.sum(sv > max(rank_tol, 1e-13)))
-            full = r == m
-        if full and not any(large) and any(g.basis is not None for g in self.eq_groups):
-            # rows stated by product strings (see `programs.StringRows`) are
-            # sparse and aligned with the marginals; on a set without an
-            # interior point the dense steps converge far more often on
-            # their span in the eigenbasis of the Gram matrix, eigenvalues
-            # descending, as the SVD of a reduction orders it
-            u_r = np.linalg.eigh(a_n @ a_n.T)[1][:, ::-1]
-            a_red, b_red = u_r.T @ a_n, u_r.T @ b_n
-        elif full:  # the rows themselves are a basis, and U_r the identity
+        gram = a_n.gram() if isinstance(a_n, _Rows) else a_n @ a_n.T
+        # the one rank threshold: an eigenvalue of G, a squared singular
+        # value of the rows, counts above t, far above the rounding error
+        # of G, about m eps ||G|| <= m eps tr(G)
+        t = 10 * m * np.finfo(float).eps * np.trace(gram)
+        full = _full_rank(gram, t)
+        if full and (any(large) or all(g.basis is None for g in self.eq_groups)):
+            # the rows themselves are a basis, and U_r the identity
             diag = np.arange(m)
             u_r, a_red, b_red = _Rows(diag, diag, np.ones(m), (m, m)), a_n, b_n
+            b_perp = np.zeros(m)
         else:
-            u_r = u[:, :r]
-            a_red, b_red = u_r.T @ a_n, u_r.T @ b_n
+            # rows that fail the test keep the eigenvectors of G above the
+            # rank threshold, and b_perp is b_n's part along the rest.  Rows
+            # stated by product strings (see `programs.StringRows`) keep all:
+            # on a set without an interior point the dense steps converge
+            # far more often on their span in this basis, eigenvalues
+            # descending, than in the sparse rows aligned with the marginals.
+            # Rows kept by their nonzeros are made dense only for the product
+            lam, u = np.linalg.eigh(gram)
+            r = m if full else int(np.sum(lam > t))
+            u_r, u_0 = u[:, ::-1][:, :r], u[:, :m - r]
+            a_red = u_r.T @ (a_n.dense() if isinstance(a_n, _Rows) else a_n)
+            b_red, b_perp = u_r.T @ b_n, u_0 @ (u_0.T @ b_n)
 
         # a large block takes the local layout in the rows of A_n, which are
         # those of A where A keeps its nonzeros; in dense rows, and so in
@@ -337,8 +338,7 @@ class ConicProgram:
                 block_rows.append(_BlockRows.of(part, blk.cdim))
         self._compiled = {
             "A": a_red, "b": b_red,
-            "u_r": u_r, "d_inv": d_inv,
-            "b_perp": b_n - u_r @ b_red,
+            "u_r": u_r, "d_inv": d_inv, "b_perp": b_perp,
             "dims": [blk.cdim for blk in self.blocks],
             "block_rows": block_rows,
         }
@@ -453,17 +453,13 @@ class _Blocks:
         return out
 
 
-def _full_rank(a: _Rows) -> bool:
-    """Whether the rows of a are independent, by far: a Cholesky factor of
-    G - t I, with G the Gram matrix and t = 10 m eps tr(G), exists only if
-    lambda_min(G) > t up to its own rounding error, which is about m eps
-    ||G||, and tr(G) >= ||a||^2.  Then sigma_min(a) is far above the rank
-    threshold of `compile`; a False may still be full rank."""
-    gram = a.gram()
-    m = gram.shape[0]
-    shift = 10 * m * np.finfo(float).eps * np.trace(gram)
+def _full_rank(gram: np.ndarray, t: float) -> bool:
+    """Whether every eigenvalue of the Gram matrix G is above t, by a
+    Cholesky factor of G - t I, which exists only if lambda_min(G) > t up
+    to its own rounding; a False near t may still be full rank, which
+    `compile` settles by the eigenvalues themselves."""
     try:
-        np.linalg.cholesky(gram - shift * np.eye(m))
+        np.linalg.cholesky(gram - t * np.eye(gram.shape[0]))
     except np.linalg.LinAlgError:
         return False
     return True
@@ -614,7 +610,7 @@ class _Model:
 
     def __init__(self, data: dict):
         self.data = data
-        self.a, self.b, self.u_r = data["A"], data["b"], data["u_r"]
+        self.a, self.b = data["A"], data["b"]
         self.at = self.a.T if isinstance(self.a, _Rows) else np.ascontiguousarray(self.a.T)
         self.block_rows = data["block_rows"]
         self.blocks = _Blocks(data["dims"])
@@ -896,12 +892,11 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
     data = program.compile()
     r, n = data["A"].shape
     m = data["u_r"].shape[0]
-    # b_perp is rounding where the reduction kept every row; where it dropped
-    # some, zero rows among them, it is tested at no less than the rounding
-    # of the projection
-    if r < m and (np.linalg.norm(data["b_perp"])
-                  > max(settings.feas_tol, 10 * m * np.finfo(float).eps)
-                  * (1 + np.linalg.norm(data["b"]))):
+    # b_perp, b_n's part along the directions the reduction dropped (zero
+    # rows among them; none where it kept every row), is tested at no less
+    # than the rounding of the projection
+    if (np.linalg.norm(data["b_perp"]) > max(settings.feas_tol, 10 * m * np.finfo(float).eps)
+            * (1 + np.linalg.norm(data["b"]))):
         # equality system itself is inconsistent; Farkas direction is immediate
         return [_infeasible_result(program, data["d_inv"] * data["b_perp"], None,
                                    "inconsistent equalities", 0) for _ in objectives]

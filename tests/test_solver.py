@@ -22,7 +22,7 @@ from freemarg.solver import (
     solve,
     solve_many,
 )
-from freemarg.states import qubit_layout
+from freemarg.states import marginal_of, qubit_layout, random_density
 
 from conftest import rand_herm, replacement_defect_map
 
@@ -686,9 +686,9 @@ class TestSchurAssembly:
 
 
 class TestRankReduction:
-    """compile() shows full rank by a Cholesky factor of the Gram matrix of
-    the normalized rows, and otherwise finds the rank from a QR factor; a
-    plain SVD of the rows with the same threshold finds the same."""
+    """compile() shows full rank by a Cholesky factor of the Gram matrix G of
+    the normalized rows, and otherwise finds the rank from the eigenvalues
+    of G, by one threshold; a plain SVD of the rows finds the same rank."""
 
     @staticmethod
     def w_compatibility():
@@ -790,22 +790,67 @@ class TestRankReduction:
             assert rank == len(a_n) == 400
 
     @pytest.mark.parametrize("make", PROGRAMS)
-    def test_gram_test_shows_full_rank_and_leaves_the_rest_to_qr(self, make, monkeypatch):
-        # every block large, where compile() tries the Gram test
-        monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", -1)
+    def test_compile_takes_no_qr_or_svd(self, make, schur_path, monkeypatch):
         prog = getattr(self, make)()
         a_n, rank, _, _ = self.plain_svd_rank(prog)
-        rows, cols = np.nonzero(a_n)
-        assert solver._full_rank(solver._Rows(rows, cols, a_n[rows, cols], a_n.shape)) == (
-            rank == len(a_n))
-        qr_calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr",
-                            lambda *args, **kw: qr_calls.append(1) or qr(*args, **kw))
-        data = prog.compile()
+        gram = a_n @ a_n.T
+        t = 10 * len(a_n) * np.finfo(float).eps * np.trace(gram)
+        assert solver._full_rank(gram, t) == (rank == len(a_n))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile took a QR or an SVD")
+
+        # only around compile(): the NT scaling of a solve takes an SVD
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", refuse)
+            patch.setattr(np.linalg, "svd", refuse)
+            data = prog.compile()
         assert data["A"].shape[0] == rank
-        assert bool(qr_calls) == (rank < len(a_n))
-        assert isinstance(data["A"], solver._Rows) == (rank == len(a_n))
+        # rank-deficient rows are dense; where every block is large,
+        # full-rank rows keep their nonzeros
+        if rank < len(a_n) or schur_path == "local":
+            assert isinstance(data["A"], solver._Rows) == (rank == len(a_n))
+
+    def test_row_within_the_rank_threshold_of_another_is_dependent(self):
+        # the last row is the first plus 1e-9 times an independent probe, its
+        # right-hand side consistent: once normalized, its squared distance
+        # from the span of the others, about 1e-18, is below the rank
+        # threshold t = 10 m eps tr(G), so it is dropped, and b_n's part
+        # along it is below the infeasibility test
+        rng = np.random.default_rng(8)
+        prog = ConicProgram()
+        x = prog.add_variable("X", 3)
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        x0 = z @ z.conj().T / np.trace(z @ z.conj().T).real
+        probes = [rand_herm(rng, 3) for _ in range(4)]
+        probes.append(probes[0] + 1e-9 * rand_herm(rng, 3))
+        for k, probe in enumerate(probes):
+            prog.add_scalar_equality(f"eq{k}", [(x, probe)], np.trace(probe @ x0).real)
+        prog.set_objective([(x, np.eye(3))], "min")
+        assert prog.compile()["A"].shape[0] == len(probes) - 1
+        assert solve(prog).status == Status.OPTIMAL
+
+    def test_inconsistent_overlap_stated_whole_has_a_clean_ray(self):
+        # AB and BC of one state, each stated whole by its partial trace, AB's
+        # diagonal moved by 1e-5 diag(1, -1, 0, 0): the rows are dependent,
+        # the two B marginals differ, and b_n's part along the dropped
+        # eigenvectors of G is a Farkas ray of the rows as stated
+        layout = qubit_layout("ABC")
+        rho = random_density(layout, np.random.default_rng(6))
+        prog = ConicProgram()
+        v = prog.add_variable("V", 8)
+        prog.add_scalar_equality("tr", [(v, np.eye(8))], 1.0)
+        for keep, shift in (("AB", 1e-5), ("BC", 0.0)):
+            target = marginal_of(rho, keep).entries + shift * np.diag([1.0, -1.0, 0.0, 0.0])
+            prog.add_matrix_equality(keep, [(v, partial_trace_map(layout, tuple(keep)))], target)
+        prog.set_objective([(v, np.eye(8))], "min")
+        res = solve(prog)
+        assert res.status == Status.INFEASIBLE and res.iterations == 0
+        assert res.residuals["note"] == "inconsistent equalities"
+        ray = res.certificate["equality_ray"]
+        y = np.concatenate([[ray["tr"]], svec(ray["AB"]), svec(ray["BC"])])
+        rows, rhs = prog.equality_rows()
+        assert np.linalg.norm(rows.T @ y) <= 1e-9 * (rhs @ y)
 
 
 class TestBlockedSolve:
