@@ -105,7 +105,8 @@ def cmd_histogram(args, inst, settings: SolverSettings) -> dict:
                                                  jobs=args.jobs, settings=settings)
     with open(args.out, "w") as fh:
         fh.write(result.to_csv())
-    provenance = io.provenance_block(settings, seed=args.seed, relaxation="ppt-exact")
+    relaxation = discrimination.w_histogram_instance().free.relaxation
+    provenance = io.provenance_block(settings, seed=args.seed, relaxation=relaxation)
     return {**result.summary(), "provenance": {**provenance, "jobs": args.jobs, "csv": args.out}}
 
 
@@ -116,7 +117,7 @@ def cmd_verify_w(args, inst, settings: SolverSettings) -> dict:
     return {
         "max_fid": fid["max_fid"],
         "min_fid": fid["min_fid"],
-        "unique": abs(fid["max_fid"] - 1) < 1e-6 and abs(fid["min_fid"] - 1) < 1e-6,
+        "unique": all(abs(fid[k] - 1) < DEFAULT_TOLS.compat for k in ("max_fid", "min_fid")),
         "activation_value": act,
         "activation_threshold": 0.5,
         "activated": act > 0.5,

@@ -1,7 +1,7 @@
-"""Shared numerical tolerances.
-
-Every validation and membership check in the package reads its thresholds
-from one `Tolerances` record so that the constants live in a single place.
+"""Shared numerical tolerances: one `Tolerances` record holds the thresholds
+of the Hermiticity, PSD, trace, compatibility and free-set membership checks
+and the solver's default targets.  The unitarity checks (1e-10: an
+`Incoherent` basis, a task's unitaries) and the prior sums (1e-12) keep their own.
 """
 
 from __future__ import annotations

@@ -11,13 +11,12 @@ is modeled by positivity of the partial transpose across the listed
 bipartitions: exact for 2x2 and 2x3 targets, an outer approximation above
 (so computed robustness values are certified lower bounds and witnesses stay
 sound).  Results metadata records this as ``relaxation: "ppt-outer"``.
+Every kind but a `Singleton` has a full-rank member, so its robustness is
+finite; for a `Singleton`, `state_rmp.InstanceBase.finite` decides it.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -93,9 +92,6 @@ class FreeSetSpec:
                 raise ValueError("Singleton needs a state")
             if self.state.layout != self.target.sublayout():
                 raise LayoutError("Singleton state layout does not match the target")
-            if self.state.op.min_eig() < 1e-7:
-                _warn_at_caller("Singleton free state is not full rank; the robustness program "
-                                "may be infeasible for generic marginals (strong duality can fail)")
 
     # -- constructors
 
@@ -166,12 +162,6 @@ class FreeSetSpec:
             return bool(np.max(np.abs(m - scale * self.state.entries)) <= tol)
         return True
 
-    def contains_full_rank_member(self) -> bool:
-        """A2*-style probe: does the described set have a full-rank member?"""
-        if self.kind in ("AllStates", "SeparablePPT", "Incoherent"):
-            return True  # the maximally mixed state is a member of each
-        return self.state.op.min_eig() > 1e-9
-
     # -- JSON
 
     def to_json(self) -> dict:
@@ -221,7 +211,8 @@ class FreeChannelSetSpec:
     FreeOutputState restricts to replacement maps whose output state lies in
     the wrapped `state_spec`, given on the output (Choi = rho (x) I/d_in with
     rho free); any other kind takes only the set it reduces to.
-    SingletonChannel is the `Singleton` of one channel's Choi state.
+    SingletonChannel is the `Singleton` of one channel's Choi state; with it,
+    as with a `Singleton` output, the robustness can be infinite.
     """
 
     kind: str
@@ -271,11 +262,6 @@ class FreeChannelSetSpec:
     def relaxation(self) -> str | None:
         return self.state_spec.relaxation
 
-    def contains_full_rank_member(self) -> bool:
-        """DA2-style probe, that of `state_spec`; False is surfaced as a
-        warning, not a hard gate."""
-        return self.state_spec.contains_full_rank_member()
-
     def to_json(self) -> dict:
         params: dict = {}
         if self.kind == "FreeOutputState":
@@ -285,16 +271,3 @@ class FreeChannelSetSpec:
         return {"kind": self.kind, "input": list(self.input.members),
                 "output": list(self.output.members), "params": params}
 
-
-_PACKAGE = os.path.dirname(os.path.abspath(__file__))
-
-
-def _warn_at_caller(message: str):
-    """A UserWarning at the first caller outside the package: a set's
-    dataclass-generated __init__ (file "<string>") counts as inside."""
-    frame, level = sys._getframe(1), 2
-    while frame is not None and (
-            os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == _PACKAGE
-            or isinstance(frame.f_locals.get("self"), (FreeSetSpec, FreeChannelSetSpec))):
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)

@@ -25,7 +25,6 @@ with the settings of each call.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -33,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .freesets import FreeSetSpec
+from .freesets import FreeChannelSetSpec, FreeSetSpec
 from .herm import (
     DensityMatrix,
     HermitianOperator,
@@ -43,6 +42,7 @@ from .herm import (
     SubsystemSet,
     hermitize,
     partial_trace_map,
+    ptrace_array,
     svec,
 )
 from .programs import StringRows, attach_free_state_cone
@@ -127,10 +127,10 @@ class InstanceBase:
     compatible set (unit trace, Choi state), scaled by tr(V) for the
     robustness.  Its `constrain(rows)` adds the structural equalities and
     the free cone.  Its `project(V)` returns the
-    nearest valid matrix and the object reported for it.  `finite` says the
-    free set has a full-rank member, the condition for a finite robustness;
-    `diagnostics` explains an infinite one.  `compatible_set` is the
-    compiled program of the free-compatible set, and `model` maximizes over it.
+    nearest valid matrix and the object reported for it.  `finite` is the
+    paper's support condition, which `support_certificate` explains when it
+    fails, as `diagnostics` does an infinite robustness.  `compatible_set` is
+    the compiled program of the free-compatible set, and `model` maximizes over it.
     """
 
     @cached_property
@@ -153,18 +153,44 @@ class InstanceBase:
             raise LayoutError(f"no map for the objective key {label!r}; keys: {list(self._maps)}")
         return self._maps[label]
 
+    @cached_property
+    def support_certificate(self) -> dict | None:
+        """None, or the marginal sigma_X that breaks the support condition: a unit v in
+        ker tr_{T\\X}(P_rho), rho the `Singleton` on T the free set is or reduces to,
+        where tau, sigma_X traced to X and T, has weight <v|tau|v> > `DEFAULT_TOLS.psd`.
+        Every feasible V lies on range(rho) (x) H_rest, and t rho (x) I/d_rest dominates
+        any other state family: exact for states, only necessary for channels."""
+        def null_space(m):  # eigenvalues to 10 d eps lambda_max are zero, like `compile`'s t
+            vals, vecs = np.linalg.eigh(m)
+            return vecs[:, vals <= 10 * len(vals) * np.finfo(float).eps * vals[-1]]
+
+        free = self.free.state_spec if isinstance(self.free, FreeChannelSetSpec) else self.free
+        if free.kind != "Singleton":  # every other kind has a full-rank member
+            return None
+        sub, kernel = free.target.sublayout(), null_space(free.state.entries)
+        proj = np.eye(len(kernel)) - kernel @ kernel.conj().T
+        for key, sigma in self._entries:
+            kept = [l for l in key.members if l in sub.labels]
+            lay = self.layout.sublayout(key.members)
+            tau = ptrace_array(sigma, lay.dims, lay.axes_of(kept))
+            kernel = null_space(ptrace_array(proj, sub.dims, sub.axes_of(kept)))
+            weights, vecs = np.linalg.eigh(kernel.conj().T @ tau @ kernel)
+            if weights.size and weights[-1] > DEFAULT_TOLS.psd:
+                return {"kind": "support", "marginal": _label(key), "subsystems": kept,
+                        "vector": kernel @ vecs[:, -1:], "weight": float(weights[-1])}
+        return None
+
     @property
     def finite(self) -> bool:
-        return self.free.contains_full_rank_member()
+        return self.support_certificate is None
 
     @property
     def diagnostics(self) -> str:
-        text = ("the robustness program is infeasible, so the measure is unbounded: "
-                "no scaled free extension dominates the family")
-        if not self.finite:
-            text += (" (the free set has no full-rank member, e.g. a pure singleton, "
-                     "so finiteness of the measure is not guaranteed)")
-        return text
+        cert = self.support_certificate
+        return ("the robustness program is infeasible, so the measure is unbounded: no scaled "
+                "free extension dominates the family" if cert is None else
+                f"the measure is unbounded: the free state is not full-rank, and the marginal "
+                f"{cert['marginal']} has weight {cert['weight']:.3g} no free extension reaches")
 
     @cached_property
     def compatible_set(self) -> tuple[ConicProgram, BlockRef]:
@@ -306,13 +332,12 @@ class RobustnessResult:
 
 
 def robustness(inst: Instance, settings: SolverSettings | None = None) -> RobustnessResult:
-    if not inst.finite:
-        warnings.warn("the free set has no full-rank member: the robustness can be "
-                      "infinite and strong duality is not guaranteed", stacklevel=2)
-    prog, v = _program(inst, pinned=False, pairs=inst.pairs)
-    prog.set_objective([(v, np.eye(inst.layout.total_dim))], "min")
-
-    res = solve(prog, settings)
+    """Infeasible with no program built if the instance has a `support_certificate`."""
+    res = SolveResult(Status.INFEASIBLE, np.inf, np.inf, certificate=inst.support_certificate)
+    if inst.finite:
+        prog, v = _program(inst, pinned=False, pairs=inst.pairs)
+        prog.set_objective([(v, np.eye(inst.layout.total_dim))], "min")
+        res = solve(prog, settings)
     relaxation = inst.free.relaxation
     if res.status == Status.OPTIMAL:
         opt = res.primal_value

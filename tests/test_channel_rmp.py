@@ -221,10 +221,8 @@ class TestChannelRobustness:
         ident = ChannelSpec.identity(gin, gout)
         pair = ChannelPair(SubsystemSet(gin, ("A'",)), SubsystemSet(gout, ("A",)))
         fam = ChannelMarginalFamily(gin, gout, [(pair, ident)])
-        with pytest.warns(UserWarning, match="not full rank"):  # the identity's Choi is pure
-            free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
-        with pytest.warns(UserWarning, match="no full-rank member"):
-            res = channel_robustness(ChannelRmpInstance(fam, pair, free))
+        free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
+        res = channel_robustness(ChannelRmpInstance(fam, pair, free))
         assert res.value_log2 == pytest.approx(0.0, abs=1e-6)
 
     def test_free_set_on_another_pair_is_refused(self):

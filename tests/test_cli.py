@@ -11,7 +11,7 @@ from freemarg.freesets import FreeSetSpec
 from freemarg.herm import SubsystemSet
 from freemarg.solver import solve
 from freemarg.state_rmp import MarginalFamily, RmpInstance
-from freemarg.states import marginal_of, maximally_mixed, qubit_layout
+from freemarg.states import ket, marginal_of, maximally_mixed, pure, qubit_layout
 
 
 def run_cli(*args):
@@ -92,6 +92,25 @@ class TestRobustnessCommand:
         assert capsys.readouterr().out == ""
         assert cli.main(["robustness", "--input", w_instance_file]) == 0
         assert capsys.readouterr().out == out.read_text()
+
+    def test_singleton_support_rule(self, tmp_path):
+        # a pure Singleton |00> on AC and a maximally mixed AB marginal, whose
+        # A marginal has weight 1/2 on |1>: infinite, with no solve and no warning
+        layout = qubit_layout("ABC")
+        ac = layout.sublayout(("A", "C"))
+        free = FreeSetSpec.singleton(SubsystemSet(layout, ("A", "C")), pure(ac, ket(ac, "00")))
+        fam = MarginalFamily(layout, [(("A", "B"), maximally_mixed(layout.sublayout(("A", "B"))))])
+        path = tmp_path / "pure.json"
+        path.write_text(json.dumps(io.state_instance_to_json(RmpInstance(fam, free))))
+        proc = run_cli("robustness", "--input", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        data = json.loads(proc.stdout)
+        assert data["status"] == "Infeasible" and data["robustness_log2"] == "inf"
+        cert = data["certificates"]
+        assert (cert["kind"], cert["marginal"], cert["subsystems"]) == ("support", "A,B", ["A"])
+        (re0, im0), (re1, im1) = (row[0] for row in cert["vector"])  # a column on A
+        assert abs(complex(re1, im1)) == pytest.approx(1) and abs(complex(re0, im0)) < 1e-12
+        assert cert["weight"] == pytest.approx(0.5)
 
     def test_channel_instance_accepted(self, broadcasting_file, tmp_path):
         out = tmp_path / "res.json"
@@ -311,11 +330,10 @@ class TestChannelFreeSetJson:
         ident = ChannelSpec.identity(gin, gout)
         pair = ChannelPair(SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",)))
         fam = ChannelMarginalFamily(gin, gout, [(pair, ident)])
-        with pytest.warns(UserWarning, match="not full rank"):  # a pure Choi state
-            free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
-            inst = ChannelRmpInstance(fam, pair, free)
-            back = io.channel_instance_from_json(
-                json.loads(json.dumps(io.channel_instance_to_json(inst))))
+        free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
+        inst = ChannelRmpInstance(fam, pair, free)
+        back = io.channel_instance_from_json(
+            json.loads(json.dumps(io.channel_instance_to_json(inst))))
         assert back.free == free
         assert back.free.kind == "SingletonChannel"
         assert np.array_equal(back.free.choi.entries, ident.choi.entries)

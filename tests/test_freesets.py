@@ -3,13 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from freemarg.channel_rmp import (ChannelMarginalFamily, ChannelPair, ChannelRmpInstance,
+                                  ChannelSpec)
+from freemarg.config import DEFAULT_TOLS
 from freemarg.freesets import FreeChannelSetSpec, FreeSetSpec
 from freemarg.herm import DensityMatrix, SubsystemLayout, SubsystemSet, partial_trace_map
 from freemarg.programs import StringRows, attach_free_state_cone
-from freemarg.solver import ConicProgram
+from freemarg.solver import ConicProgram, Status
+from freemarg.state_rmp import MarginalFamily, RmpInstance, robustness
 from freemarg.states import ket, maximally_mixed, pure, qubit_layout, w_marginal
 
-from conftest import rand_unitary
+from conftest import depolarizing, rand_unitary
 
 
 def two_qubit_sep(layout=None):
@@ -141,17 +145,13 @@ class TestConeProperties:
 
 
 class TestValidationAndJson:
-    def test_pure_singleton_warns(self):
-        lay = qubit_layout("T")
-        state = pure(lay, np.array([1.0, 0.0]))
-        with pytest.warns(UserWarning, match="full rank"):
-            FreeSetSpec.singleton(SubsystemSet(lay, ("T",)), state)
-
     def test_full_rank_probe(self):
+        # a free set with a full-rank member leaves even a pure marginal finite
         lay = qubit_layout("AC")
-        assert two_qubit_sep(lay).contains_full_rank_member()
-        spec = FreeSetSpec.singleton(SubsystemSet(lay, tuple(lay.labels)), maximally_mixed(lay))
-        assert spec.contains_full_rank_member()
+        fam = MarginalFamily(lay, [(("A", "C"), pure(lay, ket(lay, "01")))])
+        full = FreeSetSpec.singleton(SubsystemSet(lay, tuple(lay.labels)), maximally_mixed(lay))
+        for spec in (two_qubit_sep(lay), full):
+            assert RmpInstance(fam, spec).finite
 
     def test_relaxation_tag(self):
         assert two_qubit_sep().relaxation == "ppt-exact"
@@ -203,13 +203,23 @@ class TestValidationAndJson:
 
 class TestFreeChannelSpecs:
     def test_replacement_probe(self):
+        # the identity's pure Choi has a finite robustness for the kinds with
+        # a full-rank member, but not for replacement maps onto a pure state
         gin = SubsystemLayout([("T'", 2)])
         gout = qubit_layout("T")
-        inp = SubsystemSet(gin, ("T'",))
-        out = SubsystemSet(gout, ("T",))
-        assert FreeChannelSetSpec.all_channels(inp, out).contains_full_rank_member()
-        wrapped = FreeSetSpec.all_states(out)
-        assert FreeChannelSetSpec.free_output_state(inp, out, wrapped).contains_full_rank_member()
+        pair = ChannelPair(SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",)))
+        fam = ChannelMarginalFamily(gin, gout, [(pair, ChannelSpec.identity(gin, gout))])
+        for free in (FreeChannelSetSpec.all_channels(pair.inp, pair.out),
+                     FreeChannelSetSpec.free_output_state(pair.inp, pair.out,
+                                                          FreeSetSpec.all_states(pair.out))):
+            assert ChannelRmpInstance(fam, pair, free).finite
+        zero = FreeSetSpec.singleton(pair.out, pure(gout, ket(gout, "0")))
+        inst = ChannelRmpInstance(fam, pair,
+                                  FreeChannelSetSpec.free_output_state(pair.inp, pair.out, zero))
+        cert = inst.support_certificate
+        # the identity's output marginal I/2 has weight 1/2 on |1>
+        assert cert["marginal"] == "T'->T" and cert["subsystems"] == ["T"]
+        assert abs(cert["vector"][1, 0]) == pytest.approx(1) and cert["weight"] == pytest.approx(0.5)
 
     def test_each_kind_is_the_state_set_it_reduces_to(self):
         gin = SubsystemLayout([("T'", 2)])
@@ -220,7 +230,7 @@ class TestFreeChannelSpecs:
         depolarizing = maximally_mixed(gout.concat(gin))
         spec = FreeChannelSetSpec.singleton_channel(inp, out, depolarizing.op)
         assert spec.state_spec == FreeSetSpec.singleton(pair, depolarizing)
-        assert spec.contains_full_rank_member() and spec.relaxation is None
+        assert spec.relaxation is None
         two_out = SubsystemSet(qubit_layout("TU"), ("T", "U"))
         wrapped = FreeSetSpec.separable_ppt(two_out)
         assert FreeChannelSetSpec.free_output_state(inp, two_out, wrapped).relaxation == "ppt-exact"
@@ -241,30 +251,32 @@ class TestFreeChannelSpecs:
                          inp, out, maximally_mixed(gout.concat(gin)).op)):
             assert dataclasses.replace(spec) == spec
 
-    def test_singleton_rank_warning_points_at_the_caller(self):
-        # not into the dataclass-generated __init__, which prints as <string>
-        from freemarg.channel_rmp import ChannelSpec
-
-        lay = qubit_layout("T")
-        with pytest.warns(UserWarning, match="not full rank") as record:
-            FreeSetSpec.singleton(SubsystemSet(lay, ("T",)), pure(lay, np.array([1.0, 0.0])))
-        gin = SubsystemLayout([("T'", 2)])
-        with pytest.warns(UserWarning, match="not full rank") as record_channel:
-            FreeChannelSetSpec.singleton_channel(SubsystemSet(gin, ("T'",)),
-                                                 SubsystemSet(lay, ("T",)),
-                                                 ChannelSpec.identity(gin, lay).choi)
-        assert [w.filename for w in list(record) + list(record_channel)] == [__file__] * 2
-
     def test_singleton_channel_probe(self):
-        from freemarg.channel_rmp import ChannelSpec
-
+        # the identity's pure Choi as the one free channel: the identity
+        # itself passes the support rule (its robustness is solved in
+        # test_channel_rmp); depolarizing(0.3), whose Choi is full rank, has
+        # weight outside and takes no solve
         gin = SubsystemLayout([("T'", 2)])
         gout = qubit_layout("T")
         ident = ChannelSpec.identity(gin, gout)
-        with pytest.warns(UserWarning, match="not full rank"):
-            spec = FreeChannelSetSpec.singleton_channel(
-                SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",)), ident.choi)
-        assert not spec.contains_full_rank_member()
+        pair = ChannelPair(SubsystemSet(gin, ("T'",)), SubsystemSet(gout, ("T",)))
+        free = FreeChannelSetSpec.singleton_channel(pair.inp, pair.out, ident.choi)
+        same = ChannelRmpInstance(ChannelMarginalFamily(gin, gout, [(pair, ident)]), pair, free)
+        assert same.finite
+        noisy = depolarizing(gin, gout, 0.3)
+        inst = ChannelRmpInstance(ChannelMarginalFamily(gin, gout, [(pair, noisy)]), pair, free)
+        res = robustness(inst)
+        assert (res.status, res.value_log2, res.solve_result.iterations) == \
+            (Status.INFEASIBLE, np.inf, 0)
+        cert = res.solve_result.certificate
+        assert cert["marginal"] == "T'->T" and cert["subsystems"] == ["T", "T'"]
+        # v is orthogonal to the identity's Choi vector, where J has weight 0.3/4
+        v = cert["vector"][:, 0]
+        assert abs(np.vdot(v, ident.choi.entries @ v)) <= 1e-12
+        weight = np.vdot(v, noisy.choi.entries @ v).real
+        assert weight == pytest.approx(cert["weight"], abs=1e-12) and weight > DEFAULT_TOLS.psd
+        assert weight == pytest.approx(0.3 / 4)
+        assert "not full-rank" in res.diagnostics
 
 
 class TestIncoherentRotatedBasis:

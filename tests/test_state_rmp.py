@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from freemarg.config import DEFAULT_TOLS
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import DensityMatrix, LayoutError, SubsystemLayout, SubsystemSet
 from freemarg.solver import SolverFailure, SolverSettings, Status, solve
@@ -178,11 +179,11 @@ class TestRobustness:
         lay = LAYOUT
         target = SubsystemSet(lay, ("A", "C"))
         phi = pure(lay.sublayout(("A", "C")), ket(lay.sublayout(("A", "C")), "00"))
-        with pytest.warns(UserWarning):
-            free = FreeSetSpec.singleton(target, phi)
+        free = FreeSetSpec.singleton(target, phi)
         fam = MarginalFamily(lay, [(("A", "B"), maximally_mixed(lay.sublayout(("A", "B"))))])
         res = robustness(RmpInstance(fam, free))
         assert res.status == Status.INFEASIBLE
+        assert res.solve_result.iterations == 0
         assert res.value_log2 == np.inf
         assert "pure singleton" in res.diagnostics or "full-rank" in res.diagnostics
 
@@ -677,6 +678,45 @@ class TestSingletonReductionToDmax:
         res = robustness(inst)
         assert res.status == Status.OPTIMAL
         assert res.value_log2 == pytest.approx(dmax, rel=1e-7)
+
+
+class TestSupportRule:
+    """A rank-deficient `Singleton` rho on the target AB and one marginal
+    sigma on AB: the robustness is finite iff range(sigma) lies in
+    range(rho), which the instance decides with no solve."""
+
+    def test_rank_deficient_singleton_family(self):
+        # 40 draws of rho for each rank r: draws 0-19 take sigma inside
+        # range(rho), draws 20-39 a full-rank sigma; no finite draw is solved
+        lay = qubit_layout("AB")
+        rng = np.random.default_rng(5)
+        for r in (1, 2, 3):
+            for k in range(40):
+                rho = random_density(lay, rng, rank=r)
+                top = np.linalg.eigh(rho.entries)[1][:, -r:]  # a basis of range(rho)
+                if k < 20:
+                    g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+                    m = top @ (g @ g.conj().T) @ top.conj().T
+                    sigma = DensityMatrix.from_array(lay, m / np.trace(m).real)
+                else:
+                    sigma = random_density(lay, rng)
+                inst = RmpInstance(MarginalFamily(lay, [(("A", "B"), sigma)]),
+                                   FreeSetSpec.singleton(SubsystemSet(lay, ("A", "B")), rho))
+                assert inst.finite == (k < 20), (r, k)
+                if inst.finite:
+                    continue
+                res = robustness(inst)
+                assert (res.status, res.value_log2, res.solve_result.iterations) == \
+                    (Status.INFEASIBLE, np.inf, 0), (r, k)
+                cert = res.solve_result.certificate
+                assert cert["marginal"] == "A,B" and cert["subsystems"] == ["A", "B"]
+                # T\X is empty, so v must lie in ker P_rho: orthogonal to range(rho)
+                v = cert["vector"][:, 0]
+                assert np.linalg.norm(v) == pytest.approx(1, abs=1e-12)
+                assert np.linalg.norm(top.conj().T @ v) <= 1e-12, (r, k)
+                weight = np.vdot(v, sigma.entries @ v).real
+                assert weight == pytest.approx(cert["weight"], abs=1e-12)
+                assert weight > DEFAULT_TOLS.psd, (r, k)
 
 
 class TestSingleBlockReduction:

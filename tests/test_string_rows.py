@@ -96,7 +96,6 @@ FAMILIES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:Singleton free state is not full rank:UserWarning")
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_package_programs_are_full_rank_without_the_dense_qr(family):
     inst = FAMILIES[family]()
