@@ -15,16 +15,18 @@ Input and output factors must carry distinct labels (e.g. "A" out, "A'" in).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
 from .discrimination import (
     advantage,
-    epsilon_bound_terms,
-    epsilon_rule,
     is_strictly_positive,
+    ruled_task,
+    ruled_witness_task,
     success_probability,
 )
 from .freesets import FreeChannelSetSpec
@@ -421,8 +423,15 @@ class ChannelWitness:
 def channel_witness(inst: ChannelRmpInstance, robustness: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> ChannelWitness:
     """The robustness dual per pair, decomposed over IC frames into
-    (observable, input state) terms, with the free-set supremum."""
-    duals, value, sup = witness_duals(inst, robustness, settings)
+    (observable, input state) terms, with the free-set supremum, solved on
+    its own (see `witness_duals`)."""
+    return witness_duals(inst, _channel_witness, robustness, settings)[0]
+
+
+def _channel_witness(inst: ChannelRmpInstance, duals: dict[str, np.ndarray],
+                     value: float) -> ChannelWitness:
+    """The witness of the robustness duals; its supremum is set by
+    `witness_duals`."""
     entries: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for pair, spec in inst.family.entries:
         e = duals[pair.label()]
@@ -444,7 +453,7 @@ def channel_witness(inst: ChannelRmpInstance, robustness: RobustnessResult | Non
             terms.append((np.zeros((spec.d_out,) * 2), np.eye(spec.d_in) / spec.d_in))
 
     bound = max(max(p.out.dim, p.inp.dim) for p, _ in inst.family.entries) ** 2 + 3
-    return ChannelWitness(entries, sup, value, n_max,
+    return ChannelWitness(entries, math.nan, value, n_max,
                           metadata={"dual_optimum_unique": False,
                                     "n_bound": bound,
                                     "relaxation": inst.free.relaxation})
@@ -486,6 +495,25 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
     """Shift and scale the witness observables into strictly positive POVM
     elements, append the completing outcome, and fix the priors; the epsilon
     rule bounds the task over the instance's free-compatible set."""
+    tasks = _tasks(witness, inst)
+    return _checked(tasks(epsilon) if epsilon is not None
+                    else ruled_task(tasks, inst.family, inst, settings))
+
+
+def channel_witness_task(inst: ChannelRmpInstance, settings: SolverSettings | None = None
+                         ) -> tuple[ChannelWitness, ChannelDiscriminationTask]:
+    """`channel_witness` and its `state_discrimination_task` with the rule's
+    epsilon, with one batch after the robustness (see
+    `discrimination.ruled_witness_task`)."""
+    witness, task = ruled_witness_task(inst, _channel_witness, lambda w: _tasks(w, inst),
+                                       inst.family, settings)
+    return witness, _checked(task)
+
+
+def _tasks(witness: ChannelWitness, inst: ChannelRmpInstance
+           ) -> Callable[[float], ChannelDiscriminationTask]:
+    """The task of each epsilon: the witness observables made POVM
+    elements once."""
     if all(np.max(np.abs(wj)) < 1e-14 for terms in witness.entries.values()
            for wj, _ in terms):
         raise ValueError("degenerate (all-zero) witness cannot define a task")
@@ -512,11 +540,13 @@ def state_discrimination_task(witness: ChannelWitness, inst: ChannelRmpInstance,
             outcome_priors={label: np.array([(1 - eps) / n] * n + [eps]) for label in povms},
             states=states, povms=povms, epsilon=float(eps), metadata={"n_terms": n})
 
-    if epsilon is None:
-        epsilon = epsilon_rule(*epsilon_bound_terms(task_at(0.5), inst.family, inst, settings))
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon = {epsilon} does not give a strictly positive task")
-    task = task_at(epsilon)
+    return task_at
+
+
+def _checked(task: ChannelDiscriminationTask) -> ChannelDiscriminationTask:
+    """The task, which must be strictly positive."""
+    if not (0 < task.epsilon < 1):
+        raise ValueError(f"epsilon = {task.epsilon} does not give a strictly positive task")
     if not task.strictly_positive:
         raise ValueError("constructed task is not strictly positive")
     return task

@@ -71,23 +71,22 @@ def cmd_check_compat(args, inst, settings: SolverSettings) -> dict:
 
 def cmd_discriminate(args, inst, settings: SolverSettings) -> dict:
     """The witness, the task and its fields come from the instance kind; the
-    advantage and the rest of the payload do not.  The witness supremum, the
-    epsilon rule and the advantage all maximize over the instance's one
-    compiled model (`inst.model`)."""
+    advantage and the rest of the payload do not.  A request makes three
+    solves, all but the first over the instance's one compiled model
+    (`inst.model`): the robustness; the witness supremum, in one batch with
+    the epsilon rule's two bounds of the draft task; and the advantage."""
     if isinstance(inst, state_rmp.RmpInstance):
-        w = state_rmp.extract_witness(inst, settings=settings)
         gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-        unitaries = {tuple(sub.members): [discrimination.haar_from_generator(block.dim, gen)
-                                          for _ in range(block.dim + 1)]
-                     for sub, block in w.blocks}
-        task = discrimination.task_from_witness(w, unitaries, inst, settings=settings)
+        unitaries = {tuple(sub.members): [discrimination.haar_from_generator(sigma.dim, gen)
+                                          for _ in range(sigma.dim + 1)]
+                     for sub, sigma in inst.marginals.entries}
+        w, task = discrimination.witness_task(inst, unitaries, settings=settings)
         family = inst.marginals
         fields = {"blocks": [{"subsystems": list(b.sub.members), "prior": b.prior,
                               "outcome_priors": b.outcome_priors, "povm": b.povm}
                              for b in task.blocks]}
     else:
-        w = channel_rmp.channel_witness(inst, settings=settings)
-        task = channel_rmp.state_discrimination_task(w, inst, settings=settings)
+        w, task = channel_rmp.channel_witness_task(inst, settings=settings)
         family = inst.family
         fields = {"pairs": {label: {"priors": task.outcome_priors[label],
                                     "povm": task.povms[label],

@@ -30,11 +30,16 @@ The histogram builds a batch's tasks as stacked arrays rather than one
 one `eigvalsh` for the POVM norms, and matrix products for the observables
 (`_w_unitaries`, `_w_observables`).  `_w_example_task` is the one-sample
 reference, and the stacked arithmetic repeats its steps, so the values are
-bit-identical to it.
+bit-identical to it.  The batch's set maximizations are stacked too: their
+costs are one product per key (`CompatibleSetModel.maximize_many`) and the
+results of the samples that end at one iteration are built from stacked
+arrays (`solver.solve_many`), with member-wise products, so a sample's value
+does not depend on its batch.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -50,8 +55,8 @@ from .herm import (
     eig_hermitian,
     hermitize,
 )
-from .solver import SolverFailure, SolverSettings
-from .state_rmp import MarginalFamily, RmpInstance, Witness
+from .solver import SolveResult, SolverFailure, SolverSettings
+from .state_rmp import MarginalFamily, RmpInstance, Witness, witness_duals, witness_from_duals
 from .states import qubit_layout, w_marginal
 
 if TYPE_CHECKING:
@@ -172,23 +177,60 @@ def advantage(task, sigma, inst: Instance, settings: SolverSettings | None = Non
     return value_at(obs, sigma) - inst.model.maximize(obs, settings).primal_value
 
 
+def _bound_objectives(task) -> list[list[tuple[str, np.ndarray]]]:
+    """The objective lists of the epsilon rule's bounds: the main outcomes,
+    weighted uniformly, and the completing outcome against them."""
+    return [effective_observables(task, lambda i, n: 1.0 / n if i < n else 0.0),
+            effective_observables(task, lambda i, n: -1.0 / n if i < n else 1.0)]
+
+
+def _bound_terms(objectives, sups: Sequence[SolveResult], sigma) -> tuple[float, float]:
+    """(Delta_1, Delta_2) from `_bound_objectives` and their maxima `sups`."""
+    (main, gamma), (sup_main, sup_gamma) = objectives, sups
+    return (value_at(main, sigma) - sup_main.primal_value,
+            sup_gamma.primal_value - value_at(gamma, sigma))
+
+
 def epsilon_bound_terms(task, sigma, inst: Instance,
                         settings: SolverSettings | None = None) -> tuple[float, float]:
     """(Delta_1, Delta_2) of the epsilon rule: the family's advantage on the
     main outcomes, weighted uniformly, and the worst drift of the completing
     outcome against them over the free-compatible set of `inst`, both
     maximized in one batch over the instance's model."""
-    main = effective_observables(task, lambda i, n: 1.0 / n if i < n else 0.0)
-    gamma = effective_observables(task, lambda i, n: -1.0 / n if i < n else 1.0)
-    sup_main, sup_gamma = inst.model.maximize_many([main, gamma], settings)
-    return (value_at(main, sigma) - sup_main.primal_value,
-            sup_gamma.primal_value - value_at(gamma, sigma))
+    objectives = _bound_objectives(task)
+    return _bound_terms(objectives, inst.model.maximize_many(objectives, settings), sigma)
 
 
 def epsilon_rule(d1: float, d2: float) -> float:
     """The safety rule for the completing-outcome prior:
     eps = 1/2 if Delta_2 <= 0 else min(Delta_1/Delta_2, 1)/2."""
     return 0.5 if d2 <= 0 else min(d1 / d2, 1.0) / 2
+
+
+def ruled_task(tasks: Callable[[float], object], sigma, inst: Instance,
+               settings: SolverSettings | None = None):
+    """`tasks(eps)`, the task of a witness at each epsilon, at the epsilon
+    of the rule, whose bounds are those of the draft task at eps = 1/2."""
+    return tasks(epsilon_rule(*epsilon_bound_terms(tasks(0.5), sigma, inst, settings)))
+
+
+def ruled_witness_task(inst: Instance, build, tasks_of: Callable[[object], Callable], sigma,
+                       settings: SolverSettings | None = None) -> tuple:
+    """The witness `build` makes of the robustness duals of `inst` (see
+    `state_rmp.witness_duals`) and `ruled_task` of `tasks_of(witness)`,
+    with one batch after the robustness: the draft task reads only the
+    witness's terms, so its bounds are solved in the batch of the witness
+    supremum."""
+    tasks = objectives = None
+
+    def bounds(witness):
+        nonlocal tasks, objectives
+        tasks = tasks_of(witness)
+        objectives = _bound_objectives(tasks(0.5))
+        return objectives
+
+    witness, sups = witness_duals(inst, build, settings=settings, bounds=bounds)
+    return witness, tasks(epsilon_rule(*_bound_terms(objectives, sups, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +282,25 @@ def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None 
     instance to solve the two bound terms.  Passing epsilon=0 is allowed for
     diagnostics but yields a task that is not strictly positive.
     """
+    tasks = _tasks(witness, unitaries, delta)
+    if epsilon is not None:
+        return tasks(float(epsilon))
+    if instance is None:
+        raise ValueError("epsilon rule needs the instance to bound the task terms")
+    return ruled_task(tasks, instance.marginals, instance, settings)
+
+
+def witness_task(inst: RmpInstance, unitaries, delta: float = 0.01,
+                 settings: SolverSettings | None = None) -> tuple[Witness, DiscriminationTask]:
+    """`extract_witness` and `task_from_witness` with the rule's epsilon,
+    with one batch after the robustness (see `ruled_witness_task`)."""
+    return ruled_witness_task(inst, witness_from_duals, lambda w: _tasks(w, unitaries, delta),
+                              inst.marginals, settings)
+
+
+def _tasks(witness: Witness, unitaries, delta: float) -> Callable[[float], DiscriminationTask]:
+    """The task of each epsilon: the witness's blocks checked and their
+    shifted spectra taken once."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     specs = []
@@ -257,14 +318,7 @@ def task_from_witness(witness: Witness, unitaries, instance: RmpInstance | None 
             us.append(np.eye(d, dtype=complex))
         weights, vectors = shifted_spectrum(w, delta)
         specs.append((sub, weights, vectors, us))
-
-    eps = epsilon
-    if eps is None:
-        if instance is None:
-            raise ValueError("epsilon rule needs the instance to bound the task terms")
-        draft = _assemble(specs, delta, 0.5)
-        eps = epsilon_rule(*epsilon_bound_terms(draft, instance.marginals, instance, settings))
-    return _assemble(specs, delta, float(eps))
+    return functools.partial(_assemble, specs, delta)
 
 
 def _assemble(specs, delta: float, eps: float) -> DiscriminationTask:
@@ -422,7 +476,11 @@ class HistogramResult:
         return float(np.max(self.samples))
 
     def bin_counts(self) -> dict[str, int]:
-        edges = np.arange(0.0, self.max + 2 * self.bin_width, self.bin_width)
+        """Nonzero counts by left bin edge; the edges start at 0, or at the
+        bin of the smallest sample if it is negative."""
+        width = self.bin_width
+        start = min(0.0, np.floor(self.min / width)) * width
+        edges = np.arange(start, self.max + 2 * width, width)
         counts, _ = np.histogram(self.samples, bins=edges)
         keep = np.nonzero(counts)[0]
         return {f"{edges[k]:.4f}": int(counts[k]) for k in keep}

@@ -109,12 +109,14 @@ class _EqGroup:
     basis: np.ndarray | None = None
 
     def value(self, y: np.ndarray) -> np.ndarray | float:
-        """The group's entries of y, a number or a Hermitian matrix: on rows
-        in a `basis`, the sum of its elements weighted by them."""
-        ys = y[self.rows]
+        """The group's entries of y (..., rows), a number or a Hermitian
+        matrix per vector of the stack: on rows in a `basis`, the sum of its
+        elements weighted by them, one vector-matrix product per vector."""
+        ys = y[..., self.rows]
         if self.basis is not None:
-            return smat(ys @ self.basis, math.isqrt(self.basis.shape[1]))
-        return float(ys[0]) if self.scalar else smat(ys, math.isqrt(ys.size))
+            return smat(np.matmul(ys[..., None, :], self.basis)[..., 0, :],
+                        math.isqrt(self.basis.shape[1]))
+        return ys[..., 0] if self.scalar else smat(ys, math.isqrt(ys.shape[-1]))
 
 
 @dataclass
@@ -362,8 +364,8 @@ class ConicProgram:
     # -- value helpers -----------------------------------------------------
 
     def unpack_blocks(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """svec vector -> complex Hermitian matrix per block."""
-        return {blk.name: smat(x[self.block_slice(blk)], blk.cdim) for blk in self.blocks}
+        """svec vectors (..., n) -> complex Hermitian matrices per block."""
+        return {blk.name: smat(x[..., self.block_slice(blk)], blk.cdim) for blk in self.blocks}
 
 
 @dataclass
@@ -931,8 +933,9 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
                 best = _map(functools.partial(_where, better), cur, best)
             best_score = np.where(better, st.score, best_score)
 
-            ended = {k: _optimal_result(program, data, c[k], st.x[k], st.y[k], st.s[k],
-                                        cur.tau[k], it) for k in np.flatnonzero(st.optimal)}
+            done = np.flatnonzero(st.optimal)
+            ended = dict(zip(done, _optimal_results(program, data, *_take(
+                (c, st.x, st.y, st.s, cur.tau), done), it))) if done.size else {}
             if it >= 1:
                 ended.update((k, _certificate(program, data, st, k, it))
                              for k in np.flatnonzero(st.infeasible | st.unbounded))
@@ -979,32 +982,47 @@ def solve_many(program: ConicProgram, objectives: Sequence[np.ndarray],
 
 
 def _original_rows(data: dict, y: np.ndarray) -> np.ndarray:
-    """Multipliers y of the reduced rows as multipliers of the original rows."""
-    return data["d_inv"] * (data["u_r"] @ y)
+    """Multipliers y (..., r) of the reduced rows as multipliers of the
+    original rows."""
+    return data["d_inv"] * _mv(data["u_r"], y)
 
 
-def _optimal_result(program, data, c, x, y, s, tau, iters) -> SolveResult:
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_k . v_k for each member k of the stacks (count, n), one dot product
+    each, as `u_k @ v_k` forms it; `_dot` sums in another order."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _optimal_results(program, data, c, x, y, s, tau, iters) -> list[SolveResult]:
+    """The Optimal results of the members of a stack, built from stacked
+    arrays: every product is one per member (`_mv`, `_inner`), so a result
+    is the one its member gets alone, bit for bit, and holds arrays of its
+    own."""
     sense = program.sense
     a, b = data["A"], data["b"]
     r = a.shape[0]
-    xs = x / tau
-    ys = y / tau
-    ss = s / tau
+    col = tau[:, None]
+    xs, ys, ss = x / col, y / col, s / col
     y_orig = _original_rows(data, ys)
     duals = {g.name: g.value(sense * y_orig) for g in program.eq_groups}
-    duals.update((g.name, smat(sense * ss[program.block_slice(g.slack)], g.slack.cdim))
+    duals.update((g.name, smat(sense * ss[:, program.block_slice(g.slack)], g.slack.cdim))
                  for g in program.psd_groups)
+    blocks = program.unpack_blocks(xs)
 
-    pobj = sense * float(c @ xs)
-    dobj = sense * float(b @ ys) if r else 0.0
-    res = {
-        "primal": float(np.linalg.norm((a @ xs) - b)) if r else 0.0,
-        "dual": float(np.linalg.norm((a.T @ ys if r else 0.0) + ss - c)),
-        "compl": float(xs @ ss),
-        "relgap": abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj)),
-    }
-    return SolveResult(Status.OPTIMAL, pobj, dobj, program.unpack_blocks(xs), duals,
-                       gap=abs(pobj - dobj), iterations=iters, residuals=res)
+    pobj = sense * _inner(c, xs)
+    dobj = sense * _inner(np.broadcast_to(b, ys.shape), ys) if r else np.zeros(len(xs))
+    res_p, res_d = _mv(a, xs) - b, _mv(a.T, ys) + ss - c
+    primal, dual = np.sqrt(_inner(res_p, res_p)), np.sqrt(_inner(res_d, res_d))
+    compl = _inner(xs, ss)
+    gap = np.abs(pobj - dobj)
+    relgap = gap / (1 + np.abs(pobj) + np.abs(dobj))
+    return [SolveResult(Status.OPTIMAL, float(pobj[k]), float(dobj[k]),
+                        {name: m[k].copy() for name, m in blocks.items()},
+                        {name: v[k].copy() for name, v in duals.items()},
+                        gap=float(gap[k]), iterations=iters,
+                        residuals={"primal": float(primal[k]), "dual": float(dual[k]),
+                                   "compl": float(compl[k]), "relgap": float(relgap[k])})
+            for k in range(len(xs))]
 
 
 def _certificate(program, data, st: _Check, k: int, iters: int) -> SolveResult:

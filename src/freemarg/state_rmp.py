@@ -19,15 +19,17 @@ read (see `InstanceBase`), so the compatibility check, the robustness, the
 linear maximization and the witness duals below take either.  The instance
 alone fixes the free-compatible set, so each instance holds the one compiled
 program of that set (`compatible_set`), and its `model` maximizes over it,
-with the settings of each call.
+with the settings of each call; it holds its robustness program too
+(`robustness_program`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,6 +64,8 @@ if TYPE_CHECKING:
     from .channel_rmp import ChannelRmpInstance, ChannelSpec
 
     Instance = RmpInstance | ChannelRmpInstance
+
+W = TypeVar("W")  # a witness: a dataclass with a `free_sup` field
 
 
 class NoWitnessError(RuntimeError):
@@ -131,6 +135,8 @@ class InstanceBase:
     paper's support condition, which `support_certificate` explains when it
     fails, as `diagnostics` does an infinite robustness.  `compatible_set` is
     the compiled program of the free-compatible set, and `model` maximizes over it.
+    `robustness_program` is the robustness program, which every robustness
+    solve of the instance shares, so a second one builds and compiles nothing.
     """
 
     @cached_property
@@ -200,6 +206,14 @@ class InstanceBase:
         prog.set_objective([], "max")
         prog.compile()
         return prog, var
+
+    @cached_property
+    def robustness_program(self) -> ConicProgram:
+        """The robustness program, min tr(V), built on first use and
+        compiled by its first solve: every robustness solve shares it."""
+        prog, var = _program(self, pinned=False, pairs=self.pairs)
+        prog.set_objective([(var, np.eye(self.layout.total_dim))], "min")
+        return prog
 
     @property
     def model(self) -> CompatibleSetModel:
@@ -335,9 +349,7 @@ def robustness(inst: Instance, settings: SolverSettings | None = None) -> Robust
     """Infeasible with no program built if the instance has a `support_certificate`."""
     res = SolveResult(Status.INFEASIBLE, np.inf, np.inf, certificate=inst.support_certificate)
     if inst.finite:
-        prog, v = _program(inst, pinned=False, pairs=inst.pairs)
-        prog.set_objective([(v, np.eye(inst.layout.total_dim))], "min")
-        res = solve(prog, settings)
+        res = solve(inst.robustness_program, settings)
     relaxation = inst.free.relaxation
     if res.status == Status.OPTIMAL:
         opt = res.primal_value
@@ -379,17 +391,27 @@ class CompatibleSetModel:
 
     def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]],
                       settings: SolverSettings | None = None) -> list[SolveResult]:
-        """`maximize` of each entry, solved together in one batch."""
+        """`maximize` of each entry, solved together in one batch.  The cost
+        of a key's term is the adjoint of its map in svec coordinates, taken
+        once per key for the stack of its observables; each member adds its
+        terms to a zero cost in its own order, as `maximize` does alone."""
         prog, var = self.instance.compatible_set
-        costs = []
-        for objectives in objective_lists:
-            cost = np.zeros(prog.num_cols)
-            coeff = cost[prog.block_slice(var)]
-            for key, obs in objectives:
+        lists = [list(objectives) for objectives in objective_lists]
+        by_key: dict[str, list] = {}   # label -> (member, place, O) of its terms
+        for k, objectives in enumerate(lists):
+            for place, (key, obs) in enumerate(objectives):
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-                # the adjoint of the key's map, in svec coordinates
-                coeff += self.instance.extract(key).nz.T @ svec(hermitize(obs))
-            costs.append(cost)
+                by_key.setdefault(_label(key), []).append((k, place, obs))
+        terms = {}                     # (member, place) -> the term's cost
+        for label, entries in by_key.items():
+            stack = svec(hermitize(np.array([obs for _, _, obs in entries])))
+            terms.update(zip([(k, place) for k, place, _ in entries],
+                             self.instance.extract(label).nz.T @ stack))
+        costs = np.zeros((len(lists), prog.num_cols))
+        coeff = costs[:, prog.block_slice(var)]
+        for place in range(max(map(len, lists), default=0)):
+            members = [k for k, objectives in enumerate(lists) if place < len(objectives)]
+            coeff[members] += [terms[k, place] for k in members]
         results = solve_many(prog, costs, settings)
         for k, res in enumerate(results):
             if res.status != Status.OPTIMAL:
@@ -408,12 +430,20 @@ def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]], inst: I
 # ---------------------------------------------------------------------------
 
 
-def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = None,
-                  settings: SolverSettings | None = None
-                  ) -> tuple[dict[str, np.ndarray], float, float]:
-    """The robustness program's dual multipliers Y_X by label, their value
-    sum_X tr(Y_X sigma_X) at the family, and the independently re-solved
-    supremum of that value over the free-compatible set."""
+def witness_duals(inst: Instance, build: Callable[[Instance, dict, float], W],
+                  robustness_result: RobustnessResult | None = None,
+                  settings: SolverSettings | None = None,
+                  bounds: Callable[[W], Sequence] = lambda witness: ()
+                  ) -> tuple[W, list[SolveResult]]:
+    """The witness that `build(inst, duals, value)` makes of the robustness
+    program's dual multipliers Y_X, by label, and their value
+    sum_X tr(Y_X sigma_X) at the family, with its `free_sup`: the supremum
+    of that value over the free-compatible set, re-solved there.  The
+    supremum is its own member of one `maximize_many` batch, the first; the
+    objective lists `bounds(witness)` (none by default; for a discrimination
+    task, the epsilon rule's bounds of its draft) ride in the same batch, and
+    their results are returned with the witness.  `bounds` sees the witness
+    before its supremum is known: its `free_sup` is nan there."""
     res = robustness_result if robustness_result is not None else robustness(inst, settings)
     if res.status != Status.OPTIMAL:
         raise SolverFailure(f"robustness status {res.status.value}; witness needs Optimal")
@@ -422,10 +452,11 @@ def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = N
                              "(robustness is zero)")
     duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
     value = sum(float(np.trace(duals[label] @ target).real) for label, _, target in inst.pairs)
-    sup = linear_max_over_set(duals.items(), inst, settings)
-    if value <= sup:
+    witness = build(inst, duals, value)
+    sup, *results = inst.model.maximize_many([duals.items(), *bounds(witness)], settings)
+    if value <= sup.primal_value:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
-    return duals, value, sup
+    return dataclasses.replace(witness, free_sup=sup.primal_value), results
 
 
 @dataclass
@@ -453,12 +484,17 @@ class Witness:
 
 def extract_witness(inst: RmpInstance, robustness_result: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> Witness:
-    """Dual optimizer of the robustness program, reported with its
-    independently re-solved free-set supremum."""
-    duals, value, sup = witness_duals(inst, robustness_result, settings)
+    """Dual optimizer of the robustness program, reported with its free-set
+    supremum, solved on its own (see `witness_duals`)."""
+    return witness_duals(inst, witness_from_duals, robustness_result, settings)[0]
+
+
+def witness_from_duals(inst: RmpInstance, duals: dict[str, np.ndarray], value: float) -> Witness:
+    """The witness of the robustness duals, one block per marginal; its
+    supremum is set by `witness_duals`."""
     blocks = tuple((sub, HermitianOperator(sub.sublayout(), duals[label]))
                    for label, (sub, _) in zip(inst.marginals.labels(), inst.marginals.entries))
-    return Witness(blocks, sup, value,
+    return Witness(blocks, math.nan, value,
                    metadata={"dual_optimum_unique": False,
                              "relaxation": inst.free.relaxation})
 
@@ -517,27 +553,12 @@ def product_channels_on_family(family: MarginalFamily, site_channels: dict):
 # ---------------------------------------------------------------------------
 
 
-def _fidelity_program(objective_state: np.ndarray, family: MarginalFamily,
-                      sense: str, settings: SolverSettings | None) -> float:
-    everything = FreeSetSpec.all_states(SubsystemSet(family.layout, family.layout.labels))
-    inst = RmpInstance(family, everything)
-    prog, rho = _program(inst, pinned=True, pairs=inst.pairs)
-    prog.set_objective([(rho, objective_state)], sense)
-    if settings is None:
-        # pinned-marginal feasible sets can be rank-deficient (down to a
-        # single point), where the last interior-point digits are
-        # unreachable; 1e-7 residuals are ample for the 1e-6 answer tolerance
-        settings = SolverSettings(gap_tol=1e-7, feas_tol=1e-7)
-    res = solve(prog, settings)
-    if res.status != Status.OPTIMAL:
-        raise SolverFailure(f"fidelity extremization ended with status {res.status.value}")
-    return res.primal_value
-
-
 def verify_w_uniqueness(settings: SolverSettings | None = None,
                         family: MarginalFamily | None = None) -> dict:
     """Extremize overlap with the W state over all global states compatible
-    with the two W marginals; max = min = 1 certifies uniqueness."""
+    with the two W marginals; max = min = 1 certifies uniqueness.  One
+    program, min <W|rho|W>, is solved for the cost and its negation in one
+    batch: the max is minus the min of -P, and negation is exact."""
     from .states import w_state
 
     layout = qubit_layout("ABC")
@@ -545,11 +566,20 @@ def verify_w_uniqueness(settings: SolverSettings | None = None,
         wm_ab = w_marginal(layout.sublayout(("A", "B")))
         wm_bc = w_marginal(layout.sublayout(("B", "C")))
         family = MarginalFamily(layout, [(("A", "B"), wm_ab), (("B", "C"), wm_bc)])
-    proj = w_state(layout).entries
-    return {
-        "max_fid": _fidelity_program(proj, family, "max", settings),
-        "min_fid": _fidelity_program(proj, family, "min", settings),
-    }
+    everything = FreeSetSpec.all_states(SubsystemSet(family.layout, family.layout.labels))
+    inst = RmpInstance(family, everything)
+    prog, rho = _program(inst, pinned=True, pairs=inst.pairs)
+    cost = prog.objective_vector([(rho, w_state(layout).entries)])
+    if settings is None:
+        # pinned-marginal feasible sets can be rank-deficient (down to a
+        # single point), where the last interior-point digits are
+        # unreachable; 1e-7 residuals are ample for the 1e-6 answer tolerance
+        settings = SolverSettings(gap_tol=1e-7, feas_tol=1e-7)
+    low, high = solve_many(prog, [cost, -cost], settings)
+    for res in (low, high):
+        if res.status != Status.OPTIMAL:
+            raise SolverFailure(f"fidelity extremization ended with status {res.status.value}")
+    return {"max_fid": -high.primal_value, "min_fid": low.primal_value}
 
 
 def activation_criterion(rho: DensityMatrix, samples: int = 200, seed: int = 0) -> float:

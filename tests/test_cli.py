@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from freemarg import cli, io, state_rmp
+from freemarg import cli, io, solver, state_rmp
 from freemarg.discrimination import w_example_instance
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import SubsystemSet
-from freemarg.solver import solve
+from freemarg.solver import solve_many
 from freemarg.state_rmp import MarginalFamily, RmpInstance
 from freemarg.states import ket, marginal_of, maximally_mixed, pure, qubit_layout
 
@@ -221,22 +221,56 @@ class TestVerifyWCommand:
         assert data["activated"] is True
 
     def test_tolerance_flags_reach_the_solves(self, tmp_path, monkeypatch):
+        # max and min fidelity are one batch of two members
         seen = []
 
-        def recording_solve(program, settings=None):
-            seen.append(settings)
-            return solve(program, settings)
+        def recording_solve_many(program, objectives, settings=None):
+            seen.append((len(objectives), settings))
+            return solve_many(program, objectives, settings)
 
-        monkeypatch.setattr(state_rmp, "solve", recording_solve)
+        monkeypatch.setattr(state_rmp, "solve_many", recording_solve_many)
         out = tmp_path / "v.json"
         rc = cli.main(["verify-w", "--samples", "5", "--gap-tol", "3e-8", "--feas-tol", "4e-8",
                        "--output", str(out)])
         assert rc == 0
-        assert len(seen) == 2
-        assert all(s.gap_tol == 3e-8 and s.feas_tol == 4e-8 for s in seen)
+        assert [count for count, _ in seen] == [2]
+        assert all(s.gap_tol == 3e-8 and s.feas_tol == 4e-8 for _, s in seen)
         data = json.loads(out.read_text())
         assert data["unique"] is True
         assert data["provenance"]["solver"]["gap_tol"] == 3e-8
+
+
+class TestSolvesPerRequest:
+    """The `solve_many` batches of each request, by member count: the
+    witness supremum shares a batch with the epsilon rule's two bounds, and
+    max and min W fidelity are one batch; a compatible family ends after
+    its robustness solve."""
+
+    @pytest.mark.parametrize("command, instance, batches, rc", [
+        ("robustness", "w_instance_file", [1], 0),
+        ("check-compat", "w_instance_file", [1], 0),
+        ("witness", "w_instance_file", [1, 1], 0),
+        ("discriminate", "w_instance_file", [1, 3, 1], 0),
+        ("discriminate", "broadcasting_file", [1, 3, 1], 0),
+        ("verify-w", None, [2], 0),
+        ("witness", "compatible_instance_file", [1], 3),
+        ("discriminate", "compatible_instance_file", [1], 3),
+    ])
+    def test_batches(self, command, instance, batches, rc, request, tmp_path, monkeypatch):
+        real, seen = solver.solve_many, []
+
+        def counting(program, objectives, settings=None):
+            seen.append(len(objectives))
+            return real(program, objectives, settings)
+
+        # every binding site: `solve` calls it in `solver`, `state_rmp` imports it
+        for module in [m for name, m in sys.modules.items() if name.startswith("freemarg")]:
+            if getattr(module, "solve_many", None) is real:
+                monkeypatch.setattr(module, "solve_many", counting)
+        argv = [command, "--output", str(tmp_path / "out.json")]
+        argv += ["--input", request.getfixturevalue(instance)] if instance else ["--samples", "5"]
+        assert cli.main(argv) == rc
+        assert seen == batches
 
 
 class TestInstanceJsonRoundTrip:

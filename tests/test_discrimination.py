@@ -367,6 +367,14 @@ class TestHistogram:
         assert summ["bin_width"] == 1e-4
         assert sum(summ["bin_counts"].values()) == 3
 
+    @pytest.mark.parametrize("samples, lowest", [([-0.00015, 0.0003, 0.0071, 0.0071], "-0.0002"),
+                                                 ([-0.00015, -0.0003, -0.0071], "-0.0071")])
+    def test_bin_counts_keep_negative_samples(self, samples, lowest):
+        # the edges start at the bin of the smallest sample, not at 0
+        counts = discrimination.HistogramResult(np.array(samples), 0).bin_counts()
+        assert sum(counts.values()) == len(samples)
+        assert min(counts, key=float) == lowest
+
     def test_parallel_matches_serial(self, two_cpus):
         serial = histogram_experiment(6, seed=4, jobs=1)
         parallel = histogram_experiment(6, seed=4, jobs=2)

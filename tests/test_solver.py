@@ -406,6 +406,60 @@ class TestSolveMany:
             assert abs(res.primal_value - np.linalg.eigvalsh(cm)[0]) <= 1e-7
             self.same(res, solve(prog.with_objective([(x, cm)], "min")))
 
+    @staticmethod
+    def one_member_result(program, data, c, x, y, s, tau):
+        """The Optimal result of one member as the loop built it before the
+        results were stacked: 1-D products, `np.linalg.norm` and floats."""
+        sense, a, b = program.sense, data["A"], data["b"]
+        r = a.shape[0]
+        xs, ys, ss = x / tau, y / tau, s / tau
+        y_orig = sense * data["d_inv"] * (data["u_r"] @ ys)
+        duals = {}
+        for g in program.eq_groups:
+            part = y_orig[g.rows]
+            duals[g.name] = (smat(part @ g.basis, int(np.sqrt(g.basis.shape[1])))
+                             if g.basis is not None else float(part[0]) if g.scalar
+                             else smat(part, int(np.sqrt(part.size))))
+        duals.update((g.name, smat(sense * ss[program.block_slice(g.slack)], g.slack.cdim))
+                     for g in program.psd_groups)
+        pobj = sense * float(c @ xs)
+        dobj = sense * float(b @ ys) if r else 0.0
+        residuals = {"primal": float(np.linalg.norm((a @ xs) - b)) if r else 0.0,
+                     "dual": float(np.linalg.norm((a.T @ ys if r else 0.0) + ss - c)),
+                     "compl": float(xs @ ss),
+                     "relgap": abs(pobj - dobj) / (1 + abs(pobj) + abs(dobj))}
+        return pobj, dobj, abs(pobj - dobj), residuals, program.unpack_blocks(xs), duals
+
+    def test_stacked_results_equal_the_one_member_formulas(self, rng, schur_path):
+        # the W family pinned (string rows in a basis, a PPT slack, max) and a
+        # program with a scalar row and dependent rows (min); A dense, or
+        # kept by its nonzeros
+        from freemarg import state_rmp
+        from freemarg.discrimination import w_example_instance
+
+        inst = w_example_instance()
+        w_set, _ = state_rmp._program(inst, pinned=True, pairs=inst.pairs)
+        w_set.set_objective([], "max")
+        prog = ConicProgram()
+        x = prog.add_variable("X", 3)
+        prog.add_scalar_equality("trace", [(x, np.eye(3))], 1.0)
+        prog.add_matrix_equality("whole", [(x, identity_map(3))], np.eye(3) / 3)  # dependent
+        prog.add_psd_inequality("floor", [(x, identity_map(3))], -np.eye(3) / 10)
+        for program in (w_set, prog):
+            data = program.compile()
+            r, n = data["A"].shape
+            c, x, s = (rng.normal(size=(4, n)) for _ in range(3))
+            y, tau = rng.normal(size=(4, r)), rng.uniform(0.5, 2.0, size=4)
+            stacked = solver._optimal_results(program, data, c, x, y, s, tau, 7)
+            for k, res in enumerate(stacked):
+                pobj, dobj, gap, residuals, blocks, duals = self.one_member_result(
+                    program, data, c[k], x[k], y[k], s[k], tau[k])
+                assert (res.primal_value, res.dual_value, res.gap) == (pobj, dobj, gap)
+                assert res.residuals == residuals and res.iterations == 7
+                for got, want in [(res.primal_blocks, blocks), (res.dual_multipliers, duals)]:
+                    assert got.keys() == want.keys()
+                    assert all(np.array_equal(got[name], want[name]) for name in want)
+
     def test_mixed_statuses_in_one_batch(self):
         # X >= 0 is free, so only the +I objective on it is bounded below
         prog = ConicProgram()

@@ -35,7 +35,7 @@ from freemarg.states import (
     w_state,
 )
 
-from conftest import rand_kraus, rand_unitary, w_example_witness_block
+from conftest import rand_herm, rand_kraus, rand_unitary, w_example_witness_block
 
 # regression constant: optimum tr(V*) of the W-marginal instance with a
 # separable (PPT) target, cross-checked against a mixing-parameter bisection
@@ -308,6 +308,41 @@ class TestInstanceModel:
         with pytest.raises(SolverFailure):
             advantage(task, inst.marginals, inst, few)
         assert advantage(task, inst.marginals, inst) > 0  # the defaults still solve
+
+    def test_batch_members_whose_keys_differ_match_lone_calls(self, rng):
+        # each member adds its keys' terms in its own order, whatever the
+        # keys of the other members, so it gets its lone call's bits
+        inst = w_instance()
+        o1, o2, o3 = (rand_herm(rng, 4) for _ in range(3))
+        lists = [[("A,B", o1), ("A,C", o2)], [("A,C", o3)], [], [("A,C", o2), ("A,B", o1)],
+                 [("B,C", o3), ("A,B", o2), ("B,C", o1)]]
+        for objectives, res in zip(lists, inst.model.maximize_many(lists)):
+            alone = inst.model.maximize(objectives)
+            assert res.status == alone.status == Status.OPTIMAL
+            assert res.iterations == alone.iterations
+            assert (res.primal_value, res.dual_value) == (alone.primal_value, alone.dual_value)
+            for got, want in [(res.primal_blocks, alone.primal_blocks),
+                              (res.dual_multipliers, alone.dual_multipliers)]:
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[name], want[name]) for name in want)
+
+    def test_one_robustness_program_per_instance(self, monkeypatch):
+        # a second robustness solve, and a witness without a result, build
+        # and compile no robustness program; the witness builds the set's
+        from freemarg import state_rmp
+
+        inst = w_instance()
+        first = robustness(inst)
+        built = []
+        real = state_rmp._program
+        monkeypatch.setattr(state_rmp, "_program",
+                            lambda inst, pinned, **kw: built.append(pinned)
+                            or real(inst, pinned, **kw))
+        again = robustness(inst)
+        extract_witness(inst)
+        assert built == [True]
+        assert again.value_log2 == first.value_log2
+        assert again.solve_result.iterations == first.solve_result.iterations
 
     def test_one_model_per_instance_ignored_by_equality(self):
         from test_channel_rmp import broadcasting_instance
