@@ -54,6 +54,7 @@ from .state_rmp import (  # NoWitnessError is re-exported for channel callers
     check_rfree_compatible,
     linear_max_over_set,
     robustness,
+    with_free_sup,
     witness_duals,
 )
 
@@ -423,15 +424,16 @@ class ChannelWitness:
 def channel_witness(inst: ChannelRmpInstance, robustness: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> ChannelWitness:
     """The robustness dual per pair, decomposed over IC frames into
-    (observable, input state) terms, with the free-set supremum, solved on
-    its own (see `witness_duals`)."""
-    return witness_duals(inst, _channel_witness, robustness, settings)[0]
+    (observable, input state) terms, with the free-set supremum."""
+    duals, value = witness_duals(inst, robustness, settings)
+    return with_free_sup(_channel_witness(inst, duals, value),
+                         inst.model.maximize(duals.items(), settings))
 
 
 def _channel_witness(inst: ChannelRmpInstance, duals: dict[str, np.ndarray],
                      value: float) -> ChannelWitness:
     """The witness of the robustness duals; its supremum is set by
-    `witness_duals`."""
+    `state_rmp.with_free_sup`."""
     entries: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
     for pair, spec in inst.family.entries:
         e = duals[pair.label()]

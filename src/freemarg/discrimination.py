@@ -30,11 +30,10 @@ The histogram builds a batch's tasks as stacked arrays rather than one
 one `eigvalsh` for the POVM norms, and matrix products for the observables
 (`_w_unitaries`, `_w_observables`).  `_w_example_task` is the one-sample
 reference, and the stacked arithmetic repeats its steps, so the values are
-bit-identical to it.  The batch's set maximizations are stacked too: their
-costs are one product per key (`CompatibleSetModel.maximize_many`) and the
-results of the samples that end at one iteration are built from stacked
-arrays (`solver.solve_many`), with member-wise products, so a sample's value
-does not depend on its batch.
+bit-identical to it.  The batch's set maximizations are one
+`CompatibleSetModel.maximize_many` call, and the results of the samples that
+end at one iteration are built from stacked arrays (`solver.solve_many`),
+with member-wise products, so a sample's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -56,7 +55,15 @@ from .herm import (
     hermitize,
 )
 from .solver import SolveResult, SolverFailure, SolverSettings
-from .state_rmp import MarginalFamily, RmpInstance, Witness, witness_duals, witness_from_duals
+from .state_rmp import (
+    MarginalFamily,
+    RmpInstance,
+    Witness,
+    optimal,
+    witness_duals,
+    witness_from_duals,
+    with_free_sup,
+)
 from .states import qubit_layout, w_marginal
 
 if TYPE_CHECKING:
@@ -216,21 +223,24 @@ def ruled_task(tasks: Callable[[float], object], sigma, inst: Instance,
 
 def ruled_witness_task(inst: Instance, build, tasks_of: Callable[[object], Callable], sigma,
                        settings: SolverSettings | None = None) -> tuple:
-    """The witness `build` makes of the robustness duals of `inst` (see
-    `state_rmp.witness_duals`) and `ruled_task` of `tasks_of(witness)`,
-    with one batch after the robustness: the draft task reads only the
-    witness's terms, so its bounds are solved in the batch of the witness
-    supremum."""
-    tasks = objectives = None
-
-    def bounds(witness):
-        nonlocal tasks, objectives
+    """The witness `build(inst, duals, value)` makes of the robustness duals
+    of `inst` (see `state_rmp.witness_duals`) and `ruled_task` of
+    `tasks_of(witness)`, with one batch after the robustness: the draft task
+    reads only the witness's terms, so its bounds are solved in the batch of
+    the witness supremum.  The errors come in the order of the solves one
+    after another: the supremum and its gap, then the task's checks, then
+    the bounds."""
+    duals, value = witness_duals(inst, settings=settings)
+    witness = build(inst, duals, value)
+    try:
         tasks = tasks_of(witness)
-        objectives = _bound_objectives(tasks(0.5))
-        return objectives
-
-    witness, sups = witness_duals(inst, build, settings=settings, bounds=bounds)
-    return witness, tasks(epsilon_rule(*_bound_terms(objectives, sups, sigma)))
+    except ValueError:
+        with_free_sup(witness, inst.model.maximize(duals.items(), settings))
+        raise
+    objectives = _bound_objectives(tasks(0.5))
+    sup, *bounds = inst.model.solve_lists([duals.items(), *objectives], settings)
+    witness = with_free_sup(witness, sup)
+    return witness, tasks(epsilon_rule(*_bound_terms(objectives, optimal(bounds), sigma)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ read (see `InstanceBase`), so the compatibility check, the robustness, the
 linear maximization and the witness duals below take either.  The instance
 alone fixes the free-compatible set, so each instance holds the one compiled
 program of that set (`compatible_set`), and its `model` maximizes over it,
-with the settings of each call; it holds its robustness program too
-(`robustness_program`).
+with the settings of each call.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -65,7 +64,7 @@ if TYPE_CHECKING:
 
     Instance = RmpInstance | ChannelRmpInstance
 
-W = TypeVar("W")  # a witness: a dataclass with a `free_sup` field
+W = TypeVar("W")  # a witness: a dataclass with a `free_sup` field and a `gap`
 
 
 class NoWitnessError(RuntimeError):
@@ -135,8 +134,6 @@ class InstanceBase:
     paper's support condition, which `support_certificate` explains when it
     fails, as `diagnostics` does an infinite robustness.  `compatible_set` is
     the compiled program of the free-compatible set, and `model` maximizes over it.
-    `robustness_program` is the robustness program, which every robustness
-    solve of the instance shares, so a second one builds and compiles nothing.
     """
 
     @cached_property
@@ -206,14 +203,6 @@ class InstanceBase:
         prog.set_objective([], "max")
         prog.compile()
         return prog, var
-
-    @cached_property
-    def robustness_program(self) -> ConicProgram:
-        """The robustness program, min tr(V), built on first use and
-        compiled by its first solve: every robustness solve shares it."""
-        prog, var = _program(self, pinned=False, pairs=self.pairs)
-        prog.set_objective([(var, np.eye(self.layout.total_dim))], "min")
-        return prog
 
     @property
     def model(self) -> CompatibleSetModel:
@@ -349,7 +338,9 @@ def robustness(inst: Instance, settings: SolverSettings | None = None) -> Robust
     """Infeasible with no program built if the instance has a `support_certificate`."""
     res = SolveResult(Status.INFEASIBLE, np.inf, np.inf, certificate=inst.support_certificate)
     if inst.finite:
-        res = solve(inst.robustness_program, settings)
+        prog, v = _program(inst, pinned=False, pairs=inst.pairs)
+        prog.set_objective([(v, np.eye(inst.layout.total_dim))], "min")
+        res = solve(prog, settings)
     relaxation = inst.free.relaxation
     if res.status == Status.OPTIMAL:
         opt = res.primal_value
@@ -391,32 +382,31 @@ class CompatibleSetModel:
 
     def maximize_many(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]],
                       settings: SolverSettings | None = None) -> list[SolveResult]:
-        """`maximize` of each entry, solved together in one batch.  The cost
-        of a key's term is the adjoint of its map in svec coordinates, taken
-        once per key for the stack of its observables; each member adds its
-        terms to a zero cost in its own order, as `maximize` does alone."""
+        """`maximize` of each entry, solved together in one batch."""
+        return optimal(self.solve_lists(objective_lists, settings))
+
+    def solve_lists(self, objective_lists: Sequence[Iterable[tuple[object, np.ndarray]]],
+                    settings: SolverSettings | None = None) -> list[SolveResult]:
+        """The batch of `maximize_many`, each result with the status it ended with."""
         prog, var = self.instance.compatible_set
-        lists = [list(objectives) for objectives in objective_lists]
-        by_key: dict[str, list] = {}   # label -> (member, place, O) of its terms
-        for k, objectives in enumerate(lists):
-            for place, (key, obs) in enumerate(objectives):
+        costs = []
+        for objectives in objective_lists:
+            cost = np.zeros(prog.num_cols)
+            coeff = cost[prog.block_slice(var)]
+            for key, obs in objectives:
                 obs = obs.entries if isinstance(obs, HermitianOperator) else np.asarray(obs)
-                by_key.setdefault(_label(key), []).append((k, place, obs))
-        terms = {}                     # (member, place) -> the term's cost
-        for label, entries in by_key.items():
-            stack = svec(hermitize(np.array([obs for _, _, obs in entries])))
-            terms.update(zip([(k, place) for k, place, _ in entries],
-                             self.instance.extract(label).nz.T @ stack))
-        costs = np.zeros((len(lists), prog.num_cols))
-        coeff = costs[:, prog.block_slice(var)]
-        for place in range(max(map(len, lists), default=0)):
-            members = [k for k, objectives in enumerate(lists) if place < len(objectives)]
-            coeff[members] += [terms[k, place] for k in members]
-        results = solve_many(prog, costs, settings)
-        for k, res in enumerate(results):
-            if res.status != Status.OPTIMAL:
-                raise SolverFailure(f"set maximization {k} ended with status {res.status.value}")
-        return results
+                # the adjoint of the key's map, in svec coordinates
+                coeff += self.instance.extract(key).nz.T @ svec(hermitize(obs))
+            costs.append(cost)
+        return solve_many(prog, costs, settings)
+
+
+def optimal(results: list[SolveResult]) -> list[SolveResult]:
+    """`results`, each of which must be Optimal."""
+    for k, res in enumerate(results):
+        if res.status != Status.OPTIMAL:
+            raise SolverFailure(f"set maximization {k} ended with status {res.status.value}")
+    return results
 
 
 def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]], inst: Instance,
@@ -430,20 +420,13 @@ def linear_max_over_set(objectives: Iterable[tuple[object, np.ndarray]], inst: I
 # ---------------------------------------------------------------------------
 
 
-def witness_duals(inst: Instance, build: Callable[[Instance, dict, float], W],
-                  robustness_result: RobustnessResult | None = None,
-                  settings: SolverSettings | None = None,
-                  bounds: Callable[[W], Sequence] = lambda witness: ()
-                  ) -> tuple[W, list[SolveResult]]:
-    """The witness that `build(inst, duals, value)` makes of the robustness
-    program's dual multipliers Y_X, by label, and their value
-    sum_X tr(Y_X sigma_X) at the family, with its `free_sup`: the supremum
-    of that value over the free-compatible set, re-solved there.  The
-    supremum is its own member of one `maximize_many` batch, the first; the
-    objective lists `bounds(witness)` (none by default; for a discrimination
-    task, the epsilon rule's bounds of its draft) ride in the same batch, and
-    their results are returned with the witness.  `bounds` sees the witness
-    before its supremum is known: its `free_sup` is nan there."""
+def witness_duals(inst: Instance, robustness_result: RobustnessResult | None = None,
+                  settings: SolverSettings | None = None) -> tuple[dict[str, np.ndarray], float]:
+    """The robustness program's dual multipliers Y_X by label and their value
+    sum_X tr(Y_X sigma_X) at the family: a witness whose supremum over the
+    free-compatible set, `duals.items()` maximized, is still to be solved,
+    on its own or, for `discriminate`, in the batch of the epsilon rule's
+    bounds (see `with_free_sup`, `discrimination.ruled_witness_task`)."""
     res = robustness_result if robustness_result is not None else robustness(inst, settings)
     if res.status != Status.OPTIMAL:
         raise SolverFailure(f"robustness status {res.status.value}; witness needs Optimal")
@@ -452,11 +435,16 @@ def witness_duals(inst: Instance, build: Callable[[Instance, dict, float], W],
                              "(robustness is zero)")
     duals = {label: hermitize(y) for label, y in res.marginal_duals.items()}
     value = sum(float(np.trace(duals[label] @ target).real) for label, _, target in inst.pairs)
-    witness = build(inst, duals, value)
-    sup, *results = inst.model.maximize_many([duals.items(), *bounds(witness)], settings)
-    if value <= sup.primal_value:
+    return duals, value
+
+
+def with_free_sup(witness: W, sup: SolveResult) -> W:
+    """`witness` with `free_sup`, its supremum over the free-compatible set,
+    which must be Optimal and strictly below its value at the family."""
+    witness = dataclasses.replace(witness, free_sup=optimal([sup])[0].primal_value)
+    if witness.gap <= 0:
         raise SolverFailure("extracted witness has no strict gap; solver accuracy insufficient")
-    return dataclasses.replace(witness, free_sup=sup.primal_value), results
+    return witness
 
 
 @dataclass
@@ -484,14 +472,16 @@ class Witness:
 
 def extract_witness(inst: RmpInstance, robustness_result: RobustnessResult | None = None,
                     settings: SolverSettings | None = None) -> Witness:
-    """Dual optimizer of the robustness program, reported with its free-set
-    supremum, solved on its own (see `witness_duals`)."""
-    return witness_duals(inst, witness_from_duals, robustness_result, settings)[0]
+    """Dual optimizer of the robustness program, reported with its
+    independently re-solved free-set supremum."""
+    duals, value = witness_duals(inst, robustness_result, settings)
+    return with_free_sup(witness_from_duals(inst, duals, value),
+                         inst.model.maximize(duals.items(), settings))
 
 
 def witness_from_duals(inst: RmpInstance, duals: dict[str, np.ndarray], value: float) -> Witness:
     """The witness of the robustness duals, one block per marginal; its
-    supremum is set by `witness_duals`."""
+    supremum is set by `with_free_sup`."""
     blocks = tuple((sub, HermitianOperator(sub.sublayout(), duals[label]))
                    for label, (sub, _) in zip(inst.marginals.labels(), inst.marginals.entries))
     return Witness(blocks, math.nan, value,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from freemarg import cli, io, solver, state_rmp
+from freemarg import cli, discrimination, io, solver, state_rmp
 from freemarg.discrimination import w_example_instance
 from freemarg.freesets import FreeSetSpec
 from freemarg.herm import SubsystemSet
@@ -271,6 +272,54 @@ class TestSolvesPerRequest:
         argv += ["--input", request.getfixturevalue(instance)] if instance else ["--samples", "5"]
         assert cli.main(argv) == rc
         assert seen == batches
+
+
+class TestWitnessBatchErrors:
+    """The witness supremum shares a batch with the epsilon rule's bounds,
+    yet the errors come as from the solves one after another: the
+    supremum's gap first, then the task's checks, then the bounds."""
+
+    @staticmethod
+    def patch_batches(monkeypatch, sup=None, rest=None):
+        # every batch over the compatible set: the first member's value
+        # becomes `sup`, the status of the others `rest`
+        real = state_rmp.solve_many
+
+        def patched(program, objectives, settings=None):
+            first, *others = real(program, objectives, settings)
+            if sup is not None:
+                first = dataclasses.replace(first, primal_value=sup)
+            if rest is not None:
+                others = [dataclasses.replace(res, status=rest) for res in others]
+            return [first, *others]
+
+        monkeypatch.setattr(state_rmp, "solve_many", patched)
+
+    @pytest.mark.parametrize("instance", ["w_instance_file", "broadcasting_file"])
+    @pytest.mark.parametrize("sup, rest, err", [
+        (1e6, solver.Status.NUMERICAL_FAILURE, "extracted witness has no strict gap; "
+                                               "solver accuracy insufficient"),
+        (1e6, None, "extracted witness has no strict gap; solver accuracy insufficient"),
+        (None, solver.Status.NUMERICAL_FAILURE, "set maximization 0 ended with status "
+                                                "NumericalFailure"),
+    ])
+    def test_discriminate(self, instance, sup, rest, err, request, tmp_path, monkeypatch,
+                          capsys):
+        self.patch_batches(monkeypatch, sup, rest)
+        out = tmp_path / "d.json"
+        rc = cli.main(["discriminate", "--input", request.getfixturevalue(instance),
+                       "--output", str(out)])
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err == f"solver error: {err}\n"
+
+    def test_task_checks_come_after_the_gap(self, monkeypatch):
+        inst = w_example_instance()
+        one_each = {tuple(sub.members): [np.eye(sigma.dim)] for sub, sigma in inst.marginals.entries}
+        with pytest.raises(ValueError, match="unitaries for block"):
+            discrimination.witness_task(inst, one_each)
+        self.patch_batches(monkeypatch, sup=1e6)
+        with pytest.raises(solver.SolverFailure, match="no strict gap"):
+            discrimination.witness_task(inst, one_each)
 
 
 class TestInstanceJsonRoundTrip:

@@ -82,8 +82,7 @@ def test_six_qubit_robustness_then_witness(densified, monkeypatch):
     # the dense path, forced, finds the same optimum
     monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", math.inf)
     assert robustness_program(inst).compile()["block_rows"][0].mats is not None
-    # a copy of the instance, whose robustness program is compiled anew
-    forced = state_rmp.robustness(dataclasses.replace(inst))
+    forced = state_rmp.robustness(inst)
     assert abs(forced.value_log2 - res.value_log2) <= 1e-10
 
 
@@ -247,7 +246,7 @@ def test_four_qubit_whole_layout_target_is_local(target, monkeypatch):
     assert robustness_program(inst).compile()["block_rows"][0].local is not None
     res = state_rmp.robustness(inst)
     monkeypatch.setattr(solver, "_LOCAL_SCHUR_MACS", math.inf)
-    forced = state_rmp.robustness(dataclasses.replace(inst))
+    forced = state_rmp.robustness(inst)
     assert res.status.value == forced.status.value == "Optimal"
     assert abs(res.value_log2 - forced.value_log2) <= 1e-9
 

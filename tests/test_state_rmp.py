@@ -326,24 +326,6 @@ class TestInstanceModel:
                 assert got.keys() == want.keys()
                 assert all(np.array_equal(got[name], want[name]) for name in want)
 
-    def test_one_robustness_program_per_instance(self, monkeypatch):
-        # a second robustness solve, and a witness without a result, build
-        # and compile no robustness program; the witness builds the set's
-        from freemarg import state_rmp
-
-        inst = w_instance()
-        first = robustness(inst)
-        built = []
-        real = state_rmp._program
-        monkeypatch.setattr(state_rmp, "_program",
-                            lambda inst, pinned, **kw: built.append(pinned)
-                            or real(inst, pinned, **kw))
-        again = robustness(inst)
-        extract_witness(inst)
-        assert built == [True]
-        assert again.value_log2 == first.value_log2
-        assert again.solve_result.iterations == first.solve_result.iterations
-
     def test_one_model_per_instance_ignored_by_equality(self):
         from test_channel_rmp import broadcasting_instance
 
