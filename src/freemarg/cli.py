@@ -24,6 +24,11 @@ from .solver import SolverFailure, SolverSettings
 from .states import qubit_layout, w_marginal
 
 
+# how a command draws from its --seed, for its provenance
+_ONE_STREAM = "Philox4x32-10 (counter-based); one stream keyed by the seed"
+_PER_SAMPLE = "Philox4x32-10 (counter-based); per-sample key = seed XOR sample index"
+
+
 def cmd_robustness(args, inst, settings: SolverSettings) -> dict:
     res = state_rmp.robustness(inst, settings)
     return {
@@ -75,7 +80,9 @@ def cmd_discriminate(args, inst, settings: SolverSettings) -> dict:
     solves, all but the first over the instance's one compiled model
     (`inst.model`): the robustness; the witness supremum, in one batch with
     the epsilon rule's two bounds of the draft task; and the advantage."""
+    rng = None
     if isinstance(inst, state_rmp.RmpInstance):
+        rng = _ONE_STREAM
         gen = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
         unitaries = {tuple(sub.members): [discrimination.haar_from_generator(sigma.dim, gen)
                                           for _ in range(sigma.dim + 1)]
@@ -96,7 +103,7 @@ def cmd_discriminate(args, inst, settings: SolverSettings) -> dict:
             "epsilon": task.epsilon,
             "witness_gap": w.gap,
             **fields,
-            "provenance": io.provenance_block(settings, seed=args.seed)}
+            "provenance": io.provenance_block(settings, rng, seed=args.seed)}
 
 
 def cmd_histogram(args, inst, settings: SolverSettings) -> dict:
@@ -105,7 +112,7 @@ def cmd_histogram(args, inst, settings: SolverSettings) -> dict:
     with open(args.out, "w") as fh:
         fh.write(result.to_csv())
     relaxation = discrimination.w_histogram_instance().free.relaxation
-    provenance = io.provenance_block(settings, seed=args.seed, relaxation=relaxation)
+    provenance = io.provenance_block(settings, _PER_SAMPLE, seed=args.seed, relaxation=relaxation)
     return {**result.summary(), "provenance": {**provenance, "jobs": args.jobs, "csv": args.out}}
 
 
@@ -120,7 +127,7 @@ def cmd_verify_w(args, inst, settings: SolverSettings) -> dict:
         "activation_value": act,
         "activation_threshold": 0.5,
         "activated": act > 0.5,
-        "provenance": io.provenance_block(settings, seed=args.seed),
+        "provenance": io.provenance_block(settings, _ONE_STREAM, seed=args.seed),
     }
 
 

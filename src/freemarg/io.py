@@ -192,7 +192,9 @@ def _clean(value: Any):
     return value
 
 
-def provenance_block(settings, seed=None, relaxation=None) -> dict:
+def provenance_block(settings, rng=None, seed=None, relaxation=None) -> dict:
+    """The settings of a command's result; `rng` says how it draws from
+    `seed`, and is None where it draws nothing."""
     return {
         "solver": {"gap_tol": settings.gap_tol, "feas_tol": settings.feas_tol,
                    "max_iters": settings.max_iters,
@@ -200,7 +202,7 @@ def provenance_block(settings, seed=None, relaxation=None) -> dict:
                                 "homogeneous self-dual embedding"},
         "tolerances": {"hermiticity": DEFAULT_TOLS.hermiticity, "psd": DEFAULT_TOLS.psd,
                        "trace": DEFAULT_TOLS.trace, "compat": DEFAULT_TOLS.compat},
-        "rng": "Philox4x32-10 (counter-based); per-sample key = seed XOR sample index",
+        "rng": rng,
         "seed": seed,
         "relaxation": relaxation,
     }

@@ -26,10 +26,7 @@ class StringRows:
     group's rows are its strings that neither an earlier group nor the
     trace row fixes, and that its map does not send to zero.  The rows are
     one `LinearMap`, the selected rows of the basis change after the partial
-    trace, so its `LocalForm` keeps X with them as its inner.  A group that
-    repeats no string and sends none to zero keeps its partial-trace rows,
-    so that a program without a repeated string is the program of the
-    partial traces.
+    trace, so its `LocalForm` keeps X with them as its inner.
 
     A string is known by its digits over the whole layout, 0 off its
     support S, and valued on S, per unit trace: tr((P_S (x) I) V) / tr(V),
@@ -47,16 +44,16 @@ class StringRows:
         self.prog, self.var, self.dims = prog, var, tuple(dims)
         # the strides of the string digits over the whole layout
         self.strides = np.cumprod([1] + [d * d for d in self.dims[:0:-1]])[::-1]
-        # per string fixed, by its index over the whole layout: the rows and
-        # weights whose sum is tr((P_S (x) I) V) - beta tr(V), beta, and its
-        # value per unit trace
-        self.fixed: dict[int, tuple[np.ndarray, np.ndarray, float, float]] = {}
+        # per string fixed, by its index over the whole layout: the row and
+        # weight whose product is tr((P_S (x) I) V) - beta tr(V), beta, and
+        # its value per unit trace
+        self.fixed: dict[int, tuple[int, float, float, float]] = {}
 
     def marginal(self, name: str, extract: LinearMap, target: np.ndarray):
         """extract(V) = target, for the partial trace `extract`."""
         digits, q = self._strings(extract)
         rhs = q @ svec(hermitize(np.asarray(target, dtype=complex)))
-        self._state(name, extract, digits, q, q, rhs, 0.0, np.ones(len(q), dtype=bool), target)
+        self._state(name, extract, digits, q, q, rhs, 0.0, np.ones(len(q), dtype=bool))
 
     def vanish(self, name: str, extract: LinearMap, replaced: Sequence[int]):
         """M - tr_F(M) (x) I/d_F = 0 at M = extract(V), F the layout's
@@ -101,11 +98,10 @@ class StringRows:
         digits = np.unravel_index(np.arange(count), [d * d for d in dims]) if dims else ()
         return digits, string_rows(dims)
 
-    def _state(self, name, extract, digits, q, inner, rhs, trace, live, target=None):
+    def _state(self, name, extract, digits, q, inner, rhs, trace, live):
         """Add the group of `extract` whose rows are those of `inner`, one per
         `live` string, with right-hand sides `rhs` and trace weights `trace`
-        (the row is tr((P (x) I) V) - trace tr(V)); a `target` says the rows
-        are extract(V) = target, kept as they are if no string repeats."""
+        (the row is tr((P (x) I) V) - trace tr(V))."""
         keep_axes = extract.local.keep
         keys = sum((dig * self.strides[a] for dig, a in zip(digits, keep_axes)),
                    np.zeros(len(q), dtype=np.int64))[live].tolist()
@@ -117,22 +113,16 @@ class StringRows:
         beta = scale * trace
         value = scale * rhs + beta
         start = self.prog.num_rows
-        if target is not None and not any(k in self.fixed for k in keys):
-            self.prog.add_matrix_equality(name, [(self.var, extract)], target)
-            rows = start + np.arange(q.shape[1])
-            for k, a, v, weights in zip(keys, scale, value, q):
-                self.fixed[k] = (rows, a * weights, 0.0, v)
-            return
         kept = []
         for i, k in enumerate(keys):
-            row = np.array([start + len(kept)])
+            row = start + len(kept)
             known = self.fixed.get(k)
             if known is None:
-                self.fixed[k] = (row, scale[i:i + 1], beta[i], value[i])
+                self.fixed[k] = (row, scale[i], beta[i], value[i])
             elif abs(known[3] - value[i]) <= DEFAULT_TOLS.compat:
                 continue
             elif 0 in self.fixed and not self.prog.ray:
-                self._conflict(known, (row, -scale[i:i + 1], beta[i], value[i]))
+                self._conflict(known, (row, -scale[i], beta[i], value[i]))
             kept.append(i)
         if kept:
             self.prog.add_basis_equality(
@@ -140,14 +130,13 @@ class StringRows:
 
     def _conflict(self, first: tuple, later: tuple):
         """The Farkas ray of a string stated twice with two values where the
-        trace is stated; `later` carries its weights negated."""
+        trace is stated; `later` carries its weight negated."""
         s = math.copysign(1.0, first[3] - later[3])
-        trace_rows, trace_weights = self.fixed[0][:2]
-        for rows, weights in ((first[0], first[1]), (later[0], later[1]),
-                              (trace_rows, trace_weights * (first[2] - later[2]))):
-            for row, w in zip(rows.tolist(), weights):
-                if w:
-                    self.prog.ray[row] = self.prog.ray.get(row, 0.0) + s * w
+        trace_row, trace_weight = self.fixed[0][:2]
+        for row, w in ((first[0], first[1]), (later[0], later[1]),
+                       (trace_row, trace_weight * (first[2] - later[2]))):
+            if w:
+                self.prog.ray[row] = self.prog.ray.get(row, 0.0) + s * w
 
 
 def attach_free_state_cone(rows: StringRows, extract: LinearMap, free: FreeSetSpec,

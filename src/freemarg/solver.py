@@ -16,17 +16,16 @@ in the block's columns; maps and rows are one sparse type, `herm._Rows`.
 The solver knows nothing of tensor factors: a map that is a partial trace
 followed by another map carries its `herm.LocalForm`, and `herm.LocalSchur`
 contracts the scalings of a block by these forms.  `compile` normalizes the
-equality rows to A_n, forms their Gram matrix G once, and finds their rank
-by one threshold t on its eigenvalues: by the Cholesky test `_full_rank`,
-which the package's rows, each product string stated once, pass at once,
-or else by `eigh(G)`, whose eigenvectors above t, U_r, reduce the rows to
-A = U_r' A_n; b_n's part along the others, b_perp, certifies inconsistent
-rows.  A program without a large block keeps a dense A, its product-string
-rows, if it has any, in the eigenbasis of G.  A size test alone picks a
-block's Schur layout (see `_BlockRows`): in full-rank rows, a block whose
-dense Schur product costs more real multiply-adds than `_LOCAL_SCHUR_MACS`
-is large and assembles its part of M = A_n W A_n' by local contraction; a
-small one, and every block of rank-deficient rows, takes the dense product.
+equality rows to A_n, forms their Gram matrix G once, and takes one
+threshold t on its eigenvalues.  The blocks alone choose A's form: a block
+whose dense Schur product costs more real multiply-adds than
+`_LOCAL_SCHUR_MACS` is large (see `_BlockRows`), and a program with a large
+block whose rows pass the Cholesky test `_full_rank` keeps them as stated,
+U_r the identity, each large block assembling its part of M = A_n W A_n' by
+local contraction.  Every other program takes the eigenvectors of G above
+t, U_r, and the dense rows A = U_r' A_n, every block the dense product;
+b_n's part along the other eigenvectors, b_perp, certifies inconsistent
+rows.
 
 One loop, `solve_many`, solves a program for a batch of objectives on
 stacked iterates; `solve` is its one-member case.  The iterate and every
@@ -305,22 +304,19 @@ class ConicProgram:
         # value of the rows, counts above t, far above the rounding error
         # of G, about m eps ||G|| <= m eps tr(G)
         t = 10 * m * np.finfo(float).eps * np.trace(gram)
-        full = _full_rank(gram, t)
-        if full and (any(large) or all(g.basis is None for g in self.eq_groups)):
+        if any(large) and _full_rank(gram, t):
             # the rows themselves are a basis, and U_r the identity
             diag = np.arange(m)
             u_r, a_red, b_red = _Rows(diag, diag, np.ones(m), (m, m)), a_n, b_n
             b_perp = np.zeros(m)
         else:
-            # rows that fail the test keep the eigenvectors of G above the
-            # rank threshold, and b_perp is b_n's part along the rest.  Rows
-            # stated by product strings (see `programs.StringRows`) keep all:
-            # on a set without an interior point the dense steps converge
-            # far more often on their span in this basis, eigenvalues
-            # descending, than in the sparse rows aligned with the marginals.
+            # the eigenvectors of G above t, eigenvalues descending, and
+            # b_perp b_n's part along the rest: on a set without an interior
+            # point the dense steps converge far more often on the rows'
+            # span in this basis than in rows aligned with the marginals.
             # Rows kept by their nonzeros are made dense only for the product
             lam, u = np.linalg.eigh(gram)
-            r = m if full else int(np.sum(lam > t))
+            r = int(np.sum(lam > t))
             u_r, u_0 = u[:, ::-1][:, :r], u[:, :m - r]
             a_red = u_r.T @ (a_n.dense() if isinstance(a_n, _Rows) else a_n)
             b_red, b_perp = u_r.T @ b_n, u_0 @ (u_0.T @ b_n)

@@ -241,6 +241,34 @@ class TestVerifyWCommand:
         assert data["provenance"]["solver"]["gap_tol"] == 3e-8
 
 
+class TestProvenanceRng:
+    """Each command states in its provenance how it draws from its seed,
+    and null where it draws nothing."""
+
+    @pytest.mark.parametrize("command, instance, rng", [
+        ("robustness", "w_instance_file", None),
+        ("witness", "w_instance_file", None),
+        ("check-compat", "w_instance_file", None),
+        ("channel-robustness", "broadcasting_file", None),
+        ("discriminate", "w_instance_file", cli._ONE_STREAM),
+        ("discriminate", "broadcasting_file", None),
+        ("histogram", None, cli._PER_SAMPLE),
+        ("verify-w", None, cli._ONE_STREAM),
+    ])
+    def test_rng(self, command, instance, rng, request, tmp_path):
+        out = tmp_path / "r.json"
+        argv = [command, "--output", str(out)]
+        if instance:
+            argv += ["--input", request.getfixturevalue(instance)]
+        else:
+            argv += ["--samples", "2"]
+        if command == "histogram":
+            argv += ["--out", str(tmp_path / "h.csv")]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["provenance"]["rng"] == rng
+        assert rng is None or rng.startswith("Philox4x32-10")
+
+
 class TestSolvesPerRequest:
     """The `solve_many` batches of each request, by member count: the
     witness supremum shares a batch with the epsilon rule's two bounds, and

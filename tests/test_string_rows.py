@@ -111,10 +111,17 @@ def test_package_programs_are_full_rank_without_the_dense_qr(family):
         assert data["A"].shape[0] == m
         assert not np.any(data["b_perp"])
         u_r = data["u_r"]
-        if isinstance(u_r, solver._Rows):  # the rows themselves
+        # the blocks alone choose the basis: a large block keeps the rows
+        # themselves, and a program without one takes the eigenbasis of their
+        # Gram matrix, every block on the dense layout
+        a, _ = prog.equality_rows()
+        large = any(solver._BlockRows.large(np.unique(a.columns(prog.block_slice(blk))[0]).size,
+                                            blk.cdim) for blk in prog.blocks)
+        if large:
+            assert isinstance(u_r, solver._Rows)
             assert np.array_equal(u_r.dense(), np.eye(m))
-        else:  # string rows on the dense layout, in the eigenbasis of their Gram matrix
-            assert any(g.basis is not None for g in prog.eq_groups)
+        else:
+            assert isinstance(u_r, np.ndarray)
             assert all(rows.local is None for rows in data["block_rows"])
             assert np.max(np.abs(u_r.T @ u_r - np.eye(m))) <= 1e-13
 
